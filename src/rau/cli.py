@@ -244,6 +244,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path) -> list:
                                          cfg.init_scale, init_rng, dropout=cfg.dropout)
             opt = make_optimizer(cfg.optimizer, model, cfg.lr)
             total_steps = 0
+            epoch = 0  # the last epoch run: short of cfg.epochs after a max_steps stop
             for epoch in range(1, cfg.epochs + 1):
                 opt.lr = lr_at(schedule, epoch)
                 rec, steps = train_epoch_lm(model, corpus.train, opt, train_rng, cfg.batch_size,
@@ -262,7 +263,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path) -> list:
             if corpus.test is not None:
                 t0 = time.monotonic()
                 loss, ppl = evaluate_lm(model, corpus.test, cfg.batch_size, cfg.unroll)
-                _emit(records, MetricsRecord(cfg.epochs, total_steps, "test", loss, "perplexity", ppl,
+                _emit(records, MetricsRecord(epoch, total_steps, "test", loss, "perplexity", ppl,
                                              int((time.monotonic() - t0) * 1000), cfg.seed), fh)
         else:
             if cfg.task in ("mnist-rows", "fashion-rows"):
@@ -364,9 +365,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     data_rng, SYNTH_COUNT // 5, SYNTH_T, SYNTH_M, SYNTH_CLASSES, SYNTH_NOISE)
             else:
                 raise ConfigError(f"unhandled task {cfg.task!r}")
-            xs, ys = {"train": (xs_train, ys_train), "test": (xs_test, ys_test),
-                      "valid": (xs_test, ys_test)}[split]
-            loss, metric = evaluate_classifier(model, xs, ys)
+            # classifier tasks hold out only a test split
+            split_data = {"train": (xs_train, ys_train), "test": (xs_test, ys_test)}.get(split)
+            if split_data is None:
+                raise ConfigError(f"split {split!r} unavailable")
+            loss, metric = evaluate_classifier(model, *split_data)
             name = "accuracy"
     except (datamod.DataError, OSError, ConfigError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -292,15 +292,16 @@ def cross_entropy(logits: np.ndarray, target):
         raise ContractError("cross_entropy: target count != batch size")
     if tg.min() < 0 or tg.max() >= lg.shape[1]:
         raise ContractError("cross_entropy: target out of range")
-    mx = lg.max(axis=1, keepdims=True)
-    lse = mx + np.log(np.sum(np.exp(lg - mx), axis=1, keepdims=True))
-    losses = lse[:, 0] - lg[np.arange(lg.shape[0]), tg]
-    probs = np.exp(lg - lse)
-    dlogits = probs
-    dlogits[np.arange(lg.shape[0]), tg] -= 1.0
     B = lg.shape[0]
-    loss = float(losses.mean())
-    dlogits /= B
+    rows = np.arange(B)
+    # one exp, in place: the shifted logits become (probs - onehot) / B
+    dlogits = lg - lg.max(axis=1, keepdims=True)
+    picked = dlogits[rows, tg]
+    np.exp(dlogits, out=dlogits)
+    total = np.sum(dlogits, axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - picked))
+    dlogits *= 1.0 / (total * B)
+    dlogits[rows, tg] -= 1.0 / B
     if single:
         dlogits = dlogits[0]
     return loss, dlogits

@@ -109,6 +109,10 @@ def _check_grads_finite(grads: Grads, context: str) -> None:
 def sgd_step(params, grads: Grads, lr: float):
     """Plain gradient descent; mutates and returns params."""
     _check_grads_finite(grads, "sgd_step")
+    return _sgd_update(params, grads, lr)
+
+
+def _sgd_update(params, grads: Grads, lr: float):
     for name, arr in iter_tensors(params):
         arr -= lr * grads[name]
     return params
@@ -117,6 +121,10 @@ def sgd_step(params, grads: Grads, lr: float):
 def adam_step(state: OptimizerState, params, grads: Grads):
     """Bias-corrected Adam update; mutates and returns (state, params)."""
     _check_grads_finite(grads, "adam_step")
+    return _adam_update(state, params, grads)
+
+
+def _adam_update(state: OptimizerState, params, grads: Grads):
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -135,10 +143,12 @@ def adam_step(state: OptimizerState, params, grads: Grads):
 
 
 def apply_update(opt: OptimizerState, params, grads: Grads):
+    """The training loops' update. Unlike sgd_step and adam_step it does
+    not check the gradients: the loops' clip_global_norm already has."""
     if opt.kind == "sgd":
-        sgd_step(params, grads, opt.lr)
+        _sgd_update(params, grads, opt.lr)
     else:
-        adam_step(opt, params, grads)
+        _adam_update(opt, params, grads)
 
 
 def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_size: int,

@@ -15,7 +15,7 @@ from rau.autograd import (
     relative_errors,
 )
 from rau.cells import init_rau, iter_tensors, step, zero_state
-from rau.linalg import ContractError, Rng
+from rau.linalg import ContractError, NumericError, Rng
 
 
 @dataclass
@@ -56,6 +56,18 @@ class TestClipGlobalNorm:
         g = Grads({"a": np.array([0.6, 0.8])})
         clip_global_norm(g, 5.0)
         assert np.allclose(g["a"], [0.6, 0.8], atol=0, rtol=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gradient_raises_naming_tensor(self, bad):
+        g = Grads({"a": np.array([0.6, 0.8]), "b": np.array([[1.0, bad]])})
+        with pytest.raises(NumericError, match="non-finite gradient in b"):
+            clip_global_norm(g, 5.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_norm_raises(self):
+        g = Grads({"a": np.array([1e200, 1e200])})
+        with pytest.raises(NumericError, match="overflows"):
+            clip_global_norm(g, 5.0)
 
     def test_post_norm_is_min_of_norm_and_max(self):
         rng = Rng(9)

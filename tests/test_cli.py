@@ -214,6 +214,18 @@ class TestPtbStyleTask:
         assert out["loss"] == final_valid["loss"]
         assert out["metric_value"] == final_valid["metric_value"]
 
+    def test_max_steps_stop_stamps_test_record_with_epoch_reached(self, corpus_dir, tmp_path):
+        rc = main(["train", "--task", "ptb", "--cell", "gru", "--data-dir", str(corpus_dir),
+                   "--hidden", "8", "--unroll", "5", "--batch-size", "2", "--vocab", "30",
+                   "--epochs", "3", "--max-steps", "3", "--lr", "0.5", "--optimizer", "sgd",
+                   "--seed", "3", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        run_dir = tmp_path / "out" / "ptb-gru-seed3"
+        records = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+        assert [r["split"] for r in records] == ["train", "valid", "test"]
+        assert records[-1]["step"] == 3
+        assert records[-1]["epoch"] == records[0]["epoch"] == 1
+
 
 class TestEvalCommand:
     def test_eval_matches_final_train_record(self, tmp_path, capsys):
@@ -234,6 +246,15 @@ class TestEvalCommand:
         assert main(["eval", str(ckpt), "--split", "test"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(out["metric_value"] - 0.25) < 0.05
+
+    def test_classifier_valid_split_exits_2(self, tmp_path, capsys):
+        main(_train_args(tmp_path, "--max-steps", "1"))
+        capsys.readouterr()
+        ckpt = tmp_path / "synthetic-rau-seed7" / "model.bin"
+        assert main(["eval", str(ckpt), "--split", "valid"]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "split 'valid' unavailable" in captured.err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "nope.bin")])

@@ -102,6 +102,19 @@ class TestActivations:
                 fn(bad)
             assert exc.value.index == 1
 
+    def test_sigmoid_within_2p3e_16_of_exact_logistic(self):
+        import mpmath
+
+        mpmath.mp.dps = 40
+        v = np.linspace(-40.0, 40.0, 4001)
+        exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(x)))) for x in v])
+        assert np.max(np.abs(sigmoid(v) - exact)) <= 2.3e-16
+
+    def test_sigmoid_bounded_and_monotone_on_fine_grid(self):
+        out = sigmoid(np.linspace(-40.0, 40.0, 400_001))
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert np.all(np.diff(out) >= 0.0)
+
     def test_sigmoid_matches_scalar(self):
         rng = Rng(5)
         v = rng.uniform(-30, 30, 50)

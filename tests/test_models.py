@@ -214,6 +214,24 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy(np.zeros(3), 3)
 
+    @pytest.mark.parametrize("shape", [(7,), (40, 300)])
+    def test_matches_two_exp_formula(self, shape):
+        rng = Rng(12)
+        logits = rng.uniform(-4, 4, shape)
+        lg = np.atleast_2d(logits)
+        targets = rng.integers(lg.shape[1], size=lg.shape[0])
+        # reference: log-sum-exp for the loss, a second exp for the probabilities
+        mx = lg.max(axis=1, keepdims=True)
+        lse = mx + np.log(np.sum(np.exp(lg - mx), axis=1, keepdims=True))
+        want_loss = float(np.mean(lse[:, 0] - lg[np.arange(lg.shape[0]), targets]))
+        want = np.exp(lg - lse)
+        want[np.arange(lg.shape[0]), targets] -= 1.0
+        want /= lg.shape[0]
+        single = len(shape) == 1
+        loss, dlog = cross_entropy(logits, targets[0] if single else targets)
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dlog, want[0] if single else want, rtol=1e-14, atol=0)
+
 
 class TestPerplexity:
     def test_uniform_model_branch_factor(self):

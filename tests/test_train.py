@@ -246,3 +246,47 @@ class TestTrainEpochLm:
             train_epoch_lm(mdl, stream, opt, rng, 5, 10, epoch, 12)
         loss1, ppl1 = evaluate_lm(mdl, stream, 5, 10)
         assert ppl1 < 0.25 * ppl0
+
+
+def _backward_with_bad_gradient(monkeypatch, name, value):
+    """Make the training loops' backward return one non-finite gradient entry."""
+    import rau.train
+
+    real = rau.train.backward
+
+    def bad_backward(tape, loss_grad):
+        grads = real(tape, loss_grad)
+        grads[name].reshape(-1)[0] = value
+        return grads
+
+    monkeypatch.setattr(rau.train, "backward", bad_backward)
+
+
+class TestNonFiniteGradientsDiverge:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_classifier_loop(self, monkeypatch, bad):
+        from rau.train import DivergenceError
+
+        _backward_with_bad_gradient(monkeypatch, "cells.0.w_z", bad)
+        xs, ys = synthetic_memorization(Rng(3), 64, 6, 4, 3, 0.5)
+        mdl = build_classifier("gru", 4, 5, 1, 3, 0.3, Rng(4))
+        before = {k: v.copy() for k, v in iter_tensors(mdl)}
+        opt = make_optimizer("adam", mdl, 0.01)
+        with pytest.raises(DivergenceError, match="cells.0.w_z") as exc:
+            train_epoch_classifier(mdl, xs, ys, opt, Rng(5), 32, 1, 5)
+        assert isinstance(exc.value.__cause__, NumericError)
+        for k, v in iter_tensors(mdl):
+            assert np.array_equal(v, before[k]), k
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_lm_loop(self, monkeypatch, bad):
+        from rau.models import build_language_model
+        from rau.train import DivergenceError
+
+        _backward_with_bad_gradient(monkeypatch, "embedding", bad)
+        stream = Rng(6).integers(20, size=400)
+        mdl = build_language_model("rau", 20, 6, 1, 0.3, Rng(7))
+        opt = make_optimizer("sgd", mdl, 0.5)
+        with pytest.raises(DivergenceError, match="embedding") as exc:
+            train_epoch_lm(mdl, stream, opt, Rng(8), batch_size=4, unroll=5, epoch=1, seed=6)
+        assert isinstance(exc.value.__cause__, NumericError)

@@ -139,7 +139,9 @@ def _run_stack(model, xs_steps, states, train_mode, rng):
 
     Returns (top hidden per step, traces[layer][t], in_masks or None,
     final states). Dropout masks are drawn fresh per step and applied
-    to each layer's input.
+    to each layer's input. Only train mode keeps the traces: an eval
+    pass frees each step's gate arrays as it goes, so its memory does
+    not grow with the sequence length.
     """
     rate = model.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -158,7 +160,8 @@ def _run_stack(model, xs_steps, states, train_mode, rng):
                 in_masks[l][t] = mask
                 inp = inp * mask
             states[l], tr = cells.step(model.cell_kind, p, inp, states[l])
-            traces[l].append(tr)
+            if train_mode:
+                traces[l].append(tr)
             inp = states[l].h
         top_steps.append(inp)
     return top_steps, traces, in_masks, states

@@ -1,5 +1,7 @@
 """Classifier and language-model heads: forwards, losses, dropout, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,33 @@ class TestClassifyForward:
         state, _ = cells.step("gru", mdl.cells[0], x, cells.zero_state("gru", 4))
         manual = mdl.w_out @ state.h + mdl.b_out
         assert np.allclose(logits, manual, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_eval_memory_grows_by_at_most_two_states_per_step(self, kind):
+        # an eval pass keeps only the top hidden state of each step, not the
+        # gate arrays of its StepTraces (6-11 states' worth per step)
+        B, n = 16, 32
+        mdl = build_classifier(kind, 3, n, 1, 5, 0.5, Rng(0))
+        peaks = []
+        for T in (8, 64):
+            xs = Rng(1).uniform(-1, 1, (B, T, 3))
+            tracemalloc.start()
+            try:
+                classify_forward(mdl, xs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * (64 - 8) * B * n * 8
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_eval_logits_equal_train_mode_logits_without_dropout(self, kind):
+        rng = Rng(8)
+        mdl = build_classifier(kind, 3, 4, 2, 5, 0.5, rng)
+        xs = rng.uniform(-1, 1, (3, 6, 3))
+        eval_logits, tape = classify_forward(mdl, xs)
+        train_logits, _ = classify_forward(mdl, xs, train_mode=True, rng=Rng(1))
+        assert tape is None
+        assert eval_logits.tobytes() == train_logits.tobytes()
 
     def test_empty_sequence_rejected(self):
         mdl = build_classifier("gru", 3, 4, 1, 2, 0.1, Rng(0))

@@ -239,10 +239,12 @@ def _add_row_blocks(grads: Grads, prefix: str, paths, block: np.ndarray) -> None
 class Tape:
     """Forward record of one loss evaluation, replayable in reverse.
 
-    kind "cell" holds a single recorded cell layer; "classifier" and
-    "lm" add head, dropout, and optional embedding segments recorded by
-    the model forwards. Parameter references are shared, not copied, so
-    a tape is only valid until the parameters are updated.
+    kind "cell" holds a single recorded cell layer. A model forward
+    records kind "last" or "every", its readout: the head reads the top
+    hidden state of the last step or of every step. Model tapes add the
+    head input, the dropout masks and the token ids of an embedding.
+    Parameter references are shared, not copied, so a tape is only
+    valid until the parameters are updated.
     """
 
     kind: str
@@ -251,14 +253,10 @@ class Tape:
     traces: list
     cell_prefixes: list = field(default_factory=lambda: [""])
     head_w: np.ndarray | None = None
-    head_b: np.ndarray | None = None
     head_in: object = None
     in_masks: list | None = None
     out_masks: object = None
     token_ids: np.ndarray | None = None
-    emb: np.ndarray | None = None
-    emb_key: str = "embedding"
-    head_keys: tuple = ("w_out", "b_out")
     model_params: object = None
 
 
@@ -287,34 +285,19 @@ def backward(tape: Tape, loss_grad) -> Grads:
             backward_cell_sequence(tape.cell_kind, params, traces, dh_last=loss_grad, grads=grads, prefix=tape.cell_prefixes[0])
         return grads
 
-    n_layers = len(tape.cell_params)
-    w_key, b_key = tape.head_keys
-
-    if tape.kind == "classifier":
-        dlogits = np.asarray(loss_grad)
-        dl2, head_in2 = np.atleast_2d(dlogits, tape.head_in)
-        grads[w_key] += dl2.T @ head_in2
-        grads[b_key] += dl2.sum(axis=0)
-        dh = dlogits @ tape.head_w
-        if tape.out_masks is not None:
-            dh = dh * tape.out_masks
-        dh_steps = None
-        dh_last = dh
-    elif tape.kind == "lm":
-        head_in = tape.head_in  # (T, B, n)
-        flat = np.asarray(loss_grad).reshape(-1, tape.head_w.shape[0])
-        # the head gradient buffer is still all zeros: write it in place
-        np.matmul(flat.T, head_in.reshape(flat.shape[0], -1), out=grads[w_key])
-        grads[b_key] += flat.sum(axis=0)
-        dh_steps = (flat @ tape.head_w).reshape(head_in.shape)
-        if tape.out_masks is not None:
-            dh_steps *= tape.out_masks
-        dh_last = None
-    else:
+    if tape.kind not in ("last", "every"):
         raise ContractError(f"unknown tape kind {tape.kind!r}")
+    flat = np.asarray(loss_grad).reshape(-1, tape.head_w.shape[0])
+    # the head gradient buffer is still all zeros: write it in place
+    np.matmul(flat.T, tape.head_in.reshape(flat.shape[0], -1), out=grads["w_out"])
+    grads["b_out"] += flat.sum(axis=0)
+    dh = (flat @ tape.head_w).reshape(tape.head_in.shape)
+    if tape.out_masks is not None:
+        dh *= tape.out_masks
+    dh_last, dh_steps = (dh, None) if tape.kind == "last" else (None, dh)
 
     dx_steps = None
-    for layer in reversed(range(n_layers)):
+    for layer in reversed(range(len(tape.cell_params))):
         _, dx_steps, _ = backward_cell_sequence(
             tape.cell_kind,
             tape.cell_params[layer],
@@ -329,10 +312,10 @@ def backward(tape: Tape, loss_grad) -> Grads:
                 dx_steps[t] *= mask
         dh_steps, dh_last = dx_steps, None
 
-    if tape.emb is not None and tape.token_ids is not None:
+    if tape.token_ids is not None:
         # ids go (T, B) step-major, the order of dx_steps
         ids = tape.token_ids.T.reshape(-1)
-        np.add.at(grads[tape.emb_key], ids, dx_steps.reshape(ids.shape[0], -1))
+        np.add.at(grads["embedding"], ids, dx_steps.reshape(ids.shape[0], -1))
     return grads
 
 

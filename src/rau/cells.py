@@ -18,19 +18,32 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .linalg import ContractError, Rng, init_matrix, sigmoid, softmax, tanh
 
-CELL_KINDS = ("rau", "gru", "lstm")
-
 _EMPTY = np.zeros(0)
 
 
+class _GateShapes:
+    """hidden_size and input_size, read off the (n, m+n) gate weight named by `_gate`."""
+
+    _gate = "w_z"
+
+    @property
+    def hidden_size(self) -> int:
+        return getattr(self, self._gate).shape[0]
+
+    @property
+    def input_size(self) -> int:
+        n, m_plus_n = getattr(self, self._gate).shape
+        return m_plus_n - n
+
+
 @dataclass
-class GruParams:
+class GruParams(_GateShapes):
     """Update gate, reset gate and candidate weights; each (n, m+n) with an n-bias."""
 
     w_z: np.ndarray
@@ -40,17 +53,9 @@ class GruParams:
     b_r: np.ndarray
     b_c: np.ndarray
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_z.shape[1] - self.w_z.shape[0]
-
 
 @dataclass
-class RauParams:
+class RauParams(_GateShapes):
     """GRU parameters plus the attention gate.
 
     w_a/b_a score each of the m+n concatenation components; w_u/b_u
@@ -63,17 +68,11 @@ class RauParams:
     w_u: np.ndarray
     b_u: np.ndarray
 
-    @property
-    def hidden_size(self) -> int:
-        return self.gru.hidden_size
-
-    @property
-    def input_size(self) -> int:
-        return self.gru.input_size
+    _gate = "w_u"
 
 
 @dataclass
-class LstmParams:
+class LstmParams(_GateShapes):
     """Forget/input/output gates and cell candidate; each (n, m+n) with an n-bias."""
 
     w_f: np.ndarray
@@ -85,13 +84,7 @@ class LstmParams:
     b_o: np.ndarray
     b_g: np.ndarray
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_f.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
+    _gate = "w_f"
 
 
 CellParams = GruParams | RauParams | LstmParams
@@ -158,6 +151,14 @@ def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray):
     return h, StepTrace(xh=xh, z=z, r=r, xrh=xrh, hc=hc)
 
 
+def _attend(p: RauParams, xh: np.ndarray):
+    """Scores, softmax weights, reweighted [x, h_prev] and the attended state of one step."""
+    alpha = xh @ p.w_a.T + p.b_a
+    u = softmax(alpha, axis=-1)
+    v = u * xh
+    return tanh(v @ p.w_u.T + p.b_u), alpha, u, v
+
+
 def rau_attention(p: RauParams, x: np.ndarray, h_prev: np.ndarray):
     """Attention gate: scores -> softmax weights -> reweighted, projected tanh state.
 
@@ -165,11 +166,7 @@ def rau_attention(p: RauParams, x: np.ndarray, h_prev: np.ndarray):
     probability vector over the m+n components of [x, h_prev].
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_attention")
-    xh = np.concatenate([x, h_prev], axis=-1)
-    alpha = xh @ p.w_a.T + p.b_a
-    u = softmax(alpha, axis=-1)
-    ha = tanh((u * xh) @ p.w_u.T + p.b_u)
-    return ha, alpha, u
+    return _attend(p, np.concatenate([x, h_prev], axis=-1))[:3]
 
 
 def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, *, attended_override: np.ndarray | None = None):
@@ -185,13 +182,9 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, *, attended_overri
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
     xh, z, r, xrh, hc = _gru_gates(p.gru, x, h_prev)
     if attended_override is None:
-        alpha = xh @ p.w_a.T + p.b_a
-        u = softmax(alpha, axis=-1)
-        v = u * xh
-        ha = tanh(v @ p.w_u.T + p.b_u)
+        ha, alpha, u, v = _attend(p, xh)
     else:
-        alpha, u, v = None, None, None
-        ha = attended_override
+        ha, alpha, u, v = attended_override, None, None, None
     h = (1.0 - z) * h_prev + z * ((hc + ha) / 2.0)
     return h, StepTrace(xh=xh, z=z, r=r, xrh=xrh, hc=hc, alpha=alpha, u=u, v=v, ha=ha)
 
@@ -210,40 +203,6 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState):
     h = o * np.tanh(c)
     trace = StepTrace(xh=xh, f=f, i=i, o=o, g=g, c_prev=state.c, c=c)
     return CellState(h=h, c=c), trace
-
-
-def step(kind: str, p: CellParams, x: np.ndarray, state: CellState):
-    """Kind-dispatched step over a CellState; returns (next state, trace)."""
-    if kind == "gru":
-        h, tr = gru_step(p, x, state.h)
-        return CellState(h=h), tr
-    if kind == "rau":
-        h, tr = rau_step(p, x, state.h)
-        return CellState(h=h), tr
-    if kind == "lstm":
-        return lstm_step(p, x, state)
-    raise ContractError(f"unknown cell kind {kind!r}")
-
-
-def zero_state(kind: str, n: int, batch: int | None = None) -> CellState:
-    shape = (n,) if batch is None else (batch, n)
-    h = np.zeros(shape)
-    c = np.zeros(shape) if kind == "lstm" else _EMPTY
-    return CellState(h=h, c=c)
-
-
-def param_count(kind: str, m: int, n: int) -> int:
-    """Learnable scalar count for one cell."""
-    if m < 1 or n < 1:
-        raise ContractError("param_count: m and n must be >= 1")
-    gru = 3 * n * (m + n + 1)
-    if kind == "gru":
-        return gru
-    if kind == "rau":
-        return gru + (m + n) * (m + n + 1) + n * (m + n + 1)
-    if kind == "lstm":
-        return 4 * n * (m + n + 1)
-    raise ContractError(f"unknown cell kind {kind!r}")
 
 
 def init_gru(m: int, n: int, scale: float, rng: Rng) -> GruParams:
@@ -282,14 +241,53 @@ def init_lstm(m: int, n: int, scale: float, rng: Rng) -> LstmParams:
     )
 
 
+def _h_state(h: np.ndarray, trace: StepTrace):
+    return CellState(h=h), trace
+
+
+class _Kind(NamedTuple):
+    init: Callable    # (m, n, scale, rng) -> params
+    step: Callable    # (params, x, CellState) -> (CellState, StepTrace)
+    has_c: bool       # the state carries a cell state c
+    rows: Callable    # (m, n) -> weight rows; each row holds m+n weights and a bias
+
+
+_KINDS = {
+    "rau": _Kind(init_rau, lambda p, x, s: _h_state(*rau_step(p, x, s.h)), False, lambda m, n: m + 5 * n),
+    "gru": _Kind(init_gru, lambda p, x, s: _h_state(*gru_step(p, x, s.h)), False, lambda m, n: 3 * n),
+    "lstm": _Kind(init_lstm, lstm_step, True, lambda m, n: 4 * n),
+}
+CELL_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ContractError(f"unknown cell kind {kind!r}")
+    return _KINDS[kind]
+
+
+def step(kind: str, p: CellParams, x: np.ndarray, state: CellState):
+    """Kind-dispatched step over a CellState; returns (next state, trace)."""
+    return _kind(kind).step(p, x, state)
+
+
+def zero_state(kind: str, n: int, batch: int | None = None) -> CellState:
+    shape = (n,) if batch is None else (batch, n)
+    h = np.zeros(shape)
+    c = np.zeros(shape) if _kind(kind).has_c else _EMPTY
+    return CellState(h=h, c=c)
+
+
+def param_count(kind: str, m: int, n: int) -> int:
+    """Learnable scalar count for one cell."""
+    rows = _kind(kind).rows
+    if m < 1 or n < 1:
+        raise ContractError("param_count: m and n must be >= 1")
+    return rows(m, n) * (m + n + 1)
+
+
 def init_cell(kind: str, m: int, n: int, scale: float, rng: Rng) -> CellParams:
-    if kind == "gru":
-        return init_gru(m, n, scale, rng)
-    if kind == "rau":
-        return init_rau(m, n, scale, rng)
-    if kind == "lstm":
-        return init_lstm(m, n, scale, rng)
-    raise ContractError(f"unknown cell kind {kind!r}")
+    return _kind(kind).init(m, n, scale, rng)
 
 
 def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:

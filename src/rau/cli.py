@@ -23,7 +23,7 @@ import numpy as np
 from . import data as datamod
 from .autograd import GRADCHECK_TOLERANCE, gradcheck_cell
 from .cells import CELL_KINDS
-from .linalg import Rng
+from .linalg import ContractError, Rng
 from .models import (
     CheckpointError,
     build_classifier,
@@ -186,18 +186,6 @@ def default_out_dir(cfg: RunConfig) -> Path:
     return Path(root) / f"{cfg.task}-{cfg.cell}-seed{cfg.seed}"
 
 
-def _load_image_task(cfg: RunConfig):
-    d = Path(cfg.data_dir)
-    train = datamod.load_idx(d / "train-images-idx3-ubyte", d / "train-labels-idx1-ubyte")
-    test = datamod.load_idx(d / "t10k-images-idx3-ubyte", d / "t10k-labels-idx1-ubyte")
-    if cfg.desk_scale:
-        train = datamod.ImageSet(train.images[:DESK_MNIST_TRAIN], train.labels[:DESK_MNIST_TRAIN])
-        test = datamod.ImageSet(test.images[:DESK_MNIST_TEST], test.labels[:DESK_MNIST_TEST])
-    xs_train = datamod.images_to_sequences(train.images)
-    xs_test = datamod.images_to_sequences(test.images)
-    return (xs_train, train.labels.astype(np.int64)), (xs_test, test.labels.astype(np.int64))
-
-
 def _subset_sentiment(s: datamod.SentimentSet, per_class: int) -> datamod.SentimentSet:
     pos = np.flatnonzero(s.labels == 1)[:per_class]
     neg = np.flatnonzero(s.labels == 0)[:per_class]
@@ -205,14 +193,57 @@ def _subset_sentiment(s: datamod.SentimentSet, per_class: int) -> datamod.Sentim
     return datamod.SentimentSet(s.documents[idx], s.labels[idx], s.vocab, s.max_len)
 
 
-def _load_sentiment_task(cfg: RunConfig):
+def load_task(cfg: RunConfig, data_rng: Rng):
+    """The task's data by split name, and its vocabulary size (None for row inputs).
+
+    LM splits are token streams; classifier splits are (inputs, labels)
+    pairs, and classifier tasks hold out only a test split.
+    """
+    if cfg.task == "synthetic":
+        def draw(count):
+            return datamod.synthetic_memorization(data_rng, count, SYNTH_T, SYNTH_M, SYNTH_CLASSES, SYNTH_NOISE)
+        return {"train": draw(SYNTH_COUNT), "test": draw(SYNTH_COUNT // 5)}, None
     d = Path(cfg.data_dir)
-    train = datamod.load_sentiment(d / "train", max_vocab=cfg.vocab, max_len=cfg.max_len)
-    test = datamod.load_sentiment(d / "test", max_vocab=cfg.vocab, max_len=cfg.max_len, vocab=train.vocab)
-    if cfg.desk_scale:
-        train = _subset_sentiment(train, DESK_SENTIMENT_PER_CLASS)
-        test = _subset_sentiment(test, DESK_SENTIMENT_PER_CLASS)
-    return (train.documents, train.labels), (test.documents, test.labels), train.vocab
+    if cfg.task == "ptb":
+        corpus = datamod.load_token_corpus(
+            d / "ptb.train.txt", d / "ptb.valid.txt", d / "ptb.test.txt", max_vocab=cfg.vocab)
+        return {"train": corpus.train, "valid": corpus.valid, "test": corpus.test}, len(corpus.vocab)
+    if cfg.task == "sentiment":
+        train = datamod.load_sentiment(d / "train", max_vocab=cfg.vocab, max_len=cfg.max_len)
+        test = datamod.load_sentiment(d / "test", max_vocab=cfg.vocab, max_len=cfg.max_len, vocab=train.vocab)
+        if cfg.desk_scale:
+            train = _subset_sentiment(train, DESK_SENTIMENT_PER_CLASS)
+            test = _subset_sentiment(test, DESK_SENTIMENT_PER_CLASS)
+        return {"train": (train.documents, train.labels), "test": (test.documents, test.labels)}, len(train.vocab)
+    if cfg.task in ("mnist-rows", "fashion-rows"):
+        train = datamod.load_idx(d / "train-images-idx3-ubyte", d / "train-labels-idx1-ubyte")
+        test = datamod.load_idx(d / "t10k-images-idx3-ubyte", d / "t10k-labels-idx1-ubyte")
+        if cfg.desk_scale:
+            train = datamod.ImageSet(train.images[:DESK_MNIST_TRAIN], train.labels[:DESK_MNIST_TRAIN])
+            test = datamod.ImageSet(test.images[:DESK_MNIST_TEST], test.labels[:DESK_MNIST_TEST])
+        return {
+            "train": (datamod.images_to_sequences(train.images), train.labels.astype(np.int64)),
+            "test": (datamod.images_to_sequences(test.images), test.labels.astype(np.int64)),
+        }, None
+    raise ConfigError(f"unhandled task {cfg.task!r}")
+
+
+def _seed_streams(seed: int) -> tuple[Rng, Rng, Rng]:
+    """The init, data and train streams, split from the run seed in that order."""
+    root = Rng(seed)
+    return root.split(), root.split(), root.split()
+
+
+def _evaluate(cfg: RunConfig, model, data, epoch: int, step: int, split: str) -> MetricsRecord:
+    """Score one split: perplexity of an LM token stream, accuracy of a classifier split."""
+    t0 = time.monotonic()
+    if model.readout == "every":
+        loss, value = evaluate_lm(model, data, cfg.batch_size, cfg.unroll)
+        name = "perplexity"
+    else:
+        loss, value = evaluate_classifier(model, *data)
+        name = "accuracy"
+    return MetricsRecord(epoch, step, split, loss, name, value, int((time.monotonic() - t0) * 1000), cfg.seed)
 
 
 def _emit(records: list, record: MetricsRecord, fh) -> None:
@@ -226,80 +257,45 @@ def run_experiment(cfg: RunConfig, out_dir: Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
     ckpt_path = out_dir / "model.bin"
-
-    root_rng = Rng(cfg.seed)
-    init_rng = root_rng.split()
-    data_rng = root_rng.split()
-    train_rng = root_rng.split()
-
+    init_rng, data_rng, train_rng = _seed_streams(cfg.seed)
     records: list = []
     schedule = LrSchedule(cfg.lr, cfg.decay_factor, cfg.decay_start_epoch)
 
     with open(out_dir / "metrics.jsonl", "w") as fh:
-        if cfg.task == "ptb":
-            d = Path(cfg.data_dir)
-            corpus = datamod.load_token_corpus(
-                d / "ptb.train.txt", d / "ptb.valid.txt", d / "ptb.test.txt", max_vocab=cfg.vocab)
-            model = build_language_model(cfg.cell, len(corpus.vocab), cfg.hidden, cfg.layers,
-                                         cfg.init_scale, init_rng, dropout=cfg.dropout)
-            opt = make_optimizer(cfg.optimizer, model, cfg.lr)
-            total_steps = 0
-            epoch = 0  # the last epoch run: short of cfg.epochs after a max_steps stop
-            for epoch in range(1, cfg.epochs + 1):
-                opt.lr = lr_at(schedule, epoch)
-                rec, steps = train_epoch_lm(model, corpus.train, opt, train_rng, cfg.batch_size,
-                                            cfg.unroll, epoch, cfg.seed, cfg.clip_norm,
-                                            cfg.max_steps, total_steps)
-                total_steps += steps
-                _emit(records, rec, fh)
-                if corpus.valid is not None:
-                    t0 = time.monotonic()
-                    loss, ppl = evaluate_lm(model, corpus.valid, cfg.batch_size, cfg.unroll)
-                    _emit(records, MetricsRecord(epoch, total_steps, "valid", loss, "perplexity", ppl,
-                                                 int((time.monotonic() - t0) * 1000), cfg.seed), fh)
-                save_checkpoint(ckpt_path, model, dataclasses.asdict(cfg))
-                if cfg.max_steps is not None and total_steps >= cfg.max_steps:
-                    break
-            if corpus.test is not None:
-                t0 = time.monotonic()
-                loss, ppl = evaluate_lm(model, corpus.test, cfg.batch_size, cfg.unroll)
-                _emit(records, MetricsRecord(epoch, total_steps, "test", loss, "perplexity", ppl,
-                                             int((time.monotonic() - t0) * 1000), cfg.seed), fh)
+        splits, vocab = load_task(cfg, data_rng)
+        lm = cfg.task == "ptb"
+        if lm:
+            model = build_language_model(cfg.cell, vocab, cfg.hidden, cfg.layers, cfg.init_scale, init_rng,
+                                         dropout=cfg.dropout)
+        elif vocab is not None:
+            model = build_classifier(cfg.cell, None, cfg.hidden, cfg.layers, cfg.classes, cfg.init_scale, init_rng,
+                                     vocab=vocab, emb_dim=cfg.emb_dim or 100, dropout=cfg.dropout)
         else:
-            if cfg.task in ("mnist-rows", "fashion-rows"):
-                (xs_train, ys_train), (xs_test, ys_test) = _load_image_task(cfg)
-                model = build_classifier(cfg.cell, xs_train.shape[2], cfg.hidden, cfg.layers, cfg.classes,
-                                         cfg.init_scale, init_rng, dropout=cfg.dropout)
-            elif cfg.task == "sentiment":
-                (xs_train, ys_train), (xs_test, ys_test), vocab = _load_sentiment_task(cfg)
-                model = build_classifier(cfg.cell, None, cfg.hidden, cfg.layers, cfg.classes,
-                                         cfg.init_scale, init_rng, vocab=len(vocab),
-                                         emb_dim=cfg.emb_dim or 100, dropout=cfg.dropout)
-            elif cfg.task == "synthetic":
-                xs_train, ys_train = datamod.synthetic_memorization(
-                    data_rng, SYNTH_COUNT, SYNTH_T, SYNTH_M, SYNTH_CLASSES, SYNTH_NOISE)
-                xs_test, ys_test = datamod.synthetic_memorization(
-                    data_rng, SYNTH_COUNT // 5, SYNTH_T, SYNTH_M, SYNTH_CLASSES, SYNTH_NOISE)
-                model = build_classifier(cfg.cell, SYNTH_M, cfg.hidden, cfg.layers, SYNTH_CLASSES,
-                                         cfg.init_scale, init_rng, dropout=cfg.dropout)
+            classes = SYNTH_CLASSES if cfg.task == "synthetic" else cfg.classes
+            model = build_classifier(cfg.cell, splits["train"][0].shape[2], cfg.hidden, cfg.layers, classes,
+                                     cfg.init_scale, init_rng, dropout=cfg.dropout)
+        opt = make_optimizer(cfg.optimizer, model, cfg.lr)
+        # an LM is scored on valid after each epoch and on test at the end;
+        # a classifier on test after each epoch
+        per_epoch_split = "valid" if lm else "test"
+        total_steps = 0
+        epoch = 0  # the last epoch run: short of cfg.epochs after a max_steps stop
+        for epoch in range(1, cfg.epochs + 1):
+            opt.lr = lr_at(schedule, epoch)
+            if lm:
+                rec, steps = train_epoch_lm(model, splits["train"], opt, train_rng, cfg.batch_size, cfg.unroll,
+                                            epoch, cfg.seed, cfg.clip_norm, cfg.max_steps, total_steps)
             else:
-                raise ConfigError(f"unhandled task {cfg.task!r}")
-            opt = make_optimizer(cfg.optimizer, model, cfg.lr)
-            total_steps = 0
-            for epoch in range(1, cfg.epochs + 1):
-                opt.lr = lr_at(schedule, epoch)
-                rec, steps = train_epoch_classifier(model, xs_train, ys_train, opt, train_rng,
-                                                    cfg.batch_size, epoch, cfg.seed, cfg.clip_norm,
-                                                    cfg.max_steps, total_steps)
-                total_steps += steps
-                _emit(records, rec, fh)
-                t0 = time.monotonic()
-                loss, acc = evaluate_classifier(model, xs_test, ys_test)
-                _emit(records, MetricsRecord(epoch, total_steps, "test", loss, "accuracy", acc,
-                                             int((time.monotonic() - t0) * 1000), cfg.seed), fh)
-                save_checkpoint(ckpt_path, model, dataclasses.asdict(cfg))
-                if cfg.max_steps is not None and total_steps >= cfg.max_steps:
-                    break
+                rec, steps = train_epoch_classifier(model, *splits["train"], opt, train_rng, cfg.batch_size,
+                                                    epoch, cfg.seed, cfg.clip_norm, cfg.max_steps, total_steps)
+            total_steps += steps
+            _emit(records, rec, fh)
+            _emit(records, _evaluate(cfg, model, splits[per_epoch_split], epoch, total_steps, per_epoch_split), fh)
+            save_checkpoint(ckpt_path, model, dataclasses.asdict(cfg))
+            if cfg.max_steps is not None and total_steps >= cfg.max_steps:
+                break
+        if lm:
+            _emit(records, _evaluate(cfg, model, splits["test"], epoch, total_steps, "test"), fh)
     return records
 
 
@@ -338,44 +334,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = RunConfig(**{k: v for k, v in cfg_echo.items() if k in {f.name for f in dataclasses.fields(RunConfig)}})
     if args.data_dir is not None:
         cfg.data_dir = args.data_dir
-    split = args.split
     try:
-        t0 = time.monotonic()
-        if cfg.task == "ptb":
-            d = Path(cfg.data_dir)
-            corpus = datamod.load_token_corpus(d / "ptb.train.txt", d / "ptb.valid.txt", d / "ptb.test.txt",
-                                               max_vocab=cfg.vocab)
-            stream = {"train": corpus.train, "valid": corpus.valid, "test": corpus.test}.get(split)
-            if stream is None:
-                raise ConfigError(f"split {split!r} unavailable")
-            loss, metric = evaluate_lm(model, stream, cfg.batch_size, cfg.unroll)
-            name = "perplexity"
-        else:
-            if cfg.task in ("mnist-rows", "fashion-rows"):
-                (xs_train, ys_train), (xs_test, ys_test) = _load_image_task(cfg)
-            elif cfg.task == "sentiment":
-                (xs_train, ys_train), (xs_test, ys_test), _ = _load_sentiment_task(cfg)
-            elif cfg.task == "synthetic":
-                root_rng = Rng(cfg.seed)
-                root_rng.split()
-                data_rng = root_rng.split()
-                xs_train, ys_train = datamod.synthetic_memorization(
-                    data_rng, SYNTH_COUNT, SYNTH_T, SYNTH_M, SYNTH_CLASSES, SYNTH_NOISE)
-                xs_test, ys_test = datamod.synthetic_memorization(
-                    data_rng, SYNTH_COUNT // 5, SYNTH_T, SYNTH_M, SYNTH_CLASSES, SYNTH_NOISE)
-            else:
-                raise ConfigError(f"unhandled task {cfg.task!r}")
-            # classifier tasks hold out only a test split
-            split_data = {"train": (xs_train, ys_train), "test": (xs_test, ys_test)}.get(split)
-            if split_data is None:
-                raise ConfigError(f"split {split!r} unavailable")
-            loss, metric = evaluate_classifier(model, *split_data)
-            name = "accuracy"
-    except (datamod.DataError, OSError, ConfigError, KeyError) as e:
+        validate_config(cfg)
+        if (model.readout == "every") != (cfg.task == "ptb"):
+            raise ConfigError(f"the checkpoint's model does not fit its task {cfg.task!r}")
+        _, data_rng, _ = _seed_streams(cfg.seed)
+        data = load_task(cfg, data_rng)[0].get(args.split)
+        if data is None:
+            raise ConfigError(f"split {args.split!r} unavailable")
+        rec = _evaluate(cfg, model, data, 0, 0, args.split)
+    except (datamod.DataError, OSError, ConfigError, KeyError, ContractError) as e:
+        # a ContractError: the checkpoint's config echo does not fit its model
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    rec = MetricsRecord(0, 0, split, loss, name, metric, int((time.monotonic() - t0) * 1000),
-                        cfg_echo.get("seed", 0))
     print(rec.to_json())
     return EXIT_OK
 

@@ -1,7 +1,10 @@
-"""Task heads over a recurrent cell stack: sequence classifier and word LM.
+"""One model over a recurrent cell stack, for a sequence classifier and a word LM.
 
-Both models run any of the three cell kinds, stacked; layer k feeds on
-layer k-1's hidden state. Dropout (inverted scaling) applies only on
+A `SequenceModel` runs any of the three cell kinds, stacked; layer k
+feeds on layer k-1's hidden state. The two tasks differ only in the
+input (feature rows or token ids through an embedding) and the readout
+of the affine head: the last step for a classifier, every step for an
+LM. Dropout (inverted scaling) applies only on
 cell inputs and on the top hidden state before the output layer, never
 on the recurrent path. Forward passes return a Tape when training so
 `autograd.backward` can replay them.
@@ -51,8 +54,13 @@ def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
 
 
 @dataclass
-class Classifier:
-    """Cell stack with a final-step affine readout; optional token embedding."""
+class SequenceModel:
+    """Cell stack with an affine head and an optional token embedding.
+
+    The builders set the readout: a classifier ("last") reads out the
+    top hidden state of the final step, a language model ("every") the
+    top hidden state of every step.
+    """
 
     cells: list
     w_out: np.ndarray
@@ -60,69 +68,36 @@ class Classifier:
     embedding: np.ndarray | None = None
     cell_kind: str = "gru"
     dropout: DropoutSpec = field(default_factory=DropoutSpec)
+    readout: str = "last"
 
     @property
     def hidden_size(self) -> int:
         return self.cells[-1].hidden_size
 
-    @property
-    def num_classes(self) -> int:
-        return self.w_out.shape[0]
 
-
-@dataclass
-class LanguageModel:
-    """Embedding, cell stack, and per-step projection onto the vocabulary."""
-
-    cells: list
-    w_out: np.ndarray
-    b_out: np.ndarray
-    embedding: np.ndarray
-    cell_kind: str = "gru"
-    dropout: DropoutSpec = field(default_factory=DropoutSpec)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.cells[-1].hidden_size
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
+def _cells_and_head(cell_kind, input_size, hidden, layers, outputs, scale, rng):
+    """Draw the cells, then the head weights."""
+    if layers < 1:
+        raise ContractError("layers must be >= 1")
+    cell_list = [init_cell(cell_kind, input_size if k == 0 else hidden, hidden, scale, rng) for k in range(layers)]
+    return cell_list, init_matrix(outputs, hidden, scale, rng), np.zeros(outputs)
 
 
 def build_classifier(cell_kind, input_size, hidden, layers, classes, scale, rng,
-                     vocab=None, emb_dim=None, dropout=0.0) -> Classifier:
-    if layers < 1:
-        raise ContractError("build_classifier: layers must be >= 1")
+                     vocab=None, emb_dim=None, dropout=0.0) -> SequenceModel:
     embedding = None
-    m0 = input_size
     if vocab is not None:
         emb_dim = emb_dim or hidden
         embedding = init_matrix(vocab, emb_dim, scale, rng)
-        m0 = emb_dim
-    cell_list = [init_cell(cell_kind, m0 if k == 0 else hidden, hidden, scale, rng) for k in range(layers)]
-    return Classifier(
-        cells=cell_list,
-        w_out=init_matrix(classes, hidden, scale, rng),
-        b_out=np.zeros(classes),
-        embedding=embedding,
-        cell_kind=cell_kind,
-        dropout=DropoutSpec(dropout),
-    )
+        input_size = emb_dim
+    cell_list, w_out, b_out = _cells_and_head(cell_kind, input_size, hidden, layers, classes, scale, rng)
+    return SequenceModel(cell_list, w_out, b_out, embedding, cell_kind, DropoutSpec(dropout), readout="last")
 
 
-def build_language_model(cell_kind, vocab, hidden, layers, scale, rng, dropout=0.0) -> LanguageModel:
-    if layers < 1:
-        raise ContractError("build_language_model: layers must be >= 1")
-    cell_list = [init_cell(cell_kind, hidden, hidden, scale, rng) for _ in range(layers)]
-    return LanguageModel(
-        cells=cell_list,
-        w_out=init_matrix(vocab, hidden, scale, rng),
-        b_out=np.zeros(vocab),
-        embedding=init_matrix(vocab, hidden, scale, rng),
-        cell_kind=cell_kind,
-        dropout=DropoutSpec(dropout),
-    )
+def build_language_model(cell_kind, vocab, hidden, layers, scale, rng, dropout=0.0) -> SequenceModel:
+    cell_list, w_out, b_out = _cells_and_head(cell_kind, hidden, hidden, layers, vocab, scale, rng)
+    embedding = init_matrix(vocab, hidden, scale, rng)
+    return SequenceModel(cell_list, w_out, b_out, embedding, cell_kind, DropoutSpec(dropout), readout="every")
 
 
 def _lookup_tokens(embedding: np.ndarray, ids: np.ndarray, op: str):
@@ -134,99 +109,93 @@ def _lookup_tokens(embedding: np.ndarray, ids: np.ndarray, op: str):
     return ids
 
 
-def _run_stack(model, xs_steps, states, train_mode, rng):
-    """Unroll the cell stack over prepared per-step inputs.
+def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, rng):
+    """Unroll the stack over batch-first inputs, apply the readout, record the tape.
 
-    Returns (top hidden per step, traces[layer][t], in_masks or None,
-    final states). Dropout masks are drawn fresh per step and applied
-    to each layer's input. Only train mode keeps the traces: an eval
-    pass frees each step's gate arrays as it goes, so its memory does
-    not grow with the sequence length.
+    inputs are (B, T) token ids for a model with an embedding, else
+    (B, T, m) features. states are the per-layer start states, or None
+    for zeros. Dropout masks are drawn fresh per step and applied to
+    each layer's input, then to the head input. Only train mode keeps
+    the traces: an eval pass frees each step's gate arrays as it goes,
+    so its memory does not grow with the sequence length. Returns
+    (logits, final states, tape or None).
     """
-    rate = model.dropout.rate
+    rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
     if use_drop and rng is None:
         raise ContractError("dropout requires an rng in train mode")
-    L = len(model.cells)
-    T = len(xs_steps)
-    traces = [[] for _ in range(L)]
-    in_masks = [[None] * T for _ in range(L)] if use_drop else None
+    B, T = inputs.shape[:2]
+    n = mdl.hidden_size
+    if states is None:
+        states = [cells.zero_state(mdl.cell_kind, n, B) for _ in mdl.cells]
+    else:
+        states = [CellState(h=s.h.copy(), c=s.c.copy()) for s in states]
+    xs_steps = [inputs[:, t] for t in range(T)]
+    token_ids = None
+    if mdl.embedding is not None:
+        token_ids = inputs
+        xs_steps = [mdl.embedding[ids] for ids in xs_steps]
+    traces = [[] for _ in mdl.cells]
+    in_masks = [[None] * T for _ in mdl.cells] if use_drop else None
     top_steps = []
     for t in range(T):
         inp = xs_steps[t]
-        for l, p in enumerate(model.cells):
+        for l, p in enumerate(mdl.cells):
             if use_drop:
                 mask = dropout_mask(rng, inp.shape, rate)
                 in_masks[l][t] = mask
                 inp = inp * mask
-            states[l], tr = cells.step(model.cell_kind, p, inp, states[l])
+            states[l], tr = cells.step(mdl.cell_kind, p, inp, states[l])
             if train_mode:
                 traces[l].append(tr)
             inp = states[l].h
         top_steps.append(inp)
-    return top_steps, traces, in_masks, states
 
-
-def classify_forward(mdl: Classifier, seq, train_mode: bool = False, rng: Rng | None = None):
-    """Run the stack over a sequence and read out logits from the final state."""
-    if mdl.embedding is not None:
-        ids = _lookup_tokens(mdl.embedding, seq, "classify_forward")
-        single = ids.ndim == 1
-        if single:
-            ids = ids[None, :]
-        if ids.shape[1] == 0:
-            raise ContractError("classify_forward: empty sequence")
-        token_ids = ids
-        xs_steps = [mdl.embedding[ids[:, t]] for t in range(ids.shape[1])]
-    else:
-        arr = np.asarray(seq, dtype=np.float64)
-        if arr.ndim == 2:
-            single = True
-            arr = arr[None, :, :]
-        elif arr.ndim == 3:
-            single = False
-        else:
-            raise ContractError(f"classify_forward: sequence must be (T, m) or (B, T, m), got {arr.shape}")
-        if arr.shape[1] == 0:
-            raise ContractError("classify_forward: empty sequence")
-        token_ids = None
-        xs_steps = [arr[:, t, :] for t in range(arr.shape[1])]
-
-    batch = xs_steps[0].shape[0]
-    n = mdl.hidden_size
-    states = [cells.zero_state(mdl.cell_kind, n, batch) for _ in mdl.cells]
-    top_steps, traces, in_masks, states = _run_stack(mdl, xs_steps, states, train_mode, rng)
-
-    h_final = top_steps[-1]
-    out_mask = None
-    if train_mode and mdl.dropout.rate > 0.0:
-        out_mask = dropout_mask(rng, h_final.shape, mdl.dropout.rate)
-        h_final = h_final * out_mask
-    logits = h_final @ mdl.w_out.T + mdl.b_out
+    head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)
+    out_masks = None
+    if use_drop:
+        out_masks = dropout_mask(rng, head_in.shape, rate)
+        head_in = head_in * out_masks
+    # one GEMM for every position the head reads
+    logits = (head_in.reshape(-1, n) @ mdl.w_out.T + mdl.b_out).reshape(head_in.shape[:-1] + (-1,))
 
     tape = None
     if train_mode:
         tape = Tape(
-            kind="classifier",
+            kind=mdl.readout,
             cell_kind=mdl.cell_kind,
             cell_params=list(mdl.cells),
             traces=traces,
             cell_prefixes=[f"cells.{k}" for k in range(len(mdl.cells))],
             head_w=mdl.w_out,
-            head_b=mdl.b_out,
-            head_in=h_final,
+            head_in=head_in,
             in_masks=in_masks,
-            out_masks=out_mask,
+            out_masks=out_masks,
             token_ids=token_ids,
-            emb=mdl.embedding,
             model_params=mdl,
         )
+    return logits, states, tape
+
+
+def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng | None = None):
+    """Run the stack over a sequence and read out logits from the final state."""
+    if mdl.embedding is not None:
+        arr = _lookup_tokens(mdl.embedding, seq, "classify_forward")
+        single = arr.ndim == 1
+    else:
+        arr = np.asarray(seq, dtype=np.float64)
+        if arr.ndim not in (2, 3):
+            raise ContractError(f"classify_forward: sequence must be (T, m) or (B, T, m), got {arr.shape}")
+        single = arr.ndim == 2
     if single:
-        logits = logits[0]
-    return logits, tape
+        arr = arr[None]
+    if arr.shape[1] == 0:
+        raise ContractError("classify_forward: empty sequence")
+    logits, _, tape = _forward(mdl, arr, None, train_mode, rng)
+    return (logits[0] if single else logits), tape
 
 
-def lm_forward(mdl: LanguageModel, tokens, h_init=None, train_mode: bool = False, rng: Rng | None = None):
+def lm_forward(mdl: SequenceModel, tokens, h_init=None, train_mode: bool = False, rng: Rng | None = None):
     """Teacher-forced next-token logits at every position.
 
     tokens are the input ids; the caller supplies shifted targets.
@@ -237,44 +206,9 @@ def lm_forward(mdl: LanguageModel, tokens, h_init=None, train_mode: bool = False
     single = ids.ndim == 1
     if single:
         ids = ids[None, :]
-    B, T = ids.shape
-    if T == 0:
+    if ids.shape[1] == 0:
         raise ContractError("lm_forward: empty sequence")
-    xs_steps = [mdl.embedding[ids[:, t]] for t in range(T)]
-
-    n = mdl.hidden_size
-    if h_init is None:
-        states = [cells.zero_state(mdl.cell_kind, n, B) for _ in mdl.cells]
-    else:
-        states = [CellState(h=s.h.copy(), c=s.c.copy()) for s in h_init]
-    top_steps, traces, in_masks, states = _run_stack(mdl, xs_steps, states, train_mode, rng)
-
-    rate = mdl.dropout.rate
-    out_masks = None
-    head_in = np.stack(top_steps)  # (T, B, n)
-    if train_mode and rate > 0.0:
-        out_masks = np.stack([dropout_mask(rng, h.shape, rate) for h in top_steps])
-        head_in = head_in * out_masks
-    # vocab projection for all positions in one GEMM
-    logits = (head_in.reshape(T * B, n) @ mdl.w_out.T + mdl.b_out).reshape(T, B, -1)
-
-    tape = None
-    if train_mode:
-        tape = Tape(
-            kind="lm",
-            cell_kind=mdl.cell_kind,
-            cell_params=list(mdl.cells),
-            traces=traces,
-            cell_prefixes=[f"cells.{k}" for k in range(len(mdl.cells))],
-            head_w=mdl.w_out,
-            head_b=mdl.b_out,
-            head_in=head_in,
-            in_masks=in_masks,
-            out_masks=out_masks,
-            token_ids=ids,
-            emb=mdl.embedding,
-            model_params=mdl,
-        )
+    logits, states, tape = _forward(mdl, ids, h_init, train_mode, rng)
     if single:
         logits = logits[:, 0, :]
     return logits, states, tape
@@ -317,45 +251,70 @@ def perplexity(total_log_loss: float, token_count: int) -> float:
     return float(np.exp(total_log_loss / token_count))
 
 
-def _model_spec(model) -> dict:
-    if isinstance(model, Classifier):
-        spec = {
-            "type": "classifier",
-            "cell": model.cell_kind,
-            "input_size": model.cells[0].input_size if model.embedding is None else None,
-            "hidden": model.hidden_size,
-            "layers": len(model.cells),
-            "classes": model.num_classes,
-            "vocab": None if model.embedding is None else int(model.embedding.shape[0]),
-            "emb_dim": None if model.embedding is None else int(model.embedding.shape[1]),
-            "dropout": model.dropout.rate,
-        }
-    elif isinstance(model, LanguageModel):
-        spec = {
+def _model_spec(model: SequenceModel) -> dict:
+    if model.readout == "every":
+        return {
             "type": "lm",
             "cell": model.cell_kind,
             "hidden": model.hidden_size,
             "layers": len(model.cells),
-            "vocab": model.vocab_size,
+            "vocab": model.embedding.shape[0],
             "dropout": model.dropout.rate,
         }
-    else:
-        raise CheckpointError(f"cannot serialize model of type {type(model).__name__}")
-    return spec
+    return {
+        "type": "classifier",
+        "cell": model.cell_kind,
+        "input_size": model.cells[0].input_size if model.embedding is None else None,
+        "hidden": model.hidden_size,
+        "layers": len(model.cells),
+        "classes": model.w_out.shape[0],
+        "vocab": None if model.embedding is None else int(model.embedding.shape[0]),
+        "emb_dim": None if model.embedding is None else int(model.embedding.shape[1]),
+        "dropout": model.dropout.rate,
+    }
 
 
-def _build_from_spec(spec: dict):
-    rng = Rng(0)
-    if spec["type"] == "classifier":
-        return build_classifier(
-            spec["cell"], spec["input_size"], spec["hidden"], spec["layers"], spec["classes"],
-            0.0, rng, vocab=spec["vocab"], emb_dim=spec["emb_dim"], dropout=spec["dropout"],
-        )
+def _positive_int(spec: dict, key: str) -> int:
+    value = spec.get(key)
+    if type(value) is not int or value < 1:
+        raise CheckpointError(f"checkpoint model spec: {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _build_from_spec(spec, payload_bytes: int) -> SequenceModel:
+    """Rebuild the zero model a checkpoint spec describes.
+
+    Every field is checked, and the tensor bytes the spec implies are
+    compared with the payload, before anything is allocated: a header
+    cannot make the loader build a model larger than its file.
+    """
+    if not isinstance(spec, dict) or spec.get("type") not in ("classifier", "lm"):
+        raise CheckpointError("checkpoint holds no classifier or lm model spec")
+    cell, dropout = spec.get("cell"), spec.get("dropout")
+    if cell not in cells.CELL_KINDS:
+        raise CheckpointError(f"unknown cell kind {cell!r} in checkpoint")
+    if type(dropout) not in (int, float) or not 0.0 <= dropout < 1.0:
+        raise CheckpointError(f"checkpoint dropout must be in [0, 1), got {dropout!r}")
+    hidden, layers = _positive_int(spec, "hidden"), _positive_int(spec, "layers")
     if spec["type"] == "lm":
-        return build_language_model(
-            spec["cell"], spec["vocab"], spec["hidden"], spec["layers"], 0.0, rng, dropout=spec["dropout"],
-        )
-    raise CheckpointError(f"unknown model type {spec['type']!r} in checkpoint")
+        vocab = outputs = _positive_int(spec, "vocab")
+        m0, emb_floats = hidden, vocab * hidden
+    else:
+        outputs = _positive_int(spec, "classes")
+        if spec.get("vocab") is None:
+            m0, emb_floats = _positive_int(spec, "input_size"), 0
+        else:
+            m0 = _positive_int(spec, "emb_dim")
+            emb_floats = _positive_int(spec, "vocab") * m0
+    floats = (emb_floats + cells.param_count(cell, m0, hidden) + (layers - 1) * cells.param_count(cell, hidden, hidden)
+              + outputs * (hidden + 1))
+    if 8 * floats != payload_bytes:
+        what = "truncated checkpoint tensors" if 8 * floats > payload_bytes else "trailing bytes after checkpoint tensors"
+        raise CheckpointError(f"{what}: the spec implies {8 * floats} bytes, the file holds {payload_bytes}")
+    if spec["type"] == "lm":
+        return build_language_model(cell, vocab, hidden, layers, 0.0, Rng(0), dropout=dropout)
+    return build_classifier(cell, spec.get("input_size"), hidden, layers, outputs, 0.0, Rng(0),
+                            vocab=spec.get("vocab"), emb_dim=spec.get("emb_dim"), dropout=dropout)
 
 
 def save_checkpoint(path, model, config: dict | None = None) -> None:
@@ -372,7 +331,10 @@ def save_checkpoint(path, model, config: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild the model recorded at `path`; returns (model, config echo)."""
+    """Rebuild the model recorded at `path`; returns (model, config echo).
+
+    A malformed, truncated or inconsistent file raises CheckpointError.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
@@ -383,16 +345,15 @@ def load_checkpoint(path):
     blob_len = struct.unpack("<I", raw[8:12])[0]
     if len(raw) < 12 + blob_len:
         raise CheckpointError("truncated checkpoint header")
-    echo = json.loads(raw[12:12 + blob_len].decode("utf-8"))
-    model = _build_from_spec(echo["model"])
+    try:
+        echo = json.loads(raw[12:12 + blob_len].decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # ValueError covers bad JSON and bad UTF-8
+        raise CheckpointError(f"unreadable checkpoint header: {e}") from e
+    if not isinstance(echo, dict) or not isinstance(echo.get("config"), dict):
+        raise CheckpointError("checkpoint header must be an object with a 'config' object")
     offset = 12 + blob_len
-    for name, arr in iter_tensors(model):
-        nbytes = arr.size * 8
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"truncated checkpoint tensor {name}")
-        arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(arr.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError("trailing bytes after checkpoint tensors")
+    model = _build_from_spec(echo.get("model"), len(raw) - offset)
+    for _, arr in iter_tensors(model):
+        arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
+        offset += arr.size * 8
     return model, echo["config"]

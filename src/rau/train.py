@@ -151,6 +151,23 @@ def apply_update(opt: OptimizerState, params, grads: Grads):
         _adam_update(opt, params, grads)
 
 
+def _optimizer_step(model, opt: OptimizerState, tape, loss: float, loss_grad, clip_norm: float,
+                    what: str, epoch: int, step: int) -> None:
+    """One optimizer step from a recorded loss: backward, clip, update.
+
+    A non-finite loss or gradient raises DivergenceError before any
+    parameter changes.
+    """
+    if not np.isfinite(loss):
+        raise DivergenceError(f"{what} loss diverged at epoch {epoch}, step {step}")
+    grads = backward(tape, loss_grad)
+    try:
+        clip_global_norm(grads, clip_norm)
+        apply_update(opt, model, grads)
+    except NumericError as e:
+        raise DivergenceError(f"{what} gradients diverged at epoch {epoch}, step {step}: {e}") from e
+
+
 def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_size: int,
                            epoch: int, seed: int, clip_norm: float = DEFAULT_CLIP_NORM,
                            max_steps: int | None = None, step_offset: int = 0):
@@ -176,15 +193,7 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
         yb = ys[idx]
         logits, tape = classify_forward(model, xb, train_mode=True, rng=rng)
         loss, dlogits = cross_entropy(logits, yb)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"classifier loss diverged at epoch {epoch}, step {step_offset + steps}")
-        grads = backward(tape, dlogits)
-        try:
-            clip_global_norm(grads, clip_norm)
-            apply_update(opt, model, grads)
-        except NumericError as e:
-            raise DivergenceError(f"classifier gradients diverged at epoch {epoch}, "
-                                  f"step {step_offset + steps}: {e}") from e
+        _optimizer_step(model, opt, tape, loss, dlogits, clip_norm, "classifier", epoch, step_offset + steps)
         total_loss += loss * len(idx)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         seen += len(idx)
@@ -242,15 +251,7 @@ def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int
         if is_new_epoch:
             states = None
         loss, tokens, states, tape, dsteps = _lm_window_loss(model, inputs, targets, states, True, rng)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"LM loss diverged at epoch {epoch}, step {step_offset + steps}")
-        grads = backward(tape, dsteps)
-        try:
-            clip_global_norm(grads, clip_norm)
-            apply_update(opt, model, grads)
-        except NumericError as e:
-            raise DivergenceError(f"LM gradients diverged at epoch {epoch}, "
-                                  f"step {step_offset + steps}: {e}") from e
+        _optimizer_step(model, opt, tape, loss, dsteps, clip_norm, "LM", epoch, step_offset + steps)
         total_loss += loss * tokens
         total_tokens += tokens
         steps += 1

@@ -24,6 +24,7 @@ from rau.cells import (
     tensor_count,
     zero_state,
 )
+from rau.autograd import backward_cell_sequence
 from rau.linalg import ContractError, Rng
 
 
@@ -258,6 +259,19 @@ class TestParamCount:
         for m, n in [(1, 1), (2, 3), (28, 128)]:
             params = init_cell(kind, m, n, 0.1, Rng(4))
             assert param_count(kind, m, n) == tensor_count(params)
+
+
+class TestUnknownKind:
+    @pytest.mark.parametrize("call", [
+        lambda: step("foo", init_gru(2, 3, 0.1, Rng(0)), np.zeros(2), zero_state("gru", 3)),
+        lambda: init_cell("foo", 2, 3, 0.1, Rng(0)),
+        lambda: zero_state("foo", 3),
+        lambda: param_count("foo", 2, 3),
+        lambda: backward_cell_sequence("foo", init_gru(2, 3, 0.1, Rng(0)), []),
+    ], ids=["step", "init_cell", "zero_state", "param_count", "backward_cell_sequence"])
+    def test_raises_contract_error(self, call):
+        with pytest.raises(ContractError, match="unknown cell kind 'foo'"):
+            call()
 
 
 class TestBoundedness:

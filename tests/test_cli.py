@@ -15,7 +15,7 @@ from rau.cli import (
     resolve_config,
 )
 from rau.linalg import Rng
-from rau.models import build_classifier, save_checkpoint
+from rau.models import build_classifier, build_language_model, save_checkpoint
 
 
 def _train_args(tmp_path, *extra):
@@ -133,7 +133,7 @@ class TestImageTaskPath:
             lbl.rename(d / f"{split}-labels-idx1-ubyte")
         return d
 
-    def test_end_to_end(self, image_dir, tmp_path):
+    def test_end_to_end(self, image_dir, tmp_path, capsys):
         rc = main(["train", "--task", "mnist-rows", "--cell", "gru", "--data-dir", str(image_dir),
                    "--hidden", "24", "--classes", "10", "--batch-size", "32", "--epochs", "3",
                    "--lr", "0.01", "--init-scale", "0.2", "--seed", "5",
@@ -143,6 +143,11 @@ class TestImageTaskPath:
         records = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
         final = [r for r in records if r["split"] == "test"][-1]
         assert final["metric_value"] >= 0.8, final
+        capsys.readouterr()
+        assert main(["eval", str(run_dir / "model.bin"), "--split", "test"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["loss"] == final["loss"]
+        assert out["metric_value"] == final["metric_value"]
 
 
 class TestSentimentTask:
@@ -176,6 +181,9 @@ class TestSentimentTask:
         assert main(["eval", str(ckpt), "--split", "test", "--data-dir", str(imdb_like)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["metric_name"] == "accuracy"
+        final_test = [r for r in records if r["split"] == "test"][-1]
+        assert out["loss"] == final_test["loss"]
+        assert out["metric_value"] == final_test["metric_value"]
 
 
 class TestPtbStyleTask:
@@ -255,6 +263,30 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "split 'valid' unavailable" in captured.err
+
+    def test_malformed_header_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "bad.bin"
+        header = b'{"config": {}, "model": {"type": "classifier", "cell": "foo"}}'
+        ckpt.write_bytes(b"RAUM" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header)
+        assert main(["eval", str(ckpt)]) == EXIT_BAD_CONFIG
+        assert "unknown cell kind 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build, message", [
+        # synthetic sequences have 8 inputs per step; this model takes 5
+        (lambda: build_classifier("gru", 5, 4, 1, 4, 0.1, Rng(0)), "input size 8 != expected 5"),
+        (lambda: build_language_model("gru", 5, 3, 1, 0.1, Rng(0)), "does not fit its task 'synthetic'"),
+    ], ids=["input-size", "lm-on-a-classifier-task"])
+    def test_config_not_fitting_the_model_exits_2(self, tmp_path, capsys, build, message):
+        ckpt = tmp_path / "mismatch.bin"
+        save_checkpoint(ckpt, build(), dataclasses.asdict(RunConfig(task="synthetic", cell="gru", seed=7)))
+        assert main(["eval", str(ckpt)]) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_data_task_without_data_dir_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "lm.bin"
+        save_checkpoint(ckpt, build_language_model("gru", 5, 3, 1, 0.1, Rng(0)), {"task": "ptb"})
+        assert main(["eval", str(ckpt)]) == EXIT_BAD_CONFIG
+        assert "task ptb requires --data-dir" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "nope.bin")])

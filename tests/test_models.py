@@ -1,9 +1,14 @@
 """Classifier and language-model heads: forwards, losses, dropout, checkpoints."""
 
+import hashlib
+import json
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rau import cells
 from rau.autograd import backward, fd_gradient
@@ -339,3 +344,107 @@ class TestCheckpoint:
         path.write_bytes(raw[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+def _write_checkpoint(path, header: bytes, payload: bytes) -> None:
+    path.write_bytes(b"RAUM" + struct.pack("<II", 1, len(header)) + header + payload)
+
+
+def _valid_parts(tmp_path):
+    """(header echo, tensor payload) of a small saved classifier."""
+    path = tmp_path / "valid.bin"
+    save_checkpoint(path, build_classifier("gru", 2, 3, 1, 2, 0.1, Rng(17)), {"seed": 7})
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + blob_len]), raw[12 + blob_len:]
+
+
+def _with_spec(**changes):
+    def mutate(echo):
+        echo["model"].update(changes)
+        return json.dumps(echo).encode()
+    return mutate
+
+
+def _without_spec_key(key):
+    def mutate(echo):
+        del echo["model"][key]
+        return json.dumps(echo).encode()
+    return mutate
+
+
+class TestHostileCheckpointHeader:
+    @pytest.mark.parametrize("mutate", [
+        _with_spec(cell="foo"),
+        _without_spec_key("hidden"),
+        lambda echo: json.dumps(echo).encode()[:-1],
+        _with_spec(layers=0),
+        _with_spec(hidden="3"),
+        _with_spec(hidden=True),
+        _with_spec(dropout=1.5),
+        _with_spec(vocab=-4, emb_dim=3),
+        lambda echo: b"\xff\xfe",
+        lambda echo: b"[]",
+        lambda echo: json.dumps({"model": echo["model"]}).encode(),
+        lambda echo: json.dumps({**echo, "model": None}).encode(),
+    ], ids=["unknown-cell", "missing-key", "bad-json", "zero-layers", "str-hidden", "bool-hidden",
+            "dropout-1.5", "negative-vocab", "bad-utf8", "not-an-object", "no-config", "null-model"])
+    def test_raises_checkpoint_error(self, tmp_path, mutate):
+        echo, payload = _valid_parts(tmp_path)
+        path = tmp_path / "hostile.bin"
+        _write_checkpoint(path, mutate(echo), payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_trailing_payload_bytes_rejected(self, tmp_path):
+        echo, payload = _valid_parts(tmp_path)
+        path = tmp_path / "long.bin"
+        _write_checkpoint(path, json.dumps(echo).encode(), payload + bytes(8))
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_large_spec_over_tiny_payload_allocates_nothing(self, tmp_path):
+        echo, payload = _valid_parts(tmp_path)
+        path = tmp_path / "huge.bin"
+        _write_checkpoint(path, _with_spec(hidden=1000)(echo), payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(["type", "cell", "input_size", "hidden", "layers", "classes", "vocab", "emb_dim",
+                                "dropout"]),
+           value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+                              lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                                           max_size=3),
+                              max_leaves=5))
+    def test_fuzzed_spec_field_loads_or_raises_checkpoint_error(self, tmp_path_factory, key, value):
+        d = tmp_path_factory.mktemp("fuzz")
+        echo, payload = _valid_parts(d)
+        _write_checkpoint(d / "fuzzed.bin", _with_spec(**{key: value})(echo), payload)
+        try:
+            load_checkpoint(d / "fuzzed.bin")
+        except CheckpointError:
+            pass
+
+
+class TestCheckpointLayout:
+    """sha256 of fresh-init checkpoints: the byte layout and the init draw order are pinned."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: build_classifier("rau", None, 5, 2, 3, 0.1, Rng(11), vocab=17, emb_dim=4, dropout=0.25),
+         "4fa07ebc9a172ee93c38b5569cc706a0d0c06b13651a24dd87d59befc56061f8"),
+        (lambda: build_classifier("gru", 28, 6, 1, 10, 0.1, Rng(12)),
+         "f1e99b6a90b331920e11f94d6eec732425676b79d7def2b02da031e84dda1722"),
+        (lambda: build_language_model("lstm", 23, 6, 2, 0.1, Rng(13), dropout=0.5),
+         "a6d8b8d71b4723c492907ab9bd20c68d21fd5fa4809ec4d090bd79350ec50068"),
+    ], ids=["rau-token-classifier", "gru-row-classifier", "lstm-lm"])
+    def test_digest(self, tmp_path, build, digest):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, build(), {"seed": 1})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

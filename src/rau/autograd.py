@@ -13,7 +13,7 @@ no code with the analytic path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,11 +37,6 @@ class Grads(dict):
     def scale_(self, s: float) -> "Grads":
         for g in self.values():
             g *= s
-        return self
-
-    def add_(self, other: "Grads", coeff: float = 1.0) -> "Grads":
-        for k, g in other.items():
-            self[k] += coeff * g
         return self
 
 
@@ -184,15 +179,18 @@ def backward_cell_sequence(
 
     dh_last seeds the gradient at the final hidden state; dh_steps adds
     a per-step contribution (e.g. from a head or an upper layer) before
-    each step's backward. Accumulates into `grads` under `prefix` and
-    returns (grads, dx_steps, dh0) where dx_steps[t] is the gradient of
-    that step's input; dx_steps is one (T, ..., m) array.
+    each step's backward, one entry per recorded step. Accumulates into
+    `grads` under `prefix` and returns (grads, dx_steps, dh0) where
+    dx_steps[t] is the gradient of that step's input; dx_steps is one
+    (T, ..., m) array.
     """
     if kind not in _BPTT:
         raise ContractError(f"unknown cell kind {kind!r}")
+    T = len(traces)
+    if dh_steps is not None and len(dh_steps) != T:
+        raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grads is None:
         grads = Grads((prefix + name, np.zeros_like(arr)) for name, arr in iter_tensors(params))
-    T = len(traces)
     if T == 0:
         return grads, [], None
     step_backward, groups = _BPTT[kind]
@@ -237,75 +235,50 @@ def _add_row_blocks(grads: Grads, prefix: str, paths, block: np.ndarray) -> None
 
 @dataclass
 class Tape:
-    """Forward record of one loss evaluation, replayable in reverse.
+    """Forward record of one model loss evaluation, replayable in reverse.
 
-    kind "cell" holds a single recorded cell layer. A model forward
-    records kind "last" or "every", its readout: the head reads the top
-    hidden state of the last step or of every step. Model tapes add the
-    head input, the dropout masks and the token ids of an embedding.
-    Parameter references are shared, not copied, so a tape is only
-    valid until the parameters are updated.
+    It holds what only the forward pass knows: each cell layer's traces,
+    the head input (the top hidden state of the last step or of every
+    step, per the model's readout), the dropout masks of the cell inputs
+    and of the head input, and the token ids of an embedding. The model
+    is shared, not copied, so a tape is only valid until its parameters
+    are updated.
     """
 
-    kind: str
-    cell_kind: str
-    cell_params: list
+    model: object
     traces: list
-    cell_prefixes: list = field(default_factory=lambda: [""])
-    head_w: np.ndarray | None = None
-    head_in: object = None
+    head_in: np.ndarray
     in_masks: list | None = None
-    out_masks: object = None
+    out_masks: np.ndarray | None = None
     token_ids: np.ndarray | None = None
-    model_params: object = None
 
 
-def _zeros_for_tape(tape: Tape) -> Grads:
-    target = tape.model_params if tape.model_params is not None else tape.cell_params[0]
-    return Grads.zeros_like(target)
+def backward(tape: Tape, dlogits) -> Grads:
+    """Exact gradients of the recorded scalar loss w.r.t. every model parameter.
 
-
-def backward(tape: Tape, loss_grad) -> Grads:
-    """Exact gradients of the recorded scalar loss w.r.t. every parameter.
-
-    loss_grad is the gradient at the tape's output: d(loss)/d(logits)
-    for model tapes, d(loss)/d(h_T) (or a per-step list) for bare cell
-    tapes.
+    dlogits is d(loss)/d(logits), shaped like the forward's logits.
     """
-    grads = _zeros_for_tape(tape)
-
-    if tape.kind == "cell":
-        params = tape.cell_params[0]
-        traces = tape.traces[0]
-        if isinstance(loss_grad, (list, tuple)):
-            if len(loss_grad) != len(traces):
-                raise ContractError("backward: per-step loss_grad length != trace length")
-            backward_cell_sequence(tape.cell_kind, params, traces, dh_steps=loss_grad, grads=grads, prefix=tape.cell_prefixes[0])
-        else:
-            backward_cell_sequence(tape.cell_kind, params, traces, dh_last=loss_grad, grads=grads, prefix=tape.cell_prefixes[0])
-        return grads
-
-    if tape.kind not in ("last", "every"):
-        raise ContractError(f"unknown tape kind {tape.kind!r}")
-    flat = np.asarray(loss_grad).reshape(-1, tape.head_w.shape[0])
+    model = tape.model
+    grads = Grads.zeros_like(model)
+    flat = np.asarray(dlogits).reshape(-1, model.w_out.shape[0])
     # the head gradient buffer is still all zeros: write it in place
     np.matmul(flat.T, tape.head_in.reshape(flat.shape[0], -1), out=grads["w_out"])
     grads["b_out"] += flat.sum(axis=0)
-    dh = (flat @ tape.head_w).reshape(tape.head_in.shape)
+    dh = (flat @ model.w_out).reshape(tape.head_in.shape)
     if tape.out_masks is not None:
         dh *= tape.out_masks
-    dh_last, dh_steps = (dh, None) if tape.kind == "last" else (None, dh)
+    dh_last, dh_steps = (dh, None) if model.readout == "last" else (None, dh)
 
     dx_steps = None
-    for layer in reversed(range(len(tape.cell_params))):
+    for layer in reversed(range(len(model.cells))):
         _, dx_steps, _ = backward_cell_sequence(
-            tape.cell_kind,
-            tape.cell_params[layer],
+            model.cell_kind,
+            model.cells[layer],
             tape.traces[layer],
             dh_last=dh_last,
             dh_steps=dh_steps,
             grads=grads,
-            prefix=tape.cell_prefixes[layer] + "." if tape.cell_prefixes[layer] else "",
+            prefix=f"cells.{layer}.",
         )
         if tape.in_masks is not None:
             for t, mask in enumerate(tape.in_masks[layer]):
@@ -388,8 +361,7 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, ep
         for t in range(T):
             state, tr = step(kind, params, xs[t], state)
             traces.append(tr)
-        tape = Tape(kind="cell", cell_kind=kind, cell_params=[params], traces=[traces])
-        analytic = backward(tape, [gs[t] for t in range(T)])
+        analytic, _, _ = backward_cell_sequence(kind, params, traces, dh_steps=gs)
         if perturb:
             first = next(iter(analytic))
             analytic[first].reshape(-1)[0] += perturb

@@ -161,7 +161,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# JSON value types each RunConfig annotation accepts; a JSON number may fill a float field
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,), "None": (type(None),)}
+
+
 def validate_config(cfg: RunConfig) -> None:
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(cfg, f.name)
+        allowed = tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name])
+        # bool is an int subclass, but true/false is no number
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; choices: {', '.join(TASKS)}")
     if cfg.cell not in CELL_KINDS:

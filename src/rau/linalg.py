@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Matrix = np.ndarray
-Vector = np.ndarray
-
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -105,28 +102,6 @@ class Rng:
         return Rng(self.next_u64())
 
 
-def matvec(m: Matrix, v: Vector) -> Vector:
-    """Matrix-vector product with 64-bit accumulation."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ContractError(f"matvec: need 2-D matrix and 1-D vector, got {m.ndim}-D and {v.ndim}-D")
-    if m.shape[1] != v.shape[0]:
-        raise ContractError(f"matvec: matrix cols {m.shape[1]} != vector len {v.shape[0]}")
-    return m @ v
-
-
-def concat(a: Vector, b: Vector) -> Vector:
-    """[a, b] with a occupying the first a.len slots (input first, hidden second)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ContractError("concat: both operands must be 1-D")
-    if a.shape[0] < 1 or b.shape[0] < 1:
-        raise ContractError("concat: zero-length operand not permitted")
-    return np.concatenate([a, b])
-
-
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function as 0.5*(1 + tanh(v/2)).
 
@@ -157,10 +132,16 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> Matrix:
-    """Entries drawn uniform in [-scale, +scale]."""
+def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:
+    """Entries drawn uniform in [-scale, +scale].
+
+    Scale 0 gives zeros without drawing from rng, so rebuilding a zero
+    model (as the checkpoint loader does) costs no random numbers.
+    """
     if rows < 1 or cols < 1:
         raise ContractError("init_matrix: rows and cols must be >= 1")
     if scale < 0:
         raise ContractError("init_matrix: scale must be non-negative")
+    if scale == 0:
+        return np.zeros((rows, cols))
     return rng.uniform(-scale, scale, size=(rows, cols))

@@ -159,21 +159,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     # one GEMM for every position the head reads
     logits = (head_in.reshape(-1, n) @ mdl.w_out.T + mdl.b_out).reshape(head_in.shape[:-1] + (-1,))
 
-    tape = None
-    if train_mode:
-        tape = Tape(
-            kind=mdl.readout,
-            cell_kind=mdl.cell_kind,
-            cell_params=list(mdl.cells),
-            traces=traces,
-            cell_prefixes=[f"cells.{k}" for k in range(len(mdl.cells))],
-            head_w=mdl.w_out,
-            head_in=head_in,
-            in_masks=in_masks,
-            out_masks=out_masks,
-            token_ids=token_ids,
-            model_params=mdl,
-        )
+    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
     return logits, states, tape
 
 
@@ -282,7 +268,7 @@ def _positive_int(spec: dict, key: str) -> int:
 
 
 def _build_from_spec(spec, payload_bytes: int) -> SequenceModel:
-    """Rebuild the zero model a checkpoint spec describes.
+    """Rebuild the zero model a checkpoint spec describes; scale 0 draws no random numbers.
 
     Every field is checked, and the tensor bytes the spec implies are
     compared with the payload, before anything is allocated: a header

@@ -99,56 +99,29 @@ def make_optimizer(kind: str, params, lr: float) -> OptimizerState:
     raise ContractError(f"unknown optimizer kind {kind!r}")
 
 
-def _check_grads_finite(grads: Grads, context: str) -> None:
-    for name, g in grads.items():
-        s = float(np.sum(g * g))
-        if not np.isfinite(s):
-            raise NumericError(f"{context}: non-finite gradient in {name}")
+def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
+    """Plain gradient descent or a bias-corrected Adam step; mutates params and opt.
 
-
-def sgd_step(params, grads: Grads, lr: float):
-    """Plain gradient descent; mutates and returns params."""
-    _check_grads_finite(grads, "sgd_step")
-    return _sgd_update(params, grads, lr)
-
-
-def _sgd_update(params, grads: Grads, lr: float):
-    for name, arr in iter_tensors(params):
-        arr -= lr * grads[name]
-    return params
-
-
-def adam_step(state: OptimizerState, params, grads: Grads):
-    """Bias-corrected Adam update; mutates and returns (state, params)."""
-    _check_grads_finite(grads, "adam_step")
-    return _adam_update(state, params, grads)
-
-
-def _adam_update(state: OptimizerState, params, grads: Grads):
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
+    It does not check the gradients: the loops' clip_global_norm already has.
+    """
+    if opt.kind == "sgd":
+        for name, arr in iter_tensors(params):
+            arr -= opt.lr * grads[name]
+        return
+    opt.step += 1
+    t = opt.step
+    b1, b2 = opt.beta1, opt.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, arr in iter_tensors(params):
         g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+        m = opt.m[name]
+        v = opt.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        arr -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return state, params
-
-
-def apply_update(opt: OptimizerState, params, grads: Grads):
-    """The training loops' update. Unlike sgd_step and adam_step it does
-    not check the gradients: the loops' clip_global_norm already has."""
-    if opt.kind == "sgd":
-        _sgd_update(params, grads, opt.lr)
-    else:
-        _adam_update(opt, params, grads)
+        arr -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
 
 
 def _optimizer_step(model, opt: OptimizerState, tape, loss: float, loss_grad, clip_norm: float,

@@ -7,8 +7,7 @@ import pytest
 
 from rau.autograd import (
     Grads,
-    Tape,
-    backward,
+    backward_cell_sequence,
     clip_global_norm,
     fd_gradient,
     gradcheck_cell,
@@ -81,27 +80,29 @@ class TestClipGlobalNorm:
 def _record_sequence(kind, params, xs):
     state = zero_state(kind, params.hidden_size)
     traces = []
-    hs = []
     for t in range(len(xs)):
         state, tr = step(kind, params, xs[t], state)
         traces.append(tr)
-        hs.append(state.h)
-    return Tape(kind="cell", cell_kind=kind, cell_params=[params], traces=[traces]), hs
+    return traces
+
+
+def _rau_grads(params, traces, **seed):
+    """RAU BPTT gradients, seeded by dh_last or dh_steps."""
+    return backward_cell_sequence("rau", params, traces, **seed)[0]
 
 
 class TestBackward:
     def test_zero_length_sequence_gives_zero_grads(self):
         p = init_rau(2, 3, 0.5, Rng(1))
-        tape = Tape(kind="cell", cell_kind="rau", cell_params=[p], traces=[[]])
-        g = backward(tape, np.zeros(3))
+        g = _rau_grads(p, [], dh_last=np.zeros(3))
         assert set(g) == {name for name, _ in iter_tensors(p)}
         assert all(np.array_equal(v, np.zeros_like(v)) for v in g.values())
 
     def test_one_step_zero_param_rau_sum_loss(self):
         p = init_rau(2, 3, 0.0, Rng(0))
         x = np.array([0.3, -0.8])
-        tape, hs = _record_sequence("rau", p, [x])
-        analytic = backward(tape, np.ones(3))
+        traces = _record_sequence("rau", p, [x])
+        analytic = _rau_grads(p, traces, dh_last=np.ones(3))
 
         def loss(q):
             s = zero_state("rau", 3)
@@ -122,8 +123,8 @@ class TestBackward:
         p = init_rau(3, 4, 0.5, rng)
         xs = rng.uniform(-1, 1, (5, 3))
         gsel = rng.uniform(-1, 1, 4)
-        tape, hs = _record_sequence("rau", p, xs)
-        analytic = backward(tape, gsel)
+        traces = _record_sequence("rau", p, xs)
+        analytic = _rau_grads(p, traces, dh_last=gsel)
 
         def loss(q):
             s = zero_state("rau", 4)
@@ -140,24 +141,24 @@ class TestBackward:
         rng = Rng(23)
         p = init_rau(2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (4, 2))
-        tape, _ = _record_sequence("rau", p, xs)
+        traces = _record_sequence("rau", p, xs)
         g1 = rng.uniform(-1, 1, 3)
         g2 = rng.uniform(-1, 1, 3)
         a, b = 0.7, -1.3
-        combo = backward(tape, a * g1 + b * g2)
-        parts = backward(tape, g1)
-        parts.scale_(a).add_(backward(tape, g2), b)
+        combo = _rau_grads(p, traces, dh_last=a * g1 + b * g2)
+        parts1 = _rau_grads(p, traces, dh_last=g1)
+        parts2 = _rau_grads(p, traces, dh_last=g2)
         for name in combo:
-            assert np.allclose(combo[name], parts[name], atol=1e-10, rtol=0)
+            assert np.allclose(combo[name], a * parts1[name] + b * parts2[name], atol=1e-10, rtol=0)
 
     def test_determinism_bitwise(self):
         rng = Rng(29)
         p = init_rau(2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (4, 2))
-        tape, _ = _record_sequence("rau", p, xs)
+        traces = _record_sequence("rau", p, xs)
         gsel = rng.uniform(-1, 1, 3)
-        g_a = backward(tape, gsel)
-        g_b = backward(tape, gsel)
+        g_a = _rau_grads(p, traces, dh_last=gsel)
+        g_b = _rau_grads(p, traces, dh_last=gsel)
         for name in g_a:
             assert np.array_equal(g_a[name], g_b[name])
 
@@ -165,9 +166,9 @@ class TestBackward:
         rng = Rng(37)
         p = init_rau(2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (3, 2))
-        tape, _ = _record_sequence("rau", p, xs)
+        traces = _record_sequence("rau", p, xs)
         gs = [rng.uniform(-1, 1, 3) for _ in range(3)]
-        analytic = backward(tape, gs)
+        analytic = _rau_grads(p, traces, dh_steps=gs)
 
         def loss(q):
             s = zero_state("rau", 3)
@@ -179,6 +180,15 @@ class TestBackward:
 
         numeric = fd_gradient(loss, p, 1e-5)
         assert max(relative_errors(analytic, numeric).values()) <= 1e-5
+
+    @pytest.mark.parametrize("count", [0, 2, 4], ids=["none", "short", "long"])
+    def test_per_step_list_of_wrong_length_raises(self, count):
+        rng = Rng(41)
+        p = init_rau(2, 3, 0.5, rng)
+        traces = _record_sequence("rau", p, rng.uniform(-1, 1, (3, 2)))
+        gs = [rng.uniform(-1, 1, 3) for _ in range(count)]
+        with pytest.raises(ContractError, match=f"{count} per-step gradients for 3 steps"):
+            _rau_grads(p, traces, dh_steps=gs)
 
 
 class TestGradcheckCell:

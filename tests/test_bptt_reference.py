@@ -126,19 +126,20 @@ def reference_cell_sequence(kind, params, traces, dh_last=None, dh_steps=None, g
 
 def reference_lm_backward(tape, dlogits):
     """The LM tape's backward with the loop reference per layer."""
-    grads = Grads.zeros_like(tape.model_params)
-    flat = dlogits.reshape(-1, tape.head_w.shape[0])
+    mdl = tape.model
+    grads = Grads.zeros_like(mdl)
+    flat = dlogits.reshape(-1, mdl.w_out.shape[0])
     head_in = tape.head_in
     grads["w_out"] += flat.T @ head_in.reshape(-1, head_in.shape[2])
     grads["b_out"] += flat.sum(axis=0)
-    dh_all = (flat @ tape.head_w).reshape(head_in.shape)
+    dh_all = (flat @ mdl.w_out).reshape(head_in.shape)
     if tape.out_masks is not None:
         dh_all = dh_all * tape.out_masks
     dh_steps = list(dh_all)
-    for layer in reversed(range(len(tape.cell_params))):
+    for layer in reversed(range(len(mdl.cells))):
         _, dx_steps, _ = reference_cell_sequence(
-            tape.cell_kind, tape.cell_params[layer], tape.traces[layer],
-            dh_steps=dh_steps, grads=grads, prefix=tape.cell_prefixes[layer] + ".")
+            mdl.cell_kind, mdl.cells[layer], tape.traces[layer],
+            dh_steps=dh_steps, grads=grads, prefix=f"cells.{layer}.")
         if tape.in_masks is not None:
             dx_steps = [dx * tape.in_masks[layer][t] for t, dx in enumerate(dx_steps)]
         dh_steps = dx_steps

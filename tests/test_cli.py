@@ -54,6 +54,14 @@ class TestTrainCommand:
         rc = main(_train_args(tmp_path, "--config", str(cfg_file)))
         assert rc == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("field, value", [("hidden", "x"), ("layers", True), ("lr", None)])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, field, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: value}))
+        rc = main(_train_args(tmp_path, "--config", str(cfg_file)))
+        assert rc == EXIT_BAD_CONFIG
+        assert f"{field} must be" in capsys.readouterr().err
+
     def test_config_file_merged_under_flags(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"hidden": 32, "lr": 0.5}))
@@ -287,6 +295,13 @@ class TestEvalCommand:
         save_checkpoint(ckpt, build_language_model("gru", 5, 3, 1, 0.1, Rng(0)), {"task": "ptb"})
         assert main(["eval", str(ckpt)]) == EXIT_BAD_CONFIG
         assert "task ptb requires --data-dir" in capsys.readouterr().err
+
+    def test_config_echo_value_of_wrong_type_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "echo.bin"
+        cfg = dataclasses.asdict(RunConfig(task="synthetic", cell="gru")) | {"seed": "x"}
+        save_checkpoint(ckpt, build_classifier("gru", 8, 4, 1, 4, 0.1, Rng(0)), cfg)
+        assert main(["eval", str(ckpt)]) == EXIT_BAD_CONFIG
+        assert "seed must be int, got 'x'" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "nope.bin")])

@@ -9,78 +9,11 @@ from rau.linalg import (
     ContractError,
     NumericError,
     Rng,
-    concat,
     init_matrix,
-    matvec,
     sigmoid,
     softmax,
     tanh,
 )
-
-
-def scalar_matvec(m, v):
-    """Independent triple-loop reference."""
-    rows, cols = m.shape
-    out = [0.0] * rows
-    for i in range(rows):
-        acc = 0.0
-        for j in range(cols):
-            acc += float(m[i, j]) * float(v[j])
-        out[i] = acc
-    return np.array(out)
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), np.array([4.0, 5.0, 6.0])), np.zeros(2))
-
-    def test_against_scalar_loop(self):
-        rng = Rng(42)
-        m = rng.uniform(-2, 2, (3, 2))
-        v = rng.uniform(-2, 2, 2)
-        assert np.allclose(matvec(m, v), scalar_matvec(m, v), atol=1e-12, rtol=0)
-
-    def test_against_scalar_loop_16x16(self):
-        rng = Rng(7)
-        for _ in range(5):
-            m = rng.uniform(-1, 1, (16, 16))
-            v = rng.uniform(-1, 1, 16)
-            assert np.allclose(matvec(m, v), scalar_matvec(m, v), atol=1e-12, rtol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            matvec(np.zeros((2, 3)), np.zeros(4))
-
-    def test_pure(self):
-        rng = Rng(3)
-        m = rng.uniform(-1, 1, (4, 4))
-        v = rng.uniform(-1, 1, 4)
-        assert np.array_equal(matvec(m, v), matvec(m, v))
-
-
-class TestConcat:
-    def test_basic(self):
-        assert np.array_equal(concat(np.array([1.0, 2.0]), np.array([3.0])), np.array([1.0, 2.0, 3.0]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            concat(np.array([]), np.array([1.0]))
-        with pytest.raises(ContractError):
-            concat(np.array([1.0]), np.array([]))
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
-    )
-    def test_length_and_order(self, a, b):
-        out = concat(np.array(a), np.array(b))
-        assert out.shape == (len(a) + len(b),)
-        assert np.array_equal(out[: len(a)], np.array(a))
-        assert np.array_equal(out[len(a):], np.array(b))
 
 
 class TestActivations:

@@ -330,6 +330,25 @@ class TestCheckpoint:
         for (_, a), (_, b) in zip(cells.iter_tensors(mdl), cells.iter_tensors(loaded)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("build", [
+        lambda rng: build_classifier("rau", 3, 4, 2, 5, 0.5, rng, dropout=0.25),
+        lambda rng: build_classifier("gru", None, 4, 1, 3, 0.5, rng, vocab=7, emb_dim=5),
+        lambda rng: build_language_model("lstm", 9, 4, 2, 0.3, rng),
+    ], ids=["row-classifier", "token-classifier", "lm"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, build):
+        mdl = build(Rng(18))
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, mdl, {})
+
+        def no_draws(self, size=None):
+            raise AssertionError("load_checkpoint drew a random number")
+
+        monkeypatch.setattr(Rng, "uniform01", no_draws)
+        loaded, _ = load_checkpoint(path)
+        for (name_a, a), (name_b, b) in zip(cells.iter_tensors(mdl), cells.iter_tensors(loaded)):
+            assert name_a == name_b
+            assert a.tobytes() == b.tobytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -1,7 +1,7 @@
 """Reverse-mode gradients through unrolled recurrent sequences (BPTT).
 
-The forward passes in `cells` and `models` record StepTraces; this
-module replays them backwards, a whole window per cell layer, and
+The forward passes in `cells` and `models` record a `cells.Trace` per cell
+layer; this module replays it backwards, a whole window per cell layer, and
 computes exact analytic gradients for every parameter tensor. Keys in the resulting `Grads` mirror
 `cells.iter_tensors` paths over the parameter container, so optimizer
 updates and finite-difference checks can walk the same structure.
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cells import CellParams, StepTrace, iter_tensors, step, zero_state
+from .cells import CellParams, Trace, iter_tensors, new_trace, step, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -65,7 +65,7 @@ def _tensor(params, path: str) -> np.ndarray:
     return params
 
 
-def _gru_deltas(tr: StepTrace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
+def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
     """Shared update/reset/candidate path of one step.
 
     Writes the candidate delta into d_c and the reset and update gate
@@ -81,7 +81,7 @@ def _gru_deltas(tr: StepTrace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
     return dxrh
 
 
-def _gru_backward(tr: StepTrace, dh, dc, w, d, dx, m: int, n: int):
+def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     h_prev = tr.xh[..., m:]
     dz = dh * (tr.hc - h_prev)
     dxrh = _gru_deltas(tr, dz, dh * tr.z, w[1], d[0], d[1], m, n)
@@ -93,7 +93,7 @@ def _gru_backward(tr: StepTrace, dh, dc, w, d, dx, m: int, n: int):
     return dhp, None
 
 
-def _rau_backward(tr: StepTrace, dh, dc, w, d, dx, m: int, n: int):
+def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     h_prev = tr.xh[..., m:]
     mix = (tr.hc + tr.ha) / 2.0
     dz = dh * (mix - h_prev)
@@ -114,7 +114,7 @@ def _rau_backward(tr: StepTrace, dh, dc, w, d, dx, m: int, n: int):
     return dhp, None
 
 
-def _lstm_backward(tr: StepTrace, dh, dc_next, w, d, dx, m: int, n: int):
+def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
     tc = np.tanh(tr.c)
     do = dh * tc
     dc = dh * tr.o * (1.0 - tc * tc)
@@ -144,10 +144,10 @@ def _lstm_backward(tr: StepTrace, dh, dc_next, w, d, dx, m: int, n: int):
 DW_GEMM_ROWS = 512
 
 # Per kind: the step backward, then the gate groups. The step backward
-# maps (trace, dh, dc from the step after or None, stacked weights per
+# maps (trace row, dh, dc from the step after or None, stacked weights per
 # group, this step's delta rows per group, dx row) to (dh_prev, dc_prev);
 # it writes the gate deltas into the delta rows and the input gradient
-# into dx. A gate group is (weight paths, bias paths, the StepTrace field
+# into dx. A gate group is (weight paths, bias paths, the trace field
 # holding the input those weights multiply); its weights stack in path
 # order.
 _BPTT = {
@@ -169,13 +169,13 @@ _BPTT = {
 def backward_cell_sequence(
     kind: str,
     params: CellParams,
-    traces: Sequence[StepTrace],
+    trace: Trace,
     dh_last: np.ndarray | None = None,
     dh_steps: Sequence[np.ndarray] | None = None,
     grads: Grads | None = None,
     prefix: str = "",
 ):
-    """BPTT over one cell layer's recorded steps.
+    """BPTT over one cell layer's recorded steps, the rows of its trace.
 
     dh_last seeds the gradient at the final hidden state; dh_steps adds
     a per-step contribution (e.g. from a head or an upper layer) before
@@ -186,7 +186,7 @@ def backward_cell_sequence(
     """
     if kind not in _BPTT:
         raise ContractError(f"unknown cell kind {kind!r}")
-    T = len(traces)
+    T = len(trace.xh)
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grads is None:
@@ -195,7 +195,7 @@ def backward_cell_sequence(
         return grads, [], None
     step_backward, groups = _BPTT[kind]
     m, n = params.input_size, params.hidden_size
-    batch = traces[0].xh.shape[:-1]
+    batch = trace.xh.shape[1:-1]
     span = min(T, max(1, DW_GEMM_ROWS // int(np.prod(batch))))
     stacks = [np.concatenate([_tensor(params, p) for p in paths]) if len(paths) > 1 else _tensor(params, paths[0])
               for paths, _, _ in groups]
@@ -209,18 +209,18 @@ def backward_cell_sequence(
         if dh_steps is not None and dh_steps[t] is not None:
             dh = dh + dh_steps[t]
         lo = t - t % span
-        dh, dc = step_backward(traces[t], dh, dc, stacks, [buf[t - lo] for buf in deltas], dx_steps[t], m, n)
+        dh, dc = step_backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in deltas], dx_steps[t], m, n)
         if t == lo:
-            _add_weight_grads(groups, deltas, traces[lo:lo + span], grads, prefix)
+            _add_weight_grads(groups, deltas, trace, lo, grads, prefix)
     return grads, dx_steps, dh
 
 
-def _add_weight_grads(groups, deltas, traces, grads: Grads, prefix: str) -> None:
-    """Per gate group, one GEMM of the buffered deltas against the stacked step inputs, and one bias sum."""
+def _add_weight_grads(groups, deltas, trace: Trace, lo: int, grads: Grads, prefix: str) -> None:
+    """Per gate group, one GEMM of the buffered deltas against the span's step inputs from row lo, and one bias sum."""
     for (w_paths, b_paths, field_name), buf in zip(groups, deltas):
-        flat = buf[:len(traces)].reshape(-1, buf.shape[-1])
-        inputs = np.stack([getattr(tr, field_name) for tr in traces]).reshape(flat.shape[0], -1)
-        _add_row_blocks(grads, prefix, w_paths, flat.T @ inputs)
+        inputs = getattr(trace, field_name)[lo:lo + len(buf)]
+        flat = buf[:len(inputs)].reshape(-1, buf.shape[-1])
+        _add_row_blocks(grads, prefix, w_paths, flat.T @ inputs.reshape(flat.shape[0], -1))
         _add_row_blocks(grads, prefix, b_paths, flat.sum(axis=0))
 
 
@@ -237,12 +237,12 @@ def _add_row_blocks(grads: Grads, prefix: str, paths, block: np.ndarray) -> None
 class Tape:
     """Forward record of one model loss evaluation, replayable in reverse.
 
-    It holds what only the forward pass knows: each cell layer's traces,
+    It holds what only the forward pass knows: each cell layer's trace,
     the head input (the top hidden state of the last step or of every
-    step, per the model's readout), the dropout masks of the cell inputs
-    and of the head input, and the token ids of an embedding. The model
-    is shared, not copied, so a tape is only valid until its parameters
-    are updated.
+    step, per the model's readout), the dropout masks of each layer's
+    cell inputs (one (T, B, m) array per layer) and of the head input,
+    and the token ids of an embedding. The model is shared, not copied,
+    so a tape is only valid until its parameters are updated.
     """
 
     model: object
@@ -281,8 +281,7 @@ def backward(tape: Tape, dlogits) -> Grads:
             prefix=f"cells.{layer}.",
         )
         if tape.in_masks is not None:
-            for t, mask in enumerate(tape.in_masks[layer]):
-                dx_steps[t] *= mask
+            dx_steps *= tape.in_masks[layer]
         dh_steps, dh_last = dx_steps, None
 
     if tape.token_ids is not None:
@@ -348,20 +347,21 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, ep
         xs = rng.uniform(-1.0, 1.0, size=(T, m))
         gs = rng.uniform(-1.0, 1.0, size=(T, n))
 
+        reused_row = new_trace(kind, 1, (), m, n).row(0)
+
         def forward_loss(p):
             state = zero_state(kind, n)
             total = 0.0
             for t in range(T):
-                state, _ = step(kind, p, xs[t], state)
+                state, _ = step(kind, p, xs[t], state, reused_row)
                 total += float(gs[t] @ state.h)
             return total
 
         state = zero_state(kind, n)
-        traces = []
+        trace = new_trace(kind, T, (), m, n)
         for t in range(T):
-            state, tr = step(kind, params, xs[t], state)
-            traces.append(tr)
-        analytic, _, _ = backward_cell_sequence(kind, params, traces, dh_steps=gs)
+            state, _ = step(kind, params, xs[t], state, trace.row(t))
+        analytic, _, _ = backward_cell_sequence(kind, params, trace, dh_steps=gs)
         if perturb:
             first = next(iter(analytic))
             analytic[first].reshape(-1)[0] += perturb

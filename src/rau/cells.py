@@ -4,7 +4,8 @@ All step functions accept a single example (1-D arrays of size m and n)
 or a batch (2-D arrays of shape (B, m) / (B, n)); gates act along the
 last axis. Weight matrices map the concatenation [x, h_prev] (input
 first, hidden second) to the hidden size, so an affine transform is
-`xh @ W.T + b`.
+`xh @ W.T + b`. A step writes its intermediates into one row of its
+layer's `Trace`, which BPTT replays; `_KINDS` lists each kind's fields.
 
 The RAU cell keeps the GRU update/reset/candidate computation unchanged
 and adds an attention gate: a learned affine score per component of
@@ -17,7 +18,9 @@ attended state with coefficients (1-z), z/2, z/2.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -98,30 +101,38 @@ class CellState:
     c: np.ndarray = dataclasses.field(default_factory=lambda: _EMPTY)
 
 
-@dataclass
-class StepTrace:
-    """Intermediates of one forward step, kept for the backward pass.
+class Trace(SimpleNamespace):
+    """A cell layer's recorded steps: one (rows, *batch, width) array per trace field of its kind.
 
-    Fields are populated per cell kind; unused ones stay None. xh is the
-    concatenation [x, h_prev], so backward recovers x and h_prev by
-    slicing at the input size.
+    Step t writes row t in place; `row(t)` gives its fields as views.
+    xh is the concatenation [x, h_prev], so backward recovers x and
+    h_prev by slicing at the input size.
     """
 
-    xh: np.ndarray = None
-    z: np.ndarray = None
-    r: np.ndarray = None
-    xrh: np.ndarray = None
-    hc: np.ndarray = None
-    alpha: np.ndarray = None
-    u: np.ndarray = None
-    v: np.ndarray = None
-    ha: np.ndarray = None
-    f: np.ndarray = None
-    i: np.ndarray = None
-    o: np.ndarray = None
-    g: np.ndarray = None
-    c_prev: np.ndarray = None
-    c: np.ndarray = None
+    def row(self, t: int) -> "Trace":
+        return Trace(**{name: buf[t] for name, buf in vars(self).items()})
+
+
+def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
+    """An unfilled trace of `rows` steps of a cell kind with input size m and hidden size n.
+
+    The fields are consecutive pieces of one block: the allocator maps and unmaps a train trace
+    (tens of MB) whole, where one array per field grew and trimmed the heap on every call.
+    """
+    width = {"n": n, "m+n": m + n}
+    fields = _kind(kind).fields
+    lead = rows * math.prod(batch)
+    block = np.empty(lead * sum(width[w] for _, w in fields))
+    trace, start = Trace(), 0
+    for name, w in fields:
+        setattr(trace, name, block[start:start + lead * width[w]].reshape(rows, *batch, width[w]))
+        start += lead * width[w]
+    return trace
+
+
+def _trace_row(kind: str, p: CellParams, x: np.ndarray, tr: Trace | None) -> Trace:
+    """tr, or else the row of a fresh one-row trace for one step of p on x."""
+    return new_trace(kind, 1, x.shape[:-1], p.input_size, p.hidden_size).row(0) if tr is None else tr
 
 
 def _check_dims(m: int, n: int, x: np.ndarray, h_prev: np.ndarray, op: str) -> None:
@@ -133,76 +144,65 @@ def _check_dims(m: int, n: int, x: np.ndarray, h_prev: np.ndarray, op: str) -> N
         raise ContractError(f"{op}: batch shapes differ, {x.shape[:-1]} vs {h_prev.shape[:-1]}")
 
 
-def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray):
-    """Shared update/reset/candidate computation (used verbatim by RAU)."""
-    xh = np.concatenate([x, h_prev], axis=-1)
-    z = sigmoid(xh @ p.w_z.T + p.b_z)
-    r = sigmoid(xh @ p.w_r.T + p.b_r)
-    xrh = np.concatenate([x, r * h_prev], axis=-1)
-    hc = tanh(xrh @ p.w_c.T + p.b_c)
-    return xh, z, r, xrh, hc
+def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace) -> None:
+    """Shared update/reset/candidate computation (used verbatim by RAU), written into tr."""
+    xh = np.concatenate([x, h_prev], axis=-1, out=tr.xh)
+    sigmoid(xh @ p.w_z.T + p.b_z, out=tr.z)
+    sigmoid(xh @ p.w_r.T + p.b_r, out=tr.r)
+    np.concatenate([x, tr.r * h_prev], axis=-1, out=tr.xrh)
+    tanh(tr.xrh @ p.w_c.T + p.b_c, out=tr.hc)
 
 
-def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray):
-    """One GRU step: h = (1-z)*h_prev + z*candidate."""
+def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None):
+    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
-    xh, z, r, xrh, hc = _gru_gates(p, x, h_prev)
-    h = (1.0 - z) * h_prev + z * hc
-    return h, StepTrace(xh=xh, z=z, r=r, xrh=xrh, hc=hc)
+    tr = _trace_row("gru", p, x, tr)
+    _gru_gates(p, x, h_prev, tr)
+    return (1.0 - tr.z) * h_prev + tr.z * tr.hc, tr
 
 
-def _attend(p: RauParams, xh: np.ndarray):
-    """Scores, softmax weights, reweighted [x, h_prev] and the attended state of one step."""
-    alpha = xh @ p.w_a.T + p.b_a
-    u = softmax(alpha, axis=-1)
-    v = u * xh
-    return tanh(v @ p.w_u.T + p.b_u), alpha, u, v
-
-
-def rau_attention(p: RauParams, x: np.ndarray, h_prev: np.ndarray):
-    """Attention gate: scores -> softmax weights -> reweighted, projected tanh state.
-
-    Returns (attended state, scores alpha, weights u). The weights are a
-    probability vector over the m+n components of [x, h_prev].
-    """
-    _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_attention")
-    return _attend(p, np.concatenate([x, h_prev], axis=-1))[:3]
-
-
-def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, *, attended_override: np.ndarray | None = None):
-    """One RAU step: h = (1-z)*h_prev + z*(candidate + attended)/2.
+def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, *,
+             attended_override: np.ndarray | None = None):
+    """One RAU step: h = (1-z)*h_prev + z*(candidate + attended)/2; returns (h, the trace row written).
 
     The update/reset/candidate path is exactly the GRU computation on
-    p.gru. The (candidate + attended)/2 pairing (algebraically equal to
+    p.gru. The attention gate scores each component of [x, h_prev],
+    softmax-normalizes the scores into the weights u, reweights the
+    concatenation into v and projects it to the attended state ha. The
+    (candidate + attended)/2 pairing (algebraically equal to
     z*candidate/2 + z*attended/2) makes the step collapse bitwise to
     gru_step when the attended state is overridden with the candidate.
-    attended_override substitutes the attention branch output; test use
-    only.
+    attended_override substitutes ha and leaves u and v unwritten; test
+    use only.
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
-    xh, z, r, xrh, hc = _gru_gates(p.gru, x, h_prev)
+    tr = _trace_row("rau", p, x, tr)
+    _gru_gates(p.gru, x, h_prev, tr)
     if attended_override is None:
-        ha, alpha, u, v = _attend(p, xh)
+        softmax(tr.xh @ p.w_a.T + p.b_a, axis=-1, out=tr.u)
+        np.multiply(tr.u, tr.xh, out=tr.v)
+        tanh(tr.v @ p.w_u.T + p.b_u, out=tr.ha)
     else:
-        ha, alpha, u, v = attended_override, None, None, None
-    h = (1.0 - z) * h_prev + z * ((hc + ha) / 2.0)
-    return h, StepTrace(xh=xh, z=z, r=r, xrh=xrh, hc=hc, alpha=alpha, u=u, v=v, ha=ha)
+        tr.ha[...] = attended_override
+    return (1.0 - tr.z) * h_prev + tr.z * ((tr.hc + tr.ha) / 2.0), tr
 
 
-def lstm_step(p: LstmParams, x: np.ndarray, state: CellState):
-    """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c')."""
+def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
+    """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c'); returns (state, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
     if state.c.shape != state.h.shape:
         raise ContractError("lstm_step: cell state shape must match hidden state")
-    xh = np.concatenate([x, state.h], axis=-1)
-    f = sigmoid(xh @ p.w_f.T + p.b_f)
-    i = sigmoid(xh @ p.w_i.T + p.b_i)
-    o = sigmoid(xh @ p.w_o.T + p.b_o)
-    g = tanh(xh @ p.w_g.T + p.b_g)
-    c = f * state.c + i * g
-    h = o * np.tanh(c)
-    trace = StepTrace(xh=xh, f=f, i=i, o=o, g=g, c_prev=state.c, c=c)
-    return CellState(h=h, c=c), trace
+    tr = _trace_row("lstm", p, x, tr)
+    xh = np.concatenate([x, state.h], axis=-1, out=tr.xh)
+    sigmoid(xh @ p.w_f.T + p.b_f, out=tr.f)
+    sigmoid(xh @ p.w_i.T + p.b_i, out=tr.i)
+    sigmoid(xh @ p.w_o.T + p.b_o, out=tr.o)
+    tanh(xh @ p.w_g.T + p.b_g, out=tr.g)
+    tr.c_prev[...] = state.c
+    # the carried state gets its own c, so a trace row reused by the next step cannot alias it
+    c = tr.f * state.c + tr.i * tr.g
+    tr.c[...] = c
+    return CellState(h=tr.o * np.tanh(c), c=c), tr
 
 
 def init_gru(m: int, n: int, scale: float, rng: Rng) -> GruParams:
@@ -241,21 +241,21 @@ def init_lstm(m: int, n: int, scale: float, rng: Rng) -> LstmParams:
     )
 
 
-def _h_state(h: np.ndarray, trace: StepTrace):
-    return CellState(h=h), trace
-
-
 class _Kind(NamedTuple):
     init: Callable    # (m, n, scale, rng) -> params
-    step: Callable    # (params, x, CellState) -> (CellState, StepTrace)
+    step: Callable    # (params, x, h, or the CellState if has_c, trace row or None) -> (next h or CellState, trace row)
     has_c: bool       # the state carries a cell state c
     rows: Callable    # (m, n) -> weight rows; each row holds m+n weights and a bias
+    fields: tuple     # (name, width) of each trace field, the width "n" or "m+n"
 
 
+_GRU_FIELDS = (("xh", "m+n"), ("z", "n"), ("r", "n"), ("xrh", "m+n"), ("hc", "n"))
 _KINDS = {
-    "rau": _Kind(init_rau, lambda p, x, s: _h_state(*rau_step(p, x, s.h)), False, lambda m, n: m + 5 * n),
-    "gru": _Kind(init_gru, lambda p, x, s: _h_state(*gru_step(p, x, s.h)), False, lambda m, n: 3 * n),
-    "lstm": _Kind(init_lstm, lstm_step, True, lambda m, n: 4 * n),
+    "rau": _Kind(init_rau, rau_step, False, lambda m, n: m + 5 * n,
+                 _GRU_FIELDS + (("u", "m+n"), ("v", "m+n"), ("ha", "n"))),
+    "gru": _Kind(init_gru, gru_step, False, lambda m, n: 3 * n, _GRU_FIELDS),
+    "lstm": _Kind(init_lstm, lstm_step, True, lambda m, n: 4 * n,
+                  (("xh", "m+n"), ("f", "n"), ("i", "n"), ("o", "n"), ("g", "n"), ("c_prev", "n"), ("c", "n"))),
 }
 CELL_KINDS = tuple(_KINDS)
 
@@ -266,9 +266,13 @@ def _kind(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
-def step(kind: str, p: CellParams, x: np.ndarray, state: CellState):
-    """Kind-dispatched step over a CellState; returns (next state, trace)."""
-    return _kind(kind).step(p, x, state)
+def step(kind: str, p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
+    """Kind-dispatched step over a CellState into trace row tr (a fresh one if None); returns (state, row)."""
+    k = _kind(kind)
+    if k.has_c:
+        return k.step(p, x, state, tr)
+    h, tr = k.step(p, x, state.h, tr)
+    return CellState(h=h), tr
 
 
 def zero_state(kind: str, n: int, batch: int | None = None) -> CellState:
@@ -308,7 +312,3 @@ def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
             name = f"{prefix}.{k}" if prefix else str(k)
             yield from iter_tensors(item, name)
 
-
-def tensor_count(obj) -> int:
-    """Total scalar count across all tensors in a container."""
-    return sum(arr.size for _, arr in iter_tensors(obj))

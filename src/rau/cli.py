@@ -178,8 +178,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown cell {cfg.cell!r}; choices: {', '.join(CELL_KINDS)}")
     if cfg.optimizer not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
-    for name in ("hidden", "layers", "classes", "epochs", "batch_size", "unroll", "vocab", "max_len"):
-        if getattr(cfg, name) < 1:
+    for name in ("hidden", "layers", "classes", "epochs", "batch_size", "unroll", "vocab", "max_len", "max_steps"):
+        if getattr(cfg, name) is not None and getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError("dropout must be in [0, 1)")

@@ -117,16 +117,8 @@ def load_idx(images_path, labels_path) -> ImageSet:
     return ImageSet(images=images.copy(), labels=labels.copy())
 
 
-def rows_sequence(image: np.ndarray) -> np.ndarray:
-    """One 28x28 image as 28 row vectors in scanline order, pixels scaled to [0,1]."""
-    image = np.asarray(image)
-    if image.shape != (28, 28):
-        raise ContractError(f"rows_sequence: expected a 28x28 image, got {image.shape}")
-    return image.astype(np.float64) / 255.0
-
-
 def images_to_sequences(images: np.ndarray) -> np.ndarray:
-    """Batch form of rows_sequence: (N, 28, 28) uint8 -> (N, 28, 28) float64."""
+    """(N, 28, 28) uint8 images -> N sequences of 28 row vectors in scanline order, pixels scaled to [0, 1]."""
     return np.asarray(images).astype(np.float64) / 255.0
 
 

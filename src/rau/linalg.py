@@ -102,34 +102,34 @@ class Rng:
         return Rng(self.next_u64())
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function as 0.5*(1 + tanh(v/2)).
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic function as 0.5*(1 + tanh(v/2)), written into out if given.
 
     The tanh form cannot overflow: it gives exactly 0 and 1 far out on
     the tails and is within 2.3e-16 of the exact logistic everywhere.
     """
     v = np.asarray(v, dtype=np.float64)
     _check_finite(v, "sigmoid")
-    out = np.multiply(v, 0.5, out=np.empty_like(v))
+    out = np.multiply(v, 0.5, out=np.empty_like(v) if out is None else out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
 
 
-def tanh(v: np.ndarray) -> np.ndarray:
+def tanh(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     _check_finite(v, "tanh")
-    return np.tanh(v)
+    return np.tanh(v, out=out)
 
 
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax along `axis`; output sums to 1, entries in (0,1)."""
+def softmax(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax along `axis`, written into out if given; sums to 1, entries in (0,1)."""
     v = np.asarray(v, dtype=np.float64)
     _check_finite(v, "softmax")
     shifted = v - np.max(v, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=out)
 
 
 def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:

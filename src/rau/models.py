@@ -18,6 +18,7 @@ language model.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import cells
 from .autograd import Tape
-from .cells import CellState, init_cell, iter_tensors
+from .cells import init_cell, iter_tensors
 from .linalg import ContractError, Rng, init_matrix
 
 CHECKPOINT_MAGIC = b"RAUM"
@@ -114,10 +115,11 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
 
     inputs are (B, T) token ids for a model with an embedding, else
     (B, T, m) features. states are the per-layer start states, or None
-    for zeros. Dropout masks are drawn fresh per step and applied to
-    each layer's input, then to the head input. Only train mode keeps
-    the traces: an eval pass frees each step's gate arrays as it goes,
-    so its memory does not grow with the sequence length. Returns
+    for zeros. Dropout masks are drawn fresh per step and layer and
+    applied to each layer's input, then to the head input. Each layer
+    records into one `cells.Trace`: T rows in train mode, for the tape,
+    and in eval mode one row that every step overwrites, so an eval
+    pass's memory does not grow with the sequence length. Returns
     (logits, final states, tape or None).
     """
     rate = mdl.dropout.rate
@@ -126,28 +128,25 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         raise ContractError("dropout requires an rng in train mode")
     B, T = inputs.shape[:2]
     n = mdl.hidden_size
-    if states is None:
-        states = [cells.zero_state(mdl.cell_kind, n, B) for _ in mdl.cells]
-    else:
-        states = [CellState(h=s.h.copy(), c=s.c.copy()) for s in states]
+    # a step writes no state array in place, so the start states need no copy
+    states = [cells.zero_state(mdl.cell_kind, n, B) for _ in mdl.cells] if states is None else list(states)
     xs_steps = [inputs[:, t] for t in range(T)]
     token_ids = None
     if mdl.embedding is not None:
         token_ids = inputs
         xs_steps = [mdl.embedding[ids] for ids in xs_steps]
-    traces = [[] for _ in mdl.cells]
-    in_masks = [[None] * T for _ in mdl.cells] if use_drop else None
+    R = T if train_mode else 1
+    traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
+    rows = [[trace.row(r) for r in range(R)] for trace in traces]
+    in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells] if use_drop else None
     top_steps = []
     for t in range(T):
         inp = xs_steps[t]
         for l, p in enumerate(mdl.cells):
             if use_drop:
-                mask = dropout_mask(rng, inp.shape, rate)
-                in_masks[l][t] = mask
+                in_masks[l][t] = mask = dropout_mask(rng, inp.shape, rate)
                 inp = inp * mask
-            states[l], tr = cells.step(mdl.cell_kind, p, inp, states[l])
-            if train_mode:
-                traces[l].append(tr)
+            states[l], _ = cells.step(mdl.cell_kind, p, inp, states[l], rows[l][t % R])
             inp = states[l].h
         top_steps.append(inp)
 
@@ -319,27 +318,30 @@ def save_checkpoint(path, model, config: dict | None = None) -> None:
 def load_checkpoint(path):
     """Rebuild the model recorded at `path`; returns (model, config echo).
 
-    A malformed, truncated or inconsistent file raises CheckpointError.
+    The header is read and checked first; each tensor is then read
+    straight into its array, so a load holds the payload once. A
+    malformed, truncated or inconsistent file raises CheckpointError.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, got {raw[:4]!r}")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    blob_len = struct.unpack("<I", raw[8:12])[0]
-    if len(raw) < 12 + blob_len:
-        raise CheckpointError("truncated checkpoint header")
-    try:
-        echo = json.loads(raw[12:12 + blob_len].decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # ValueError covers bad JSON and bad UTF-8
-        raise CheckpointError(f"unreadable checkpoint header: {e}") from e
-    if not isinstance(echo, dict) or not isinstance(echo.get("config"), dict):
-        raise CheckpointError("checkpoint header must be an object with a 'config' object")
-    offset = 12 + blob_len
-    model = _build_from_spec(echo.get("model"), len(raw) - offset)
-    for _, arr in iter_tensors(model):
-        arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
-        offset += arr.size * 8
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(12)
+        if len(prefix) < 12 or prefix[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, got {prefix[:4]!r}")
+        version, blob_len = struct.unpack("<II", prefix[4:])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        if size < 12 + blob_len:
+            raise CheckpointError("truncated checkpoint header")
+        try:
+            echo = json.loads(f.read(blob_len).decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # ValueError covers bad JSON and bad UTF-8
+            raise CheckpointError(f"unreadable checkpoint header: {e}") from e
+        if not isinstance(echo, dict) or not isinstance(echo.get("config"), dict):
+            raise CheckpointError("checkpoint header must be an object with a 'config' object")
+        model = _build_from_spec(echo.get("model"), size - 12 - blob_len)
+        for _, arr in iter_tensors(model):
+            if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise CheckpointError("truncated checkpoint tensors: the file shrank while it was read")
+            if not np.little_endian:  # the file holds little-endian f64
+                arr.byteswap(inplace=True)
     return model, echo["config"]

@@ -13,7 +13,7 @@ from rau.autograd import (
     gradcheck_cell,
     relative_errors,
 )
-from rau.cells import init_rau, iter_tensors, step, zero_state
+from rau.cells import init_rau, iter_tensors, new_trace, step, zero_state
 from rau.linalg import ContractError, NumericError, Rng
 
 
@@ -79,11 +79,10 @@ class TestClipGlobalNorm:
 
 def _record_sequence(kind, params, xs):
     state = zero_state(kind, params.hidden_size)
-    traces = []
+    trace = new_trace(kind, len(xs), (), params.input_size, params.hidden_size)
     for t in range(len(xs)):
-        state, tr = step(kind, params, xs[t], state)
-        traces.append(tr)
-    return traces
+        state, _ = step(kind, params, xs[t], state, trace.row(t))
+    return trace
 
 
 def _rau_grads(params, traces, **seed):
@@ -94,7 +93,7 @@ def _rau_grads(params, traces, **seed):
 class TestBackward:
     def test_zero_length_sequence_gives_zero_grads(self):
         p = init_rau(2, 3, 0.5, Rng(1))
-        g = _rau_grads(p, [], dh_last=np.zeros(3))
+        g = _rau_grads(p, _record_sequence("rau", p, []), dh_last=np.zeros(3))
         assert set(g) == {name for name, _ in iter_tensors(p)}
         assert all(np.array_equal(v, np.zeros_like(v)) for v in g.values())
 

@@ -14,7 +14,7 @@ import pytest
 
 from rau import autograd
 from rau.autograd import Grads, backward, backward_cell_sequence
-from rau.cells import init_cell, iter_tensors, step, zero_state
+from rau.cells import init_cell, iter_tensors, new_trace, step, zero_state
 from rau.linalg import Rng
 from rau.models import build_language_model, lm_forward
 
@@ -101,13 +101,13 @@ def _ref_lstm_step(p, tr, dh, dc_in, g, prefix):
     return dxh[..., :m].copy(), dxh[..., m:].copy(), dc * tr.f
 
 
-def reference_cell_sequence(kind, params, traces, dh_last=None, dh_steps=None, grads=None, prefix=""):
+def reference_cell_sequence(kind, params, trace, dh_last=None, dh_steps=None, grads=None, prefix=""):
     if grads is None:
         grads = Grads((prefix + k, np.zeros_like(a)) for k, a in iter_tensors(params))
-    dx_steps = [None] * len(traces)
+    dx_steps = [None] * len(trace.xh)
     dh = dc = None
-    for t in reversed(range(len(traces))):
-        tr = traces[t]
+    for t in reversed(range(len(trace.xh))):
+        tr = trace.row(t)
         if dh is None:
             dh = np.zeros_like(tr.f if kind == "lstm" else tr.z)
             if dh_last is not None:
@@ -156,11 +156,10 @@ def _record(kind, m, n, T, batch, seed):
     shape = (T, m) if batch is None else (T, batch, m)
     xs = rng.uniform(-1.0, 1.0, size=shape)
     state = zero_state(kind, n, batch)
-    traces = []
+    trace = new_trace(kind, T, () if batch is None else (batch,), m, n)
     for t in range(T):
-        state, tr = step(kind, params, xs[t], state)
-        traces.append(tr)
-    return params, traces, rng
+        state, _ = step(kind, params, xs[t], state, trace.row(t))
+    return params, trace, rng
 
 
 def _assert_grads_close(got, want):
@@ -221,8 +220,9 @@ def test_accumulates_into_existing_grads_under_prefix(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_zero_steps(kind):
     params = init_cell(kind, 2, 3, 0.5, Rng(3))
-    got, dx_steps, dh0 = backward_cell_sequence(kind, params, [], dh_last=np.ones(3))
-    want, want_dx, want_dh = reference_cell_sequence(kind, params, [], dh_last=np.ones(3))
+    empty = new_trace(kind, 0, (), 2, 3)
+    got, dx_steps, dh0 = backward_cell_sequence(kind, params, empty, dh_last=np.ones(3))
+    want, want_dx, want_dh = reference_cell_sequence(kind, params, empty, dh_last=np.ones(3))
     assert len(dx_steps) == len(want_dx) == 0
     assert dh0 is None and want_dh is None
     assert all(not v.any() for v in got.values())

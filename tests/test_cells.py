@@ -18,10 +18,8 @@ from rau.cells import (
     iter_tensors,
     lstm_step,
     param_count,
-    rau_attention,
     rau_step,
     step,
-    tensor_count,
     zero_state,
 )
 from rau.autograd import backward_cell_sequence
@@ -136,11 +134,13 @@ class TestGruStep:
 
 
 class TestRauAttention:
+    """The attention weights u and attended state ha that rau_step records in its trace."""
+
     def test_zero_scores_give_uniform_weights(self):
         p = zero_rau(2, 3)
-        ha, alpha, u = rau_attention(p, np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
-        assert np.allclose(u, np.full(5, 0.2), atol=1e-15, rtol=0)
-        assert np.array_equal(ha, np.zeros(3))
+        _, tr = rau_step(p, np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
+        assert np.allclose(tr.u, np.full(5, 0.2), atol=1e-15, rtol=0)
+        assert np.array_equal(tr.ha, np.zeros(3))
 
     def test_matches_scalar_reference(self):
         rng = Rng(31)
@@ -148,19 +148,18 @@ class TestRauAttention:
             p = init_rau(2, 3, 1.0, rng)
             x = rng.uniform(-2, 2, 2)
             h_prev = rng.uniform(-1, 1, 3)
-            ha, alpha, u = rau_attention(p, x, h_prev)
-            ra, ralpha, ru = ref_attention(p, x.tolist(), h_prev.tolist())
-            assert np.allclose(ha, ra, atol=1e-12, rtol=0)
-            assert np.allclose(alpha, ralpha, atol=1e-12, rtol=0)
-            assert np.allclose(u, ru, atol=1e-12, rtol=0)
+            _, tr = rau_step(p, x, h_prev)
+            ra, _, ru = ref_attention(p, x.tolist(), h_prev.tolist())
+            assert np.allclose(tr.ha, ra, atol=1e-12, rtol=0)
+            assert np.allclose(tr.u, ru, atol=1e-12, rtol=0)
 
     def test_weights_positive_sum_to_one(self):
         rng = Rng(41)
         for _ in range(50):
             p = init_rau(3, 2, 2.0, rng)
-            _, _, u = rau_attention(p, rng.uniform(-3, 3, 3), rng.uniform(-1, 1, 2))
-            assert np.all(u > 0)
-            assert abs(u.sum() - 1.0) <= 1e-12
+            _, tr = rau_step(p, rng.uniform(-3, 3, 3), rng.uniform(-1, 1, 2))
+            assert np.all(tr.u > 0)
+            assert abs(tr.u.sum() - 1.0) <= 1e-12
 
 
 class TestRauStep:
@@ -198,8 +197,9 @@ class TestRauStep:
         rng = Rng(81)
         p = init_rau(2, 3, 0.5, rng)
         _, tr = rau_step(p, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 3))
-        for name in ("xh", "z", "r", "hc", "alpha", "u", "v", "ha"):
-            assert getattr(tr, name) is not None
+        widths = {"xh": 5, "z": 3, "r": 3, "xrh": 5, "hc": 3, "u": 5, "v": 5, "ha": 3}
+        assert {name: a.shape for name, a in vars(tr).items()} == {name: (w,) for name, w in widths.items()}
+        assert all(np.all(np.isfinite(a)) for a in vars(tr).values())
 
 
 class TestLstmStep:
@@ -258,7 +258,7 @@ class TestParamCount:
     def test_matches_container_reflection(self, kind):
         for m, n in [(1, 1), (2, 3), (28, 128)]:
             params = init_cell(kind, m, n, 0.1, Rng(4))
-            assert param_count(kind, m, n) == tensor_count(params)
+            assert param_count(kind, m, n) == sum(a.size for _, a in iter_tensors(params))
 
 
 class TestUnknownKind:

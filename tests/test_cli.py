@@ -62,6 +62,12 @@ class TestTrainCommand:
         assert rc == EXIT_BAD_CONFIG
         assert f"{field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_max_steps_below_one_exits_2(self, tmp_path, capsys, steps):
+        assert main(_train_args(tmp_path, "--max-steps", steps)) == EXIT_BAD_CONFIG
+        assert "max_steps must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "synthetic-rau-seed7").exists()
+
     def test_config_file_merged_under_flags(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"hidden": 32, "lr": 0.5}))
@@ -229,6 +235,15 @@ class TestPtbStyleTask:
         final_valid = [r for r in records if r["split"] == "valid"][-1]
         assert out["loss"] == final_valid["loss"]
         assert out["metric_value"] == final_valid["metric_value"]
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_max_steps_below_one_exits_2(self, corpus_dir, tmp_path, capsys, steps):
+        rc = main(["train", "--task", "ptb", "--cell", "gru", "--data-dir", str(corpus_dir),
+                   "--hidden", "8", "--unroll", "5", "--batch-size", "2", "--vocab", "30",
+                   "--max-steps", steps, "--seed", "3", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_BAD_CONFIG
+        assert "max_steps must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_max_steps_stop_stamps_test_record_with_epoch_reached(self, corpus_dir, tmp_path):
         rc = main(["train", "--task", "ptb", "--cell", "gru", "--data-dir", str(corpus_dir),

@@ -13,10 +13,10 @@ from rau.data import (
     build_vocab,
     class_patterns,
     encode_stream,
+    images_to_sequences,
     lm_batches,
     load_idx,
     load_sentiment,
-    rows_sequence,
     synthetic_memorization,
 )
 from rau.linalg import ContractError, Rng
@@ -63,34 +63,31 @@ class TestLoadIdx:
         assert len(kinds) == 4
 
 
-class TestRowsSequence:
+class TestImagesToSequences:
     def test_zero_image(self):
-        seq = rows_sequence(np.zeros((28, 28), dtype=np.uint8))
-        assert seq.shape == (28, 28)
-        assert np.array_equal(seq, np.zeros((28, 28)))
+        seq = images_to_sequences(np.zeros((1, 28, 28), dtype=np.uint8))
+        assert seq.shape == (1, 28, 28) and seq.dtype == np.float64
+        assert np.array_equal(seq, np.zeros((1, 28, 28)))
 
     def test_single_pixel(self):
-        img = np.zeros((28, 28), dtype=np.uint8)
-        img[0, 0] = 255
-        seq = rows_sequence(img)
-        assert seq[0][0] == 1.0
+        img = np.zeros((1, 28, 28), dtype=np.uint8)
+        img[0, 0, 0] = 255
+        seq = images_to_sequences(img)
+        assert seq[0][0][0] == 1.0
         assert seq.sum() == 1.0
 
     def test_rows_in_scanline_order(self, idx_fixture):
         _, _, images, _ = idx_fixture
-        seq = rows_sequence(images[0])
-        for k in range(28):
-            assert np.array_equal(seq[k], images[0][k].astype(np.float64) / 255.0)
+        seqs = images_to_sequences(images)
+        for i in range(len(images)):
+            for k in range(28):
+                assert np.array_equal(seqs[i][k], images[i][k].astype(np.float64) / 255.0)
 
     def test_pixel_sum_preserved(self):
         rng = Rng(3)
         img = (rng.uniform01((28, 28)) * 255).astype(np.uint8)
-        seq = rows_sequence(img)
+        seq = images_to_sequences(img[None])
         assert abs(seq.sum() - img.sum() / 255.0) <= 1e-9
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ContractError):
-            rows_sequence(np.zeros((27, 28)))
 
 
 class TestVocab:

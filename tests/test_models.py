@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -64,7 +66,7 @@ class TestClassifyForward:
     @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
     def test_eval_memory_grows_by_at_most_two_states_per_step(self, kind):
         # an eval pass keeps only the top hidden state of each step, not the
-        # gate arrays of its StepTraces (6-11 states' worth per step)
+        # gate arrays of a train-mode trace (6-11 states' worth per step)
         B, n = 16, 32
         mdl = build_classifier(kind, 3, n, 1, 5, 0.5, Rng(0))
         peaks = []
@@ -148,6 +150,47 @@ class TestClassifyForward:
         logits, tape = classify_forward(mdl, xs, train_mode=True, rng=Rng(1))
         loss, dlog = cross_entropy(logits, 2)
         assert _max_rel_err(backward(tape, dlog), fd_gradient(loss_fn, mdl, FD_EPS)) <= FD_TOL
+
+
+class TestTape:
+    """The tape keeps one (T, B, width) array per trace field the backward reads, and nothing else."""
+
+    FIELDS = {
+        "gru": {"xh": "m+n", "z": "n", "r": "n", "xrh": "m+n", "hc": "n"},
+        "rau": {"xh": "m+n", "z": "n", "r": "n", "xrh": "m+n", "hc": "n", "u": "m+n", "v": "m+n", "ha": "n"},
+        "lstm": {"xh": "m+n", "f": "n", "i": "n", "o": "n", "g": "n", "c_prev": "n", "c": "n"},
+    }
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_trace_fields_equal_the_kind_table(self, kind):
+        B, T, n = 2, 6, 4
+        mdl = build_classifier(kind, 3, n, 2, 5, 0.5, Rng(2), dropout=0.2)
+        _, tape = classify_forward(mdl, Rng(3).uniform(-1, 1, (B, T, 3)), train_mode=True, rng=Rng(4))
+        assert len(tape.traces) == 2
+        for p, trace in zip(mdl.cells, tape.traces):
+            width = {"n": n, "m+n": p.input_size + n}
+            want = {name: (T, B, width[w]) for name, w in self.FIELDS[kind].items()}
+            assert {name: a.shape for name, a in vars(trace).items()} == want
+            assert "alpha" not in vars(trace)
+        assert [mask.shape for mask in tape.in_masks] == [(T, B, p.input_size) for p in mdl.cells]
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_train_memory_grows_by_the_trace_fields_per_step(self, kind):
+        # per step: B times the trace fields and the top hidden state the forward
+        # keeps, plus up to 4 KiB of array and row objects
+        B, m, n = 64, 3, 32
+        floats = sum(n if w == "n" else m + n for w in self.FIELDS[kind].values()) + n
+        mdl = build_classifier(kind, m, n, 1, 5, 0.5, Rng(0))
+        peaks = []
+        for T in (8, 64):
+            xs = Rng(1).uniform(-1, 1, (B, T, m))
+            tracemalloc.start()
+            try:
+                classify_forward(mdl, xs, train_mode=True, rng=Rng(2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= (64 - 8) * (B * floats * 8 + 4096)
 
 
 class TestLmForward:
@@ -348,6 +391,31 @@ class TestCheckpoint:
         for (name_a, a), (name_b, b) in zip(cells.iter_tensors(mdl), cells.iter_tensors(loaded)):
             assert name_a == name_b
             assert a.tobytes() == b.tobytes()
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        mdl = build_language_model("gru", 2000, 128, 3, 0.1, Rng(19))
+        path = tmp_path / "lm.bin"
+        save_checkpoint(path, mdl, {})
+        largest = max(a.nbytes for _, a in cells.iter_tensors(mdl))
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + largest + (1 << 20)
+        for (_, a), (_, b) in zip(cells.iter_tensors(mdl), cells.iter_tensors(loaded)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_short_tensor_read_raises(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was taken: the size checks pass, the read comes up short
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, build_classifier("gru", 2, 3, 1, 2, 0.1, Rng(17)), {})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+        with pytest.raises(CheckpointError, match="truncated checkpoint tensors"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

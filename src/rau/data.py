@@ -118,8 +118,11 @@ def load_idx(images_path, labels_path) -> ImageSet:
 
 
 def images_to_sequences(images: np.ndarray) -> np.ndarray:
-    """(N, 28, 28) uint8 images -> N sequences of 28 row vectors in scanline order, pixels scaled to [0, 1]."""
-    return np.asarray(images).astype(np.float64) / 255.0
+    """(N, rows, cols) uint8 images -> N sequences of row vectors in scanline order, pixels scaled to [0, 1]."""
+    images = np.asarray(images)
+    if images.ndim != 3:
+        raise ContractError(f"images_to_sequences: expected a (N, rows, cols) batch of images, got {images.shape}")
+    return images.astype(np.float64) / 255.0
 
 
 def tokenize_line(line: str) -> list:

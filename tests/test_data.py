@@ -63,7 +63,7 @@ class TestLoadIdx:
         assert len(kinds) == 4
 
 
-class TestImagesToSequences:
+class TestRowsSequence:
     def test_zero_image(self):
         seq = images_to_sequences(np.zeros((1, 28, 28), dtype=np.uint8))
         assert seq.shape == (1, 28, 28) and seq.dtype == np.float64
@@ -88,6 +88,12 @@ class TestImagesToSequences:
         img = (rng.uniform01((28, 28)) * 255).astype(np.uint8)
         seq = images_to_sequences(img[None])
         assert abs(seq.sum() - img.sum() / 255.0) <= 1e-9
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ContractError):
+            images_to_sequences(np.zeros((27, 28)))
+        with pytest.raises(ContractError):
+            images_to_sequences(np.zeros((1, 1, 28, 28)))
 
 
 class TestVocab:

@@ -29,7 +29,7 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(x: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         bad = int(np.flatnonzero(~np.isfinite(np.ravel(x)))[0])
         raise NumericError(f"{op}: non-finite input at flat index {bad}", index=bad)
 
@@ -127,9 +127,9 @@ def softmax(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     """Max-subtracted softmax along `axis`, written into out if given; sums to 1, entries in (0,1)."""
     v = np.asarray(v, dtype=np.float64)
     _check_finite(v, "softmax")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
+    shifted = v - v.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=out)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=out)
 
 
 def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:

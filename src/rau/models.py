@@ -17,6 +17,7 @@ language model.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -155,8 +156,10 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     if use_drop:
         out_masks = dropout_mask(rng, head_in.shape, rate)
         head_in = head_in * out_masks
-    # one GEMM for every position the head reads
-    logits = (head_in.reshape(-1, n) @ mdl.w_out.T + mdl.b_out).reshape(head_in.shape[:-1] + (-1,))
+    # one GEMM for every position the head reads; the bias goes into its output in place
+    logits = head_in.reshape(-1, n) @ mdl.w_out.T
+    logits += mdl.b_out
+    logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
     tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
     return logits, states, tape
@@ -199,12 +202,19 @@ def lm_forward(mdl: SequenceModel, tokens, h_init=None, train_mode: bool = False
     return logits, states, tape
 
 
-def cross_entropy(logits: np.ndarray, target):
+# cross_entropy works through the rows in blocks of about this many bytes of
+# logits, so each block's shift, exp and sums stay in cache.
+CE_BLOCK_BYTES = 1 << 20
+
+
+def cross_entropy(logits: np.ndarray, target, grad: bool = True):
     """Softmax cross-entropy loss and its logit gradient.
 
     Single example: logits (k,), integer target -> (loss, dlogits).
     Batch: logits (B, k), targets (B,) -> mean loss and dlogits already
-    scaled by 1/B, so backward() yields mean-loss gradients.
+    scaled by 1/B, so backward() yields mean-loss gradients. With
+    grad=False dlogits is None and no logit-sized array is built; the
+    loss is the same to the bit.
     """
     logits = np.asarray(logits, dtype=np.float64)
     single = logits.ndim == 1
@@ -214,19 +224,29 @@ def cross_entropy(logits: np.ndarray, target):
         raise ContractError("cross_entropy: target count != batch size")
     if tg.min() < 0 or tg.max() >= lg.shape[1]:
         raise ContractError("cross_entropy: target out of range")
-    B = lg.shape[0]
-    rows = np.arange(B)
-    # one exp, in place: the shifted logits become (probs - onehot) / B
-    dlogits = lg - lg.max(axis=1, keepdims=True)
-    picked = dlogits[rows, tg]
-    np.exp(dlogits, out=dlogits)
-    total = np.sum(dlogits, axis=1, keepdims=True)
-    loss = float(np.mean(np.log(total[:, 0]) - picked))
-    dlogits *= 1.0 / (total * B)
-    dlogits[rows, tg] -= 1.0 / B
-    if single:
-        dlogits = dlogits[0]
-    return loss, dlogits
+    B, k = lg.shape
+    block = max(1, CE_BLOCK_BYTES // (8 * k))
+    # with grad, each block lands in its rows of dlogits; without, every block reuses one buffer
+    buf = np.empty_like(lg) if grad else np.empty((min(block, B), k))
+    nll = np.empty(B)
+    for lo in range(0, B, block):
+        hi = min(lo + block, B)
+        rows = np.arange(hi - lo)
+        t = tg[lo:hi]
+        # one exp, in place: the shifted logits become (probs - onehot) / B
+        d = buf[lo:hi] if grad else buf[:hi - lo]
+        np.subtract(lg[lo:hi], lg[lo:hi].max(axis=1, keepdims=True), out=d)
+        picked = d[rows, t]
+        np.exp(d, out=d)
+        total = d.sum(axis=1, keepdims=True)
+        np.subtract(np.log(total[:, 0]), picked, out=nll[lo:hi])
+        if grad:
+            d *= 1.0 / (total * B)
+            d[rows, t] -= 1.0 / B
+    loss = float(np.mean(nll))
+    if not grad:
+        return loss, None
+    return loss, (buf[0] if single else buf)
 
 
 def perplexity(total_log_loss: float, token_count: int) -> float:
@@ -303,16 +323,30 @@ def _build_from_spec(spec, payload_bytes: int) -> SequenceModel:
 
 
 def save_checkpoint(path, model, config: dict | None = None) -> None:
-    """Write magic, version, a JSON config echo, then raw little-endian f64 tensors."""
+    """Write magic, version, a JSON config echo, then raw little-endian f64 tensors.
+
+    The bytes go to `<path>.tmp` in the same directory, are flushed and
+    fsynced, and only then replace `path`: a crash or error mid-write
+    leaves the previous checkpoint whole and no temp file behind.
+    """
     echo = {"model": _model_spec(model), "config": config or {}}
     blob = json.dumps(echo, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for _, arr in iter_tensors(model):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for _, arr in iter_tensors(model):
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -102,11 +102,15 @@ def make_optimizer(kind: str, params, lr: float) -> OptimizerState:
 def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     """Plain gradient descent or a bias-corrected Adam step; mutates params and opt.
 
-    It does not check the gradients: the loops' clip_global_norm already has.
+    It consumes grads: SGD scales each buffer by the learning rate in
+    place, as clip_global_norm scales them in place before it. It does
+    not check the gradients: the loops' clip_global_norm already has.
     """
     if opt.kind == "sgd":
         for name, arr in iter_tensors(params):
-            arr -= opt.lr * grads[name]
+            g = grads[name]
+            g *= opt.lr
+            arr -= g
         return
     opt.step += 1
     t = opt.step
@@ -191,7 +195,7 @@ def evaluate_classifier(model, xs, ys, batch_size: int = 256):
         xb = xs[start:start + batch_size]
         yb = ys[start:start + batch_size]
         logits, _ = classify_forward(model, xb, train_mode=False)
-        loss, _ = cross_entropy(logits, yb)
+        loss, _ = cross_entropy(logits, yb, grad=False)
         total_loss += loss * len(yb)
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
     return total_loss / N, correct / N
@@ -204,7 +208,7 @@ def _lm_window_loss(model, inputs, targets, states, train_mode, rng):
     B = logits.shape[1]
     flat = logits.reshape(T * B, -1)
     flat_targets = np.ascontiguousarray(targets.T).reshape(T * B)
-    loss, dflat = cross_entropy(flat, flat_targets)
+    loss, dflat = cross_entropy(flat, flat_targets, grad=train_mode)
     dsteps = dflat.reshape(T, B, -1) if train_mode else None
     return loss, T * B, states, tape, dsteps
 

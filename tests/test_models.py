@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rau import cells
 from rau.autograd import backward, fd_gradient
 from rau.linalg import ContractError, Rng, softmax
+from rau import models
 from rau.models import (
     CheckpointError,
     DropoutSpec,
@@ -28,6 +29,7 @@ from rau.models import (
     perplexity,
     save_checkpoint,
 )
+from rau.train import evaluate_lm
 
 # relative-error floor reflects fd roundoff on near-zero components of
 # cross-entropy losses; analytic values are exact (see cell-level checks)
@@ -310,6 +312,95 @@ class TestCrossEntropy:
         np.testing.assert_allclose(dlog, want[0] if single else want, rtol=1e-14, atol=0)
 
 
+def _one_pass_cross_entropy(lg, tg):
+    """The whole-batch form: one shift, exp and sum over all rows at once."""
+    B = lg.shape[0]
+    rows = np.arange(B)
+    d = lg - lg.max(axis=1, keepdims=True)
+    picked = d[rows, tg]
+    np.exp(d, out=d)
+    total = np.sum(d, axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - picked))
+    d *= 1.0 / (total * B)
+    d[rows, tg] -= 1.0 / B
+    return loss, d
+
+
+class TestBlockedCrossEntropy:
+    V = 10_000
+    BLOCK = models.CE_BLOCK_BYTES // (8 * V)
+
+    @pytest.mark.parametrize("B", [1, BLOCK - 1, BLOCK, BLOCK + 1, 400])
+    def test_equals_one_pass_bitwise(self, B):
+        rng = Rng(30 + B)
+        logits = rng.uniform(-6, 6, (B, self.V))
+        targets = rng.integers(self.V, size=B)
+        want_loss, want = _one_pass_cross_entropy(logits, targets)
+        loss, dlog = cross_entropy(logits, targets)
+        assert loss == want_loss
+        assert dlog.tobytes() == want.tobytes()
+        assert cross_entropy(logits, targets, grad=False) == (want_loss, None)
+
+    def test_single_example_equals_one_pass_bitwise(self):
+        logits = Rng(31).uniform(-6, 6, self.V)
+        want_loss, want = _one_pass_cross_entropy(logits[None, :], np.array([17]))
+        loss, dlog = cross_entropy(logits, 17)
+        assert dlog.shape == (self.V,)
+        assert loss == want_loss
+        assert dlog.tobytes() == want[0].tobytes()
+        assert cross_entropy(logits, 17, grad=False) == (want_loss, None)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (40, 300), (27, 20_000)])
+    def test_no_grad_loss_equals_grad_loss_bitwise(self, shape):
+        rng = Rng(32)
+        logits = rng.uniform(-30, 30, shape)
+        k = shape[-1]
+        targets = rng.integers(k, size=1)[0] if len(shape) == 1 else rng.integers(k, size=shape[0])
+        loss, _ = cross_entropy(logits, targets)
+        assert cross_entropy(logits, targets, grad=False)[0] == loss
+
+    def test_leaves_logits_unchanged(self):
+        logits = Rng(33).uniform(-6, 6, (30, 1000))
+        before = logits.copy()
+        cross_entropy(logits, np.arange(30))
+        cross_entropy(logits, np.arange(30), grad=False)
+        assert logits.tobytes() == before.tobytes()
+
+
+class TestLeanLmWindow:
+    @pytest.mark.parametrize("readout", ["lm", "classifier"])
+    def test_head_weight_gradient_is_dlogits_t_times_head_input(self, readout):
+        rng = Rng(34)
+        if readout == "lm":
+            mdl = build_language_model("rau", 300, 6, 2, 0.3, rng, dropout=0.2)
+            logits, _, tape = lm_forward(mdl, rng.integers(300, size=(4, 5)), train_mode=True, rng=Rng(1))
+        else:
+            mdl = build_classifier("gru", 3, 6, 1, 7, 0.3, rng, dropout=0.2)
+            logits, tape = classify_forward(mdl, rng.uniform(-1, 1, (4, 5, 3)), train_mode=True, rng=Rng(1))
+        flat = logits.reshape(-1, logits.shape[-1])
+        _, dflat = cross_entropy(flat, rng.integers(flat.shape[1], size=flat.shape[0]))
+        grads = backward(tape, dflat.reshape(logits.shape))
+        want = dflat.T @ tape.head_in.reshape(flat.shape[0], -1)
+        np.testing.assert_allclose(grads["w_out"], want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(grads["b_out"], dflat.sum(axis=0), rtol=1e-13, atol=0)
+
+    def test_eval_window_holds_about_one_logits_array(self):
+        # the bias goes into the GEMM output in place and an eval
+        # cross-entropy builds no dlogits, so a window's peak is its logits,
+        # one cross-entropy block and the small per-step arrays
+        V, n, B, T = 5000, 8, 10, 20
+        mdl = build_language_model("gru", V, n, 1, 0.1, Rng(35))
+        stream = Rng(36).integers(V, size=B * (T + 1))
+        logits_bytes = B * T * V * 8
+        tracemalloc.start()
+        try:
+            evaluate_lm(mdl, stream, B, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= logits_bytes + models.CE_BLOCK_BYTES + (1 << 20)
+
+
 class TestPerplexity:
     def test_uniform_model_branch_factor(self):
         n = 1234
@@ -416,6 +507,22 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
         with pytest.raises(CheckpointError, match="truncated checkpoint tensors"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, build_classifier("gru", 2, 3, 1, 2, 0.1, Rng(20)), {"seed": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+        before = path.read_bytes()
+
+        def first_tensor_then_fail(model):
+            yield next(cells.iter_tensors(model))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(models, "iter_tensors", first_tensor_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, build_classifier("gru", 2, 3, 1, 2, 0.5, Rng(21)), {"seed": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -2,7 +2,8 @@
 
 The forward passes in `cells` and `models` record a `cells.Trace` per cell
 layer; this module replays it backwards, a whole window per cell layer, and
-computes exact analytic gradients for every parameter tensor. Keys in the resulting `Grads` mirror
+computes exact analytic gradients for every parameter tensor; each kind's
+step backward and gate groups come from the `cells` table. Keys in the resulting `Grads` mirror
 `cells.iter_tensors` paths over the parameter container, so optimizer
 updates and finite-difference checks can walk the same structure.
 
@@ -14,11 +15,12 @@ no code with the analytic path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cells import CellParams, Trace, iter_tensors, new_trace, step, zero_state
+from .cells import CellParams, Trace, _kind, iter_tensors, new_trace, step, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -59,77 +61,6 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
     return g
 
 
-def _tensor(params, path: str) -> np.ndarray:
-    for attr in path.split("."):
-        params = getattr(params, attr)
-    return params
-
-
-def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
-    """Shared update/reset/candidate path of one step.
-
-    Writes the candidate delta into d_c and the reset and update gate
-    deltas into d_xh[..., :n] and d_xh[..., n:2n]. Returns the gradient
-    on [x, r*h_prev] from the candidate.
-    """
-    h_prev = tr.xh[..., m:]
-    np.multiply(dhc, 1.0 - tr.hc * tr.hc, out=d_c)
-    dxrh = d_c @ w_c
-    dr = dxrh[..., m:] * h_prev
-    np.multiply(dr * tr.r, 1.0 - tr.r, out=d_xh[..., :n])
-    np.multiply(dz * tr.z, 1.0 - tr.z, out=d_xh[..., n:2 * n])
-    return dxrh
-
-
-def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
-    h_prev = tr.xh[..., m:]
-    dz = dh * (tr.hc - h_prev)
-    dxrh = _gru_deltas(tr, dz, dh * tr.z, w[1], d[0], d[1], m, n)
-    dxh = d[0] @ w[0]
-    np.add(dxrh[..., :m], dxh[..., :m], out=dx)
-    dhp = dxrh[..., m:] * tr.r
-    dhp += dxh[..., m:]
-    dhp += dh * (1.0 - tr.z)
-    return dhp, None
-
-
-def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
-    h_prev = tr.xh[..., m:]
-    mix = (tr.hc + tr.ha) / 2.0
-    dz = dh * (mix - h_prev)
-    dhc = dh * tr.z * 0.5  # = dha: the mix weighs candidate and attended alike
-    # attention branch; softmax backward: dalpha = u * (du - <du, u>)
-    np.multiply(dhc, 1.0 - tr.ha * tr.ha, out=d[2])
-    dv = d[2] @ w[2]
-    du = dv * tr.xh
-    inner = np.sum(du * tr.u, axis=-1, keepdims=True)
-    np.multiply(tr.u, du - inner, out=d[0][..., 2 * n:])
-    dxrh = _gru_deltas(tr, dz, dhc, w[1], d[0], d[1], m, n)
-    dxh = d[0] @ w[0]
-    dxh += dv * tr.u
-    np.add(dxrh[..., :m], dxh[..., :m], out=dx)
-    dhp = dxrh[..., m:] * tr.r
-    dhp += dxh[..., m:]
-    dhp += dh * (1.0 - tr.z)
-    return dhp, None
-
-
-def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
-    tc = np.tanh(tr.c)
-    do = dh * tc
-    dc = dh * tr.o * (1.0 - tc * tc)
-    if dc_next is not None:
-        dc += dc_next
-    fiog = d[0]
-    np.multiply(dc * tr.c_prev * tr.f, 1.0 - tr.f, out=fiog[..., :n])
-    np.multiply(dc * tr.g * tr.i, 1.0 - tr.i, out=fiog[..., n:2 * n])
-    np.multiply(do * tr.o, 1.0 - tr.o, out=fiog[..., 2 * n:3 * n])
-    np.multiply(dc * tr.i, 1.0 - tr.g * tr.g, out=fiog[..., 3 * n:])
-    dxh = fiog @ w[0]
-    dx[...] = dxh[..., :m]
-    return dxh[..., m:], dc * tr.f
-
-
 # BPTT runs one cell layer over a window. Each step writes its gate deltas
 # into a buffer per gate group and forms its input gradient with one GEMM
 # against the group's row-stacked weights. The buffers hold up to
@@ -142,28 +73,6 @@ def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
 # more, and whole-window buffers would also add ~27 MB to the peak memory
 # of a RAU train step.
 DW_GEMM_ROWS = 512
-
-# Per kind: the step backward, then the gate groups. The step backward
-# maps (trace row, dh, dc from the step after or None, stacked weights per
-# group, this step's delta rows per group, dx row) to (dh_prev, dc_prev);
-# it writes the gate deltas into the delta rows and the input gradient
-# into dx. A gate group is (weight paths, bias paths, the trace field
-# holding the input those weights multiply); its weights stack in path
-# order.
-_BPTT = {
-    "gru": (_gru_backward, (
-        (("w_r", "w_z"), ("b_r", "b_z"), "xh"),
-        (("w_c",), ("b_c",), "xrh"),
-    )),
-    "rau": (_rau_backward, (
-        (("gru.w_r", "gru.w_z", "w_a"), ("gru.b_r", "gru.b_z", "b_a"), "xh"),
-        (("gru.w_c",), ("gru.b_c",), "xrh"),
-        (("w_u",), ("b_u",), "v"),
-    )),
-    "lstm": (_lstm_backward, (
-        (("w_f", "w_i", "w_o", "w_g"), ("b_f", "b_i", "b_o", "b_g"), "xh"),
-    )),
-}
 
 
 def backward_cell_sequence(
@@ -184,21 +93,19 @@ def backward_cell_sequence(
     dx_steps[t] is the gradient of that step's input; dx_steps is one
     (T, ..., m) array.
     """
-    if kind not in _BPTT:
-        raise ContractError(f"unknown cell kind {kind!r}")
-    T = len(trace.xh)
+    k = _kind(kind)
+    T, batch = trace.lead
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grads is None:
         grads = Grads((prefix + name, np.zeros_like(arr)) for name, arr in iter_tensors(params))
     if T == 0:
         return grads, [], None
-    step_backward, groups = _BPTT[kind]
     m, n = params.input_size, params.hidden_size
-    batch = trace.xh.shape[1:-1]
     span = min(T, max(1, DW_GEMM_ROWS // int(np.prod(batch))))
-    stacks = [np.concatenate([_tensor(params, p) for p in paths]) if len(paths) > 1 else _tensor(params, paths[0])
-              for paths, _, _ in groups]
+    # a one-weight group is used as is: concatenate would copy it
+    stacks = [np.concatenate(attrgetter(*paths)(params)) if len(paths) > 1 else attrgetter(*paths)(params)
+              for paths, _, _ in k.groups]
     deltas = [np.empty((span,) + batch + (w.shape[0],)) for w in stacks]
     dx_steps = np.empty((T,) + batch + (m,))
     dh = np.zeros(batch + (n,))
@@ -209,9 +116,9 @@ def backward_cell_sequence(
         if dh_steps is not None and dh_steps[t] is not None:
             dh = dh + dh_steps[t]
         lo = t - t % span
-        dh, dc = step_backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in deltas], dx_steps[t], m, n)
+        dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in deltas], dx_steps[t], m, n)
         if t == lo:
-            _add_weight_grads(groups, deltas, trace, lo, grads, prefix)
+            _add_weight_grads(k.groups, deltas, trace, lo, grads, prefix)
     return grads, dx_steps, dh
 
 

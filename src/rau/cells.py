@@ -1,11 +1,12 @@
-"""Recurrent cell forward steps and parameter containers: RAU, GRU, LSTM.
+"""Recurrent cell steps, forward and backward, and parameter containers: RAU, GRU, LSTM.
 
 All step functions accept a single example (1-D arrays of size m and n)
 or a batch (2-D arrays of shape (B, m) / (B, n)); gates act along the
 last axis. Weight matrices map the concatenation [x, h_prev] (input
 first, hidden second) to the hidden size, so an affine transform is
 `xh @ W.T + b`. A step writes its intermediates into one row of its
-layer's `Trace`, which BPTT replays; `_KINDS` lists each kind's fields.
+layer's `Trace`; its kind's step backward, next to it, replays that row.
+`_KINDS` is the one table of the kinds.
 
 The RAU cell keeps the GRU update/reset/candidate computation unchanged
 and adds an attention gate: a learned affine score per component of
@@ -109,6 +110,11 @@ class Trace(SimpleNamespace):
     h_prev by slicing at the input size.
     """
 
+    @property
+    def lead(self) -> tuple:
+        """(rows, batch shape), read off the leading axes all fields share."""
+        return len(self.xh), self.xh.shape[1:-1]
+
     def row(self, t: int) -> "Trace":
         return Trace(**{name: buf[t] for name, buf in vars(self).items()})
 
@@ -153,12 +159,40 @@ def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace) -> No
     tanh(tr.xrh @ p.w_c.T + p.b_c, out=tr.hc)
 
 
+def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
+    """Shared update/reset/candidate path of one step.
+
+    Writes the candidate delta into d_c and the reset and update gate
+    deltas into d_xh[..., :n] and d_xh[..., n:2n]. Returns the gradient
+    on [x, r*h_prev] from the candidate.
+    """
+    h_prev = tr.xh[..., m:]
+    np.multiply(dhc, 1.0 - tr.hc * tr.hc, out=d_c)
+    dxrh = d_c @ w_c
+    dr = dxrh[..., m:] * h_prev
+    np.multiply(dr * tr.r, 1.0 - tr.r, out=d_xh[..., :n])
+    np.multiply(dz * tr.z, 1.0 - tr.z, out=d_xh[..., n:2 * n])
+    return dxrh
+
+
 def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None):
     """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
     tr = _trace_row("gru", p, x, tr)
     _gru_gates(p, x, h_prev, tr)
     return (1.0 - tr.z) * h_prev + tr.z * tr.hc, tr
+
+
+def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
+    h_prev = tr.xh[..., m:]
+    dz = dh * (tr.hc - h_prev)
+    dxrh = _gru_deltas(tr, dz, dh * tr.z, w[1], d[0], d[1], m, n)
+    dxh = d[0] @ w[0]
+    np.add(dxrh[..., :m], dxh[..., :m], out=dx)
+    dhp = dxrh[..., m:] * tr.r
+    dhp += dxh[..., m:]
+    dhp += dh * (1.0 - tr.z)
+    return dhp, None
 
 
 def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, *,
@@ -187,6 +221,27 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     return (1.0 - tr.z) * h_prev + tr.z * ((tr.hc + tr.ha) / 2.0), tr
 
 
+def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
+    h_prev = tr.xh[..., m:]
+    mix = (tr.hc + tr.ha) / 2.0
+    dz = dh * (mix - h_prev)
+    dhc = dh * tr.z * 0.5  # = dha: the mix weighs candidate and attended alike
+    # attention branch; softmax backward: dalpha = u * (du - <du, u>)
+    np.multiply(dhc, 1.0 - tr.ha * tr.ha, out=d[2])
+    dv = d[2] @ w[2]
+    du = dv * tr.xh
+    inner = np.sum(du * tr.u, axis=-1, keepdims=True)
+    np.multiply(tr.u, du - inner, out=d[0][..., 2 * n:])
+    dxrh = _gru_deltas(tr, dz, dhc, w[1], d[0], d[1], m, n)
+    dxh = d[0] @ w[0]
+    dxh += dv * tr.u
+    np.add(dxrh[..., :m], dxh[..., :m], out=dx)
+    dhp = dxrh[..., m:] * tr.r
+    dhp += dxh[..., m:]
+    dhp += dh * (1.0 - tr.z)
+    return dhp, None
+
+
 def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
     """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c'); returns (state, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
@@ -199,10 +254,25 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None =
     sigmoid(xh @ p.w_o.T + p.b_o, out=tr.o)
     tanh(xh @ p.w_g.T + p.b_g, out=tr.g)
     tr.c_prev[...] = state.c
-    # the carried state gets its own c, so a trace row reused by the next step cannot alias it
     c = tr.f * state.c + tr.i * tr.g
-    tr.c[...] = c
     return CellState(h=tr.o * np.tanh(c), c=c), tr
+
+
+def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
+    # the trace keeps no c: this is the forward's expression, so it is bitwise the forward's c
+    tc = np.tanh(tr.f * tr.c_prev + tr.i * tr.g)
+    do = dh * tc
+    dc = dh * tr.o * (1.0 - tc * tc)
+    if dc_next is not None:
+        dc += dc_next
+    fiog = d[0]
+    np.multiply(dc * tr.c_prev * tr.f, 1.0 - tr.f, out=fiog[..., :n])
+    np.multiply(dc * tr.g * tr.i, 1.0 - tr.i, out=fiog[..., n:2 * n])
+    np.multiply(do * tr.o, 1.0 - tr.o, out=fiog[..., 2 * n:3 * n])
+    np.multiply(dc * tr.i, 1.0 - tr.g * tr.g, out=fiog[..., 3 * n:])
+    dxh = fiog @ w[0]
+    dx[...] = dxh[..., :m]
+    return dxh[..., m:], dc * tr.f
 
 
 def init_gru(m: int, n: int, scale: float, rng: Rng) -> GruParams:
@@ -242,20 +312,31 @@ def init_lstm(m: int, n: int, scale: float, rng: Rng) -> LstmParams:
 
 
 class _Kind(NamedTuple):
-    init: Callable    # (m, n, scale, rng) -> params
-    step: Callable    # (params, x, h, or the CellState if has_c, trace row or None) -> (next h or CellState, trace row)
-    has_c: bool       # the state carries a cell state c
-    rows: Callable    # (m, n) -> weight rows; each row holds m+n weights and a bias
-    fields: tuple     # (name, width) of each trace field, the width "n" or "m+n"
+    init: Callable      # (m, n, scale, rng) -> params
+    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None) -> (next h or CellState, trace row)
+    backward: Callable  # (trace row, dh, dc from the step after or None, stacked weights and this step's
+                        # delta rows, both in group order, dx row, m, n) -> (dh_prev, dc_prev); writes the deltas and dx
+    has_c: bool         # the state carries a cell state c
+    rows: Callable      # (m, n) -> weight rows; each row holds m+n weights and a bias
+    fields: tuple       # (name, width) of each trace field, the width "n" or "m+n"
+    groups: tuple       # per gate group: weight paths, stacked in that order; bias paths; the trace field they multiply
+
+
+def _group(field: str, *weights: str) -> tuple:
+    """A gate group; each bias is named after its weight, b_* for w_*."""
+    return weights, tuple(w.replace("w_", "b_") for w in weights), field
 
 
 _GRU_FIELDS = (("xh", "m+n"), ("z", "n"), ("r", "n"), ("xrh", "m+n"), ("hc", "n"))
 _KINDS = {
-    "rau": _Kind(init_rau, rau_step, False, lambda m, n: m + 5 * n,
-                 _GRU_FIELDS + (("u", "m+n"), ("v", "m+n"), ("ha", "n"))),
-    "gru": _Kind(init_gru, gru_step, False, lambda m, n: 3 * n, _GRU_FIELDS),
-    "lstm": _Kind(init_lstm, lstm_step, True, lambda m, n: 4 * n,
-                  (("xh", "m+n"), ("f", "n"), ("i", "n"), ("o", "n"), ("g", "n"), ("c_prev", "n"), ("c", "n"))),
+    "rau": _Kind(init_rau, rau_step, _rau_backward, False, lambda m, n: m + 5 * n,
+                 _GRU_FIELDS + (("u", "m+n"), ("v", "m+n"), ("ha", "n")),
+                 (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u"))),
+    "gru": _Kind(init_gru, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS,
+                 (_group("xh", "w_r", "w_z"), _group("xrh", "w_c"))),
+    "lstm": _Kind(init_lstm, lstm_step, _lstm_backward, True, lambda m, n: 4 * n,
+                  (("xh", "m+n"), ("f", "n"), ("i", "n"), ("o", "n"), ("g", "n"), ("c_prev", "n")),
+                  (_group("xh", "w_f", "w_i", "w_o", "w_g"),)),
 }
 CELL_KINDS = tuple(_KINDS)
 

@@ -206,8 +206,9 @@ def _subset_sentiment(s: datamod.SentimentSet, per_class: int) -> datamod.Sentim
 def load_task(cfg: RunConfig, data_rng: Rng):
     """The task's data by split name, and its vocabulary size (None for row inputs).
 
-    LM splits are token streams; classifier splits are (inputs, labels)
-    pairs, and classifier tasks hold out only a test split.
+    LM splits are token streams, each at least two tokens per batch row;
+    classifier splits are (inputs, labels) pairs, and classifier tasks
+    hold out only a test split.
     """
     if cfg.task == "synthetic":
         def draw(count):
@@ -217,7 +218,12 @@ def load_task(cfg: RunConfig, data_rng: Rng):
     if cfg.task == "ptb":
         corpus = datamod.load_token_corpus(
             d / "ptb.train.txt", d / "ptb.valid.txt", d / "ptb.test.txt", max_vocab=cfg.vocab)
-        return {"train": corpus.train, "valid": corpus.valid, "test": corpus.test}, len(corpus.vocab)
+        splits = {"train": corpus.train, "valid": corpus.valid, "test": corpus.test}
+        for name, stream in splits.items():
+            if len(stream) < 2 * cfg.batch_size:
+                raise ConfigError(f"{name} split has {len(stream)} tokens; batch_size {cfg.batch_size} "
+                                  f"needs at least {2 * cfg.batch_size}")
+        return splits, len(corpus.vocab)
     if cfg.task == "sentiment":
         train = datamod.load_sentiment(d / "train", max_vocab=cfg.vocab, max_len=cfg.max_len)
         test = datamod.load_sentiment(d / "test", max_vocab=cfg.vocab, max_len=cfg.max_len, vocab=train.vocab)
@@ -362,6 +368,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    small = [f"--{name}" for name in ("m", "n", "T", "trials") if getattr(args, name) < 1]
+    if small:
+        print(f"error: {', '.join(small)} must be >= 1", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     failed = False
     print(f"gradient check: cell={args.cell} m={args.m} n={args.n} T={args.T} "
           f"trials={args.trials} seed={args.seed} tolerance={GRADCHECK_TOLERANCE:g}")

@@ -84,7 +84,7 @@ def _ref_rau_step(p, tr, dh, g, prefix):
 
 def _ref_lstm_step(p, tr, dh, dc_in, g, prefix):
     m = p.input_size
-    tc = np.tanh(tr.c)
+    tc = np.tanh(tr.f * tr.c_prev + tr.i * tr.g)
     do = dh * tc
     dc = dc_in + dh * tr.o * (1.0 - tc * tc)
     gates = {

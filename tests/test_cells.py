@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rau import cells
 from rau.cells import (
     CellState,
     GruParams,
@@ -259,6 +260,29 @@ class TestParamCount:
         for m, n in [(1, 1), (2, 3), (28, 128)]:
             params = init_cell(kind, m, n, 0.1, Rng(4))
             assert param_count(kind, m, n) == sum(a.size for _, a in iter_tensors(params))
+
+
+class TestKindTable:
+    """The gate groups BPTT forms the weight gradients from agree with the parameter containers."""
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_groups_cover_every_tensor_once(self, kind):
+        params = init_cell(kind, 2, 3, 0.1, Rng(5))
+        paths = [p for weights, biases, _ in cells._KINDS[kind].groups for p in weights + biases]
+        assert sorted(paths) == sorted(name for name, _ in iter_tensors(params))
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_group_rows_give_the_param_count(self, kind):
+        k = cells._KINDS[kind]
+        for m, n in [(1, 2), (3, 2), (5, 7)]:
+            tensors = dict(iter_tensors(init_cell(kind, m, n, 0.1, Rng(6))))
+            rows = 0
+            for weights, biases, field in k.groups:
+                assert dict(k.fields)[field] == "m+n"
+                for w, b in zip(weights, biases):
+                    assert tensors[w].shape[1] == m + n and tensors[b].shape == tensors[w].shape[:1]
+                    rows += tensors[w].shape[0]
+            assert param_count(kind, m, n) == rows * (m + n + 1)
 
 
 class TestUnknownKind:

@@ -245,6 +245,31 @@ class TestPtbStyleTask:
         assert "max_steps must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("split, batch_size", [("valid", "4"), ("train", "4000")])
+    def test_split_too_short_for_the_batch_exits_2(self, corpus_dir, tmp_path, capsys, split, batch_size):
+        if split == "valid":
+            (corpus_dir / "ptb.valid.txt").write_text("w1 w2\n")
+        rc = main(["train", "--task", "ptb", "--cell", "gru", "--data-dir", str(corpus_dir),
+                   "--hidden", "8", "--unroll", "5", "--batch-size", batch_size, "--vocab", "30",
+                   "--seed", "3", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {split} split has" in err and f"batch_size {batch_size}" in err
+        run_dir = tmp_path / "out" / "ptb-gru-seed3"
+        assert (run_dir / "metrics.jsonl").read_text() == ""
+        assert not (run_dir / "model.bin").exists()
+
+    def test_eval_on_a_split_too_short_for_the_batch_exits_2(self, corpus_dir, tmp_path, capsys):
+        assert main(["train", "--task", "ptb", "--cell", "gru", "--data-dir", str(corpus_dir),
+                     "--hidden", "8", "--unroll", "5", "--batch-size", "4", "--vocab", "30",
+                     "--max-steps", "1", "--seed", "3", "--out", str(tmp_path / "out")]) == 0
+        (corpus_dir / "ptb.test.txt").write_text("w1 w2\n")
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "out" / "ptb-gru-seed3" / "model.bin")]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "test split has" in captured.err
+
     def test_max_steps_stop_stamps_test_record_with_epoch_reached(self, corpus_dir, tmp_path):
         rc = main(["train", "--task", "ptb", "--cell", "gru", "--data-dir", str(corpus_dir),
                    "--hidden", "8", "--unroll", "5", "--batch-size", "2", "--vocab", "30",
@@ -332,6 +357,15 @@ class TestGradcheckCommand:
             out = capsys.readouterr().out
             assert rc == 0, out
             assert "gradcheck PASSED" in out
+
+    @pytest.mark.parametrize("flag", ["--m", "--n", "--T", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_size_below_one_exits_2(self, capsys, flag, value):
+        rc = main(["gradcheck", "--cell", "gru", flag, value])
+        assert rc == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be >= 1" in captured.err
 
     def test_perturbed_backward_exits_1(self, capsys):
         rc = main(["gradcheck", "--cell", "gru", "--m", "2", "--n", "2", "--T", "3",

@@ -160,7 +160,7 @@ class TestTape:
     FIELDS = {
         "gru": {"xh": "m+n", "z": "n", "r": "n", "xrh": "m+n", "hc": "n"},
         "rau": {"xh": "m+n", "z": "n", "r": "n", "xrh": "m+n", "hc": "n", "u": "m+n", "v": "m+n", "ha": "n"},
-        "lstm": {"xh": "m+n", "f": "n", "i": "n", "o": "n", "g": "n", "c_prev": "n", "c": "n"},
+        "lstm": {"xh": "m+n", "f": "n", "i": "n", "o": "n", "g": "n", "c_prev": "n"},
     }
 
     @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cells import CellParams, Trace, _kind, iter_tensors, new_trace, step, zero_state
+from .cells import CellParams, Trace, _kind, gate_block, iter_tensors, new_trace, step, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -263,16 +263,18 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, ep
 
         def forward_loss(p):
             state = zero_state(kind, n)
+            gates = gate_block(kind, p)  # after this call's perturbation
             total = 0.0
             for t in range(T):
-                state, _ = step(kind, p, xs[t], state, reused_row)
+                state, _ = step(kind, p, xs[t], state, reused_row, gates)
                 total += float(gs[t] @ state.h)
             return total
 
         state = zero_state(kind, n)
         trace = new_trace(kind, T, (), m, n)
+        gates = gate_block(kind, params)
         for t in range(T):
-            state, _ = step(kind, params, xs[t], state, trace.row(t))
+            state, _ = step(kind, params, xs[t], state, trace.row(t), gates)
         analytic, _, _ = backward_cell_sequence(kind, params, trace, dh_steps=gs)
         if perturb:
             first = next(iter(analytic))

@@ -6,7 +6,12 @@ last axis. Weight matrices map the concatenation [x, h_prev] (input
 first, hidden second) to the hidden size, so an affine transform is
 `xh @ W.T + b`. A step writes its intermediates into one row of its
 layer's `Trace`; its kind's step backward, next to it, replays that row.
-`_KINDS` is the one table of the kinds.
+`_KINDS` is the one table of the kinds. A kind's gates (GRU and RAU
+r|z, LSTM f|i|o|g) form one block: one matmul, a GEMM batched over the
+gates against the stacked weights of `gate_block`, writes them into one
+gate-major trace field, and one sigmoid call activates the sigmoid
+gates. Gate-major keeps each gate contiguous: numpy's elementwise ops
+ran about 3x slower on a (B, n) gate cut from a (B, k*n) block.
 
 The RAU cell keeps the GRU update/reset/candidate computation unchanged
 and adds an attention gate: a learned affine score per component of
@@ -21,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
@@ -107,7 +113,10 @@ class Trace(SimpleNamespace):
 
     Step t writes row t in place; `row(t)` gives its fields as views.
     xh is the concatenation [x, h_prev], so backward recovers x and
-    h_prev by slicing at the input size.
+    h_prev by slicing at the input size. The fused gate field (GRU and
+    RAU `rz`, LSTM `fiog`) holds the kind's gates gate-major, (rows, k,
+    *batch, n); the trace also carries one view per gate (`r`, `z`;
+    `f`, `i`, `o`, `g`), each row of which is contiguous.
     """
 
     @property
@@ -125,20 +134,54 @@ def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
     The fields are consecutive pieces of one block: the allocator maps and unmaps a train trace
     (tens of MB) whole, where one array per field grew and trimmed the heap on every call.
     """
-    width = {"n": n, "m+n": m + n}
-    fields = _kind(kind).fields
+    k = _kind(kind)
+    fused, gates, _ = k.block
+    width = {"n": n, "m+n": m + n, f"{len(gates)}n": len(gates) * n}
     lead = rows * math.prod(batch)
-    block = np.empty(lead * sum(width[w] for _, w in fields))
+    block = np.empty(lead * sum(width[w] for _, w in k.fields))
     trace, start = Trace(), 0
-    for name, w in fields:
-        setattr(trace, name, block[start:start + lead * width[w]].reshape(rows, *batch, width[w]))
+    for name, w in k.fields:
+        shape = (rows, len(gates), *batch, n) if name == fused else (rows, *batch, width[w])
+        setattr(trace, name, block[start:start + lead * width[w]].reshape(shape))
         start += lead * width[w]
+    for j, gate in enumerate(gates):
+        setattr(trace, gate, getattr(trace, fused)[:, j])
     return trace
+
+
+def gate_block(kind: str, p: CellParams) -> tuple[np.ndarray, np.ndarray]:
+    """The kind's k gates' weights and biases, stacked for one batched GEMM into the fused gate field.
+
+    Returns a (k, m+n, n) weight array, gate j being w_j.T (a transposed
+    view of one stacked copy, so each gate's product is computed as
+    `xh @ w_j.T` is), and a (k, n) bias array. Both are copies: build
+    them again after the parameters change.
+    """
+    _, gates, (weights, biases) = _kind(kind).block
+    w = np.concatenate([attrgetter(path)(p) for path in weights])
+    b = np.concatenate([attrgetter(path)(p) for path in biases])
+    n = len(b) // len(gates)
+    return w.reshape(len(gates), n, -1).transpose(0, 2, 1), b.reshape(len(gates), n)
 
 
 def _trace_row(kind: str, p: CellParams, x: np.ndarray, tr: Trace | None) -> Trace:
     """tr, or else the row of a fresh one-row trace for one step of p on x."""
     return new_trace(kind, 1, x.shape[:-1], p.input_size, p.hidden_size).row(0) if tr is None else tr
+
+
+def _affine(inp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """inp @ w.T + b, computed in out."""
+    np.matmul(inp, w.T, out=out)
+    out += b
+    return out
+
+
+def _gate_affine(xh: np.ndarray, gates, out: np.ndarray) -> np.ndarray:
+    """Every gate's xh @ w_j.T + b_j at once, into the gate-major out (k, *batch, n); gates is `gate_block`."""
+    w, b = gates
+    np.matmul(xh, w, out=out)
+    out += b.reshape(len(b), *(1,) * (xh.ndim - 1), -1)
+    return out
 
 
 def _check_dims(m: int, n: int, x: np.ndarray, h_prev: np.ndarray, op: str) -> None:
@@ -150,13 +193,17 @@ def _check_dims(m: int, n: int, x: np.ndarray, h_prev: np.ndarray, op: str) -> N
         raise ContractError(f"{op}: batch shapes differ, {x.shape[:-1]} vs {h_prev.shape[:-1]}")
 
 
-def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace) -> None:
-    """Shared update/reset/candidate computation (used verbatim by RAU), written into tr."""
+def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace, gates) -> None:
+    """Shared update/reset/candidate computation (used verbatim by RAU), written into tr.
+
+    gates is `gate_block` of p: r and z come from one GEMM and one sigmoid.
+    """
+    m = x.shape[-1]
     xh = np.concatenate([x, h_prev], axis=-1, out=tr.xh)
-    sigmoid(xh @ p.w_z.T + p.b_z, out=tr.z)
-    sigmoid(xh @ p.w_r.T + p.b_r, out=tr.r)
-    np.concatenate([x, tr.r * h_prev], axis=-1, out=tr.xrh)
-    tanh(tr.xrh @ p.w_c.T + p.b_c, out=tr.hc)
+    sigmoid(_gate_affine(xh, gates, out=tr.rz), out=tr.rz)
+    tr.xrh[..., :m] = x
+    np.multiply(tr.r, h_prev, out=tr.xrh[..., m:])
+    tanh(_affine(tr.xrh, p.w_c, p.b_c, out=tr.hc), out=tr.hc)
 
 
 def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
@@ -175,12 +222,23 @@ def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
     return dxrh
 
 
-def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None):
-    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
+def _mix(h_prev: np.ndarray, z: np.ndarray, z_new: np.ndarray) -> np.ndarray:
+    """(1-z)*h_prev + z_new, the state mix, into a fresh array; z_new is z times the new state."""
+    h = np.subtract(1.0, z)
+    h *= h_prev
+    h += z_new
+    return h
+
+
+def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, gates=None):
+    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written).
+
+    gates is `gate_block("gru", p)`, built here if None.
+    """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
     tr = _trace_row("gru", p, x, tr)
-    _gru_gates(p, x, h_prev, tr)
-    return (1.0 - tr.z) * h_prev + tr.z * tr.hc, tr
+    _gru_gates(p, x, h_prev, tr, gate_block("gru", p) if gates is None else gates)
+    return _mix(h_prev, tr.z, tr.z * tr.hc), tr
 
 
 def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
@@ -195,30 +253,34 @@ def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     return dhp, None
 
 
-def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, *,
+def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, gates=None, *,
              attended_override: np.ndarray | None = None):
     """One RAU step: h = (1-z)*h_prev + z*(candidate + attended)/2; returns (h, the trace row written).
 
     The update/reset/candidate path is exactly the GRU computation on
-    p.gru. The attention gate scores each component of [x, h_prev],
-    softmax-normalizes the scores into the weights u, reweights the
-    concatenation into v and projects it to the attended state ha. The
-    (candidate + attended)/2 pairing (algebraically equal to
-    z*candidate/2 + z*attended/2) makes the step collapse bitwise to
-    gru_step when the attended state is overridden with the candidate.
-    attended_override substitutes ha and leaves u and v unwritten; test
-    use only.
+    p.gru; gates is `gate_block("rau", p)`, the same stack as
+    `gate_block("gru", p.gru)`, built here if None. The attention gate
+    scores each component of [x, h_prev], softmax-normalizes the scores
+    into the weights u, reweights the concatenation into v and projects
+    it to the attended state ha. The (candidate + attended)/2 pairing
+    (algebraically equal to z*candidate/2 + z*attended/2) makes the step
+    collapse bitwise to gru_step when the attended state is overridden
+    with the candidate. attended_override substitutes ha and leaves u
+    and v unwritten; test use only.
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
     tr = _trace_row("rau", p, x, tr)
-    _gru_gates(p.gru, x, h_prev, tr)
+    _gru_gates(p.gru, x, h_prev, tr, gate_block("rau", p) if gates is None else gates)
     if attended_override is None:
-        softmax(tr.xh @ p.w_a.T + p.b_a, axis=-1, out=tr.u)
+        softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
         np.multiply(tr.u, tr.xh, out=tr.v)
-        tanh(tr.v @ p.w_u.T + p.b_u, out=tr.ha)
+        tanh(_affine(tr.v, p.w_u, p.b_u, out=tr.ha), out=tr.ha)
     else:
         tr.ha[...] = attended_override
-    return (1.0 - tr.z) * h_prev + tr.z * ((tr.hc + tr.ha) / 2.0), tr
+    z_new = tr.hc + tr.ha
+    z_new /= 2.0
+    z_new *= tr.z
+    return _mix(h_prev, tr.z, z_new), tr
 
 
 def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
@@ -242,20 +304,27 @@ def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     return dhp, None
 
 
-def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
-    """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c'); returns (state, the trace row written)."""
+def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None, gates=None):
+    """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c'); returns (state, the trace row written).
+
+    gates is `gate_block("lstm", p)`, built here if None: f, i, o and g
+    come from one GEMM, f|i|o from one sigmoid and g from one tanh.
+    """
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
     if state.c.shape != state.h.shape:
         raise ContractError("lstm_step: cell state shape must match hidden state")
     tr = _trace_row("lstm", p, x, tr)
     xh = np.concatenate([x, state.h], axis=-1, out=tr.xh)
-    sigmoid(xh @ p.w_f.T + p.b_f, out=tr.f)
-    sigmoid(xh @ p.w_i.T + p.b_i, out=tr.i)
-    sigmoid(xh @ p.w_o.T + p.b_o, out=tr.o)
-    tanh(xh @ p.w_g.T + p.b_g, out=tr.g)
+    fiog = _gate_affine(xh, gate_block("lstm", p) if gates is None else gates, out=tr.fiog)
+    sigmoid(fiog[:3], out=fiog[:3])
+    tanh(tr.g, out=tr.g)
     tr.c_prev[...] = state.c
-    c = tr.f * state.c + tr.i * tr.g
-    return CellState(h=tr.o * np.tanh(c), c=c), tr
+    c = np.multiply(tr.f, state.c)
+    ig = np.multiply(tr.i, tr.g)
+    c += ig
+    h = np.tanh(c, out=ig)
+    h *= tr.o
+    return CellState(h=h, c=c), tr
 
 
 def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
@@ -313,13 +382,15 @@ def init_lstm(m: int, n: int, scale: float, rng: Rng) -> LstmParams:
 
 class _Kind(NamedTuple):
     init: Callable      # (m, n, scale, rng) -> params
-    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None) -> (next h or CellState, trace row)
+    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None, gate_block or None)
+                        # -> (next h or CellState, trace row)
     backward: Callable  # (trace row, dh, dc from the step after or None, stacked weights and this step's
                         # delta rows, both in group order, dx row, m, n) -> (dh_prev, dc_prev); writes the deltas and dx
     has_c: bool         # the state carries a cell state c
     rows: Callable      # (m, n) -> weight rows; each row holds m+n weights and a bias
-    fields: tuple       # (name, width) of each trace field, the width "n" or "m+n"
+    fields: tuple       # (name, width) of each trace field, the width "n", "m+n" or k*n for the fused gates
     groups: tuple       # per gate group: weight paths, stacked in that order; bias paths; the trace field they multiply
+    block: tuple        # the fused gate field, its gates' view names, and (weight paths, bias paths) of its one GEMM
 
 
 def _group(field: str, *weights: str) -> tuple:
@@ -327,16 +398,26 @@ def _group(field: str, *weights: str) -> tuple:
     return weights, tuple(w.replace("w_", "b_") for w in weights), field
 
 
-_GRU_FIELDS = (("xh", "m+n"), ("z", "n"), ("r", "n"), ("xrh", "m+n"), ("hc", "n"))
+def _block(field: str, views: tuple, *weights: str) -> tuple:
+    """The fused gate block: its trace field, a view name per gate, and the weight and bias paths in view order."""
+    paths, biases, _ = _group(field, *weights)
+    return field, views, (paths, biases)
+
+
+# the fused blocks stack their gates in the order of the backward's xh group
+_GRU_FIELDS = (("xh", "m+n"), ("rz", "2n"), ("xrh", "m+n"), ("hc", "n"))
 _KINDS = {
     "rau": _Kind(init_rau, rau_step, _rau_backward, False, lambda m, n: m + 5 * n,
                  _GRU_FIELDS + (("u", "m+n"), ("v", "m+n"), ("ha", "n")),
-                 (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u"))),
+                 (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u")),
+                 _block("rz", ("r", "z"), "gru.w_r", "gru.w_z")),
     "gru": _Kind(init_gru, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS,
-                 (_group("xh", "w_r", "w_z"), _group("xrh", "w_c"))),
+                 (_group("xh", "w_r", "w_z"), _group("xrh", "w_c")),
+                 _block("rz", ("r", "z"), "w_r", "w_z")),
     "lstm": _Kind(init_lstm, lstm_step, _lstm_backward, True, lambda m, n: 4 * n,
-                  (("xh", "m+n"), ("f", "n"), ("i", "n"), ("o", "n"), ("g", "n"), ("c_prev", "n")),
-                  (_group("xh", "w_f", "w_i", "w_o", "w_g"),)),
+                  (("xh", "m+n"), ("fiog", "4n"), ("c_prev", "n")),
+                  (_group("xh", "w_f", "w_i", "w_o", "w_g"),),
+                  _block("fiog", ("f", "i", "o", "g"), "w_f", "w_i", "w_o", "w_g")),
 }
 CELL_KINDS = tuple(_KINDS)
 
@@ -347,12 +428,16 @@ def _kind(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
-def step(kind: str, p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
-    """Kind-dispatched step over a CellState into trace row tr (a fresh one if None); returns (state, row)."""
+def step(kind: str, p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None, gates=None):
+    """Kind-dispatched step over a CellState into trace row tr (a fresh one if None); returns (state, row).
+
+    gates is `gate_block(kind, p)`; a caller that runs many steps on the
+    same parameters builds it once. If None, the step builds it.
+    """
     k = _kind(kind)
     if k.has_c:
-        return k.step(p, x, state, tr)
-    h, tr = k.step(p, x, state.h, tr)
+        return k.step(p, x, state, tr, gates)
+    h, tr = k.step(p, x, state.h, tr, gates)
     return CellState(h=h), tr
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -183,6 +184,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{name} must be >= 1")
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError("dropout must be in [0, 1)")
+    for name in ("lr", "clip_norm", "init_scale"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)!r}")
     if cfg.lr <= 0 or cfg.init_scale < 0 or cfg.clip_norm <= 0:
         raise ConfigError("lr and clip_norm must be positive, init_scale non-negative")
     if not 0.0 < cfg.decay_factor <= 1.0:

@@ -124,12 +124,17 @@ def tanh(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Max-subtracted softmax along `axis`, written into out if given; sums to 1, entries in (0,1)."""
+    """Max-subtracted softmax along `axis`, written into out if given; sums to 1, entries in (0,1).
+
+    The shift, exp and normalization all run in out (which may be v
+    itself); only the per-row max and sum are allocated.
+    """
     v = np.asarray(v, dtype=np.float64)
     _check_finite(v, "softmax")
-    shifted = v - v.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return np.divide(e, e.sum(axis=axis, keepdims=True), out=out)
+    out = np.subtract(v, v.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:

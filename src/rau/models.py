@@ -120,8 +120,9 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     applied to each layer's input, then to the head input. Each layer
     records into one `cells.Trace`: T rows in train mode, for the tape,
     and in eval mode one row that every step overwrites, so an eval
-    pass's memory does not grow with the sequence length. Returns
-    (logits, final states, tape or None).
+    pass's memory does not grow with the sequence length. Each layer's
+    stacked gate weights are built once per call. Returns (logits, final
+    states, tape or None).
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -139,6 +140,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     R = T if train_mode else 1
     traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
+    gates = [cells.gate_block(mdl.cell_kind, p) for p in mdl.cells]
     in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells] if use_drop else None
     top_steps = []
     for t in range(T):
@@ -147,7 +149,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             if use_drop:
                 in_masks[l][t] = mask = dropout_mask(rng, inp.shape, rate)
                 inp = inp * mask
-            states[l], _ = cells.step(mdl.cell_kind, p, inp, states[l], rows[l][t % R])
+            states[l], _ = cells.step(mdl.cell_kind, p, inp, states[l], rows[l][t % R], gates[l])
             inp = states[l].h
         top_steps.append(inp)
 

@@ -175,6 +175,8 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         seen += len(idx)
         steps += 1
+        # free this step's traces before the next forward allocates its own
+        del logits, tape, dlogits
     wall_ms = int((time.monotonic() - t0) * 1000)
     record = MetricsRecord(
         epoch=epoch, step=step_offset + steps, split="train",
@@ -229,6 +231,7 @@ def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int
             states = None
         loss, tokens, states, tape, dsteps = _lm_window_loss(model, inputs, targets, states, True, rng)
         _optimizer_step(model, opt, tape, loss, dsteps, clip_norm, "LM", epoch, step_offset + steps)
+        del tape, dsteps  # free this window's traces and (T, B, V) gradient before the next forward
         total_loss += loss * tokens
         total_tokens += tokens
         steps += 1

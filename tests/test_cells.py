@@ -198,8 +198,8 @@ class TestRauStep:
         rng = Rng(81)
         p = init_rau(2, 3, 0.5, rng)
         _, tr = rau_step(p, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 3))
-        widths = {"xh": 5, "z": 3, "r": 3, "xrh": 5, "hc": 3, "u": 5, "v": 5, "ha": 3}
-        assert {name: a.shape for name, a in vars(tr).items()} == {name: (w,) for name, w in widths.items()}
+        widths = {"xh": (5,), "rz": (2, 3), "r": (3,), "z": (3,), "xrh": (5,), "hc": (3,), "u": (5,), "v": (5,), "ha": (3,)}
+        assert {name: a.shape for name, a in vars(tr).items()} == widths
         assert all(np.all(np.isfinite(a)) for a in vars(tr).values())
 
 

@@ -68,6 +68,19 @@ class TestTrainCommand:
         assert "max_steps must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "synthetic-rau-seed7").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["lr", "clip_norm", "init_scale"])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, field, value):
+        # as a flag and as a config file value; NaN used to switch clipping off silently
+        flag = f"--{field.replace('_', '-')}={value}"  # "=" keeps argparse from reading -inf as an option
+        assert main(_train_args(tmp_path, "--max-steps", "1", flag)) == EXIT_BAD_CONFIG
+        assert f"{field} must be finite" in capsys.readouterr().err
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: float(value)}))
+        assert main(_train_args(tmp_path, "--max-steps", "1", "--config", str(cfg_file))) == EXIT_BAD_CONFIG
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "synthetic-rau-seed7").exists()
+
     def test_config_file_merged_under_flags(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"hidden": 32, "lr": 0.5}))

@@ -92,6 +92,17 @@ class TestSoftmax:
         v = np.array(vals)
         assert np.allclose(softmax(v + c), softmax(v), atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (4, 2, 6)])
+    def test_out_and_in_place_equal_the_allocating_form_bitwise(self, shape):
+        v = Rng(12).uniform(-5, 5, shape)
+        shifted = v - v.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=-1, keepdims=True)
+        out = np.empty_like(v)
+        assert softmax(v, out=out) is out and out.tobytes() == want.tobytes()
+        assert softmax(v).tobytes() == want.tobytes()
+        assert softmax(v, out=v) is v and v.tobytes() == want.tobytes()
+
 
 class TestInitMatrix:
     def test_scale_bound(self):

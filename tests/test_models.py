@@ -158,10 +158,13 @@ class TestTape:
     """The tape keeps one (T, B, width) array per trace field the backward reads, and nothing else."""
 
     FIELDS = {
-        "gru": {"xh": "m+n", "z": "n", "r": "n", "xrh": "m+n", "hc": "n"},
-        "rau": {"xh": "m+n", "z": "n", "r": "n", "xrh": "m+n", "hc": "n", "u": "m+n", "v": "m+n", "ha": "n"},
-        "lstm": {"xh": "m+n", "f": "n", "i": "n", "o": "n", "g": "n", "c_prev": "n"},
+        "gru": {"xh": "m+n", "rz": "2n", "xrh": "m+n", "hc": "n"},
+        "rau": {"xh": "m+n", "rz": "2n", "xrh": "m+n", "hc": "n", "u": "m+n", "v": "m+n", "ha": "n"},
+        "lstm": {"xh": "m+n", "fiog": "4n", "c_prev": "n"},
     }
+    # per-gate views into the fused gate field, which the trace carries beside the fields
+    VIEWS = {"gru": {"r": "rz", "z": "rz"}, "rau": {"r": "rz", "z": "rz"},
+             "lstm": {"f": "fiog", "i": "fiog", "o": "fiog", "g": "fiog"}}
 
     @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
     def test_trace_fields_equal_the_kind_table(self, kind):
@@ -170,9 +173,15 @@ class TestTape:
         _, tape = classify_forward(mdl, Rng(3).uniform(-1, 1, (B, T, 3)), train_mode=True, rng=Rng(4))
         assert len(tape.traces) == 2
         for p, trace in zip(mdl.cells, tape.traces):
-            width = {"n": n, "m+n": p.input_size + n}
-            want = {name: (T, B, width[w]) for name, w in self.FIELDS[kind].items()}
+            # the fused gate field is gate-major: (T, gates, B, n)
+            width = {"n": (n,), "2n": (2, B, n), "4n": (4, B, n), "m+n": (p.input_size + n,)}
+            want = {name: (T, *width[w]) if w[0].isdigit() else (T, B, *width[w])
+                    for name, w in self.FIELDS[kind].items()}
+            want.update({name: (T, B, n) for name in self.VIEWS[kind]})
             assert {name: a.shape for name, a in vars(trace).items()} == want
+            for j, (name, fused) in enumerate(self.VIEWS[kind].items()):
+                view, block = getattr(trace, name), getattr(trace, fused)
+                assert view[0].flags.c_contiguous and view.ctypes.data == block.ctypes.data + 8 * j * B * n
             assert "alpha" not in vars(trace)
         assert [mask.shape for mask in tape.in_masks] == [(T, B, p.input_size) for p in mdl.cells]
 
@@ -181,7 +190,8 @@ class TestTape:
         # per step: B times the trace fields and the top hidden state the forward
         # keeps, plus up to 4 KiB of array and row objects
         B, m, n = 64, 3, 32
-        floats = sum(n if w == "n" else m + n for w in self.FIELDS[kind].values()) + n
+        width = {"n": n, "2n": 2 * n, "4n": 4 * n, "m+n": m + n}
+        floats = sum(width[w] for w in self.FIELDS[kind].values()) + n
         mdl = build_classifier(kind, m, n, 1, 5, 0.5, Rng(0))
         peaks = []
         for T in (8, 64):

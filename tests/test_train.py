@@ -1,12 +1,13 @@
 """Optimizers, schedules, and the training loops."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rau.autograd import Grads, backward, clip_global_norm
-from rau.cells import iter_tensors
+from rau.cells import iter_tensors, new_trace
 from rau.data import synthetic_memorization
 from rau.linalg import ContractError, NumericError, Rng
 from rau.models import build_classifier, classify_forward, cross_entropy
@@ -206,6 +207,24 @@ class TestMemorizationLearning:
             epoch += 1
         final_loss, acc = evaluate_classifier(mdl, xs, ys)
         assert final_loss < 0.2 * initial_loss, (kind, initial_loss, final_loss, acc)
+
+
+class TestStepMemory:
+    def test_classifier_epoch_holds_one_step_tape_at_a_time(self):
+        # the next forward's trace must not be allocated while the last step's tape is alive
+        B, T, m, n = 32, 28, 8, 32
+        xs, ys = synthetic_memorization(Rng(20), 3 * B, T, m, 4, 0.25)
+        mdl = build_classifier("rau", m, n, 1, 4, 0.5, Rng(21))
+        opt = make_optimizer("adam", mdl, 1e-3)
+        block = new_trace("rau", T, (B,), m, n).xh.base.nbytes
+        tracemalloc.start()
+        try:
+            _, steps = train_epoch_classifier(mdl, xs, ys, opt, Rng(22), B, 1, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 3
+        assert peak < 2 * block
 
 
 class TestTrainEpochLm:

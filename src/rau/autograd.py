@@ -15,12 +15,11 @@ no code with the analytic path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cells import CellParams, Trace, _kind, gate_block, iter_tensors, new_trace, step, zero_state
+from .cells import CellParams, Trace, _kind, gate_block, iter_tensors, new_trace, step, weight_stacks, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -65,8 +64,9 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
 # into a buffer per gate group and forms its input gradient with one GEMM
 # against the group's row-stacked weights. The buffers hold up to
 # DW_GEMM_ROWS rows (steps x batch). Each time they fill, and at the start
-# of the window, each group's weight gradient gets one
-# (rows, k).T @ (rows, m+n) GEMM and its bias gradient one sum. A ptb-small
+# of the window, the span's rows of the shared trace fields are rebuilt,
+# and each group's weight gradient gets one ((rows, m+n).T @ (rows, k)).T
+# GEMM and its bias gradient one sum. A ptb-small
 # window (20 x 20 rows) thus takes one GEMM per group. A row-MNIST window
 # (28 x 128 rows) takes seven; there, buffers of 512 rows stay in cache
 # and make the whole backward ~10% faster than buffers of 1024 rows or
@@ -83,6 +83,9 @@ def backward_cell_sequence(
     dh_steps: Sequence[np.ndarray] | None = None,
     grads: Grads | None = None,
     prefix: str = "",
+    *,
+    stacks: list | None = None,
+    want_dx: bool = True,
 ):
     """BPTT over one cell layer's recorded steps, the rows of its trace.
 
@@ -91,7 +94,9 @@ def backward_cell_sequence(
     each step's backward, one entry per recorded step. Accumulates into
     `grads` under `prefix` and returns (grads, dx_steps, dh0) where
     dx_steps[t] is the gradient of that step's input; dx_steps is one
-    (T, ..., m) array.
+    (T, ..., m) array. With want_dx False no step computes its input
+    gradient and dx_steps is None. stacks is `cells.weight_stacks` of
+    params, built here if None.
     """
     k = _kind(kind)
     T, batch = trace.lead
@@ -103,11 +108,12 @@ def backward_cell_sequence(
         return grads, [], None
     m, n = params.input_size, params.hidden_size
     span = min(T, max(1, DW_GEMM_ROWS // int(np.prod(batch))))
-    # a one-weight group is used as is: concatenate would copy it
-    stacks = [np.concatenate(attrgetter(*paths)(params)) if len(paths) > 1 else attrgetter(*paths)(params)
-              for paths, _, _ in k.groups]
+    if stacks is None:
+        stacks = weight_stacks(kind, params)
     deltas = [np.empty((span,) + batch + (w.shape[0],)) for w in stacks]
-    dx_steps = np.empty((T,) + batch + (m,))
+    # a shared field's rows are one row, the last step's; each span's rows are rebuilt here
+    rebuilt = [(name, fill, np.empty((span,) + getattr(trace, name).shape[1:])) for name, _, fill in k.shared]
+    dx_steps = np.empty((T,) + batch + (m,)) if want_dx else None
     dh = np.zeros(batch + (n,))
     if dh_last is not None:
         dh = dh + dh_last
@@ -116,18 +122,23 @@ def backward_cell_sequence(
         if dh_steps is not None and dh_steps[t] is not None:
             dh = dh + dh_steps[t]
         lo = t - t % span
-        dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in deltas], dx_steps[t], m, n)
+        dx = None if dx_steps is None else dx_steps[t]
+        dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in deltas], dx, m, n)
         if t == lo:
-            _add_weight_grads(k.groups, deltas, trace, lo, grads, prefix)
+            rows = trace.row(slice(lo, lo + span))
+            for name, fill, buf in rebuilt:
+                setattr(rows, name, fill(rows, m, buf[:len(rows.xh)]))
+            _add_weight_grads(k.groups, deltas, rows, grads, prefix)
     return grads, dx_steps, dh
 
 
-def _add_weight_grads(groups, deltas, trace: Trace, lo: int, grads: Grads, prefix: str) -> None:
-    """Per gate group, one GEMM of the buffered deltas against the span's step inputs from row lo, and one bias sum."""
+def _add_weight_grads(groups, deltas, rows: Trace, grads: Grads, prefix: str) -> None:
+    """Per gate group, one GEMM of the buffered deltas against the span's step inputs, the trace rows given, and one bias sum."""
     for (w_paths, b_paths, field_name), buf in zip(groups, deltas):
-        inputs = getattr(trace, field_name)[lo:lo + len(buf)]
+        inputs = getattr(rows, field_name)
         flat = buf[:len(inputs)].reshape(-1, buf.shape[-1])
-        _add_row_blocks(grads, prefix, w_paths, flat.T @ inputs.reshape(flat.shape[0], -1))
+        # the same product as flat.T @ inputs, and the faster GEMM order at these (rows, k) x (rows, m+n) shapes
+        _add_row_blocks(grads, prefix, w_paths, (inputs.reshape(flat.shape[0], -1).T @ flat).T)
         _add_row_blocks(grads, prefix, b_paths, flat.sum(axis=0))
 
 
@@ -148,8 +159,10 @@ class Tape:
     the head input (the top hidden state of the last step or of every
     step, per the model's readout), the dropout masks of each layer's
     cell inputs (one (T, B, m) array per layer) and of the head input,
-    and the token ids of an embedding. The model is shared, not copied,
-    so a tape is only valid until its parameters are updated.
+    the token ids of an embedding, and each layer's `cells.weight_stacks`,
+    which the forward built for its gate blocks. The model and the stacks
+    are shared, not copied, so a tape is only valid until its parameters
+    are updated.
     """
 
     model: object
@@ -158,6 +171,7 @@ class Tape:
     in_masks: list | None = None
     out_masks: np.ndarray | None = None
     token_ids: np.ndarray | None = None
+    stacks: list | None = None
 
 
 def backward(tape: Tape, dlogits) -> Grads:
@@ -183,6 +197,8 @@ def backward(tape: Tape, dlogits) -> Grads:
 
     dx_steps = None
     for layer in reversed(range(len(model.cells))):
+        # the bottom layer's input gradient is read only to reach an embedding
+        want_dx = layer > 0 or tape.token_ids is not None
         _, dx_steps, _ = backward_cell_sequence(
             model.cell_kind,
             model.cells[layer],
@@ -191,8 +207,10 @@ def backward(tape: Tape, dlogits) -> Grads:
             dh_steps=dh_steps,
             grads=grads,
             prefix=f"cells.{layer}.",
+            stacks=None if tape.stacks is None else tape.stacks[layer],
+            want_dx=want_dx,
         )
-        if tape.in_masks is not None:
+        if want_dx and tape.in_masks is not None:
             dx_steps *= tape.in_masks[layer]
         dh_steps, dh_last = dx_steps, None
 

@@ -6,6 +6,10 @@ last axis. Weight matrices map the concatenation [x, h_prev] (input
 first, hidden second) to the hidden size, so an affine transform is
 `xh @ W.T + b`. A step writes its intermediates into one row of its
 layer's `Trace`; its kind's step backward, next to it, replays that row.
+Only the weight-gradient GEMMs read the GRU and RAU candidate input
+[x, r*h_prev] and the RAU attended input u*xh, and one multiply rebuilds
+each from recorded fields, so every step writes them into one shared
+scratch row and the backward rebuilds them a span of steps at a time.
 `_KINDS` is the one table of the kinds. A kind's gates (GRU and RAU
 r|z, LSTM f|i|o|g) form one block: one matmul, a GEMM batched over the
 gates against the stacked weights of `gate_block`, writes them into one
@@ -116,7 +120,10 @@ class Trace(SimpleNamespace):
     h_prev by slicing at the input size. The fused gate field (GRU and
     RAU `rz`, LSTM `fiog`) holds the kind's gates gate-major, (rows, k,
     *batch, n); the trace also carries one view per gate (`r`, `z`;
-    `f`, `i`, `o`, `g`), each row of which is contiguous.
+    `f`, `i`, `o`, `g`), each row of which is contiguous. A shared field
+    (GRU and RAU `xrh`, RAU `v`) has a row axis of stride 0: all its rows
+    are one scratch row that every step overwrites, so after the steps
+    each row reads the last step's values.
     """
 
     @property
@@ -124,21 +131,24 @@ class Trace(SimpleNamespace):
         """(rows, batch shape), read off the leading axes all fields share."""
         return len(self.xh), self.xh.shape[1:-1]
 
-    def row(self, t: int) -> "Trace":
+    def row(self, t: int | slice) -> "Trace":
+        """Row t's fields as views (rows t, for a slice)."""
         return Trace(**{name: buf[t] for name, buf in vars(self).items()})
 
 
 def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
     """An unfilled trace of `rows` steps of a cell kind with input size m and hidden size n.
 
-    The fields are consecutive pieces of one block: the allocator maps and unmaps a train trace
-    (tens of MB) whole, where one array per field grew and trimmed the heap on every call.
+    The fields, then each shared field's one row, are consecutive pieces of one block: the
+    allocator maps and unmaps a train trace (tens of MB) whole, where one array per field grew
+    and trimmed the heap on every call.
     """
     k = _kind(kind)
     fused, gates, _ = k.block
     width = {"n": n, "m+n": m + n, f"{len(gates)}n": len(gates) * n}
-    lead = rows * math.prod(batch)
-    block = np.empty(lead * sum(width[w] for _, w in k.fields))
+    per_row = math.prod(batch)
+    lead = rows * per_row
+    block = np.empty(lead * sum(width[w] for _, w in k.fields) + per_row * sum(width[w] for _, w, _ in k.shared))
     trace, start = Trace(), 0
     for name, w in k.fields:
         shape = (rows, len(gates), *batch, n) if name == fused else (rows, *batch, width[w])
@@ -146,20 +156,41 @@ def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
         start += lead * width[w]
     for j, gate in enumerate(gates):
         setattr(trace, gate, getattr(trace, fused)[:, j])
+    for name, w, _ in k.shared:
+        one = block[start:start + per_row * width[w]].reshape(1, *batch, width[w])
+        # more rows view it through a row axis of stride 0; a one-row trace (eval, a lone step) skips
+        # np.ndarray, which costs ~2 us a call to reshape's ~0.5
+        setattr(trace, name, one if rows == 1 else np.ndarray((rows, *one.shape[1:]), buffer=one,
+                                                               strides=(0, *one.strides[1:])))
+        start += one.size
     return trace
 
 
-def gate_block(kind: str, p: CellParams) -> tuple[np.ndarray, np.ndarray]:
+def weight_stacks(kind: str, p: CellParams) -> list:
+    """Each gate group's weights, row-stacked in group order: the backward's GEMM operands.
+
+    A one-weight group's stack is that weight itself, since concatenate
+    would copy it; the others are copies, so build them again after the
+    parameters change. The first, the xh group's, starts with the fused
+    gate block's weights, and `gate_block` can view them in it.
+    """
+    return [np.concatenate(attrgetter(*paths)(p)) if len(paths) > 1 else attrgetter(*paths)(p)
+            for paths, _, _ in _kind(kind).groups]
+
+
+def gate_block(kind: str, p: CellParams, stack: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The kind's k gates' weights and biases, stacked for one batched GEMM into the fused gate field.
 
     Returns a (k, m+n, n) weight array, gate j being w_j.T (a transposed
     view of one stacked copy, so each gate's product is computed as
-    `xh @ w_j.T` is), and a (k, n) bias array. Both are copies: build
-    them again after the parameters change.
+    `xh @ w_j.T` is), and a (k, n) bias array. The weights view the first
+    k*n rows of stack, the xh group's entry of `weight_stacks`, or a new
+    copy of only the gates' weights if stack is None; the biases are a
+    copy. Build them again after the parameters change.
     """
     _, gates, (weights, biases) = _kind(kind).block
-    w = np.concatenate([attrgetter(path)(p) for path in weights])
     b = np.concatenate([attrgetter(path)(p) for path in biases])
+    w = np.concatenate([attrgetter(path)(p) for path in weights]) if stack is None else stack[:len(b)]
     n = len(b) // len(gates)
     return w.reshape(len(gates), n, -1).transpose(0, 2, 1), b.reshape(len(gates), n)
 
@@ -193,6 +224,21 @@ def _check_dims(m: int, n: int, x: np.ndarray, h_prev: np.ndarray, op: str) -> N
         raise ContractError(f"{op}: batch shapes differ, {x.shape[:-1]} vs {h_prev.shape[:-1]}")
 
 
+# The backward rebuilds the shared fields of a span of rows with these. Each is the step's own
+# expression: xh's halves are x and h_prev to the bit. The steps inline them, since at one-row
+# shapes a function call per step cost RAU about 5% of its eval throughput.
+def _fill_xrh(tr: Trace, m: int, out: np.ndarray) -> np.ndarray:
+    """[x, r*h_prev], the candidate's input, from tr's xh and r into out."""
+    out[..., :m] = tr.xh[..., :m]
+    np.multiply(tr.r, tr.xh[..., m:], out=out[..., m:])
+    return out
+
+
+def _fill_v(tr: Trace, m: int, out: np.ndarray) -> np.ndarray:
+    """u*xh, the attention-reweighted concatenation, from tr's u and xh into out."""
+    return np.multiply(tr.u, tr.xh, out=out)
+
+
 def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace, gates) -> None:
     """Shared update/reset/candidate computation (used verbatim by RAU), written into tr.
 
@@ -201,25 +247,53 @@ def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace, gates
     m = x.shape[-1]
     xh = np.concatenate([x, h_prev], axis=-1, out=tr.xh)
     sigmoid(_gate_affine(xh, gates, out=tr.rz), out=tr.rz)
+    # `_fill_xrh` from x and h_prev: the elementwise ops run faster on them than on xh's strided halves
     tr.xrh[..., :m] = x
     np.multiply(tr.r, h_prev, out=tr.xrh[..., m:])
     tanh(_affine(tr.xrh, p.w_c, p.b_c, out=tr.hc), out=tr.hc)
 
 
-def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int):
+def _input_grad(d: np.ndarray, w: np.ndarray, m: int, x_cols: bool):
+    """d @ w, a gradient on a step's [x, h] input, as its x part (None unless x_cols) and its h part.
+
+    The parts are two products, d @ w[:, :m] and d @ w[:, m:]: one GEMM
+    over all of w and cut afterwards gives h columns whose bits depend on
+    the BLAS, its thread count and the shapes, so the h part, and with it
+    every parameter gradient, would change with x_cols.
+    """
+    return (d @ w[:, :m] if x_cols else None), d @ w[:, m:]
+
+
+def _gru_deltas(tr: Trace, dz, dhc, w_c, d_xh, d_c, m: int, n: int, x_cols: bool):
     """Shared update/reset/candidate path of one step.
 
     Writes the candidate delta into d_c and the reset and update gate
-    deltas into d_xh[..., :n] and d_xh[..., n:2n]. Returns the gradient
-    on [x, r*h_prev] from the candidate.
+    deltas into d_xh[..., :n] and d_xh[..., n:2n]; dz and dhc serve as
+    scratch. Returns the gradient on [x, r*h_prev] from the candidate,
+    as `_input_grad` splits it.
     """
-    h_prev = tr.xh[..., m:]
-    np.multiply(dhc, 1.0 - tr.hc * tr.hc, out=d_c)
-    dxrh = d_c @ w_c
-    dr = dxrh[..., m:] * h_prev
-    np.multiply(dr * tr.r, 1.0 - tr.r, out=d_xh[..., :n])
-    np.multiply(dz * tr.z, 1.0 - tr.z, out=d_xh[..., n:2 * n])
-    return dxrh
+    t = np.multiply(tr.hc, tr.hc)
+    np.subtract(1.0, t, out=t)
+    np.multiply(dhc, t, out=d_c)
+    dxrh_x, drh = _input_grad(d_c, w_c, m, x_cols)
+    dr = np.multiply(drh, tr.xh[..., m:], out=dhc)
+    dr *= tr.r
+    np.subtract(1.0, tr.r, out=t)
+    np.multiply(dr, t, out=d_xh[..., :n])
+    dz *= tr.z
+    np.subtract(1.0, tr.z, out=t)
+    np.multiply(dz, t, out=d_xh[..., n:2 * n])
+    return dxrh_x, drh
+
+
+def _h_grad(drh, r, dxh_h, dh, z) -> np.ndarray:
+    """The gradient on h_prev: drh*r + dxh_h + dh*(1-z), summed in that order into drh; dxh_h serves as scratch."""
+    drh *= r
+    drh += dxh_h
+    np.subtract(1.0, z, out=dxh_h)
+    np.multiply(dh, dxh_h, out=dxh_h)
+    drh += dxh_h
+    return drh
 
 
 def _mix(h_prev: np.ndarray, z: np.ndarray, z_new: np.ndarray) -> np.ndarray:
@@ -242,15 +316,14 @@ def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
 
 
 def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
-    h_prev = tr.xh[..., m:]
-    dz = dh * (tr.hc - h_prev)
-    dxrh = _gru_deltas(tr, dz, dh * tr.z, w[1], d[0], d[1], m, n)
-    dxh = d[0] @ w[0]
-    np.add(dxrh[..., :m], dxh[..., :m], out=dx)
-    dhp = dxrh[..., m:] * tr.r
-    dhp += dxh[..., m:]
-    dhp += dh * (1.0 - tr.z)
-    return dhp, None
+    x_cols = dx is not None
+    dz = np.subtract(tr.hc, tr.xh[..., m:])
+    np.multiply(dh, dz, out=dz)
+    dxrh_x, drh = _gru_deltas(tr, dz, dh * tr.z, w[1], d[0], d[1], m, n, x_cols)
+    dxh_x, dxh_h = _input_grad(d[0], w[0], m, x_cols)
+    if x_cols:
+        np.add(dxrh_x, dxh_x, out=dx)
+    return _h_grad(drh, tr.r, dxh_h, dh, tr.z), None
 
 
 def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, gates=None, *,
@@ -273,7 +346,7 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     _gru_gates(p.gru, x, h_prev, tr, gate_block("rau", p) if gates is None else gates)
     if attended_override is None:
         softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
-        np.multiply(tr.u, tr.xh, out=tr.v)
+        np.multiply(tr.u, tr.xh, out=tr.v)  # `_fill_v`
         tanh(_affine(tr.v, p.w_u, p.b_u, out=tr.ha), out=tr.ha)
     else:
         tr.ha[...] = attended_override
@@ -284,24 +357,30 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
 
 
 def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
-    h_prev = tr.xh[..., m:]
-    mix = (tr.hc + tr.ha) / 2.0
-    dz = dh * (mix - h_prev)
-    dhc = dh * tr.z * 0.5  # = dha: the mix weighs candidate and attended alike
+    x_cols = dx is not None
+    dz = np.add(tr.hc, tr.ha)
+    dz /= 2.0
+    dz -= tr.xh[..., m:]
+    np.multiply(dh, dz, out=dz)
+    dhc = dh * tr.z
+    dhc *= 0.5  # = dha: the mix weighs candidate and attended alike
     # attention branch; softmax backward: dalpha = u * (du - <du, u>)
-    np.multiply(dhc, 1.0 - tr.ha * tr.ha, out=d[2])
+    t = np.multiply(tr.ha, tr.ha)
+    np.subtract(1.0, t, out=t)
+    np.multiply(dhc, t, out=d[2])
     dv = d[2] @ w[2]
     du = dv * tr.xh
     inner = np.sum(du * tr.u, axis=-1, keepdims=True)
-    np.multiply(tr.u, du - inner, out=d[0][..., 2 * n:])
-    dxrh = _gru_deltas(tr, dz, dhc, w[1], d[0], d[1], m, n)
-    dxh = d[0] @ w[0]
-    dxh += dv * tr.u
-    np.add(dxrh[..., :m], dxh[..., :m], out=dx)
-    dhp = dxrh[..., m:] * tr.r
-    dhp += dxh[..., m:]
-    dhp += dh * (1.0 - tr.z)
-    return dhp, None
+    du -= inner
+    np.multiply(tr.u, du, out=d[0][..., 2 * n:])
+    dxrh_x, drh = _gru_deltas(tr, dz, dhc, w[1], d[0], d[1], m, n, x_cols)
+    dxh_x, dxh_h = _input_grad(d[0], w[0], m, x_cols)
+    dvu = np.multiply(dv, tr.u, out=du)
+    dxh_h += dvu[..., m:]
+    if x_cols:
+        dxh_x += dvu[..., :m]
+        np.add(dxrh_x, dxh_x, out=dx)
+    return _h_grad(drh, tr.r, dxh_h, dh, tr.z), None
 
 
 def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None, gates=None):
@@ -329,19 +408,33 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None =
 
 def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
     # the trace keeps no c: this is the forward's expression, so it is bitwise the forward's c
-    tc = np.tanh(tr.f * tr.c_prev + tr.i * tr.g)
+    tc = np.multiply(tr.f, tr.c_prev)
+    t = np.multiply(tr.i, tr.g)
+    tc += t
+    np.tanh(tc, out=tc)
     do = dh * tc
-    dc = dh * tr.o * (1.0 - tc * tc)
+    dc = dh * tr.o
+    np.multiply(tc, tc, out=t)
+    np.subtract(1.0, t, out=t)
+    dc *= t
     if dc_next is not None:
         dc += dc_next
+    # t and tc hold, gate by gate, the product of its factors and its activation's slope
     fiog = d[0]
-    np.multiply(dc * tr.c_prev * tr.f, 1.0 - tr.f, out=fiog[..., :n])
-    np.multiply(dc * tr.g * tr.i, 1.0 - tr.i, out=fiog[..., n:2 * n])
-    np.multiply(do * tr.o, 1.0 - tr.o, out=fiog[..., 2 * n:3 * n])
-    np.multiply(dc * tr.i, 1.0 - tr.g * tr.g, out=fiog[..., 3 * n:])
-    dxh = fiog @ w[0]
-    dx[...] = dxh[..., :m]
-    return dxh[..., m:], dc * tr.f
+    np.multiply(dc, tr.c_prev, out=t)
+    t *= tr.f
+    np.multiply(t, np.subtract(1.0, tr.f, out=tc), out=fiog[..., :n])
+    np.multiply(dc, tr.g, out=t)
+    t *= tr.i
+    np.multiply(t, np.subtract(1.0, tr.i, out=tc), out=fiog[..., n:2 * n])
+    do *= tr.o
+    np.multiply(do, np.subtract(1.0, tr.o, out=tc), out=fiog[..., 2 * n:3 * n])
+    np.multiply(tr.g, tr.g, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(np.multiply(dc, tr.i, out=tc), t, out=fiog[..., 3 * n:])
+    if dx is not None:
+        np.matmul(fiog, w[0][:, :m], out=dx)
+    return fiog @ w[0][:, m:], np.multiply(dc, tr.f, out=do)
 
 
 def init_gru(m: int, n: int, scale: float, rng: Rng) -> GruParams:
@@ -385,10 +478,13 @@ class _Kind(NamedTuple):
     step: Callable      # (params, x, h, or the CellState if has_c, trace row or None, gate_block or None)
                         # -> (next h or CellState, trace row)
     backward: Callable  # (trace row, dh, dc from the step after or None, stacked weights and this step's
-                        # delta rows, both in group order, dx row, m, n) -> (dh_prev, dc_prev); writes the deltas and dx
+                        # delta rows, both in group order, dx row or None, m, n) -> (dh_prev, dc_prev);
+                        # writes the deltas, and dx unless it is None
     has_c: bool         # the state carries a cell state c
     rows: Callable      # (m, n) -> weight rows; each row holds m+n weights and a bias
     fields: tuple       # (name, width) of each trace field, the width "n", "m+n" or k*n for the fused gates
+    shared: tuple       # (name, width, fill) of each shared scratch field; fill(trace rows, m, out) rebuilds
+                        # its rows from the fields, as the step computes them
     groups: tuple       # per gate group: weight paths, stacked in that order; bias paths; the trace field they multiply
     block: tuple        # the fused gate field, its gates' view names, and (weight paths, bias paths) of its one GEMM
 
@@ -405,17 +501,18 @@ def _block(field: str, views: tuple, *weights: str) -> tuple:
 
 
 # the fused blocks stack their gates in the order of the backward's xh group
-_GRU_FIELDS = (("xh", "m+n"), ("rz", "2n"), ("xrh", "m+n"), ("hc", "n"))
+_GRU_FIELDS = (("xh", "m+n"), ("rz", "2n"), ("hc", "n"))
+_GRU_SHARED = (("xrh", "m+n", _fill_xrh),)
 _KINDS = {
     "rau": _Kind(init_rau, rau_step, _rau_backward, False, lambda m, n: m + 5 * n,
-                 _GRU_FIELDS + (("u", "m+n"), ("v", "m+n"), ("ha", "n")),
+                 _GRU_FIELDS + (("u", "m+n"), ("ha", "n")), _GRU_SHARED + (("v", "m+n", _fill_v),),
                  (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u")),
                  _block("rz", ("r", "z"), "gru.w_r", "gru.w_z")),
-    "gru": _Kind(init_gru, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS,
+    "gru": _Kind(init_gru, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS, _GRU_SHARED,
                  (_group("xh", "w_r", "w_z"), _group("xrh", "w_c")),
                  _block("rz", ("r", "z"), "w_r", "w_z")),
     "lstm": _Kind(init_lstm, lstm_step, _lstm_backward, True, lambda m, n: 4 * n,
-                  (("xh", "m+n"), ("fiog", "4n"), ("c_prev", "n")),
+                  (("xh", "m+n"), ("fiog", "4n"), ("c_prev", "n")), (),
                   (_group("xh", "w_f", "w_i", "w_o", "w_g"),),
                   _block("fiog", ("f", "i", "o", "g"), "w_f", "w_i", "w_o", "w_g")),
 }

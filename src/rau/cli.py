@@ -300,20 +300,27 @@ def run_experiment(cfg: RunConfig, out_dir: Path) -> list:
         per_epoch_split = "valid" if lm else "test"
         total_steps = 0
         epoch = 0  # the last epoch run: short of cfg.epochs after a max_steps stop
-        for epoch in range(1, cfg.epochs + 1):
-            opt.lr = lr_at(schedule, epoch)
-            if lm:
-                rec, steps = train_epoch_lm(model, splits["train"], opt, train_rng, cfg.batch_size, cfg.unroll,
-                                            epoch, cfg.seed, cfg.clip_norm, cfg.max_steps, total_steps)
-            else:
-                rec, steps = train_epoch_classifier(model, *splits["train"], opt, train_rng, cfg.batch_size,
-                                                    epoch, cfg.seed, cfg.clip_norm, cfg.max_steps, total_steps)
-            total_steps += steps
-            _emit(records, rec, fh)
-            _emit(records, _evaluate(cfg, model, splits[per_epoch_split], epoch, total_steps, per_epoch_split), fh)
-            save_checkpoint(ckpt_path, model, dataclasses.asdict(cfg))
-            if cfg.max_steps is not None and total_steps >= cfg.max_steps:
-                break
+        saved = None  # the checkpoint this run last wrote; a model.bin already in out_dir may be another run's
+        try:
+            for epoch in range(1, cfg.epochs + 1):
+                opt.lr = lr_at(schedule, epoch)
+                if lm:
+                    rec, steps = train_epoch_lm(model, splits["train"], opt, train_rng, cfg.batch_size, cfg.unroll,
+                                                epoch, cfg.seed, cfg.clip_norm, cfg.max_steps, total_steps)
+                else:
+                    rec, steps = train_epoch_classifier(model, *splits["train"], opt, train_rng, cfg.batch_size,
+                                                        epoch, cfg.seed, cfg.clip_norm, cfg.max_steps, total_steps)
+                total_steps += steps
+                _emit(records, rec, fh)
+                _emit(records, _evaluate(cfg, model, splits[per_epoch_split], epoch, total_steps, per_epoch_split),
+                      fh)
+                save_checkpoint(ckpt_path, model, dataclasses.asdict(cfg))
+                saved = str(ckpt_path)
+                if cfg.max_steps is not None and total_steps >= cfg.max_steps:
+                    break
+        except DivergenceError as e:
+            e.checkpoint_path = saved
+            raise
         if lm:
             _emit(records, _evaluate(cfg, model, splits["test"], epoch, total_steps, "test"), fh)
     return records
@@ -335,8 +342,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except DivergenceError as e:
-        ckpt = out_dir / "model.bin"
-        where = f"; last good checkpoint: {ckpt}" if ckpt.exists() else ""
+        where = f"; last good checkpoint: {e.checkpoint_path}" if e.checkpoint_path else ""
         print(f"error: {e}{where}", file=sys.stderr)
         return EXIT_DIVERGED
     final = records[-1]

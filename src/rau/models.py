@@ -121,8 +121,9 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     records into one `cells.Trace`: T rows in train mode, for the tape,
     and in eval mode one row that every step overwrites, so an eval
     pass's memory does not grow with the sequence length. Each layer's
-    stacked gate weights are built once per call. Returns (logits, final
-    states, tape or None).
+    stacked gate weights are built once per call; in train mode they are
+    a view into the layer's `cells.weight_stacks`, which the tape keeps
+    for the backward. Returns (logits, final states, tape or None).
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -140,7 +141,9 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     R = T if train_mode else 1
     traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
-    gates = [cells.gate_block(mdl.cell_kind, p) for p in mdl.cells]
+    stacks = [cells.weight_stacks(mdl.cell_kind, p) for p in mdl.cells] if train_mode else None
+    gates = [cells.gate_block(mdl.cell_kind, p, None if stacks is None else stacks[l][0])
+             for l, p in enumerate(mdl.cells)]
     in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells] if use_drop else None
     top_steps = []
     for t in range(T):
@@ -163,7 +166,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     logits += mdl.b_out
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
-    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
+    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids, stacks) if train_mode else None
     return logits, states, tape
 
 

@@ -25,7 +25,10 @@ DEFAULT_CLIP_NORM = 5.0
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient.
+
+    checkpoint_path is the last checkpoint the diverged run wrote, or None if it wrote none.
+    """
 
     def __init__(self, message: str, checkpoint_path: str | None = None):
         super().__init__(message)

@@ -38,8 +38,10 @@ def _acc_bias(db, da):
 
 def _ref_gru_branch(p, tr, dz, dhc, g, prefix, m):
     h_prev = tr.xh[..., m:]
+    # the trace keeps one shared xrh row; the candidate input is [x, r*h_prev]
+    xrh = np.concatenate([tr.xh[..., :m], tr.r * h_prev], axis=-1)
     dac = dhc * (1.0 - tr.hc * tr.hc)
-    _acc_outer(g[prefix + "w_c"], dac, tr.xrh)
+    _acc_outer(g[prefix + "w_c"], dac, xrh)
     _acc_bias(g[prefix + "b_c"], dac)
     dxrh = dac @ p.w_c
     dx = dxrh[..., :m].copy()
@@ -69,7 +71,8 @@ def _ref_rau_step(p, tr, dh, g, prefix):
     dz = dh * ((tr.hc + tr.ha) / 2.0 - tr.xh[..., m:])
     dmix = dh * tr.z
     dau = dmix * 0.5 * (1.0 - tr.ha * tr.ha)
-    _acc_outer(g[prefix + "w_u"], dau, tr.v)
+    # the trace keeps one shared v row; the attended input is u*xh
+    _acc_outer(g[prefix + "w_u"], dau, tr.u * tr.xh)
     _acc_bias(g[prefix + "b_u"], dau)
     dv = dau @ p.w_u
     du = dv * tr.xh

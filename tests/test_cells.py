@@ -277,8 +277,9 @@ class TestKindTable:
         for m, n in [(1, 2), (3, 2), (5, 7)]:
             tensors = dict(iter_tensors(init_cell(kind, m, n, 0.1, Rng(6))))
             rows = 0
+            widths = dict(k.fields) | {name: w for name, w, _ in k.shared}
             for weights, biases, field in k.groups:
-                assert dict(k.fields)[field] == "m+n"
+                assert widths[field] == "m+n"
                 for w, b in zip(weights, biases):
                     assert tensors[w].shape[1] == m + n and tensors[b].shape == tensors[w].shape[:1]
                     rows += tensors[w].shape[0]

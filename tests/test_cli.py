@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from rau import cli
 from rau.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_DIVERGED,
     PRESETS,
     RunConfig,
     build_parser,
@@ -15,6 +17,7 @@ from rau.cli import (
     resolve_config,
 )
 from rau.linalg import Rng
+from rau.train import DivergenceError
 from rau.models import build_classifier, build_language_model, save_checkpoint
 
 
@@ -42,6 +45,31 @@ class TestTrainCommand:
         for r in rec_a + rec_b:
             del r["wall_ms"]
         assert rec_a == rec_b
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_no_checkpoint_of_an_earlier_run(self, tmp_path, capsys):
+        # the first run saves model.bin; the second diverges at step 1, before it saves any
+        assert main(_train_args(tmp_path, "--max-steps", "5", "--lr", "1e300")) == 0
+        capsys.readouterr()
+        rc = main(_train_args(tmp_path, "--max-steps", "5", "--optimizer", "sgd", "--lr", "1e308"))
+        err = capsys.readouterr().err
+        assert rc == EXIT_DIVERGED
+        assert "diverged at epoch 1, step 1" in err and "checkpoint" not in err
+
+    def test_divergence_names_the_checkpoint_this_run_wrote(self, tmp_path, capsys, monkeypatch):
+        epoch_one = cli.train_epoch_classifier
+
+        def diverge_in_epoch_two(*args):
+            if args[6] == 2:
+                raise DivergenceError("classifier loss diverged at epoch 2, step 4")
+            return epoch_one(*args)
+
+        monkeypatch.setattr(cli, "train_epoch_classifier", diverge_in_epoch_two)
+        rc = main(["train", "--task", "synthetic", "--cell", "gru", "--epochs", "2", "--hidden", "8",
+                   "--seed", "7", "--out", str(tmp_path)])
+        assert rc == EXIT_DIVERGED
+        ckpt = tmp_path / "synthetic-gru-seed7" / "model.bin"
+        assert ckpt.exists() and capsys.readouterr().err.endswith(f"; last good checkpoint: {ckpt}\n")
 
     def test_bad_task_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--task", "ptb", "--out", str(tmp_path)])

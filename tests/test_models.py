@@ -158,10 +158,12 @@ class TestTape:
     """The tape keeps one (T, B, width) array per trace field the backward reads, and nothing else."""
 
     FIELDS = {
-        "gru": {"xh": "m+n", "rz": "2n", "xrh": "m+n", "hc": "n"},
-        "rau": {"xh": "m+n", "rz": "2n", "xrh": "m+n", "hc": "n", "u": "m+n", "v": "m+n", "ha": "n"},
+        "gru": {"xh": "m+n", "rz": "2n", "hc": "n"},
+        "rau": {"xh": "m+n", "rz": "2n", "hc": "n", "u": "m+n", "ha": "n"},
         "lstm": {"xh": "m+n", "fiog": "4n", "c_prev": "n"},
     }
+    # one scratch row per shared field, which every step overwrites: its row axis has stride 0
+    SHARED = {"gru": {"xrh": "m+n"}, "rau": {"xrh": "m+n", "v": "m+n"}, "lstm": {}}
     # per-gate views into the fused gate field, which the trace carries beside the fields
     VIEWS = {"gru": {"r": "rz", "z": "rz"}, "rau": {"r": "rz", "z": "rz"},
              "lstm": {"f": "fiog", "i": "fiog", "o": "fiog", "g": "fiog"}}
@@ -178,10 +180,12 @@ class TestTape:
             want = {name: (T, *width[w]) if w[0].isdigit() else (T, B, *width[w])
                     for name, w in self.FIELDS[kind].items()}
             want.update({name: (T, B, n) for name in self.VIEWS[kind]})
+            want.update({name: (T, B, *width[w]) for name, w in self.SHARED[kind].items()})
             assert {name: a.shape for name, a in vars(trace).items()} == want
             for j, (name, fused) in enumerate(self.VIEWS[kind].items()):
                 view, block = getattr(trace, name), getattr(trace, fused)
                 assert view[0].flags.c_contiguous and view.ctypes.data == block.ctypes.data + 8 * j * B * n
+            assert all(getattr(trace, name).strides[0] == 0 for name in self.SHARED[kind])
             assert "alpha" not in vars(trace)
         assert [mask.shape for mask in tape.in_masks] == [(T, B, p.input_size) for p in mdl.cells]
 

@@ -5,7 +5,8 @@ layer; this module replays it backwards, a whole window per cell layer, and
 computes exact analytic gradients for every parameter tensor; each kind's
 step backward and gate groups come from the `cells` table. Keys in the resulting `Grads` mirror
 `cells.iter_tensors` paths over the parameter container, so optimizer
-updates and finite-difference checks can walk the same structure.
+updates and finite-difference checks can walk the same structure, and
+the gradients share the parameters' layout: one buffer per cell.
 
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
@@ -19,24 +20,55 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cells import CellParams, Trace, _kind, gate_block, iter_tensors, new_trace, step, weight_stacks, zero_state
+from .cells import (CellParams, Trace, _kind, buffer_blocks, iter_buffers, iter_tensors, new_trace, step,
+                    weight_stacks, zero_state)
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
 
 
 class Grads(dict):
-    """Gradient buffers keyed by dotted tensor path."""
+    """Gradient arrays keyed by dotted tensor path.
+
+    `zeros_like` lays them out as the parameters are, and `buffers` maps each buffer's
+    `cells.iter_buffers` key to it, for work done once per buffer (scaling, the optimizer
+    update). A Grads built from a mapping has each tensor as its own buffer.
+    """
+
+    _buffers: dict | None = None
+    _layouts: dict | None = None
 
     @classmethod
-    def zeros_like(cls, params) -> "Grads":
-        return cls((name, np.zeros_like(arr)) for name, arr in iter_tensors(params))
+    def zeros_like(cls, params, prefix: str = "", unset: tuple = ()) -> "Grads":
+        """Zero gradients laid out like params, keyed under prefix; the buffers keyed in unset are left unfilled."""
+        return cls._laid_out((prefix + key, (np.empty_like if key in unset else np.zeros_like)(buf), layout)
+                             for key, buf, layout in iter_buffers(params))
+
+    @classmethod
+    def _laid_out(cls, parts) -> "Grads":
+        """Gradients over (key, buffer, layout) parts: a cell buffer's tensors are views at its layout's offsets."""
+        g = cls()
+        g._buffers, g._layouts = {}, {}
+        for key, buf, layout in parts:
+            g._buffers[key], g._layouts[key] = buf, layout
+            g.update([(key, buf)] if layout is None else layout.views(buf, key))
+        return g
+
+    @property
+    def buffers(self) -> dict:
+        return self if self._buffers is None else self._buffers
+
+    def __deepcopy__(self, memo) -> "Grads":
+        # numpy would copy each view on its own: copy each buffer, and view the copies alike
+        layouts = self._layouts or {}
+        return Grads._laid_out((key, buf.copy(), layouts.get(key)) for key, buf in self.buffers.items())
 
     def global_norm(self) -> float:
+        # one dot per named tensor, in path order, as before the buffers: the sum fixes the clipping scale's bits
         return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in self.values())))
 
     def scale_(self, s: float) -> "Grads":
-        for g in self.values():
+        for g in self.buffers.values():
             g *= s
         return self
 
@@ -66,7 +98,8 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
 # DW_GEMM_ROWS rows (steps x batch). Each time they fill, and at the start
 # of the window, the span's rows of the shared trace fields are rebuilt,
 # and each group's weight gradient gets one ((rows, m+n).T @ (rows, k)).T
-# GEMM and its bias gradient one sum. A ptb-small
+# GEMM, added into the group's rows of the gradient buffer, and its bias
+# gradient one sum. A ptb-small
 # window (20 x 20 rows) thus takes one GEMM per group. A row-MNIST window
 # (28 x 128 rows) takes seven; there, buffers of 512 rows stay in cache
 # and make the whole backward ~10% faster than buffers of 1024 rows or
@@ -84,7 +117,6 @@ def backward_cell_sequence(
     grads: Grads | None = None,
     prefix: str = "",
     *,
-    stacks: list | None = None,
     want_dx: bool = True,
 ):
     """BPTT over one cell layer's recorded steps, the rows of its trace.
@@ -92,24 +124,26 @@ def backward_cell_sequence(
     dh_last seeds the gradient at the final hidden state; dh_steps adds
     a per-step contribution (e.g. from a head or an upper layer) before
     each step's backward, one entry per recorded step. Accumulates into
-    `grads` under `prefix` and returns (grads, dx_steps, dh0) where
+    `grads` under `prefix`, which must be laid out like params (see
+    `Grads.zeros_like`), and returns (grads, dx_steps, dh0) where
     dx_steps[t] is the gradient of that step's input; dx_steps is one
     (T, ..., m) array. With want_dx False no step computes its input
-    gradient and dx_steps is None. stacks is `cells.weight_stacks` of
-    params, built here if None.
+    gradient and dx_steps is None.
     """
     k = _kind(kind)
     T, batch = trace.lead
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grads is None:
-        grads = Grads((prefix + name, np.zeros_like(arr)) for name, arr in iter_tensors(params))
+        grads = Grads.zeros_like(params, prefix)
+    if prefix not in grads.buffers:
+        raise ContractError(f"backward_cell_sequence: no cell gradient buffer under {prefix!r}")
     if T == 0:
         return grads, [], None
     m, n = params.input_size, params.hidden_size
     span = min(T, max(1, DW_GEMM_ROWS // int(np.prod(batch))))
-    if stacks is None:
-        stacks = weight_stacks(kind, params)
+    stacks = weight_stacks(kind, params)
+    dw, db = buffer_blocks(kind, m, n, grads.buffers[prefix])
     deltas = [np.empty((span,) + batch + (w.shape[0],)) for w in stacks]
     # a shared field's rows are one row, the last step's; each span's rows are rebuilt here
     rebuilt = [(name, fill, np.empty((span,) + getattr(trace, name).shape[1:])) for name, _, fill in k.shared]
@@ -128,27 +162,22 @@ def backward_cell_sequence(
             rows = trace.row(slice(lo, lo + span))
             for name, fill, buf in rebuilt:
                 setattr(rows, name, fill(rows, m, buf[:len(rows.xh)]))
-            _add_weight_grads(k.groups, deltas, rows, grads, prefix)
+            _add_weight_grads(k.groups, deltas, rows, dw, db)
     return grads, dx_steps, dh
 
 
-def _add_weight_grads(groups, deltas, rows: Trace, grads: Grads, prefix: str) -> None:
-    """Per gate group, one GEMM of the buffered deltas against the span's step inputs, the trace rows given, and one bias sum."""
-    for (w_paths, b_paths, field_name), buf in zip(groups, deltas):
+def _add_weight_grads(groups, deltas, rows: Trace, dw: np.ndarray, db: np.ndarray) -> None:
+    """Per gate group, one GEMM of the buffered deltas against the span's step inputs, the trace rows given,
+    added into the group's rows of the weight gradient dw, and one bias sum into those of db."""
+    lo = 0
+    for (_, _, field_name), buf in zip(groups, deltas):
         inputs = getattr(rows, field_name)
         flat = buf[:len(inputs)].reshape(-1, buf.shape[-1])
+        hi = lo + flat.shape[1]
         # the same product as flat.T @ inputs, and the faster GEMM order at these (rows, k) x (rows, m+n) shapes
-        _add_row_blocks(grads, prefix, w_paths, (inputs.reshape(flat.shape[0], -1).T @ flat).T)
-        _add_row_blocks(grads, prefix, b_paths, flat.sum(axis=0))
-
-
-def _add_row_blocks(grads: Grads, prefix: str, paths, block: np.ndarray) -> None:
-    """Add consecutive row blocks of a stacked gradient to the tensors at `paths`."""
-    start = 0
-    for path in paths:
-        g = grads[prefix + path]
-        g += block[start:start + g.shape[0]]
-        start += g.shape[0]
+        dw[lo:hi] += (inputs.reshape(flat.shape[0], -1).T @ flat).T
+        db[lo:hi] += flat.sum(axis=0)
+        lo = hi
 
 
 @dataclass
@@ -159,10 +188,8 @@ class Tape:
     the head input (the top hidden state of the last step or of every
     step, per the model's readout), the dropout masks of each layer's
     cell inputs (one (T, B, m) array per layer) and of the head input,
-    the token ids of an embedding, and each layer's `cells.weight_stacks`,
-    which the forward built for its gate blocks. The model and the stacks
-    are shared, not copied, so a tape is only valid until its parameters
-    are updated.
+    and the token ids of an embedding. The model is shared, not copied,
+    so a tape is only valid until its parameters are updated.
     """
 
     model: object
@@ -171,7 +198,6 @@ class Tape:
     in_masks: list | None = None
     out_masks: np.ndarray | None = None
     token_ids: np.ndarray | None = None
-    stacks: list | None = None
 
 
 def backward(tape: Tape, dlogits) -> Grads:
@@ -181,8 +207,7 @@ def backward(tape: Tape, dlogits) -> Grads:
     """
     model = tape.model
     # the head-weight gradient overwrites its whole buffer, so it skips the zero fill
-    grads = Grads((name, np.empty_like(arr) if name == "w_out" else np.zeros_like(arr))
-                  for name, arr in iter_tensors(model))
+    grads = Grads.zeros_like(model, unset=("w_out",))
     flat = np.asarray(dlogits).reshape(-1, model.w_out.shape[0])
     head_in = tape.head_in.reshape(flat.shape[0], -1)
     # (head_in.T @ flat).T equals flat.T @ head_in, and at an LM head's
@@ -207,7 +232,6 @@ def backward(tape: Tape, dlogits) -> Grads:
             dh_steps=dh_steps,
             grads=grads,
             prefix=f"cells.{layer}.",
-            stacks=None if tape.stacks is None else tape.stacks[layer],
             want_dx=want_dx,
         )
         if want_dx and tape.in_masks is not None:
@@ -281,18 +305,16 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, ep
 
         def forward_loss(p):
             state = zero_state(kind, n)
-            gates = gate_block(kind, p)  # after this call's perturbation
             total = 0.0
             for t in range(T):
-                state, _ = step(kind, p, xs[t], state, reused_row, gates)
+                state, _ = step(kind, p, xs[t], state, reused_row)
                 total += float(gs[t] @ state.h)
             return total
 
         state = zero_state(kind, n)
         trace = new_trace(kind, T, (), m, n)
-        gates = gate_block(kind, params)
         for t in range(T):
-            state, _ = step(kind, params, xs[t], state, trace.row(t), gates)
+            state, _ = step(kind, params, xs[t], state, trace.row(t))
         analytic, _, _ = backward_cell_sequence(kind, params, trace, dh_steps=gs)
         if perturb:
             first = next(iter(analytic))

@@ -17,6 +17,12 @@ gate-major trace field, and one sigmoid call activates the sigmoid
 gates. Gate-major keeps each gate contiguous: numpy's elementwise ops
 ran about 3x slower on a (B, n) gate cut from a (B, k*n) block.
 
+A cell's parameters live in one float64 buffer, as packed RNN weights
+do: the (rows, m+n) weights, then the rows biases, in gate-group order
+(RAU w_r w_z w_a | w_c | w_u, GRU w_r w_z | w_c, LSTM w_f w_i w_o w_g).
+Each named tensor, each group's weights and the gate block are views of
+it, and gradients laid out alike are updated once per buffer.
+
 The RAU cell keeps the GRU update/reset/candidate computation unchanged
 and adds an attention gate: a learned affine score per component of
 [x, h_prev], softmax-normalized within the step, reweights the
@@ -28,9 +34,9 @@ attended state with coefficients (1-z), z/2, z/2.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
@@ -41,8 +47,11 @@ from .linalg import ContractError, Rng, init_matrix, sigmoid, softmax, tanh
 _EMPTY = np.zeros(0)
 
 
-class _GateShapes:
-    """hidden_size and input_size, read off the (n, m+n) gate weight named by `_gate`."""
+class _Cell:
+    """Named tensors viewing one `buffer`, with `gates`, its `gate_block`; update them in place, never rebind.
+
+    hidden_size and input_size are read off the (n, m+n) gate weight named by `_gate`.
+    """
 
     _gate = "w_z"
 
@@ -55,9 +64,19 @@ class _GateShapes:
         n, m_plus_n = getattr(self, self._gate).shape
         return m_plus_n - n
 
+    def __reduce__(self):
+        # copy.deepcopy and pickle would copy each view on its own: copy the one buffer and view the copy alike
+        kind, m, n = _KIND_OF[type(self)], self.input_size, self.hidden_size
+        own = self
+        if "buffer" not in vars(self):  # a RAU's GRU part views its RAU's buffer: copy it onto a GRU buffer
+            own = init_cell(kind, m, n, 0.0, None)
+            for (_, a), (_, b) in zip(iter_tensors(own), iter_tensors(self)):
+                a[...] = b
+        return _on_buffer, (kind, m, n, own.buffer)
+
 
 @dataclass
-class GruParams(_GateShapes):
+class GruParams(_Cell):
     """Update gate, reset gate and candidate weights; each (n, m+n) with an n-bias."""
 
     w_z: np.ndarray
@@ -69,7 +88,7 @@ class GruParams(_GateShapes):
 
 
 @dataclass
-class RauParams(_GateShapes):
+class RauParams(_Cell):
     """GRU parameters plus the attention gate.
 
     w_a/b_a score each of the m+n concatenation components; w_u/b_u
@@ -86,7 +105,7 @@ class RauParams(_GateShapes):
 
 
 @dataclass
-class LstmParams(_GateShapes):
+class LstmParams(_Cell):
     """Forget/input/output gates and cell candidate; each (n, m+n) with an n-bias."""
 
     w_f: np.ndarray
@@ -144,7 +163,7 @@ def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
     and trimmed the heap on every call.
     """
     k = _kind(kind)
-    fused, gates, _ = k.block
+    fused, gates = k.block
     width = {"n": n, "m+n": m + n, f"{len(gates)}n": len(gates) * n}
     per_row = math.prod(batch)
     lead = rows * per_row
@@ -166,33 +185,70 @@ def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
     return trace
 
 
+class _Layout(NamedTuple):
+    tensors: tuple  # (path, start, stop, shape) of each named tensor in the buffer, in declaration order
+    weights: int    # the weight block's size, rows * (m+n); the biases follow it
+    groups: tuple   # (first row, end row) of each gate group
+
+    def views(self, buf: np.ndarray, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+        """(prefix + path, view) of each named tensor in buf, a buffer laid out so, in declaration order."""
+        return ((prefix + path, buf[lo:hi].reshape(shape)) for path, lo, hi, shape in self.tensors)
+
+
+@functools.cache
+def _layout(kind: str, m: int, n: int) -> _Layout:
+    """Where each tensor of a cell lies in its buffer; a weight and its bias take the same rows (m+n for w_a)."""
+    k = _kind(kind)
+    weights = k.rows(m, n) * (m + n)
+    at, groups, row = {}, [], 0
+    for w_paths, b_paths, _ in k.groups:
+        groups.append(row)
+        for w, b in zip(w_paths, b_paths):
+            r = m + n if w == "w_a" else n
+            at[w], at[b] = (row * (m + n), (row + r) * (m + n), (r, m + n)), (weights + row, weights + row + r, (r,))
+            row += r
+    paths = [f"gru.{f.name}" for f in dataclasses.fields(GruParams)] if kind == "rau" else []
+    paths = [q for f in dataclasses.fields(k.params) for q in (paths if f.name == "gru" else [f.name])]
+    return _Layout(tuple((q, *at[q]) for q in paths), weights, tuple(zip(groups, groups[1:] + [row])))
+
+
+def buffer_blocks(kind: str, m: int, n: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A cell buffer's (rows, m+n) weight block and its rows biases, as views; gradients are laid out alike."""
+    w = buf[:_layout(kind, m, n).weights]
+    return w.reshape(-1, m + n), buf[w.size:]
+
+
+def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
+    """The cell of a kind whose tensors view buf, a 1-D buffer laid out as `_layout` says."""
+    k = _kind(kind)
+    views = dict(_layout(kind, m, n).views(buf))
+    if kind == "rau":
+        views["gru"] = GruParams(**{f.name: views.pop(f"gru.{f.name}") for f in dataclasses.fields(GruParams)})
+    p = k.params(**views)
+    w, b = buffer_blocks(kind, m, n, buf)
+    j = len(k.block[1])
+    p.buffer = buf
+    # the gates lead the xh group; a transposed view per gate computes its product as `xh @ w_j.T` does
+    p.gates = w[:j * n].reshape(j, n, m + n).transpose(0, 2, 1), b[:j * n].reshape(j, n)
+    if kind == "rau":
+        p.gru.gates = p.gates
+    return p
+
+
 def weight_stacks(kind: str, p: CellParams) -> list:
-    """Each gate group's weights, row-stacked in group order: the backward's GEMM operands.
+    """Each gate group's weights, row-stacked in group order: views of p's buffer, the backward's GEMM operands."""
+    m, n = p.input_size, p.hidden_size
+    w, _ = buffer_blocks(kind, m, n, p.buffer)
+    return [w[lo:hi] for lo, hi in _layout(kind, m, n).groups]
 
-    A one-weight group's stack is that weight itself, since concatenate
-    would copy it; the others are copies, so build them again after the
-    parameters change. The first, the xh group's, starts with the fused
-    gate block's weights, and `gate_block` can view them in it.
+
+def gate_block(kind: str, p: CellParams) -> tuple[np.ndarray, np.ndarray]:
+    """The k gates' (k, m+n, n) weights, gate j being w_j.T, and (k, n) biases for one batched GEMM.
+
+    Both view the leading rows of p's xh group, so they follow in-place updates; a RAU's are its GRU part's.
     """
-    return [np.concatenate(attrgetter(*paths)(p)) if len(paths) > 1 else attrgetter(*paths)(p)
-            for paths, _, _ in _kind(kind).groups]
-
-
-def gate_block(kind: str, p: CellParams, stack: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The kind's k gates' weights and biases, stacked for one batched GEMM into the fused gate field.
-
-    Returns a (k, m+n, n) weight array, gate j being w_j.T (a transposed
-    view of one stacked copy, so each gate's product is computed as
-    `xh @ w_j.T` is), and a (k, n) bias array. The weights view the first
-    k*n rows of stack, the xh group's entry of `weight_stacks`, or a new
-    copy of only the gates' weights if stack is None; the biases are a
-    copy. Build them again after the parameters change.
-    """
-    _, gates, (weights, biases) = _kind(kind).block
-    b = np.concatenate([attrgetter(path)(p) for path in biases])
-    w = np.concatenate([attrgetter(path)(p) for path in weights]) if stack is None else stack[:len(b)]
-    n = len(b) // len(gates)
-    return w.reshape(len(gates), n, -1).transpose(0, 2, 1), b.reshape(len(gates), n)
+    _kind(kind)
+    return p.gates
 
 
 def _trace_row(kind: str, p: CellParams, x: np.ndarray, tr: Trace | None) -> Trace:
@@ -207,7 +263,7 @@ def _affine(inp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def _gate_affine(xh: np.ndarray, gates, out: np.ndarray) -> np.ndarray:
+def _gate_affine(xh: np.ndarray, gates: tuple, out: np.ndarray) -> np.ndarray:
     """Every gate's xh @ w_j.T + b_j at once, into the gate-major out (k, *batch, n); gates is `gate_block`."""
     w, b = gates
     np.matmul(xh, w, out=out)
@@ -239,14 +295,14 @@ def _fill_v(tr: Trace, m: int, out: np.ndarray) -> np.ndarray:
     return np.multiply(tr.u, tr.xh, out=out)
 
 
-def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace, gates) -> None:
+def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace) -> None:
     """Shared update/reset/candidate computation (used verbatim by RAU), written into tr.
 
-    gates is `gate_block` of p: r and z come from one GEMM and one sigmoid.
+    r and z come from one GEMM against p's gate block and one sigmoid.
     """
     m = x.shape[-1]
     xh = np.concatenate([x, h_prev], axis=-1, out=tr.xh)
-    sigmoid(_gate_affine(xh, gates, out=tr.rz), out=tr.rz)
+    sigmoid(_gate_affine(xh, p.gates, out=tr.rz), out=tr.rz)
     # `_fill_xrh` from x and h_prev: the elementwise ops run faster on them than on xh's strided halves
     tr.xrh[..., :m] = x
     np.multiply(tr.r, h_prev, out=tr.xrh[..., m:])
@@ -304,14 +360,11 @@ def _mix(h_prev: np.ndarray, z: np.ndarray, z_new: np.ndarray) -> np.ndarray:
     return h
 
 
-def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, gates=None):
-    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written).
-
-    gates is `gate_block("gru", p)`, built here if None.
-    """
+def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None):
+    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
     tr = _trace_row("gru", p, x, tr)
-    _gru_gates(p, x, h_prev, tr, gate_block("gru", p) if gates is None else gates)
+    _gru_gates(p, x, h_prev, tr)
     return _mix(h_prev, tr.z, tr.z * tr.hc), tr
 
 
@@ -326,13 +379,12 @@ def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     return _h_grad(drh, tr.r, dxh_h, dh, tr.z), None
 
 
-def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, gates=None, *,
+def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, *,
              attended_override: np.ndarray | None = None):
     """One RAU step: h = (1-z)*h_prev + z*(candidate + attended)/2; returns (h, the trace row written).
 
     The update/reset/candidate path is exactly the GRU computation on
-    p.gru; gates is `gate_block("rau", p)`, the same stack as
-    `gate_block("gru", p.gru)`, built here if None. The attention gate
+    p.gru, whose gate block is p's. The attention gate
     scores each component of [x, h_prev], softmax-normalizes the scores
     into the weights u, reweights the concatenation into v and projects
     it to the attended state ha. The (candidate + attended)/2 pairing
@@ -343,7 +395,7 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
     tr = _trace_row("rau", p, x, tr)
-    _gru_gates(p.gru, x, h_prev, tr, gate_block("rau", p) if gates is None else gates)
+    _gru_gates(p.gru, x, h_prev, tr)
     if attended_override is None:
         softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
         np.multiply(tr.u, tr.xh, out=tr.v)  # `_fill_v`
@@ -383,18 +435,18 @@ def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     return _h_grad(drh, tr.r, dxh_h, dh, tr.z), None
 
 
-def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None, gates=None):
+def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
     """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c'); returns (state, the trace row written).
 
-    gates is `gate_block("lstm", p)`, built here if None: f, i, o and g
-    come from one GEMM, f|i|o from one sigmoid and g from one tanh.
+    f, i, o and g come from one GEMM against p's gate block, f|i|o from
+    one sigmoid and g from one tanh.
     """
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
     if state.c.shape != state.h.shape:
         raise ContractError("lstm_step: cell state shape must match hidden state")
     tr = _trace_row("lstm", p, x, tr)
     xh = np.concatenate([x, state.h], axis=-1, out=tr.xh)
-    fiog = _gate_affine(xh, gate_block("lstm", p) if gates is None else gates, out=tr.fiog)
+    fiog = _gate_affine(xh, p.gates, out=tr.fiog)
     sigmoid(fiog[:3], out=fiog[:3])
     tanh(tr.g, out=tr.g)
     tr.c_prev[...] = state.c
@@ -437,56 +489,36 @@ def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
     return fiog @ w[0][:, m:], np.multiply(dc, tr.f, out=do)
 
 
-def init_gru(m: int, n: int, scale: float, rng: Rng) -> GruParams:
-    return GruParams(
-        w_z=init_matrix(n, m + n, scale, rng),
-        w_r=init_matrix(n, m + n, scale, rng),
-        w_c=init_matrix(n, m + n, scale, rng),
-        b_z=np.zeros(n),
-        b_r=np.zeros(n),
-        b_c=np.zeros(n),
-    )
+def init_cell(kind: str, m: int, n: int, scale: float, rng: Rng) -> CellParams:
+    """A cell on one new buffer: each weight drawn by `init_matrix` in declaration order, the biases zero."""
+    p = _on_buffer(kind, m, n, np.zeros(param_count(kind, m, n)))
+    for path, a in iter_tensors(p):
+        if path.rpartition(".")[2].startswith("w_"):
+            a[...] = init_matrix(*a.shape, scale, rng)
+    if kind == "lstm":
+        p.b_f[...] = 1.0  # so early training carries memory
+    return p
 
 
-def init_rau(m: int, n: int, scale: float, rng: Rng) -> RauParams:
-    # attention biases start at zero, symmetric with the gate biases
-    return RauParams(
-        gru=init_gru(m, n, scale, rng),
-        w_a=init_matrix(m + n, m + n, scale, rng),
-        b_a=np.zeros(m + n),
-        w_u=init_matrix(n, m + n, scale, rng),
-        b_u=np.zeros(n),
-    )
-
-
-def init_lstm(m: int, n: int, scale: float, rng: Rng) -> LstmParams:
-    # forget-gate bias starts at 1.0 so early training carries memory
-    return LstmParams(
-        w_f=init_matrix(n, m + n, scale, rng),
-        w_i=init_matrix(n, m + n, scale, rng),
-        w_o=init_matrix(n, m + n, scale, rng),
-        w_g=init_matrix(n, m + n, scale, rng),
-        b_f=np.ones(n),
-        b_i=np.zeros(n),
-        b_o=np.zeros(n),
-        b_g=np.zeros(n),
-    )
+init_gru = functools.partial(init_cell, "gru")
+init_rau = functools.partial(init_cell, "rau")
+init_lstm = functools.partial(init_cell, "lstm")
 
 
 class _Kind(NamedTuple):
-    init: Callable      # (m, n, scale, rng) -> params
-    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None, gate_block or None)
+    params: type        # the params class
+    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None)
                         # -> (next h or CellState, trace row)
     backward: Callable  # (trace row, dh, dc from the step after or None, stacked weights and this step's
                         # delta rows, both in group order, dx row or None, m, n) -> (dh_prev, dc_prev);
                         # writes the deltas, and dx unless it is None
     has_c: bool         # the state carries a cell state c
-    rows: Callable      # (m, n) -> weight rows; each row holds m+n weights and a bias
+    rows: Callable      # (m, n) -> weight rows; each row holds m+n weights and a bias (see `_layout`)
     fields: tuple       # (name, width) of each trace field, the width "n", "m+n" or k*n for the fused gates
     shared: tuple       # (name, width, fill) of each shared scratch field; fill(trace rows, m, out) rebuilds
                         # its rows from the fields, as the step computes them
-    groups: tuple       # per gate group: weight paths, stacked in that order; bias paths; the trace field they multiply
-    block: tuple        # the fused gate field, its gates' view names, and (weight paths, bias paths) of its one GEMM
+    groups: tuple       # per gate group: weight paths, in buffer order; bias paths; the trace field they multiply
+    block: tuple        # the fused gate field and its gates' view names; the gates lead the xh group
 
 
 def _group(field: str, *weights: str) -> tuple:
@@ -494,29 +526,23 @@ def _group(field: str, *weights: str) -> tuple:
     return weights, tuple(w.replace("w_", "b_") for w in weights), field
 
 
-def _block(field: str, views: tuple, *weights: str) -> tuple:
-    """The fused gate block: its trace field, a view name per gate, and the weight and bias paths in view order."""
-    paths, biases, _ = _group(field, *weights)
-    return field, views, (paths, biases)
-
-
-# the fused blocks stack their gates in the order of the backward's xh group
 _GRU_FIELDS = (("xh", "m+n"), ("rz", "2n"), ("hc", "n"))
 _GRU_SHARED = (("xrh", "m+n", _fill_xrh),)
 _KINDS = {
-    "rau": _Kind(init_rau, rau_step, _rau_backward, False, lambda m, n: m + 5 * n,
+    "rau": _Kind(RauParams, rau_step, _rau_backward, False, lambda m, n: m + 5 * n,
                  _GRU_FIELDS + (("u", "m+n"), ("ha", "n")), _GRU_SHARED + (("v", "m+n", _fill_v),),
                  (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u")),
-                 _block("rz", ("r", "z"), "gru.w_r", "gru.w_z")),
-    "gru": _Kind(init_gru, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS, _GRU_SHARED,
+                 ("rz", ("r", "z"))),
+    "gru": _Kind(GruParams, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS, _GRU_SHARED,
                  (_group("xh", "w_r", "w_z"), _group("xrh", "w_c")),
-                 _block("rz", ("r", "z"), "w_r", "w_z")),
-    "lstm": _Kind(init_lstm, lstm_step, _lstm_backward, True, lambda m, n: 4 * n,
+                 ("rz", ("r", "z"))),
+    "lstm": _Kind(LstmParams, lstm_step, _lstm_backward, True, lambda m, n: 4 * n,
                   (("xh", "m+n"), ("fiog", "4n"), ("c_prev", "n")), (),
                   (_group("xh", "w_f", "w_i", "w_o", "w_g"),),
-                  _block("fiog", ("f", "i", "o", "g"), "w_f", "w_i", "w_o", "w_g")),
+                  ("fiog", ("f", "i", "o", "g"))),
 }
 CELL_KINDS = tuple(_KINDS)
+_KIND_OF = {k.params: kind for kind, k in _KINDS.items()}
 
 
 def _kind(kind: str) -> _Kind:
@@ -525,16 +551,12 @@ def _kind(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
-def step(kind: str, p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None, gates=None):
-    """Kind-dispatched step over a CellState into trace row tr (a fresh one if None); returns (state, row).
-
-    gates is `gate_block(kind, p)`; a caller that runs many steps on the
-    same parameters builds it once. If None, the step builds it.
-    """
+def step(kind: str, p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
+    """Kind-dispatched step over a CellState into trace row tr (a fresh one if None); returns (state, row)."""
     k = _kind(kind)
     if k.has_c:
-        return k.step(p, x, state, tr, gates)
-    h, tr = k.step(p, x, state.h, tr, gates)
+        return k.step(p, x, state, tr)
+    h, tr = k.step(p, x, state.h, tr)
     return CellState(h=h), tr
 
 
@@ -553,8 +575,16 @@ def param_count(kind: str, m: int, n: int) -> int:
     return rows(m, n) * (m + n + 1)
 
 
-def init_cell(kind: str, m: int, n: int, scale: float, rng: Rng) -> CellParams:
-    return _kind(kind).init(m, n, scale, rng)
+def _leaves(obj, prefix: str, whole_cells: bool) -> Iterator[tuple[str, object]]:
+    """(path, leaf) of each array in a container, in declaration order; with whole_cells a cell is one leaf."""
+    if isinstance(obj, np.ndarray) or (whole_cells and isinstance(obj, _Cell)):
+        yield prefix, obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name, whole_cells)
+    elif isinstance(obj, (list, tuple)):
+        for k, item in enumerate(obj):
+            yield from _leaves(item, f"{prefix}.{k}" if prefix else str(k), whole_cells)
 
 
 def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
@@ -564,14 +594,18 @@ def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
     leaves (strings, numbers, None) are skipped, so containers may carry
     metadata alongside their tensors.
     """
-    if isinstance(obj, np.ndarray):
-        yield prefix, obj
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            name = f"{prefix}.{f.name}" if prefix else f.name
-            yield from iter_tensors(getattr(obj, f.name), name)
-    elif isinstance(obj, (list, tuple)):
-        for k, item in enumerate(obj):
-            name = f"{prefix}.{k}" if prefix else str(k)
-            yield from iter_tensors(item, name)
+    return _leaves(obj, prefix, False)
 
+
+def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, _Layout | None]]:
+    """Walk a container as `iter_tensors` does, yielding each buffer once: (key, buffer, layout).
+
+    A cell's key is its tensors' path prefix ("cells.0.", or "" alone) and its layout its `_layout`;
+    any other array is its own buffer, keyed by its path, with layout None.
+    """
+    for path, leaf in _leaves(obj, "", True):
+        if isinstance(leaf, np.ndarray):
+            yield path, leaf, None
+        else:
+            key = f"{path}." if path else ""
+            yield key, leaf.buffer, _layout(_KIND_OF[type(leaf)], leaf.input_size, leaf.hidden_size)

@@ -120,10 +120,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     applied to each layer's input, then to the head input. Each layer
     records into one `cells.Trace`: T rows in train mode, for the tape,
     and in eval mode one row that every step overwrites, so an eval
-    pass's memory does not grow with the sequence length. Each layer's
-    stacked gate weights are built once per call; in train mode they are
-    a view into the layer's `cells.weight_stacks`, which the tape keeps
-    for the backward. Returns (logits, final states, tape or None).
+    pass's memory does not grow with the sequence length. Returns
+    (logits, final states, tape or None).
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -141,9 +139,6 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     R = T if train_mode else 1
     traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
-    stacks = [cells.weight_stacks(mdl.cell_kind, p) for p in mdl.cells] if train_mode else None
-    gates = [cells.gate_block(mdl.cell_kind, p, None if stacks is None else stacks[l][0])
-             for l, p in enumerate(mdl.cells)]
     in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells] if use_drop else None
     top_steps = []
     for t in range(T):
@@ -152,7 +147,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             if use_drop:
                 in_masks[l][t] = mask = dropout_mask(rng, inp.shape, rate)
                 inp = inp * mask
-            states[l], _ = cells.step(mdl.cell_kind, p, inp, states[l], rows[l][t % R], gates[l])
+            states[l], _ = cells.step(mdl.cell_kind, p, inp, states[l], rows[l][t % R])
             inp = states[l].h
         top_steps.append(inp)
 
@@ -166,7 +161,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     logits += mdl.b_out
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
-    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids, stacks) if train_mode else None
+    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
     return logits, states, tape
 
 
@@ -248,7 +243,9 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
         if grad:
             d *= 1.0 / (total * B)
             d[rows, t] -= 1.0 / B
-    loss = float(np.mean(nll))
+    # a non-finite loss is the caller's to judge: numpy's overflow warning on the way there would only be noise
+    with np.errstate(over="ignore"):
+        loss = float(np.mean(nll))
     if not grad:
         return loss, None
     return loss, (buf[0] if single else buf)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Grads, backward, clip_global_norm
-from .cells import iter_tensors
+from .cells import iter_buffers
 from .data import lm_batches
 from .linalg import ContractError, NumericError, Rng
 from .models import classify_forward, cross_entropy, lm_forward, perplexity
@@ -105,13 +105,21 @@ def make_optimizer(kind: str, params, lr: float) -> OptimizerState:
 def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     """Plain gradient descent or a bias-corrected Adam step; mutates params and opt.
 
-    It consumes grads: SGD scales each buffer by the learning rate in
-    place, as clip_global_norm scales them in place before it. It does
-    not check the gradients: the loops' clip_global_norm already has.
+    It runs once per buffer of params (`cells.iter_buffers`), so grads and
+    the Adam moments must be laid out like params (`Grads.zeros_like`). It
+    consumes grads: SGD scales each buffer by the learning rate in place,
+    as clip_global_norm scales them in place before it. It does not check
+    the gradients: the loops' clip_global_norm already has.
     """
-    if opt.kind == "sgd":
-        for name, arr in iter_tensors(params):
-            g = grads[name]
+    sgd = opt.kind == "sgd"
+    try:
+        bufs = [(arr, grads.buffers[key], *(() if sgd else (opt.m.buffers[key], opt.v.buffers[key])))
+                for key, arr, _ in iter_buffers(params)]
+    except KeyError as e:
+        raise ContractError(f"apply_update: no buffer {e} among the gradients or moments; "
+                            "lay them out with Grads.zeros_like") from e
+    if sgd:
+        for arr, g in bufs:
             g *= opt.lr
             arr -= g
         return
@@ -120,10 +128,7 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     b1, b2 = opt.beta1, opt.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, arr in iter_tensors(params):
-        g = grads[name]
-        m = opt.m[name]
-        v = opt.v[name]
+    for arr, g, m, v in bufs:
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -146,6 +151,19 @@ def _optimizer_step(model, opt: OptimizerState, tape, loss: float, loss_grad, cl
         apply_update(opt, model, grads)
     except NumericError as e:
         raise DivergenceError(f"{what} gradients diverged at epoch {epoch}, step {step}: {e}") from e
+
+
+def _train_forward(what: str, epoch: int, step: int, forward, *args, **kwargs):
+    """forward(*args, **kwargs) for an optimizer step; a NumericError in it raises DivergenceError.
+
+    Diverged parameters overflow on the way to a non-finite pre-activation or loss, which the
+    activations' NumericError and the loss check judge: numpy's warnings would only be noise.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward(*args, **kwargs)
+    except NumericError as e:
+        raise DivergenceError(f"{what} forward diverged at epoch {epoch}, step {step}: {e}") from e
 
 
 def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_size: int,
@@ -171,7 +189,8 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
         idx = order[start:start + batch_size]
         xb = xs[idx]
         yb = ys[idx]
-        logits, tape = classify_forward(model, xb, train_mode=True, rng=rng)
+        logits, tape = _train_forward("classifier", epoch, step_offset + steps,
+                                      classify_forward, model, xb, train_mode=True, rng=rng)
         loss, dlogits = cross_entropy(logits, yb)
         _optimizer_step(model, opt, tape, loss, dlogits, clip_norm, "classifier", epoch, step_offset + steps)
         total_loss += loss * len(idx)
@@ -232,7 +251,8 @@ def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int
             break
         if is_new_epoch:
             states = None
-        loss, tokens, states, tape, dsteps = _lm_window_loss(model, inputs, targets, states, True, rng)
+        loss, tokens, states, tape, dsteps = _train_forward("LM", epoch, step_offset + steps,
+                                                            _lm_window_loss, model, inputs, targets, states, True, rng)
         _optimizer_step(model, opt, tape, loss, dsteps, clip_norm, "LM", epoch, step_offset + steps)
         del tape, dsteps  # free this window's traces and (T, B, V) gradient before the next forward
         total_loss += loss * tokens

@@ -212,7 +212,9 @@ def test_long_window_flushes_deltas_in_spans(kind, rows, monkeypatch):
 def test_accumulates_into_existing_grads_under_prefix(kind):
     params, traces, rng = _record(kind, 2, 3, 4, 2, 7)
     dh_last = rng.uniform(-1.0, 1.0, size=(2, 3))
-    start = Grads(("layer." + k, rng.uniform(-1.0, 1.0, a.shape)) for k, a in iter_tensors(params))
+    start = Grads.zeros_like(params, "layer.")  # laid out like params, as the backward accumulates into it
+    for g in start.values():
+        g[...] = rng.uniform(-1.0, 1.0, g.shape)
     want = Grads((k, v.copy()) for k, v in start.items())
     reference_cell_sequence(kind, params, traces, dh_last=dh_last, grads=want, prefix="layer.")
     got, _, _ = backward_cell_sequence(kind, params, traces, dh_last=dh_last, grads=start, prefix="layer.")

@@ -46,7 +46,6 @@ class TestTrainCommand:
             del r["wall_ms"]
         assert rec_a == rec_b
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_no_checkpoint_of_an_earlier_run(self, tmp_path, capsys):
         # the first run saves model.bin; the second diverges at step 1, before it saves any
         assert main(_train_args(tmp_path, "--max-steps", "5", "--lr", "1e300")) == 0
@@ -55,6 +54,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == EXIT_DIVERGED
         assert "diverged at epoch 1, step 1" in err and "checkpoint" not in err
+
+    @pytest.mark.parametrize("cell", ["rau", "gru", "lstm"])
+    def test_non_finite_forward_exits_diverged(self, cell, tmp_path, capsys):
+        # the first update overflows the weights; the next forward meets a non-finite loss (rau, gru) or a
+        # non-finite pre-activation (lstm), and either ends the run as a divergence, not a traceback
+        rc = main(["train", "--task", "synthetic", "--cell", cell, "--epochs", "1", "--max-steps", "5",
+                   "--seed", "7", "--optimizer", "sgd", "--lr", "1e308", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DIVERGED
+        assert err.startswith("error: classifier ") and "diverged at epoch 1, step 1" in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_divergence_names_the_checkpoint_this_run_wrote(self, tmp_path, capsys, monkeypatch):
         epoch_one = cli.train_epoch_classifier

@@ -52,7 +52,9 @@ class TestSgdStep:
     def test_matches_scalar_loop(self):
         rng = Rng(1)
         mdl = _tiny_model()
-        grads = Grads({k: rng.uniform(-1, 1, v.shape) for k, v in iter_tensors(mdl)})
+        grads = Grads.zeros_like(mdl)  # laid out like the parameters, as apply_update requires
+        for g in grads.values():
+            g[...] = rng.uniform(-1, 1, g.shape)
         expect = {k: v.copy() - 0.3 * grads[k] for k, v in iter_tensors(mdl)}
         apply_update(make_optimizer("sgd", mdl, 0.3), mdl, grads)
         for k, v in iter_tensors(mdl):

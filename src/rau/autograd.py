@@ -64,7 +64,7 @@ class Grads(dict):
         return Grads._laid_out((key, buf.copy(), layouts.get(key)) for key, buf in self.buffers.items())
 
     def global_norm(self) -> float:
-        # one dot per named tensor, in path order, as before the buffers: the sum fixes the clipping scale's bits
+        # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale
         return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in self.values())))
 
     def scale_(self, s: float) -> "Grads":

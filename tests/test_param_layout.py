@@ -15,8 +15,9 @@ import pytest
 from rau import cells
 from rau.autograd import Grads, backward, backward_cell_sequence
 from rau.cells import gate_block, init_cell, iter_buffers, iter_tensors, param_count, weight_stacks
+from rau.data import synthetic_memorization
 from rau.linalg import ContractError, Rng
-from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy
+from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
 from rau.train import apply_update, make_optimizer, train_epoch_classifier
 
 SHAPES = [(1, 2), (3, 4), (28, 128)]
@@ -102,7 +103,6 @@ class TestStacksAreViews:
 
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_gate_block_views_the_params(self, kind):
-        # replaces the check that the block was a copy
         p = init_cell(kind, 2, 3, 0.5, Rng(8))
         tensors = dict(iter_tensors(p))
         w, b = gate_block(kind, p)
@@ -134,7 +134,6 @@ class TestGradsLayout:
     def test_backward_returns_gradients_in_the_layout(self):
         mdl = build_language_model("rau", 7, 4, 2, 0.5, Rng(11))
         rng = Rng(12)
-        from rau.models import lm_forward
         logits, _, tape = lm_forward(mdl, rng.integers(7, size=(2, 3)), train_mode=True)
         g = backward(tape, np.ones_like(logits))
         assert list(g.buffers) == ["cells.0.", "cells.1.", "w_out", "b_out", "embedding"]
@@ -152,7 +151,7 @@ class TestGradsLayout:
 
 
 def _per_tensor_update(opt_kind, params, grads, state, lr, t):
-    """The per-named-tensor update the per-buffer one replaced, on plain dicts."""
+    """The update once per named tensor, on plain dicts: the reference for the per-buffer one."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     for name, arr in iter_tensors(params):
         g = grads[name].copy()
@@ -237,7 +236,6 @@ class TestDeepcopy:
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_a_train_step_on_the_copy_gives_the_original_bits(self, kind):
         rng = Rng(21)
-        from rau.data import synthetic_memorization
         xs, ys = synthetic_memorization(rng, 16, 5, 3, 3, 0.5)
         mdl = build_classifier(kind, 3, 4, 1, 3, 0.5, Rng(22))
         opt = make_optimizer("adam", mdl, 0.01)

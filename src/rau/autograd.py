@@ -8,6 +8,14 @@ step backward and gate groups come from the `cells` table. Keys in the resulting
 updates and finite-difference checks can walk the same structure, and
 the gradients share the parameters' layout: one buffer per cell.
 
+The weight gradients are deferred: a window's steps buffer their gate
+deltas a span at a time, and each full span is flushed into the weight
+gradients with one GEMM per gate group (see `DW_GEMM_ROWS`). Those GEMMs
+are off the recurrence's path, so a window of several large spans hands
+its flushes to one worker thread, started on first use, which runs them
+in span order beside the next span's steps; the gradients keep their
+bits, since each weight gradient gets the same sums in the same order.
+
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
 no code with the analytic path.
@@ -15,6 +23,8 @@ no code with the analytic path.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -94,18 +104,27 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
 
 # BPTT runs one cell layer over a window. Each step writes its gate deltas
 # into a buffer per gate group and forms its input gradient with one GEMM
-# against the group's row-stacked weights. The buffers hold up to
-# DW_GEMM_ROWS rows (steps x batch). Each time they fill, and at the start
-# of the window, the span's rows of the shared trace fields are rebuilt,
-# and each group's weight gradient gets one ((rows, m+n).T @ (rows, k)).T
-# GEMM, added into the group's rows of the gradient buffer, and its bias
-# gradient one sum. A ptb-small
-# window (20 x 20 rows) thus takes one GEMM per group. A row-MNIST window
-# (28 x 128 rows) takes seven; there, buffers of 512 rows stay in cache
-# and make the whole backward ~10% faster than buffers of 1024 rows or
-# more, and whole-window buffers would also add ~27 MB to the peak memory
-# of a RAU train step.
+# against the group's row-stacked weights. The buffers hold a span of up to
+# DW_GEMM_ROWS rows (steps x batch). When a span's steps are done, its flush
+# rebuilds the span's rows of the shared trace fields, gives each group's
+# weight gradient one ((rows, m+n).T @ (rows, k)).T GEMM, added into the
+# group's rows of the gradient buffer, and its bias gradient one sum. The
+# spans fix the order of those sums, and with it the gradient's bits. A
+# ptb-small window (20 x 20 rows) is one span. A row-MNIST window (28 x 128
+# rows) is seven; there, spans of 512 rows stay in cache and make the whole
+# backward ~10% faster than spans of 1024 rows or more, and whole-window
+# buffers would also add ~27 MB to the peak memory of a RAU train step.
+#
+# A window of more than one span may hand its flushes to one worker thread
+# (see `_overlap`), which runs them in span order, so it adds the same
+# products in the same order and the bits do not change. Meanwhile the next
+# span's steps run in the caller and fill a second set of delta buffers.
 DW_GEMM_ROWS = 512
+# The worker takes a window's flushes only when they average this much work.
+# On a 2-core host, one window's backward with the worker against without ran
+# 0.81-1.14x as fast at 4-20 MFLOP per overlapped flush (B=20 to 128, n=32 to
+# 64), most often slower, and 0.91-1.50x at 30-285 MFLOP, most often faster.
+OVERLAP_MIN_FLOP = 30_000_000
 
 
 def backward_cell_sequence(
@@ -128,7 +147,8 @@ def backward_cell_sequence(
     `Grads.zeros_like`), and returns (grads, dx_steps, dh0) where
     dx_steps[t] is the gradient of that step's input; dx_steps is one
     (T, ..., m) array. With want_dx False no step computes its input
-    gradient and dx_steps is None.
+    gradient and dx_steps is None. Every flush has run when it returns
+    or raises.
     """
     k = _kind(kind)
     T, batch = trace.lead
@@ -141,29 +161,57 @@ def backward_cell_sequence(
     if T == 0:
         return grads, [], None
     m, n = params.input_size, params.hidden_size
-    span = min(T, max(1, DW_GEMM_ROWS // int(np.prod(batch))))
+    per_step = int(np.prod(batch))
+    span = min(T, max(1, DW_GEMM_ROWS // per_step))
+    starts = range(0, T, span)
+    # the flushes of every span but the window's first, which flushes last, can run beside later steps
+    overlap_flop = 2 * (T - span) * per_step * (m + n) * k.rows(m, n)
+    submit = _worker_submit() if _overlap(len(starts), overlap_flop) else None
     stacks = weight_stacks(kind, params)
     dw, db = buffer_blocks(kind, m, n, grads.buffers[prefix])
-    deltas = [np.empty((span,) + batch + (w.shape[0],)) for w in stacks]
-    # a shared field's rows are one row, the last step's; each span's rows are rebuilt here
+    # with the worker, the steps fill one set of deltas while it flushes the other
+    sets = 1 if submit is None else 2
+    deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(sets)]
+    # a shared field's rows are one row, the last step's; each flush rebuilds its span's rows here
     rebuilt = [(name, fill, np.empty((span,) + getattr(trace, name).shape[1:])) for name, _, fill in k.shared]
     dx_steps = np.empty((T,) + batch + (m,)) if want_dx else None
     dh = np.zeros(batch + (n,))
     if dh_last is not None:
         dh = dh + dh_last
     dc = None
-    for t in reversed(range(T)):
-        if dh_steps is not None and dh_steps[t] is not None:
-            dh = dh + dh_steps[t]
-        lo = t - t % span
-        dx = None if dx_steps is None else dx_steps[t]
-        dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in deltas], dx, m, n)
-        if t == lo:
-            rows = trace.row(slice(lo, lo + span))
-            for name, fill, buf in rebuilt:
-                setattr(rows, name, fill(rows, m, buf[:len(rows.xh)]))
-            _add_weight_grads(k.groups, deltas, rows, dw, db)
+    flushes = []
+    try:
+        for s, lo in enumerate(reversed(starts)):
+            d = deltas[s % sets]
+            if submit is not None and s >= sets:
+                flushes[s - sets].wait()  # the last flush to read d
+            for t in reversed(range(lo, min(lo + span, T))):
+                if dh_steps is not None and dh_steps[t] is not None:
+                    dh = dh + dh_steps[t]
+                dx = None if dx_steps is None else dx_steps[t]
+                dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in d], dx, m, n)
+            flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, dw, db, m)
+            if submit is None:
+                flush()
+            else:
+                flushes.append(submit(flush))
+        for f in flushes:
+            f.wait()
+    finally:
+        for f in flushes:
+            f.done.wait()
     return grads, dx_steps, dh
+
+
+def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, dw: np.ndarray, db: np.ndarray, m: int) -> None:
+    """A span's weight and bias gradients: rebuild its rows of the shared fields, then `_add_weight_grads`.
+
+    It may run on the worker thread, so it calls nothing the benchmark's tracer wraps.
+    """
+    span = trace.row(rows)
+    for name, fill, buf in rebuilt:
+        setattr(span, name, fill(span, m, buf[:len(span.xh)]))
+    _add_weight_grads(groups, deltas, span, dw, db)
 
 
 def _add_weight_grads(groups, deltas, rows: Trace, dw: np.ndarray, db: np.ndarray) -> None:
@@ -178,6 +226,86 @@ def _add_weight_grads(groups, deltas, rows: Trace, dw: np.ndarray, db: np.ndarra
         dw[lo:hi] += (inputs.reshape(flat.shape[0], -1).T @ flat).T
         db[lo:hi] += flat.sum(axis=0)
         lo = hi
+
+
+def _overlap(spans: int, flop: int) -> bool:
+    """Whether a window of this many spans hands its flushes to the worker thread.
+
+    flop is the work of the flushes that can run beside later steps. A handoff pays only for a flush of
+    OVERLAP_MIN_FLOP or more, on average. The worker's GEMMs need a CPU of their own beside the steps'
+    GEMMs: the bundled OpenBLAS must run each call on one thread (with two, the overlap made a RAU step
+    slower), and the process must be allowed two CPUs or more.
+    """
+    return (spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _blas_threads() == 1
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+
+
+def _blas_threads() -> int | None:
+    """The threads the bundled OpenBLAS gives each call, or None where numpy bundles no such OpenBLAS."""
+    get = _blas_threads_query()
+    return None if get is None else get()
+
+
+@functools.cache
+def _blas_threads_query():
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        get = ctypes.CDLL(umath.__file__).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    return get
+
+
+class _Flush:
+    """A call queued for the worker; `wait` returns once it has run, raising what it raised."""
+
+    def __init__(self, fn: Callable, done):
+        self.fn, self.done, self.error = fn, done, None
+
+    def run(self) -> None:
+        try:
+            self.fn()
+        except BaseException as exc:  # the caller's wait raises it
+            self.error = exc
+        self.done.set()
+
+    def wait(self) -> None:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+
+
+_worker: tuple | None = None  # (pid, submit) of the worker thread; a forked child starts its own
+
+
+def _worker_submit() -> Callable[[Callable], _Flush]:
+    """submit(fn), which queues fn for the one worker thread and returns its `_Flush`; the worker runs the
+    calls in the order queued. It starts on first use in a process, with its imports."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        import queue
+        import threading
+
+        jobs = queue.SimpleQueue()
+
+        def submit(fn: Callable) -> _Flush:
+            job = _Flush(fn, threading.Event())
+            jobs.put(job)
+            return job
+
+        def work() -> None:
+            while True:
+                jobs.get().run()
+
+        threading.Thread(target=work, name="rau-flush", daemon=True).start()
+        _worker = (os.getpid(), submit)
+    return _worker[1]
 
 
 @dataclass

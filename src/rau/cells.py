@@ -235,10 +235,18 @@ def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
     return p
 
 
+def _own_buffer(p: CellParams) -> np.ndarray:
+    """p's buffer; a RAU's GRU part has none of its own, so it raises ContractError for that part."""
+    if "buffer" not in vars(p):
+        raise ContractError(f"{type(p).__name__} is a RAU's GRU part: it views its RAU's buffer and has no "
+                            "buffer of its own; take gradients of the RAU")
+    return p.buffer
+
+
 def weight_stacks(kind: str, p: CellParams) -> list:
     """Each gate group's weights, row-stacked in group order: views of p's buffer, the backward's GEMM operands."""
     m, n = p.input_size, p.hidden_size
-    w, _ = buffer_blocks(kind, m, n, p.buffer)
+    w, _ = buffer_blocks(kind, m, n, _own_buffer(p))
     return [w[lo:hi] for lo, hi in _layout(kind, m, n).groups]
 
 
@@ -608,4 +616,4 @@ def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, _Layout | None]]:
             yield path, leaf, None
         else:
             key = f"{path}." if path else ""
-            yield key, leaf.buffer, _layout(_KIND_OF[type(leaf)], leaf.input_size, leaf.hidden_size)
+            yield key, _own_buffer(leaf), _layout(_KIND_OF[type(leaf)], leaf.input_size, leaf.hidden_size)

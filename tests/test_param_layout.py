@@ -149,6 +149,20 @@ class TestGradsLayout:
         with pytest.raises(ContractError):
             backward_cell_sequence("gru", p, trace, dh_last=np.ones(3), grads=per_tensor)
 
+    def test_zeros_like_rejects_a_rau_gru_part(self):
+        p = init_cell("rau", 2, 3, 0.5, Rng(14))
+        with pytest.raises(ContractError, match="views its RAU's buffer"):
+            Grads.zeros_like(p.gru)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["grads_none", "grads_given"])
+    def test_cell_sequence_rejects_a_rau_gru_part(self, given):
+        p = init_cell("rau", 2, 3, 0.5, Rng(15))
+        trace = cells.new_trace("gru", 1, (), 2, 3)
+        cells.step("gru", p.gru, np.ones(2), cells.zero_state("gru", 3), trace.row(0))
+        grads = Grads.zeros_like(init_cell("gru", 2, 3, 0.5, Rng(16))) if given else None
+        with pytest.raises(ContractError, match="views its RAU's buffer"):
+            backward_cell_sequence("gru", p.gru, trace, dh_last=np.ones(3), grads=grads)
+
 
 def _per_tensor_update(opt_kind, params, grads, state, lr, t):
     """The update once per named tensor, on plain dicts: the reference for the per-buffer one."""

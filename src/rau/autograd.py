@@ -9,7 +9,7 @@ updates and finite-difference checks can walk the same structure, and
 the gradients share the parameters' layout: one buffer per cell.
 
 The weight gradients are deferred: a window's steps buffer their gate
-deltas a span at a time, and each full span is flushed into the weight
+deltas a span at a time, and each span is flushed into the weight
 gradients with one GEMM per gate group (see `DW_GEMM_ROWS`). Those GEMMs
 are off the recurrence's path, so a window of several large spans hands
 its flushes to one worker thread, started on first use, which runs them
@@ -164,7 +164,7 @@ def backward_cell_sequence(
     per_step = int(np.prod(batch))
     span = min(T, max(1, DW_GEMM_ROWS // per_step))
     starts = range(0, T, span)
-    # the flushes of every span but the window's first, which flushes last, can run beside later steps
+    # every span's flush but that of the first steps, which the backward reaches last, can run beside later steps
     overlap_flop = 2 * (T - span) * per_step * (m + n) * k.rows(m, n)
     submit = _worker_submit() if _overlap(len(starts), overlap_flop) else None
     stacks = weight_stacks(kind, params)

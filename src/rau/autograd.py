@@ -16,6 +16,15 @@ its flushes to one worker thread, started on first use, which runs them
 in span order beside the next span's steps; the gradients keep their
 bits, since each weight gradient gets the same sums in the same order.
 
+The same worker takes half of a vocabulary-sized head's work (see
+`_in_halves`): a row half of the head GEMM and of cross-entropy in
+`models`, of `dh = dlogits @ w_out` here, and a half of each buffer in
+the SGD update in `train`. It also computes the head's weight and bias
+gradients beside the layers' BPTT. Each half writes its own part of
+arrays the caller allocated. An elementwise half does the same
+operations on the same values, and a GEMM's halves meet on OpenBLAS's
+row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
+
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
 no code with the analytic path.
@@ -74,8 +83,10 @@ class Grads(dict):
         return Grads._laid_out((key, buf.copy(), layouts.get(key)) for key, buf in self.buffers.items())
 
     def global_norm(self) -> float:
-        # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale
-        return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in self.values())))
+        # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale;
+        # a norm that overflows is the caller's to judge with isfinite, so numpy's warning would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in self.values())))
 
     def scale_(self, s: float) -> "Grads":
         for g in self.buffers.values():
@@ -125,6 +136,18 @@ DW_GEMM_ROWS = 512
 # 0.81-1.14x as fast at 4-20 MFLOP per overlapped flush (B=20 to 128, n=32 to
 # 64), most often slower, and 0.91-1.50x at 30-285 MFLOP, most often faster.
 OVERLAP_MIN_FLOP = 30_000_000
+# An element of an elementwise pass counts as this many flops against OVERLAP_MIN_FLOP. At the ptb-small
+# head on the 2-core host, with one BLAS thread (40 GFLOP/s in its GEMM), an element took as long as 86
+# GEMM flops in the SGD update and 120-170 in cross-entropy; so a half of 470 000 elements or more goes
+# to the worker.
+ELEMENT_FLOP = 64
+# A GEMM split by rows (`_row_cut`) cuts at a multiple of this many rows. On the 2-core host, other cuts
+# changed bits at some shapes, e.g. (400, 200) x (200, 1009) cut at 200 rows, likely because OpenBLAS
+# packs a product's rows in chunks of up to 3 x its dgemm N-unroll. At multiples of 96 rows the head
+# GEMM and dh kept their bits at every shape tried (n 5-300, V 65-10000), provided each half held over
+# 1e6 multiply-adds: OpenBLAS computes smaller products with other kernels. A half that passes
+# `_overlap` holds 15x that.
+SPLIT_ROWS = 96
 
 
 def backward_cell_sequence(
@@ -229,15 +252,47 @@ def _add_weight_grads(groups, deltas, rows: Trace, dw: np.ndarray, db: np.ndarra
 
 
 def _overlap(spans: int, flop: int) -> bool:
-    """Whether a window of this many spans hands its flushes to the worker thread.
+    """Whether work cut into this many pieces hands some of them to the worker thread.
 
-    flop is the work of the flushes that can run beside later steps. A handoff pays only for a flush of
-    OVERLAP_MIN_FLOP or more, on average. The worker's GEMMs need a CPU of their own beside the steps'
-    GEMMs: the bundled OpenBLAS must run each call on one thread (with two, the overlap made a RAU step
+    For a window's span flushes, flop is the work of the flushes that can run beside later steps; for the
+    halves of a vocabulary-sized head's work (`_in_halves`), spans is 2 and flop is the worker's half, with
+    an element of an elementwise pass counted as ELEMENT_FLOP. A handoff pays only for a piece of
+    OVERLAP_MIN_FLOP or more, on average. The worker's work needs a CPU of its own beside the caller's:
+    the bundled OpenBLAS must run each call on one thread (with two, the flush overlap made a RAU step
     slower), and the process must be allowed two CPUs or more.
     """
     return (spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _blas_threads() == 1
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+
+
+def _in_halves(size: int, cut: int, flop: int, fn: Callable, *args) -> None:
+    """fn(*args, part) over parts that together cover range(size).
+
+    When `_overlap` finds flop, the work of the part from cut on, worth a handoff, the worker thread runs
+    fn(*args, slice(cut, size)) while the caller runs fn(*args, slice(0, cut)); else the caller runs
+    fn(*args, slice(0, size)). fn must give each part's outputs its own memory, allocate no large array
+    and call nothing the benchmark's tracer wraps. Returns once every part has run, raising what one raised.
+    """
+    if 0 < cut < size and _overlap(2, flop):
+        _beside(functools.partial(fn, *args, slice(cut, size)), fn, *args, slice(0, cut))
+    else:
+        fn(*args, slice(0, size))
+
+
+def _row_cut(rows: int) -> int:
+    """The multiple of SPLIT_ROWS nearest half of rows, rounding up: where the halves of a row-split GEMM meet."""
+    return SPLIT_ROWS * ((rows + SPLIT_ROWS) // (2 * SPLIT_ROWS))
+
+
+def _beside(job: Callable, fn: Callable, *args) -> None:
+    """fn(*args) in the caller while the worker thread runs job(); returns once both have run, raising
+    what either raised."""
+    queued = _worker_submit()(job)
+    try:
+        fn(*args)
+    finally:
+        queued.done.wait()
+    queued.wait()
 
 
 def _blas_threads() -> int | None:
@@ -262,15 +317,20 @@ def _blas_threads_query():
     return get
 
 
-class _Flush:
-    """A call queued for the worker; `wait` returns once it has run, raising what it raised."""
+class _Job:
+    """A call queued for the worker; `wait` returns once it has run, raising what it raised.
 
-    def __init__(self, fn: Callable, done):
-        self.fn, self.done, self.error = fn, done, None
+    It runs under the numpy error state its caller had when it queued it: a thread starts from numpy's
+    defaults, so a half of a forward the caller runs under np.errstate(over="ignore") would still warn.
+    """
+
+    def __init__(self, fn: Callable, done, errstate: dict):
+        self.fn, self.done, self.errstate, self.error = fn, done, errstate, None
 
     def run(self) -> None:
         try:
-            self.fn()
+            with np.errstate(**self.errstate):
+                self.fn()
         except BaseException as exc:  # the caller's wait raises it
             self.error = exc
         self.done.set()
@@ -284,8 +344,8 @@ class _Flush:
 _worker: tuple | None = None  # (pid, submit) of the worker thread; a forked child starts its own
 
 
-def _worker_submit() -> Callable[[Callable], _Flush]:
-    """submit(fn), which queues fn for the one worker thread and returns its `_Flush`; the worker runs the
+def _worker_submit() -> Callable[[Callable], _Job]:
+    """submit(fn), which queues fn for the one worker thread and returns its `_Job`; the worker runs the
     calls in the order queued. It starts on first use in a process, with its imports."""
     global _worker
     if _worker is None or _worker[0] != os.getpid():
@@ -294,8 +354,8 @@ def _worker_submit() -> Callable[[Callable], _Flush]:
 
         jobs = queue.SimpleQueue()
 
-        def submit(fn: Callable) -> _Flush:
-            job = _Flush(fn, threading.Event())
+        def submit(fn: Callable) -> _Job:
+            job = _Job(fn, threading.Event(), np.geterr())
             jobs.put(job)
             return job
 
@@ -303,7 +363,7 @@ def _worker_submit() -> Callable[[Callable], _Flush]:
             while True:
                 jobs.get().run()
 
-        threading.Thread(target=work, name="rau-flush", daemon=True).start()
+        threading.Thread(target=work, name="rau-worker", daemon=True).start()
         _worker = (os.getpid(), submit)
     return _worker[1]
 
@@ -331,19 +391,54 @@ class Tape:
 def backward(tape: Tape, dlogits) -> Grads:
     """Exact gradients of the recorded scalar loss w.r.t. every model parameter.
 
-    dlogits is d(loss)/d(logits), shaped like the forward's logits.
+    dlogits is d(loss)/d(logits), shaped like the forward's logits. At a
+    vocabulary-sized head the worker thread (see `_overlap`) takes a row
+    half of dh = dlogits @ w_out, then the head's weight and bias
+    gradients, which it computes beside the layers' BPTT; they are done
+    when backward returns or raises.
     """
     model = tape.model
     # the head-weight gradient overwrites its whole buffer, so it skips the zero fill
     grads = Grads.zeros_like(model, unset=("w_out",))
-    flat = np.asarray(dlogits).reshape(-1, model.w_out.shape[0])
-    head_in = tape.head_in.reshape(flat.shape[0], -1)
-    # (head_in.T @ flat).T equals flat.T @ head_in, and at an LM head's
-    # (rows, V) x (rows, n) shape this GEMM order is about a third faster;
-    # matmul(out=) into the transposed buffer would fall back to the slow order
-    grads["w_out"][...] = (head_in.T @ flat).T
-    grads["b_out"] += flat.sum(axis=0)
-    dh = (flat @ model.w_out).reshape(tape.head_in.shape)
+    V, n = model.w_out.shape
+    flat = np.asarray(dlogits).reshape(-1, V)
+    rows = flat.shape[0]
+    head_in = tape.head_in.reshape(rows, -1)
+    dh = np.empty((rows, n))
+    cut = _row_cut(rows)
+    _in_halves(rows, cut, 2 * (rows - cut) * V * n, _rows_product, flat, model.w_out, dh)
+    dh = dh.reshape(tape.head_in.shape)
+    # the head's gradients read only dlogits and the head input, so they can run beside the BPTT
+    head = (head_in, flat, np.empty((n, V)), grads["w_out"], grads["b_out"])
+    if _overlap(2, 2 * rows * V * n):
+        _beside(functools.partial(_head_grads, *head), _backward_stack, tape, grads, dh)
+    else:
+        _head_grads(*head)
+        del head  # its scratch, before the BPTT allocates
+        _backward_stack(tape, grads, dh)
+    return grads
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, rows: slice) -> None:
+    np.matmul(a[rows], b, out=out[rows])
+
+
+def _head_grads(head_in: np.ndarray, flat: np.ndarray, dw: np.ndarray, w_grad: np.ndarray,
+                b_grad: np.ndarray) -> None:
+    """The head's weight gradient through the scratch dw, then its bias gradient.
+
+    (head_in.T @ flat).T equals flat.T @ head_in, and at an LM head's (rows, V) x (rows, n) shape this
+    GEMM order is about a third faster; matmul(out=) into the transposed buffer would fall back to the
+    slow order, so the product goes to dw, shaped (n, V), and its transpose is copied.
+    """
+    np.matmul(head_in.T, flat, out=dw)
+    w_grad[...] = dw.T
+    b_grad += flat.sum(axis=0)
+
+
+def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
+    """The layers' BPTT from the head-input gradient dh, top layer first, then the embedding's gradient."""
+    model = tape.model
     if tape.out_masks is not None:
         dh *= tape.out_masks
     dh_last, dh_steps = (dh, None) if model.readout == "last" else (None, dh)
@@ -370,7 +465,6 @@ def backward(tape: Tape, dlogits) -> Grads:
         # ids go (T, B) step-major, the order of dx_steps
         ids = tape.token_ids.T.reshape(-1)
         np.add.at(grads["embedding"], ids, dx_steps.reshape(ids.shape[0], -1))
-    return grads
 
 
 def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> Grads:

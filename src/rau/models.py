@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cells
+from . import autograd, cells
 from .autograd import Tape
 from .cells import init_cell, iter_tensors
 from .linalg import ContractError, Rng, init_matrix
@@ -156,13 +156,23 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     if use_drop:
         out_masks = dropout_mask(rng, head_in.shape, rate)
         head_in = head_in * out_masks
-    # one GEMM for every position the head reads; the bias goes into its output in place
-    logits = head_in.reshape(-1, n) @ mdl.w_out.T
-    logits += mdl.b_out
+    # one GEMM for every position the head reads, the bias added into its output in place; at a
+    # vocabulary-sized head the worker thread takes about half of the rows (see `autograd._in_halves`)
+    flat_in = head_in.reshape(-1, n)
+    rows, V = flat_in.shape[0], mdl.w_out.shape[0]
+    logits = np.empty((rows, V))
+    cut = autograd._row_cut(rows)
+    autograd._in_halves(rows, cut, 2 * (rows - cut) * n * V, _head_rows, flat_in, mdl.w_out, mdl.b_out, logits)
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
     tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
     return logits, states, tape
+
+
+def _head_rows(head_in: np.ndarray, w_out: np.ndarray, b_out: np.ndarray, logits: np.ndarray, rows: slice) -> None:
+    out = logits[rows]
+    np.matmul(head_in[rows], w_out.T, out=out)
+    out += b_out
 
 
 def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng | None = None):
@@ -226,15 +236,32 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
         raise ContractError("cross_entropy: target out of range")
     B, k = lg.shape
     block = max(1, CE_BLOCK_BYTES // (8 * k))
-    # with grad, each block lands in its rows of dlogits; without, every block reuses one buffer
-    buf = np.empty_like(lg) if grad else np.empty((min(block, B), k))
+    # with grad, each block lands in its rows of dlogits; without, each half of the rows (see
+    # `autograd._in_halves`) reuses a block buffer of its own
+    buf = np.empty_like(lg) if grad else np.empty((2, min(block, B), k))
     nll = np.empty(B)
-    for lo in range(0, B, block):
-        hi = min(lo + block, B)
+    cut = block * (-(-B // block) // 2)  # the caller's half: half of the blocks, rounded down
+    autograd._in_halves(B, cut, (B - cut) * k * autograd.ELEMENT_FLOP, _cross_entropy_rows, lg, tg, buf, nll, block,
+                        grad)
+    # a non-finite loss is the caller's to judge: numpy's overflow warning on the way there would only be noise
+    with np.errstate(over="ignore"):
+        loss = float(np.mean(nll))
+    if not grad:
+        return loss, None
+    return loss, (buf[0] if single else buf)
+
+
+def _cross_entropy_rows(lg: np.ndarray, tg: np.ndarray, buf: np.ndarray, nll: np.ndarray, block: int, grad: bool,
+                       part: slice) -> None:
+    """cross_entropy's loss, and with grad its dlogits, for the rows in part, a block at a time from part.start."""
+    B = len(nll)
+    scratch = None if grad else buf[0 if part.start == 0 else 1]
+    for lo in range(part.start, part.stop, block):
+        hi = min(lo + block, part.stop)
         rows = np.arange(hi - lo)
         t = tg[lo:hi]
         # one exp, in place: the shifted logits become (probs - onehot) / B
-        d = buf[lo:hi] if grad else buf[:hi - lo]
+        d = buf[lo:hi] if grad else scratch[:hi - lo]
         np.subtract(lg[lo:hi], lg[lo:hi].max(axis=1, keepdims=True), out=d)
         picked = d[rows, t]
         np.exp(d, out=d)
@@ -243,12 +270,6 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
         if grad:
             d *= 1.0 / (total * B)
             d[rows, t] -= 1.0 / B
-    # a non-finite loss is the caller's to judge: numpy's overflow warning on the way there would only be noise
-    with np.errstate(over="ignore"):
-        loss = float(np.mean(nll))
-    if not grad:
-        return loss, None
-    return loss, (buf[0] if single else buf)
 
 
 def perplexity(total_log_loss: float, token_count: int) -> float:

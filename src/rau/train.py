@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autograd
 from .autograd import Grads, backward, clip_global_norm
 from .cells import iter_buffers
 from .data import lm_batches
@@ -119,9 +120,9 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
         raise ContractError(f"apply_update: no buffer {e} among the gradients or moments; "
                             "lay them out with Grads.zeros_like") from e
     if sgd:
-        for arr, g in bufs:
-            g *= opt.lr
-            arr -= g
+        # at a vocabulary-sized model the worker thread takes half of each buffer (see `autograd._in_halves`)
+        size = sum(arr.size for arr, _ in bufs)
+        autograd._in_halves(2, 1, size // 2 * autograd.ELEMENT_FLOP, _sgd, bufs, opt.lr)
         return
     opt.step += 1
     t = opt.step
@@ -134,6 +135,18 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
         v *= b2
         v += (1.0 - b2) * (g * g)
         arr -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+
+
+def _sgd(bufs, lr: float, part: slice) -> None:
+    """g *= lr, then arr -= g, over part of (0, 1, 2): the first or second half of each buffer's leading
+    axis, or all of it. Each element gets the same two roundings whichever part it falls in."""
+    for arr, g in bufs:
+        if arr.ndim == 0:
+            arr, g = arr[None], g[None]
+        ends = (0, len(arr) // 2, len(arr))
+        arr, g = arr[ends[part.start]:ends[part.stop]], g[ends[part.start]:ends[part.stop]]
+        g *= lr
+        arr -= g
 
 
 def _optimizer_step(model, opt: OptimizerState, tape, loss: float, loss_grad, clip_norm: float,

@@ -62,7 +62,6 @@ class TestClipGlobalNorm:
         with pytest.raises(NumericError, match="non-finite gradient in b"):
             clip_global_norm(g, 5.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_norm_raises(self):
         g = Grads({"a": np.array([1e200, 1e200])})
         with pytest.raises(NumericError, match="overflows"):

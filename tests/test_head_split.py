@@ -1,0 +1,349 @@
+"""The worker thread's halves of a vocabulary-sized head's work give the inline path's bits.
+
+At a vocabulary-sized LM head, `autograd._in_halves` hands the worker
+thread a row half of the head GEMM and bias add (`models._forward`), of
+cross-entropy and of dh = dlogits @ w_out, and a half of each buffer of
+the SGD update; `autograd.backward` runs the head's weight and bias
+gradients on the worker beside the layers' BPTT. These tests force the
+split on or off by patching the predicate `autograd._overlap`, as
+tests/test_overlap.py does. The forced shapes keep each GEMM half above
+OpenBLAS's small-matrix sizes, as the automatic decision does (see
+`autograd.SPLIT_ROWS`).
+"""
+
+import copy
+import time
+
+import numpy as np
+import pytest
+
+from rau import autograd, models, train
+from rau.autograd import Grads, backward
+from rau.cells import iter_tensors
+from rau.linalg import Rng
+from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
+from rau.train import DivergenceError, apply_update, evaluate_lm, make_optimizer, train_epoch_lm
+
+KINDS = ("rau", "gru", "lstm")
+# B x T = 259 rows, an odd count that no CE block divides (10 rows here, or 129 at V = 1009); V is no
+# multiple of 64. Cut at 129 rows rather than at 96 (`autograd.SPLIT_ROWS`), the head GEMM's bits change
+B, T, N, V = 7, 37, 48, 1009
+# the CI step's shape: the automatic decision splits it on a host with two CPUs and one BLAS thread
+CI_SHAPE = dict(vocab=3000, hidden=64, batch=20, unroll=20)
+HEAD_JOBS = {"_head_rows", "_cross_entropy_rows", "_rows_product", "_head_grads", "_sgd"}
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """The name of the function behind every job handed to the worker, in order."""
+    names = []
+    start = autograd._worker_submit
+
+    def recording():
+        submit = start()
+
+        def record(fn):
+            names.append(fn.func.__name__)
+            return submit(fn)
+
+        return record
+
+    monkeypatch.setattr(autograd, "_worker_submit", recording)
+    return names
+
+
+@pytest.fixture
+def one_blas_thread():
+    """BLAS at one thread per call while the test runs, where the split runs (see `autograd._overlap`).
+
+    With more threads, BLAS partitions each GEMM among them by the GEMM's own shape, so a forced half
+    would get other bits than the whole; and the automatic decision never splits there.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    before = autograd._blas_threads()
+    try:
+        set_threads = ctypes.CDLL(umath.__file__).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        set_threads = None
+    if before is None or set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set, so the split never runs")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    yield
+    set_threads(before)
+
+
+def _head_jobs(names):
+    """The names of the head's jobs, without the cell BPTT's span flushes that a forced split also sends."""
+    return [name for name in names if name in HEAD_JOBS]
+
+
+def _force(monkeypatch, on: bool):
+    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: on)
+
+
+def _both(monkeypatch, run):
+    """run() with the split off, then on."""
+    _force(monkeypatch, False)
+    inline = run()
+    _force(monkeypatch, True)
+    return inline, run()
+
+
+def _assert_same_bits(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert np.asarray(a[name]).tobytes() == np.asarray(b[name]).tobytes(), name
+
+
+def _lm(kind, layers, dropout, vocab=V, hidden=N, seed=1):
+    return build_language_model(kind, vocab, hidden, layers, 0.5, Rng(seed), dropout=dropout)
+
+
+def _tokens(seed, shape=(B, T), vocab=V):
+    return Rng(seed).integers(vocab, size=shape)
+
+
+LAYERS = pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.3)], ids=["1layer", "2layers_dropout"])
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestSameBits:
+    @LAYERS
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_logits(self, kind, layers, dropout, monkeypatch, jobs):
+        mdl, tokens = _lm(kind, layers, dropout), _tokens(2)
+
+        def run():
+            train_logits, states, _ = lm_forward(mdl, tokens, train_mode=True, rng=Rng(3))
+            eval_logits, _, _ = lm_forward(mdl, tokens)
+            return {"train": train_logits, "eval": eval_logits, **{f"h{l}": s.h for l, s in enumerate(states)}}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        assert jobs == ["_head_rows"] * 2
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("rows", [B * T, 40], ids=["odd_rows", "even_rows"])
+    def test_cross_entropy(self, rows, grad, monkeypatch, jobs):
+        monkeypatch.setattr(models, "CE_BLOCK_BYTES", 10 * 8 * V)  # blocks of 10 rows
+        logits = Rng(4).uniform(-8.0, 8.0, (rows, V))
+        targets = Rng(5).integers(V, size=rows)
+
+        def run():
+            loss, dlogits = cross_entropy(logits, targets, grad=grad)
+            return {"loss": loss, "dlogits": dlogits}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        assert jobs == ["_cross_entropy_rows"]
+
+    @LAYERS
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backward(self, kind, layers, dropout, monkeypatch, jobs):
+        mdl, tokens, targets = _lm(kind, layers, dropout), _tokens(6), _tokens(7, (B * T,))
+
+        def run():
+            logits, _, tape = lm_forward(mdl, tokens, train_mode=True, rng=Rng(8))
+            _, dlogits = cross_entropy(logits.reshape(B * T, -1), targets)
+            return backward(tape, dlogits.reshape(logits.shape))
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        assert _head_jobs(jobs) == ["_head_rows", "_cross_entropy_rows", "_rows_product", "_head_grads"]
+
+    def test_sgd_update(self, monkeypatch, jobs):
+        start = _lm("rau", 2, 0.0)
+        grads = Grads.zeros_like(start)
+        for g in grads.buffers.values():
+            g[...] = Rng(g.size).uniform(-1.0, 1.0, g.shape)
+
+        def run():
+            mdl, g = copy.deepcopy((start, grads))
+            apply_update(make_optimizer("sgd", mdl, 0.7), mdl, g)
+            return {**dict(iter_tensors(mdl)), **{f"grad.{k}": v for k, v in g.items()}}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        assert jobs == ["_sgd"]
+
+    @LAYERS
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, dropout, monkeypatch, jobs):
+        start = _lm(kind, layers, dropout, seed=9)
+        stream = _tokens(10, (B * (2 * T + 1),))
+
+        def run():
+            mdl = copy.deepcopy(start)
+            record, steps = train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 0.5), Rng(11), B, T, 1, 11)
+            assert steps == 2
+            loss, ppl = evaluate_lm(mdl, stream, B, T)
+            return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        # per window the forward, cross-entropy, dh, the head's gradients and the update; then the eval windows
+        window = ["_head_rows", "_cross_entropy_rows"]
+        assert _head_jobs(jobs) == (window + ["_rows_product", "_head_grads", "_sgd"]) * 2 + window * 2
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestFailures:
+    def _tape(self):
+        mdl = _lm("gru", 2, 0.0)
+        logits, _, tape = lm_forward(mdl, _tokens(12), train_mode=True)
+        return tape, np.full(logits.shape, 1e-3)
+
+    def test_a_raising_worker_half_surfaces_in_the_caller(self, monkeypatch, jobs):
+        _force(monkeypatch, True)
+        head_rows = models._head_rows
+
+        def fail_on_the_worker(head_in, w_out, b_out, logits, rows):
+            if rows.start > 0:
+                raise RuntimeError("worker half failed")
+            time.sleep(0.02)  # the caller's half outlasts the worker's
+            return head_rows(head_in, w_out, b_out, logits, rows)
+
+        monkeypatch.setattr(models, "_head_rows", fail_on_the_worker)
+        mdl, tokens = _lm("rau", 1, 0.0), _tokens(13)
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            lm_forward(mdl, tokens)
+        # the worker keeps serving: the next forward gives the inline bits
+        monkeypatch.setattr(models, "_head_rows", head_rows)
+        got = lm_forward(mdl, tokens)[0]
+        _force(monkeypatch, False)
+        assert lm_forward(mdl, tokens)[0].tobytes() == got.tobytes()
+
+    def test_a_raising_caller_half_waits_for_the_worker_half(self, monkeypatch):
+        _force(monkeypatch, True)
+        sgd, done = train._sgd, []
+
+        def fail_in_the_caller(bufs, lr, part):
+            if part.start == 0:
+                raise RuntimeError("caller half failed")
+            time.sleep(0.05)
+            sgd(bufs, lr, part)
+            done.append(part)
+
+        monkeypatch.setattr(train, "_sgd", fail_in_the_caller)
+        mdl = _lm("lstm", 1, 0.0)
+        with pytest.raises(RuntimeError, match="caller half failed"):
+            apply_update(make_optimizer("sgd", mdl, 0.1), mdl, Grads.zeros_like(mdl))
+        assert done == [slice(1, 2)]
+
+    def test_a_raising_head_gradient_surfaces_and_nothing_is_pending(self, monkeypatch, jobs):
+        _force(monkeypatch, True)
+        queued = []
+        submit = autograd._worker_submit
+
+        def keep(fn):
+            queued.append(submit()(fn))
+            return queued[-1]
+
+        def fail(*args):
+            time.sleep(0.02)
+            raise RuntimeError("head gradient failed")
+
+        tape, dlogits = self._tape()
+        monkeypatch.setattr(autograd, "_worker_submit", lambda: keep)
+        monkeypatch.setattr(autograd, "_head_grads", fail)
+        with pytest.raises(RuntimeError, match="head gradient failed"):
+            backward(tape, dlogits)
+        assert queued and all(job.done.is_set() for job in queued)
+
+    def test_no_job_is_pending_when_the_bptt_raises(self, monkeypatch, jobs):
+        _force(monkeypatch, True)
+        queued = []
+        submit = autograd._worker_submit
+
+        def keep(fn):
+            queued.append(submit()(fn))
+            return queued[-1]
+
+        head_grads = autograd._head_grads
+
+        def slow(*args):
+            time.sleep(0.05)
+            return head_grads(*args)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("bptt failed")
+
+        tape, dlogits = self._tape()
+        monkeypatch.setattr(autograd, "_worker_submit", lambda: keep)
+        monkeypatch.setattr(autograd, "_head_grads", slow)
+        monkeypatch.setattr(autograd, "backward_cell_sequence", fail)
+        with pytest.raises(RuntimeError, match="bptt failed"):
+            backward(tape, dlogits)
+        # dh's worker half, then the head's gradients
+        assert len(queued) == 2 and all(job.done.is_set() for job in queued)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_worker_half_runs_under_the_callers_errstate(self, monkeypatch, jobs):
+        # the train forward ignores overflow; a worker thread starts from numpy's defaults and would warn
+        _force(monkeypatch, True)
+        mdl = _lm("rau", 1, 0.0)
+        mdl.w_out[:] = 1e308
+        stream = _tokens(14, (B * (T + 1),))
+        with pytest.raises(DivergenceError, match="loss diverged"):
+            train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 1.0), Rng(15), B, T, 1, 15)
+        assert jobs[0] == "_head_rows"
+
+
+class TestWhenItRuns:
+    """The automatic decision, with the BLAS thread count and the CPU affinity patched."""
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        state = {"blas": 1, "cpus": {0, 1}}
+        monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
+        monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
+        return state
+
+    @staticmethod
+    def _lm_step(vocab, hidden, batch, unroll, layers=2):
+        """One SGD window and one eval window of an LM; returns the names of the head jobs run."""
+        mdl = build_language_model("rau", vocab, hidden, layers, 0.1, Rng(16))
+        stream = Rng(17).integers(vocab, size=batch * (unroll + 1))
+        train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 1.0), Rng(18), batch, unroll, 1, 18)
+        evaluate_lm(mdl, stream, batch, unroll)
+
+    def test_on_at_the_ci_step_shape(self, host, jobs):
+        self._lm_step(**CI_SHAPE)
+        # the head GEMM, cross-entropy with and without grad, dh and the head's gradients; the
+        # update's buffers (3000 x 64 at most) are too small to split
+        assert jobs == ["_head_rows", "_cross_entropy_rows", "_rows_product", "_head_grads",
+                        "_head_rows", "_cross_entropy_rows"]
+
+    def test_on_for_the_update_of_a_large_model(self, host, jobs):
+        mdl = _lm("gru", 1, 0.0, vocab=10000, hidden=200)
+        apply_update(make_optimizer("sgd", mdl, 0.1), mdl, Grads.zeros_like(mdl))
+        assert jobs == ["_sgd"]
+
+    def test_off_at_the_ci_corpus_shape(self, host, jobs):
+        self._lm_step(vocab=30, hidden=8, batch=2, unroll=5)
+        assert not HEAD_JOBS & set(jobs)
+
+    @pytest.mark.parametrize("m,n,T_,batch,classes", [(28, 128, 28, 128, 10), (3, 4, 5, 1, 4)],
+                             ids=["rows_classify", "oracle"])
+    def test_off_at_the_classifier_shapes(self, m, n, T_, batch, classes, host, jobs):
+        mdl = build_classifier("rau", m, n, 1, classes, 0.1, Rng(19))
+        xs = Rng(20).uniform(-1.0, 1.0, (batch, T_, m))
+        logits, tape = classify_forward(mdl, xs, train_mode=True)
+        loss, dlogits = cross_entropy(logits, Rng(21).integers(classes, size=batch))
+        apply_update(make_optimizer("sgd", mdl, 0.1), mdl, backward(tape, dlogits))
+        assert not HEAD_JOBS & set(jobs)
+
+    @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
+    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host, jobs):
+        host["blas"] = blas
+        self._lm_step(**CI_SHAPE)
+        assert not jobs
+
+    def test_off_on_one_cpu(self, host, jobs):
+        host["cpus"] = {0}
+        self._lm_step(**CI_SHAPE)
+        assert not jobs
+
+    def test_row_cuts_fall_on_the_tiling_grid(self):
+        assert [autograd._row_cut(rows) for rows in (95, 150, 217, 400, 401, 600)] == [0, 96, 96, 192, 192, 288]

@@ -11,17 +11,18 @@ the gradients share the parameters' layout: one buffer per cell.
 The weight gradients are deferred: a window's steps buffer their gate
 deltas a span at a time, and each span is flushed into the weight
 gradients with one GEMM per gate group (see `DW_GEMM_ROWS`). Those GEMMs
-are off the recurrence's path, so a window of several large spans hands
-its flushes to one worker thread, started on first use, which runs them
-in span order beside the next span's steps; the gradients keep their
-bits, since each weight gradient gets the same sums in the same order.
+are off the recurrence's path, so in a window of several large spans one
+worker thread runs each span's flush beside the steps of the span before
+it; the gradients keep their bits, since each weight gradient gets the
+same sums in the same order.
 
-The same worker takes half of a vocabulary-sized head's work (see
-`_in_halves`): a row half of the head GEMM and of cross-entropy in
-`models`, of `dh = dlogits @ w_out` here, and a half of each buffer in
-the SGD update in `train`. It also computes the head's weight and bias
-gradients beside the layers' BPTT. Each half writes its own part of
-arrays the caller allocated. An elementwise half does the same
+The same worker takes half of a vocabulary-sized head's work: a row half
+of the head GEMM and of dh = dlogits @ w_out (`_split_gemm`), of
+cross-entropy in `models`, and a half of each buffer in the SGD update in
+`train`, all through `_in_halves`. It also computes the head's weight and
+bias gradients beside the layers' BPTT. Every handoff goes through one
+join, `_beside`, and one gate, `_overlap`. Each half writes its own part
+of arrays the caller allocated. An elementwise half does the same
 operations on the same values, and a GEMM's halves meet on OpenBLAS's
 row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
 
@@ -126,10 +127,11 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
 # backward ~10% faster than spans of 1024 rows or more, and whole-window
 # buffers would also add ~27 MB to the peak memory of a RAU train step.
 #
-# A window of more than one span may hand its flushes to one worker thread
-# (see `_overlap`), which runs them in span order, so it adds the same
-# products in the same order and the bits do not change. Meanwhile the next
-# span's steps run in the caller and fill a second set of delta buffers.
+# In a window of more than one span, the worker thread (see `_overlap`) may
+# run each span's flush while the caller runs the steps of the span before
+# it into a second set of delta buffers. The flushes still run one at a
+# time in span order, so they add the same products in the same order and
+# the bits do not change.
 DW_GEMM_ROWS = 512
 # The worker takes a window's flushes only when they average this much work.
 # On a 2-core host, one window's backward with the worker against without ran
@@ -141,7 +143,7 @@ OVERLAP_MIN_FLOP = 30_000_000
 # GEMM flops in the SGD update and 120-170 in cross-entropy; so a half of 470 000 elements or more goes
 # to the worker.
 ELEMENT_FLOP = 64
-# A GEMM split by rows (`_row_cut`) cuts at a multiple of this many rows. On the 2-core host, other cuts
+# A GEMM split by rows (`_split_gemm`) cuts at a multiple of this many rows. On the 2-core host, other cuts
 # changed bits at some shapes, e.g. (400, 200) x (200, 1009) cut at 200 rows, likely because OpenBLAS
 # packs a product's rows in chunks of up to 3 x its dgemm N-unroll. At multiples of 96 rows the head
 # GEMM and dh kept their bits at every shape tried (n 5-300, V 65-10000), provided each half held over
@@ -189,40 +191,32 @@ def backward_cell_sequence(
     starts = range(0, T, span)
     # every span's flush but that of the first steps, which the backward reaches last, can run beside later steps
     overlap_flop = 2 * (T - span) * per_step * (m + n) * k.rows(m, n)
-    submit = _worker_submit() if _overlap(len(starts), overlap_flop) else None
+    on = _overlap(len(starts), overlap_flop)
     stacks = weight_stacks(kind, params)
     dw, db = buffer_blocks(kind, m, n, grads.buffers[prefix])
     # with the worker, the steps fill one set of deltas while it flushes the other
-    sets = 1 if submit is None else 2
-    deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(sets)]
+    deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(2 if on else 1)]
     # a shared field's rows are one row, the last step's; each flush rebuilds its span's rows here
     rebuilt = [(name, fill, np.empty((span,) + getattr(trace, name).shape[1:])) for name, _, fill in k.shared]
     dx_steps = np.empty((T,) + batch + (m,)) if want_dx else None
     dh = np.zeros(batch + (n,))
     if dh_last is not None:
         dh = dh + dh_last
-    dc = None
-    flushes = []
-    try:
-        for s, lo in enumerate(reversed(starts)):
-            d = deltas[s % sets]
-            if submit is not None and s >= sets:
-                flushes[s - sets].wait()  # the last flush to read d
-            for t in reversed(range(lo, min(lo + span, T))):
-                if dh_steps is not None and dh_steps[t] is not None:
-                    dh = dh + dh_steps[t]
-                dx = None if dx_steps is None else dx_steps[t]
-                dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in d], dx, m, n)
-            flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, dw, db, m)
-            if submit is None:
-                flush()
-            else:
-                flushes.append(submit(flush))
-        for f in flushes:
-            f.wait()
-    finally:
-        for f in flushes:
-            f.done.wait()
+
+    def steps(lo: int, dh: np.ndarray, dc, d) -> tuple:
+        for t in reversed(range(lo, min(lo + span, T))):
+            if dh_steps is not None and dh_steps[t] is not None:
+                dh = dh + dh_steps[t]
+            dx = None if dx_steps is None else dx_steps[t]
+            dh, dc = k.backward(trace.row(t), dh, dc, stacks, [buf[t - lo] for buf in d], dx, m, n)
+        return dh, dc
+
+    dc = flush = None
+    for s, lo in enumerate(reversed(starts)):
+        d = deltas[s % len(deltas)]
+        dh, dc = _beside(flush, on, steps, lo, dh, dc, d)
+        flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, dw, db, m)
+    flush()
     return grads, dx_steps, dh
 
 
@@ -254,45 +248,66 @@ def _add_weight_grads(groups, deltas, rows: Trace, dw: np.ndarray, db: np.ndarra
 def _overlap(spans: int, flop: int) -> bool:
     """Whether work cut into this many pieces hands some of them to the worker thread.
 
-    For a window's span flushes, flop is the work of the flushes that can run beside later steps; for the
-    halves of a vocabulary-sized head's work (`_in_halves`), spans is 2 and flop is the worker's half, with
-    an element of an elementwise pass counted as ELEMENT_FLOP. A handoff pays only for a piece of
-    OVERLAP_MIN_FLOP or more, on average. The worker's work needs a CPU of its own beside the caller's:
-    the bundled OpenBLAS must run each call on one thread (with two, the flush overlap made a RAU step
-    slower), and the process must be allowed two CPUs or more.
+    For a window's span flushes, flop is the work of the flushes that can run beside earlier spans' steps;
+    for the halves of `_in_halves`, spans is 2 and flop is the worker's half, with an element of an
+    elementwise pass counted as ELEMENT_FLOP. A handoff pays only for a piece of OVERLAP_MIN_FLOP or more,
+    on average. The worker's work needs a CPU of its own beside the caller's: the bundled OpenBLAS must
+    run each call on one thread (with two, the flush overlap made a RAU step slower), and the process must
+    be allowed two CPUs or more.
     """
     return (spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _blas_threads() == 1
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
 
 
-def _in_halves(size: int, cut: int, flop: int, fn: Callable, *args) -> None:
-    """fn(*args, part) over parts that together cover range(size).
+def _in_halves(rows: int, align: int, row_flop: int, fn: Callable, *args) -> None:
+    """fn(*args, part) over parts that together cover range(rows), each row costing row_flop.
 
-    When `_overlap` finds flop, the work of the part from cut on, worth a handoff, the worker thread runs
-    fn(*args, slice(cut, size)) while the caller runs fn(*args, slice(0, cut)); else the caller runs
-    fn(*args, slice(0, size)). fn must give each part's outputs its own memory, allocate no large array
-    and call nothing the benchmark's tracer wraps. Returns once every part has run, raising what one raised.
+    The cut is the multiple of align nearest half of rows, rounding up; align is SPLIT_ROWS for a GEMM,
+    the block for cross-entropy's row blocks and 1 for the SGD update's two halves. When `_overlap` finds the rows from the cut worth a handoff, the worker
+    thread runs fn(*args, slice(cut, rows)) beside fn(*args, slice(0, cut)) in the caller (see `_beside`);
+    else the caller runs fn(*args, slice(0, rows)). fn must give each part's outputs its own memory,
+    allocate no large array and call nothing the benchmark's tracer wraps.
     """
-    if 0 < cut < size and _overlap(2, flop):
-        _beside(functools.partial(fn, *args, slice(cut, size)), fn, *args, slice(0, cut))
+    cut = align * ((rows + align) // (2 * align))
+    if 0 < cut < rows and _overlap(2, (rows - cut) * row_flop):
+        _beside(functools.partial(fn, *args, slice(cut, rows)), True, fn, *args, slice(0, cut))
     else:
-        fn(*args, slice(0, size))
+        fn(*args, slice(0, rows))
 
 
-def _row_cut(rows: int) -> int:
-    """The multiple of SPLIT_ROWS nearest half of rows, rounding up: where the halves of a row-split GEMM meet."""
-    return SPLIT_ROWS * ((rows + SPLIT_ROWS) // (2 * SPLIT_ROWS))
+def _split_gemm(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, plus bias if given, into a new array; at a large product the worker computes a row half."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    _in_halves(a.shape[0], SPLIT_ROWS, 2 * a.shape[1] * b.shape[1], _gemm_rows, a, b, bias, out)
+    return out
 
 
-def _beside(job: Callable, fn: Callable, *args) -> None:
-    """fn(*args) in the caller while the worker thread runs job(); returns once both have run, raising
-    what either raised."""
-    queued = _worker_submit()(job)
+def _gemm_rows(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None, out: np.ndarray, rows: slice) -> None:
+    part = out[rows]
+    np.matmul(a[rows], b, out=part)
+    if bias is not None:
+        part += bias
+
+
+def _beside(job: Callable | None, on: bool, fn: Callable, *args):
+    """job() and fn(*args); returns fn's result once both have run, raising what either raised.
+
+    With on, the worker thread runs job while the caller runs fn; else the caller runs job, then fn. A job
+    of None is no work.
+    """
+    if job is None:
+        return fn(*args)
+    if not on:
+        job()
+        return fn(*args)
+    queued = _submit(job)
     try:
-        fn(*args)
-    finally:
-        queued.done.wait()
-    queued.wait()
+        out = fn(*args)
+    except BaseException:
+        queued.exception()  # waits for the job
+        raise
+    queued.result()
+    return out
 
 
 def _blas_threads() -> int | None:
@@ -317,55 +332,22 @@ def _blas_threads_query():
     return get
 
 
-class _Job:
-    """A call queued for the worker; `wait` returns once it has run, raising what it raised.
+_worker: tuple | None = None  # (pid, executor) of the worker thread; a forked child starts its own
 
-    It runs under the numpy error state its caller had when it queued it: a thread starts from numpy's
-    defaults, so a half of a forward the caller runs under np.errstate(over="ignore") would still warn.
+
+def _submit(job: Callable):
+    """Queue job for the worker thread, a one-thread executor that runs jobs in the order queued; returns
+    job's Future. The executor starts on first use in a process, with its import.
+
+    job runs under the numpy error state its caller has now: a thread starts from numpy's defaults, so a
+    half of a forward the caller runs under np.errstate(over="ignore") would still warn.
     """
-
-    def __init__(self, fn: Callable, done, errstate: dict):
-        self.fn, self.done, self.errstate, self.error = fn, done, errstate, None
-
-    def run(self) -> None:
-        try:
-            with np.errstate(**self.errstate):
-                self.fn()
-        except BaseException as exc:  # the caller's wait raises it
-            self.error = exc
-        self.done.set()
-
-    def wait(self) -> None:
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-
-
-_worker: tuple | None = None  # (pid, submit) of the worker thread; a forked child starts its own
-
-
-def _worker_submit() -> Callable[[Callable], _Job]:
-    """submit(fn), which queues fn for the one worker thread and returns its `_Job`; the worker runs the
-    calls in the order queued. It starts on first use in a process, with its imports."""
     global _worker
     if _worker is None or _worker[0] != os.getpid():
-        import queue
-        import threading
+        from concurrent.futures import ThreadPoolExecutor
 
-        jobs = queue.SimpleQueue()
-
-        def submit(fn: Callable) -> _Job:
-            job = _Job(fn, threading.Event(), np.geterr())
-            jobs.put(job)
-            return job
-
-        def work() -> None:
-            while True:
-                jobs.get().run()
-
-        threading.Thread(target=work, name="rau-worker", daemon=True).start()
-        _worker = (os.getpid(), submit)
-    return _worker[1]
+        _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="rau-worker"))
+    return _worker[1].submit(np.errstate(**np.geterr())(job))
 
 
 @dataclass
@@ -403,34 +385,24 @@ def backward(tape: Tape, dlogits) -> Grads:
     V, n = model.w_out.shape
     flat = np.asarray(dlogits).reshape(-1, V)
     rows = flat.shape[0]
-    head_in = tape.head_in.reshape(rows, -1)
-    dh = np.empty((rows, n))
-    cut = _row_cut(rows)
-    _in_halves(rows, cut, 2 * (rows - cut) * V * n, _rows_product, flat, model.w_out, dh)
-    dh = dh.reshape(tape.head_in.shape)
+    dh = _split_gemm(flat, model.w_out).reshape(tape.head_in.shape)
     # the head's gradients read only dlogits and the head input, so they can run beside the BPTT
-    head = (head_in, flat, np.empty((n, V)), grads["w_out"], grads["b_out"])
-    if _overlap(2, 2 * rows * V * n):
-        _beside(functools.partial(_head_grads, *head), _backward_stack, tape, grads, dh)
-    else:
-        _head_grads(*head)
-        del head  # its scratch, before the BPTT allocates
-        _backward_stack(tape, grads, dh)
+    head = functools.partial(_head_grads, tape.head_in.reshape(rows, -1), flat, [np.empty((n, V))], grads["w_out"],
+                             grads["b_out"])
+    _beside(head, _overlap(2, 2 * rows * V * n), _backward_stack, tape, grads, dh)
     return grads
 
 
-def _rows_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, rows: slice) -> None:
-    np.matmul(a[rows], b, out=out[rows])
-
-
-def _head_grads(head_in: np.ndarray, flat: np.ndarray, dw: np.ndarray, w_grad: np.ndarray,
+def _head_grads(head_in: np.ndarray, flat: np.ndarray, scratch: list, w_grad: np.ndarray,
                 b_grad: np.ndarray) -> None:
-    """The head's weight gradient through the scratch dw, then its bias gradient.
+    """The head's weight gradient through the (n, V) array in scratch, then its bias gradient.
 
     (head_in.T @ flat).T equals flat.T @ head_in, and at an LM head's (rows, V) x (rows, n) shape this
     GEMM order is about a third faster; matmul(out=) into the transposed buffer would fall back to the
-    slow order, so the product goes to dw, shaped (n, V), and its transpose is copied.
+    slow order, so the product goes to the scratch array and its transpose is copied. It takes the array
+    out of scratch, so it is freed on return: run before the BPTT, it is gone before the BPTT allocates.
     """
+    dw = scratch.pop()
     np.matmul(head_in.T, flat, out=dw)
     w_grad[...] = dw.T
     b_grad += flat.sum(axis=0)

@@ -12,7 +12,7 @@ each from recorded fields, so every step writes them into one shared
 scratch row and the backward rebuilds them a span of steps at a time.
 `_KINDS` is the one table of the kinds. A kind's gates (GRU and RAU
 r|z, LSTM f|i|o|g) form one block: one matmul, a GEMM batched over the
-gates against the stacked weights of `gate_block`, writes them into one
+gates against the stacked weights of a cell's `gates`, writes them into one
 gate-major trace field, and one sigmoid call activates the sigmoid
 gates. Gate-major keeps each gate contiguous: numpy's elementwise ops
 ran about 3x slower on a (B, n) gate cut from a (B, k*n) block.
@@ -48,7 +48,10 @@ _EMPTY = np.zeros(0)
 
 
 class _Cell:
-    """Named tensors viewing one `buffer`, with `gates`, its `gate_block`; update them in place, never rebind.
+    """Named tensors viewing one `buffer`; update them in place, never rebind.
+
+    `gates` views the k gates' (k, m+n, n) weights, gate j being w_j.T, and (k, n) biases for one batched
+    GEMM: the leading rows of the xh group, so they follow in-place updates; a RAU's are its GRU part's.
 
     hidden_size and input_size are read off the (n, m+n) gate weight named by `_gate`.
     """
@@ -250,15 +253,6 @@ def weight_stacks(kind: str, p: CellParams) -> list:
     return [w[lo:hi] for lo, hi in _layout(kind, m, n).groups]
 
 
-def gate_block(kind: str, p: CellParams) -> tuple[np.ndarray, np.ndarray]:
-    """The k gates' (k, m+n, n) weights, gate j being w_j.T, and (k, n) biases for one batched GEMM.
-
-    Both view the leading rows of p's xh group, so they follow in-place updates; a RAU's are its GRU part's.
-    """
-    _kind(kind)
-    return p.gates
-
-
 def _trace_row(kind: str, p: CellParams, x: np.ndarray, tr: Trace | None) -> Trace:
     """tr, or else the row of a fresh one-row trace for one step of p on x."""
     return new_trace(kind, 1, x.shape[:-1], p.input_size, p.hidden_size).row(0) if tr is None else tr
@@ -272,7 +266,7 @@ def _affine(inp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> n
 
 
 def _gate_affine(xh: np.ndarray, gates: tuple, out: np.ndarray) -> np.ndarray:
-    """Every gate's xh @ w_j.T + b_j at once, into the gate-major out (k, *batch, n); gates is `gate_block`."""
+    """Every gate's xh @ w_j.T + b_j at once, into the gate-major out (k, *batch, n); gates is a cell's `gates`."""
     w, b = gates
     np.matmul(xh, w, out=out)
     out += b.reshape(len(b), *(1,) * (xh.ndim - 1), -1)

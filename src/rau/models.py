@@ -157,22 +157,12 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         out_masks = dropout_mask(rng, head_in.shape, rate)
         head_in = head_in * out_masks
     # one GEMM for every position the head reads, the bias added into its output in place; at a
-    # vocabulary-sized head the worker thread takes about half of the rows (see `autograd._in_halves`)
-    flat_in = head_in.reshape(-1, n)
-    rows, V = flat_in.shape[0], mdl.w_out.shape[0]
-    logits = np.empty((rows, V))
-    cut = autograd._row_cut(rows)
-    autograd._in_halves(rows, cut, 2 * (rows - cut) * n * V, _head_rows, flat_in, mdl.w_out, mdl.b_out, logits)
+    # vocabulary-sized head the worker thread takes about half of the rows (see `autograd._split_gemm`)
+    logits = autograd._split_gemm(head_in.reshape(-1, n), mdl.w_out.T, mdl.b_out)
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
     tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
     return logits, states, tape
-
-
-def _head_rows(head_in: np.ndarray, w_out: np.ndarray, b_out: np.ndarray, logits: np.ndarray, rows: slice) -> None:
-    out = logits[rows]
-    np.matmul(head_in[rows], w_out.T, out=out)
-    out += b_out
 
 
 def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng | None = None):
@@ -206,6 +196,8 @@ def lm_forward(mdl: SequenceModel, tokens, h_init=None, train_mode: bool = False
         ids = ids[None, :]
     if ids.shape[1] == 0:
         raise ContractError("lm_forward: empty sequence")
+    if h_init is not None and len(h_init) != len(mdl.cells):
+        raise ContractError(f"lm_forward: {len(h_init)} start states for {len(mdl.cells)} layers")
     logits, states, tape = _forward(mdl, ids, h_init, train_mode, rng)
     if single:
         logits = logits[:, 0, :]
@@ -229,20 +221,24 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
     logits = np.asarray(logits, dtype=np.float64)
     single = logits.ndim == 1
     lg = logits[None, :] if single else logits
+    if lg.ndim != 2:
+        raise ContractError(f"cross_entropy: logits must be (k,) or (B, k), got {logits.shape}")
     tg = np.atleast_1d(np.asarray(target))
-    if tg.shape[0] != lg.shape[0]:
-        raise ContractError("cross_entropy: target count != batch size")
-    if tg.min() < 0 or tg.max() >= lg.shape[1]:
-        raise ContractError("cross_entropy: target out of range")
     B, k = lg.shape
+    if tg.dtype.kind not in "iu":
+        raise ContractError(f"cross_entropy: targets must be integers, got {tg.dtype}")
+    if tg.shape != (B,):
+        raise ContractError(f"cross_entropy: targets shaped {tg.shape} for {B} rows of logits")
+    if B == 0:
+        raise ContractError("cross_entropy: empty batch")
+    if tg.min() < 0 or tg.max() >= k:
+        raise ContractError("cross_entropy: target out of range")
     block = max(1, CE_BLOCK_BYTES // (8 * k))
     # with grad, each block lands in its rows of dlogits; without, each half of the rows (see
     # `autograd._in_halves`) reuses a block buffer of its own
     buf = np.empty_like(lg) if grad else np.empty((2, min(block, B), k))
     nll = np.empty(B)
-    cut = block * (-(-B // block) // 2)  # the caller's half: half of the blocks, rounded down
-    autograd._in_halves(B, cut, (B - cut) * k * autograd.ELEMENT_FLOP, _cross_entropy_rows, lg, tg, buf, nll, block,
-                        grad)
+    autograd._in_halves(B, block, k * autograd.ELEMENT_FLOP, _cross_entropy_rows, lg, tg, buf, nll, block, grad)
     # a non-finite loss is the caller's to judge: numpy's overflow warning on the way there would only be noise
     with np.errstate(over="ignore"):
         loss = float(np.mean(nll))

@@ -1,7 +1,7 @@
 """The fused gate step against the per-gate step it replaced.
 
 Each kind computes its sigmoid gates (GRU and RAU r|z, LSTM f|i|o|g) with
-one batched GEMM against `cells.gate_block`, in place into one gate-major
+one batched GEMM against a cell's `gates`, in place into one gate-major
 trace field, and activates them with one call. The reference below is
 the per-gate form: one GEMM, one bias add and one activation per gate.
 Gate j of the batched GEMM multiplies by the same transposed weight view
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rau import cells
-from rau.cells import CellState, gate_block, init_cell, step, zero_state
+from rau.cells import CellState, init_cell, step, zero_state
 from rau.linalg import Rng, sigmoid, softmax, tanh
 
 ATOL = 1e-12
@@ -118,7 +118,7 @@ class TestGateBlock:
         assert xh_field == "xh" and [w[-1] for w in weights] == list(views)
         assert dict(k.fields)[field] == f"{len(views)}n"
         p = init_cell(kind, 2, 3, 0.5, Rng(6))
-        w, b = gate_block(kind, p)
+        w, b = p.gates
         tensors = dict(cells.iter_tensors(p))
         assert w.shape == (len(weights), 2 + 3, 3) and b.shape == (len(biases), 3)
         for j, (wj, bj) in enumerate(zip(weights, biases)):
@@ -126,5 +126,5 @@ class TestGateBlock:
 
     def test_rau_block_is_the_gru_block_of_its_gru_part(self):
         p = init_cell("rau", 2, 3, 0.5, Rng(7))
-        for a, b in zip(gate_block("rau", p), gate_block("gru", p.gru)):
+        for a, b in zip(p.gates, p.gru.gates):
             assert a.tobytes() == b.tobytes()

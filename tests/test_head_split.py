@@ -1,10 +1,10 @@
 """The worker thread's halves of a vocabulary-sized head's work give the inline path's bits.
 
 At a vocabulary-sized LM head, `autograd._in_halves` hands the worker
-thread a row half of the head GEMM and bias add (`models._forward`), of
-cross-entropy and of dh = dlogits @ w_out, and a half of each buffer of
-the SGD update; `autograd.backward` runs the head's weight and bias
-gradients on the worker beside the layers' BPTT. These tests force the
+thread a row half of the head GEMM and bias add and of dh = dlogits @
+w_out (both `autograd._split_gemm`), of cross-entropy, and a half of each
+buffer of the SGD update; `autograd.backward` runs the head's weight and
+bias gradients on the worker beside the layers' BPTT. These tests force the
 split on or off by patching the predicate `autograd._overlap`, as
 tests/test_overlap.py does. The forced shapes keep each GEMM half above
 OpenBLAS's small-matrix sizes, as the automatic decision does (see
@@ -13,6 +13,7 @@ OpenBLAS's small-matrix sizes, as the automatic decision does (see
 
 import copy
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -30,25 +31,20 @@ KINDS = ("rau", "gru", "lstm")
 B, T, N, V = 7, 37, 48, 1009
 # the CI step's shape: the automatic decision splits it on a host with two CPUs and one BLAS thread
 CI_SHAPE = dict(vocab=3000, hidden=64, batch=20, unroll=20)
-HEAD_JOBS = {"_head_rows", "_cross_entropy_rows", "_rows_product", "_head_grads", "_sgd"}
+HEAD_JOBS = {"_gemm_rows", "_cross_entropy_rows", "_head_grads", "_sgd"}
 
 
 @pytest.fixture
 def jobs(monkeypatch):
     """The name of the function behind every job handed to the worker, in order."""
     names = []
-    start = autograd._worker_submit
+    submit = autograd._submit
 
-    def recording():
-        submit = start()
+    def record(job):
+        names.append(job.func.__name__)
+        return submit(job)
 
-        def record(fn):
-            names.append(fn.func.__name__)
-            return submit(fn)
-
-        return record
-
-    monkeypatch.setattr(autograd, "_worker_submit", recording)
+    monkeypatch.setattr(autograd, "_submit", record)
     return names
 
 
@@ -125,7 +121,7 @@ class TestSameBits:
             return {"train": train_logits, "eval": eval_logits, **{f"h{l}": s.h for l, s in enumerate(states)}}
 
         _assert_same_bits(*_both(monkeypatch, run))
-        assert jobs == ["_head_rows"] * 2
+        assert jobs == ["_gemm_rows"] * 2
 
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("rows", [B * T, 40], ids=["odd_rows", "even_rows"])
@@ -152,7 +148,7 @@ class TestSameBits:
             return backward(tape, dlogits.reshape(logits.shape))
 
         _assert_same_bits(*_both(monkeypatch, run))
-        assert _head_jobs(jobs) == ["_head_rows", "_cross_entropy_rows", "_rows_product", "_head_grads"]
+        assert _head_jobs(jobs) == ["_gemm_rows", "_cross_entropy_rows", "_gemm_rows", "_head_grads"]
 
     def test_sgd_update(self, monkeypatch, jobs):
         start = _lm("rau", 2, 0.0)
@@ -183,8 +179,8 @@ class TestSameBits:
 
         _assert_same_bits(*_both(monkeypatch, run))
         # per window the forward, cross-entropy, dh, the head's gradients and the update; then the eval windows
-        window = ["_head_rows", "_cross_entropy_rows"]
-        assert _head_jobs(jobs) == (window + ["_rows_product", "_head_grads", "_sgd"]) * 2 + window * 2
+        window = ["_gemm_rows", "_cross_entropy_rows"]
+        assert _head_jobs(jobs) == (window + ["_gemm_rows", "_head_grads", "_sgd"]) * 2 + window * 2
 
 
 @pytest.mark.usefixtures("one_blas_thread")
@@ -196,20 +192,20 @@ class TestFailures:
 
     def test_a_raising_worker_half_surfaces_in_the_caller(self, monkeypatch, jobs):
         _force(monkeypatch, True)
-        head_rows = models._head_rows
+        gemm_rows = autograd._gemm_rows
 
-        def fail_on_the_worker(head_in, w_out, b_out, logits, rows):
+        def fail_on_the_worker(a, b, bias, out, rows):
             if rows.start > 0:
                 raise RuntimeError("worker half failed")
             time.sleep(0.02)  # the caller's half outlasts the worker's
-            return head_rows(head_in, w_out, b_out, logits, rows)
+            return gemm_rows(a, b, bias, out, rows)
 
-        monkeypatch.setattr(models, "_head_rows", fail_on_the_worker)
+        monkeypatch.setattr(autograd, "_gemm_rows", fail_on_the_worker)
         mdl, tokens = _lm("rau", 1, 0.0), _tokens(13)
         with pytest.raises(RuntimeError, match="worker half failed"):
             lm_forward(mdl, tokens)
         # the worker keeps serving: the next forward gives the inline bits
-        monkeypatch.setattr(models, "_head_rows", head_rows)
+        monkeypatch.setattr(autograd, "_gemm_rows", gemm_rows)
         got = lm_forward(mdl, tokens)[0]
         _force(monkeypatch, False)
         assert lm_forward(mdl, tokens)[0].tobytes() == got.tobytes()
@@ -231,35 +227,34 @@ class TestFailures:
             apply_update(make_optimizer("sgd", mdl, 0.1), mdl, Grads.zeros_like(mdl))
         assert done == [slice(1, 2)]
 
-    def test_a_raising_head_gradient_surfaces_and_nothing_is_pending(self, monkeypatch, jobs):
-        _force(monkeypatch, True)
-        queued = []
-        submit = autograd._worker_submit
+    @pytest.fixture
+    def queued(self, monkeypatch):
+        """The Future of every job handed to the worker, in order."""
+        futures = []
+        submit = autograd._submit
 
-        def keep(fn):
-            queued.append(submit()(fn))
-            return queued[-1]
+        def keep(job):
+            futures.append(submit(job))
+            return futures[-1]
+
+        monkeypatch.setattr(autograd, "_submit", keep)
+        return futures
+
+    def test_a_raising_head_gradient_surfaces_and_nothing_is_pending(self, monkeypatch, queued):
+        _force(monkeypatch, True)
 
         def fail(*args):
             time.sleep(0.02)
             raise RuntimeError("head gradient failed")
 
         tape, dlogits = self._tape()
-        monkeypatch.setattr(autograd, "_worker_submit", lambda: keep)
         monkeypatch.setattr(autograd, "_head_grads", fail)
         with pytest.raises(RuntimeError, match="head gradient failed"):
             backward(tape, dlogits)
-        assert queued and all(job.done.is_set() for job in queued)
+        assert queued and all(job.done() for job in queued)
 
-    def test_no_job_is_pending_when_the_bptt_raises(self, monkeypatch, jobs):
+    def test_no_job_is_pending_when_the_bptt_raises(self, monkeypatch, queued):
         _force(monkeypatch, True)
-        queued = []
-        submit = autograd._worker_submit
-
-        def keep(fn):
-            queued.append(submit()(fn))
-            return queued[-1]
-
         head_grads = autograd._head_grads
 
         def slow(*args):
@@ -270,13 +265,31 @@ class TestFailures:
             raise RuntimeError("bptt failed")
 
         tape, dlogits = self._tape()
-        monkeypatch.setattr(autograd, "_worker_submit", lambda: keep)
+        queued.clear()  # the forward's
         monkeypatch.setattr(autograd, "_head_grads", slow)
         monkeypatch.setattr(autograd, "backward_cell_sequence", fail)
         with pytest.raises(RuntimeError, match="bptt failed"):
             backward(tape, dlogits)
         # dh's worker half, then the head's gradients
-        assert len(queued) == 2 and all(job.done.is_set() for job in queued)
+        assert len(queued) == 2 and all(job.done() for job in queued)
+
+    def test_inline_head_gradients_free_their_scratch_before_the_bptt(self, monkeypatch):
+        _force(monkeypatch, False)
+        scratch, seen = [], []
+        head_grads, backward_stack = autograd._head_grads, autograd._backward_stack
+
+        def watch(head_in, flat, held, *rest):
+            scratch.append(weakref.ref(held[0]))
+            head_grads(head_in, flat, held, *rest)
+
+        def bptt(*args):
+            seen.append(scratch[0]() is None)
+            backward_stack(*args)
+
+        monkeypatch.setattr(autograd, "_head_grads", watch)
+        monkeypatch.setattr(autograd, "_backward_stack", bptt)
+        backward(*self._tape())
+        assert seen == [True]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_overflowing_worker_half_runs_under_the_callers_errstate(self, monkeypatch, jobs):
@@ -287,7 +300,7 @@ class TestFailures:
         stream = _tokens(14, (B * (T + 1),))
         with pytest.raises(DivergenceError, match="loss diverged"):
             train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 1.0), Rng(15), B, T, 1, 15)
-        assert jobs[0] == "_head_rows"
+        assert jobs[0] == "_gemm_rows"
 
 
 class TestWhenItRuns:
@@ -312,8 +325,8 @@ class TestWhenItRuns:
         self._lm_step(**CI_SHAPE)
         # the head GEMM, cross-entropy with and without grad, dh and the head's gradients; the
         # update's buffers (3000 x 64 at most) are too small to split
-        assert jobs == ["_head_rows", "_cross_entropy_rows", "_rows_product", "_head_grads",
-                        "_head_rows", "_cross_entropy_rows"]
+        assert jobs == ["_gemm_rows", "_cross_entropy_rows", "_gemm_rows", "_head_grads",
+                        "_gemm_rows", "_cross_entropy_rows"]
 
     def test_on_for_the_update_of_a_large_model(self, host, jobs):
         mdl = _lm("gru", 1, 0.0, vocab=10000, hidden=200)
@@ -345,5 +358,16 @@ class TestWhenItRuns:
         self._lm_step(**CI_SHAPE)
         assert not jobs
 
-    def test_row_cuts_fall_on_the_tiling_grid(self):
-        assert [autograd._row_cut(rows) for rows in (95, 150, 217, 400, 401, 600)] == [0, 96, 96, 192, 192, 288]
+    def test_row_cuts_fall_on_the_tiling_grid(self, monkeypatch):
+        _force(monkeypatch, True)
+
+        def cut(rows, align):
+            parts = []
+            autograd._in_halves(rows, align, 1, parts.append)
+            return 0 if len(parts) == 1 else min(part.stop for part in parts)
+
+        G = autograd.SPLIT_ROWS
+        assert [cut(rows, G) for rows in (95, 150, 217, 400, 401, 600)] == [0, 96, 96, 192, 192, 288]
+        # cross-entropy's blocks, and the SGD update's two halves
+        assert [cut(rows, 13) for rows in (12, 20, 39, 400)] == [0, 13, 26, 195]
+        assert [cut(rows, 1) for rows in (1, 2, 3)] == [0, 1, 2]

@@ -229,6 +229,14 @@ class TestLmForward:
         with pytest.raises(ContractError):
             lm_forward(mdl, np.array([5]))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_start_states_must_match_the_layers(self, count):
+        mdl = build_language_model("gru", 5, 3, 2, 0.3, Rng(1))
+        toks = Rng(2).integers(5, size=(2, 4))
+        _, states, _ = lm_forward(mdl, toks)
+        with pytest.raises(ContractError, match="start states for 2 layers"):
+            lm_forward(mdl, toks, h_init=(states + states)[:count])
+
     def test_two_layer_rau_gradient_passes_fd(self):
         rng = Rng(8)
         mdl = build_language_model("rau", 6, 3, 2, 0.5, rng)
@@ -306,6 +314,21 @@ class TestCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(ContractError):
             cross_entropy(np.zeros(3), 3)
+
+    @pytest.mark.parametrize("target", [np.array([0.0, 1.0]), np.array([[0], [1]]), np.array([0, 1, 2])],
+                             ids=["float", "column", "too_many"])
+    def test_malformed_targets_raise(self, target):
+        with pytest.raises(ContractError, match="targets"):
+            cross_entropy(np.zeros((2, 3)), target)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)], ids=["scalar", "3d"])
+    def test_logits_of_another_rank_raise(self, shape):
+        with pytest.raises(ContractError, match="logits must be"):
+            cross_entropy(np.zeros(shape), np.zeros(shape[:-1], dtype=np.int64))
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(ContractError, match="empty batch"):
+            cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("shape", [(7,), (40, 300)])
     def test_matches_two_exp_formula(self, shape):

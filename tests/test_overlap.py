@@ -2,11 +2,12 @@
 
 `backward_cell_sequence` may hand each span's flush (the shared-row
 rebuild, one weight GEMM per gate group and the bias sums) to one worker
-thread while the caller runs the next span's steps. The worker runs the
-flushes in span order, so the gradient buffer gets the same sums in the
-same order. These tests force the worker on or off by patching the
-predicate `autograd._overlap`, and force many spans with small
-`DW_GEMM_ROWS` values.
+thread while the caller runs the steps of the span before it; the flush
+of the first span, which the backward reaches last, runs in the caller.
+The flushes run one at a time in span order, so the gradient buffer gets
+the same sums in the same order. These tests force the worker on or off
+by patching the predicate `autograd._overlap`, and force many spans with
+small `DW_GEMM_ROWS` values.
 """
 
 import copy
@@ -34,24 +35,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """Every flush handed to the worker, in order; the halves of the head's work (tests/test_head_split.py)
-    are not counted."""
-    jobs = []
-    start = autograd._worker_submit
+    """The Future of every flush handed to the worker, in order; the halves of the head's work
+    (tests/test_head_split.py) are not counted."""
+    futures = []
+    submit = autograd._submit
 
-    def recording():
-        submit = start()
+    def record(job):
+        future = submit(job)
+        if job.func is autograd._flush:
+            futures.append(future)
+        return future
 
-        def record(fn):
-            job = submit(fn)
-            if getattr(fn, "func", None) is autograd._flush:
-                jobs.append(job)
-            return job
-
-        return record
-
-    monkeypatch.setattr(autograd, "_worker_submit", recording)
-    return jobs
+    monkeypatch.setattr(autograd, "_submit", record)
+    return futures
 
 
 def _both(monkeypatch, run):
@@ -95,7 +91,7 @@ class TestSameBits:
         inline, worker = _both(monkeypatch, run)
         _assert_same_bits(inline, worker)
         span = min(9, max(1, rows // (batch or 1)))
-        assert len(submitted) == -(-9 // span)
+        assert len(submitted) == -(-9 // span) - 1  # every span's flush but the first's
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_classify_shape(self, kind, monkeypatch, submitted):
@@ -103,7 +99,7 @@ class TestSameBits:
         params, trace, dh_steps = _record(kind, 28, 128, 28, 128, seed=3)
         run = lambda: backward_cell_sequence(kind, params, trace, dh_steps=dh_steps, want_dx=False)[0]
         _assert_same_bits(*_both(monkeypatch, run))
-        assert len(submitted) == 7
+        assert len(submitted) == 6
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_two_layer_lm_with_dropout(self, kind, monkeypatch, submitted):
@@ -118,7 +114,7 @@ class TestSameBits:
             return backward(tape, dlogits.reshape(logits.shape))
 
         _assert_same_bits(*_both(monkeypatch, run))
-        assert len(submitted) == 2 * 3  # two layers, spans of 3, 3 and 1 steps
+        assert len(submitted) == 2 * 2  # two layers, spans of 3, 3 and 1 steps
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_classifier_trained_three_adam_steps(self, kind, monkeypatch, submitted):
@@ -134,7 +130,7 @@ class TestSameBits:
             return dict(iter_tensors(mdl))
 
         _assert_same_bits(*_both(monkeypatch, run))
-        assert len(submitted) == 3 * 4  # spans of 3 steps over T=10
+        assert len(submitted) == 3 * 3  # spans of 3 steps over T=10
 
 
 class TestFailures:
@@ -169,7 +165,7 @@ class TestFailures:
         tape, dlogits = self._tape()
         with pytest.raises(RuntimeError, match="flush failed"):
             backward(tape, dlogits)
-        assert submitted and all(job.done.is_set() for job in submitted)
+        assert submitted and all(job.done() for job in submitted)
         # the worker keeps serving: the next backward gives the inline bits
         monkeypatch.setattr(autograd, "_add_weight_grads", add)
         got = backward(tape, dlogits)
@@ -191,13 +187,13 @@ class TestFailures:
         monkeypatch.setattr(autograd, "_kind", lambda kind: cells._KINDS[kind]._replace(backward=fail_late))
         with pytest.raises(RuntimeError, match="step failed"):
             backward(tape, dlogits)
-        assert len(submitted) == 3 and all(job.done.is_set() for job in submitted)
+        assert len(submitted) == 3 and all(job.done() for job in submitted)
 
     def test_no_flush_is_pending_when_backward_returns(self, monkeypatch, submitted, slow_flushes):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)
         monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
         backward(*self._tape())
-        assert len(submitted) == 2 * 5 and all(job.done.is_set() for job in submitted)
+        assert len(submitted) == 2 * 4 and all(job.done() for job in submitted)
 
 
 class TestWhenTheWorkerRuns:
@@ -245,6 +241,15 @@ class TestWhenTheWorkerRuns:
         assert not self._uses_worker("rau", 28, 128, 8, 128, submitted)
 
 
+def _run(script: str) -> dict:
+    """The JSON object that script prints last, run in a fresh process whose OpenBLAS runs one thread per call."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_one_blas_thread_turns_the_worker_on():
     # a rows-classify-shaped window in a fresh process whose OpenBLAS runs one thread per call
     script = """
@@ -262,13 +267,61 @@ autograd.backward_cell_sequence("rau", p, trace, dh_last=rng.uniform(-1, 1, (128
 print(json.dumps({"blas": autograd._blas_threads(), "cpus": len(os.sched_getaffinity(0)),
                   "worker": autograd._worker is not None}))
 """
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    got = json.loads(out.stdout.splitlines()[-1])
+    got = _run(script)
     if got["blas"] is None:
         pytest.skip("numpy bundles no scipy_openblas_get_num_threads64_")
     if got["cpus"] < 2:
         pytest.skip("this process may use one CPU only")
     assert got == {"blas": 1, "cpus": got["cpus"], "worker": True}
+
+
+def test_the_inline_path_starts_nothing():
+    # a B=1 train step and a gradient check, the gradcheck-oracle workload: no thread, not even the import
+    script = """
+import json, sys, threading
+import rau.cli
+from rau.autograd import gradcheck_cell
+from rau.data import synthetic_memorization
+from rau.linalg import Rng
+from rau.models import build_classifier
+from rau.train import make_optimizer, train_epoch_classifier
+
+xs, ys = synthetic_memorization(Rng(1), 4, 5, 3, 4, 0.25)
+mdl = build_classifier("rau", 3, 4, 1, 4, 0.5, Rng(2))
+_, steps = train_epoch_classifier(mdl, xs, ys, make_optimizer("adam", mdl, 0.01), Rng(3), 1, 1, 3, max_steps=1)
+gradcheck_cell("rau", 3, 4, 5, 1, 7)
+print(json.dumps({"steps": steps, "imported": "concurrent.futures" in sys.modules,
+                  "threads": threading.active_count()}))
+"""
+    assert _run(script) == {"steps": 1, "imported": False, "threads": 1}
+
+
+def test_a_forked_child_starts_its_own_worker():
+    # the parent's worker thread does not exist in a child; a child that queued on it would wait forever
+    script = """
+import json, os, signal, warnings
+from rau import autograd
+from rau.linalg import Rng
+from rau.models import cross_entropy
+
+warnings.simplefilter("ignore", DeprecationWarning)  # newer Pythons warn on a fork beside a live thread
+logits, targets = Rng(1).uniform(-8.0, 8.0, (259, 1009)), Rng(2).integers(1009, size=259)
+autograd._overlap = lambda spans, flop: False
+inline = cross_entropy(logits, targets)[1].tobytes()
+autograd._overlap = lambda spans, flop: True
+
+
+def split_on_own_worker():
+    return cross_entropy(logits, targets)[1].tobytes() == inline and autograd._worker[0] == os.getpid()
+
+
+parent = split_on_own_worker()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child whose job never runs dies rather than hangs
+    os._exit(0 if split_on_own_worker() else 1)
+print(json.dumps({"parent": parent, "child": os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])}))
+"""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    assert _run(script) == {"parent": True, "child": 0}

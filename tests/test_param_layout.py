@@ -14,7 +14,7 @@ import pytest
 
 from rau import cells
 from rau.autograd import Grads, backward, backward_cell_sequence
-from rau.cells import gate_block, init_cell, iter_buffers, iter_tensors, param_count, weight_stacks
+from rau.cells import init_cell, iter_buffers, iter_tensors, param_count, weight_stacks
 from rau.data import synthetic_memorization
 from rau.linalg import ContractError, Rng
 from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
@@ -105,7 +105,7 @@ class TestStacksAreViews:
     def test_gate_block_views_the_params(self, kind):
         p = init_cell(kind, 2, 3, 0.5, Rng(8))
         tensors = dict(iter_tensors(p))
-        w, b = gate_block(kind, p)
+        w, b = p.gates
         first = GROUPS[kind][0][0]
         assert np.shares_memory(w, tensors[first]) and np.shares_memory(b, tensors[first.replace("w_", "b_")])
         tensors[first] += 1.0
@@ -114,7 +114,7 @@ class TestStacksAreViews:
 
     def test_a_rau_gru_part_has_its_rau_gate_block(self):
         p = init_cell("rau", 2, 3, 0.5, Rng(9))
-        assert all(a is b for a, b in zip(gate_block("gru", p.gru), gate_block("rau", p)))
+        assert all(a is b for a, b in zip(p.gru.gates, p.gates))
 
 
 class TestGradsLayout:
@@ -225,10 +225,10 @@ class TestDeepcopy:
             assert all(not np.shares_memory(a, p.buffer) for _, a in iter_tensors(q))
             assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(iter_tensors(p), iter_tensors(q)))
             assert q.buffer.tobytes() == p.buffer.tobytes()
-            w, _ = gate_block(kind, q)
+            w, _ = q.gates
             assert np.shares_memory(w, q.buffer)
             if kind == "rau":
-                assert gate_block("gru", q.gru) is gate_block("rau", q)
+                assert q.gru.gates is q.gates
 
     def test_a_rau_gru_part_copies_into_a_gru_buffer(self):
         p = init_cell("rau", 3, 4, 0.5, Rng(19))

@@ -20,11 +20,17 @@ The same worker takes half of a vocabulary-sized head's work: a row half
 of the head GEMM and of dh = dlogits @ w_out (`_split_gemm`), of
 cross-entropy in `models`, and a half of each buffer in the SGD update in
 `train`, all through `_in_halves`. It also computes the head's weight and
-bias gradients beside the layers' BPTT. Every handoff goes through one
-join, `_beside`, and one gate, `_overlap`. Each half writes its own part
+bias gradients beside the layers' BPTT. Each half writes its own part
 of arrays the caller allocated. An elementwise half does the same
 operations on the same values, and a GEMM's halves meet on OpenBLAS's
 row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
+
+In a stack of large steps, the forward in `models` runs as a wavefront:
+the worker runs the upper layers' step t beside the first layer's step
+t+1. Each layer keeps its own steps in order, so the bits stay. Every
+handoff goes through one join, `_beside`, and one of two gates:
+`_overlap` for work cut into pieces, `_wavefront` for a stack's forward.
+Both hand work over only on a `_second_core`.
 
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
@@ -40,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cells, linalg
 from .cells import (CellParams, Trace, _kind, buffer_blocks, iter_buffers, iter_tensors, new_trace, step,
                     weight_stacks, zero_state)
 from .linalg import ContractError, NumericError
@@ -150,6 +157,17 @@ ELEMENT_FLOP = 64
 # 1e6 multiply-adds: OpenBLAS computes smaller products with other kernels. A half that passes
 # `_overlap` holds 15x that.
 SPLIT_ROWS = 96
+# A stack's forward runs as a wavefront (`_wavefront`) only when each layer's step holds this many GEMM flops,
+# 2 * batch * (m+n) * rows; a handoff per step costs about 0.3 ms at small shapes. On the 2-core host with
+# one BLAS thread, a 2-layer, 20-step forward with the wavefront against without ran 0.64-0.70x as fast at
+# 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at 2.4-5.8 MFLOP (RAU 0.94-1.10x
+# there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU 19.2, LSTM 12.8, GRU 9.6).
+WAVEFRONT_MIN_FLOP = 6_000_000
+# A forward step calls these names of `cells`, which the benchmark's tracer may wrap. A wrapped one opens
+# spans on the thread that calls it, so the wavefront runs only while each is the library's own: a traced
+# run then times the inline forward, and every span stays on the thread that opened it.
+_STEP_NAMES = (("step", cells.step), ("sigmoid", linalg.sigmoid), ("tanh", linalg.tanh),
+               ("softmax", linalg.softmax))
 
 
 def backward_cell_sequence(
@@ -198,6 +216,8 @@ def backward_cell_sequence(
     deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(2 if on else 1)]
     # a shared field's rows are one row, the last step's; each flush rebuilds its span's rows here
     rebuilt = [(name, fill, np.empty((span,) + getattr(trace, name).shape[1:])) for name, _, fill in k.shared]
+    # each group's weight-gradient product, (m+n, k), rewritten by every flush: they run one at a time
+    products = [np.empty((m + n, w.shape[0])) for w in stacks]
     dx_steps = np.empty((T,) + batch + (m,)) if want_dx else None
     dh = np.zeros(batch + (n,))
     if dh_last is not None:
@@ -215,12 +235,13 @@ def backward_cell_sequence(
     for s, lo in enumerate(reversed(starts)):
         d = deltas[s % len(deltas)]
         dh, dc = _beside(flush, on, steps, lo, dh, dc, d)
-        flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, dw, db, m)
+        flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, products, dw, db, m)
     flush()
     return grads, dx_steps, dh
 
 
-def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, dw: np.ndarray, db: np.ndarray, m: int) -> None:
+def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, dw: np.ndarray, db: np.ndarray,
+           m: int) -> None:
     """A span's weight and bias gradients: rebuild its rows of the shared fields, then `_add_weight_grads`.
 
     It may run on the worker thread, so it calls nothing the benchmark's tracer wraps.
@@ -228,19 +249,22 @@ def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, dw: np.ndarray, d
     span = trace.row(rows)
     for name, fill, buf in rebuilt:
         setattr(span, name, fill(span, m, buf[:len(span.xh)]))
-    _add_weight_grads(groups, deltas, span, dw, db)
+    _add_weight_grads(groups, deltas, span, products, dw, db)
 
 
-def _add_weight_grads(groups, deltas, rows: Trace, dw: np.ndarray, db: np.ndarray) -> None:
+def _add_weight_grads(groups, deltas, rows: Trace, products, dw: np.ndarray, db: np.ndarray) -> None:
     """Per gate group, one GEMM of the buffered deltas against the span's step inputs, the trace rows given,
-    added into the group's rows of the weight gradient dw, and one bias sum into those of db."""
+    into the group's C-contiguous (m+n, k) array of products, added transposed into the group's rows of the
+    weight gradient dw; and one bias sum into those of db. It allocates no product, so a flush leaves no
+    freed chunk in its thread's malloc arena."""
     lo = 0
-    for (_, _, field_name), buf in zip(groups, deltas):
+    for (_, _, field_name), buf, product in zip(groups, deltas, products):
         inputs = getattr(rows, field_name)
         flat = buf[:len(inputs)].reshape(-1, buf.shape[-1])
         hi = lo + flat.shape[1]
         # the same product as flat.T @ inputs, and the faster GEMM order at these (rows, k) x (rows, m+n) shapes
-        dw[lo:hi] += (inputs.reshape(flat.shape[0], -1).T @ flat).T
+        np.matmul(inputs.reshape(flat.shape[0], -1).T, flat, out=product)
+        dw[lo:hi] += product.T
         db[lo:hi] += flat.sum(axis=0)
         lo = hi
 
@@ -251,12 +275,32 @@ def _overlap(spans: int, flop: int) -> bool:
     For a window's span flushes, flop is the work of the flushes that can run beside earlier spans' steps;
     for the halves of `_in_halves`, spans is 2 and flop is the worker's half, with an element of an
     elementwise pass counted as ELEMENT_FLOP. A handoff pays only for a piece of OVERLAP_MIN_FLOP or more,
-    on average. The worker's work needs a CPU of its own beside the caller's: the bundled OpenBLAS must
-    run each call on one thread (with two, the flush overlap made a RAU step slower), and the process must
-    be allowed two CPUs or more.
+    on average, and only on a `_second_core`.
     """
-    return (spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _blas_threads() == 1
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+    return spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _second_core()
+
+
+def _wavefront(kind: str, layers: Sequence[CellParams], batch: int) -> bool:
+    """Whether a stack's forward runs as a wavefront: its upper layers' step t on the worker thread, beside
+    its first layer's step t+1 in the caller (see `models._forward`).
+
+    It needs two layers or more, a step of WAVEFRONT_MIN_FLOP or more in every layer at this batch, the
+    library's own step functions (see `_STEP_NAMES`) and a `_second_core`; a one-layer stack makes no
+    system call to find out.
+    """
+    if len(layers) < 2:
+        return False
+    rows = _kind(kind).rows
+    flop = min(2 * batch * (p.input_size + p.hidden_size) * rows(p.input_size, p.hidden_size) for p in layers)
+    return (flop >= WAVEFRONT_MIN_FLOP and all(getattr(cells, name) is own for name, own in _STEP_NAMES)
+            and _second_core())
+
+
+def _second_core() -> bool:
+    """Whether the worker's work gets a CPU of its own beside the caller's: the bundled OpenBLAS runs each
+    call on one thread (with two, the flush overlap made a RAU step slower), and the process may use two
+    CPUs or more."""
+    return _blas_threads() == 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 def _in_halves(rows: int, align: int, row_flop: int, fn: Callable, *args) -> None:

@@ -18,6 +18,7 @@ language model.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import struct
@@ -122,6 +123,11 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     and in eval mode one row that every step overwrites, so an eval
     pass's memory does not grow with the sequence length. Returns
     (logits, final states, tape or None).
+
+    Each layer runs its steps in order on its own state, trace and masks,
+    so the outputs keep their bits however the layers interleave. In a
+    stack that `autograd._wavefront` admits, the worker thread runs the
+    upper layers' step t while the caller runs the first layer's step t+1.
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -140,16 +146,35 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
     in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells] if use_drop else None
-    top_steps = []
-    for t in range(T):
+    top_steps = [None] * T
+
+    def first_layer(t: int) -> np.ndarray:
+        # step t's masks, for every layer, are drawn before any layer's step t runs: step-major, then layer
         inp = xs_steps[t]
-        for l, p in enumerate(mdl.cells):
+        if use_drop:
+            in_masks[0][t] = dropout_mask(rng, inp.shape, rate)
+            for l in range(1, len(mdl.cells)):
+                in_masks[l][t] = dropout_mask(rng, in_masks[l][t].shape, rate)
+            inp = inp * in_masks[0][t]
+        states[0], _ = cells.step(mdl.cell_kind, mdl.cells[0], inp, states[0], rows[0][t % R])
+        return states[0].h
+
+    def upper_layers(t: int, inp: np.ndarray) -> None:
+        for l in range(1, len(mdl.cells)):
             if use_drop:
-                in_masks[l][t] = mask = dropout_mask(rng, inp.shape, rate)
-                inp = inp * mask
-            states[l], _ = cells.step(mdl.cell_kind, p, inp, states[l], rows[l][t % R])
+                inp = inp * in_masks[l][t]
+            states[l], _ = cells.step(mdl.cell_kind, mdl.cells[l], inp, states[l], rows[l][t % R])
             inp = states[l].h
-        top_steps.append(inp)
+        top_steps[t] = inp
+
+    if autograd._wavefront(mdl.cell_kind, mdl.cells, B):
+        h = first_layer(0)
+        for t in range(1, T):
+            h = autograd._beside(functools.partial(upper_layers, t - 1, h), True, first_layer, t)
+        upper_layers(T - 1, h)
+    else:
+        for t in range(T):
+            upper_layers(t, first_layer(t))
 
     head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)
     out_masks = None

@@ -7,12 +7,15 @@ RAU_PTB_DIR) and skip with instructions when absent.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from rau import autograd
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,3 +82,27 @@ def idx_fixture(tmp_path):
     labels = np.array([3, 9], dtype=np.uint8)
     img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
     return img_path, lbl_path, images, labels
+
+
+@pytest.fixture
+def one_blas_thread():
+    """BLAS at one thread per call while the test runs, where the worker runs (see `autograd._second_core`).
+
+    With more threads, BLAS partitions each GEMM among them by the GEMM's own shape, so a forced half
+    would get other bits than the whole; and the automatic decisions never hand work to the worker there.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    before = autograd._blas_threads()
+    try:
+        set_threads = ctypes.CDLL(umath.__file__).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        set_threads = None
+    if before is None or set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set, so the worker never runs")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    yield
+    set_threads(before)

@@ -48,32 +48,6 @@ def jobs(monkeypatch):
     return names
 
 
-@pytest.fixture
-def one_blas_thread():
-    """BLAS at one thread per call while the test runs, where the split runs (see `autograd._overlap`).
-
-    With more threads, BLAS partitions each GEMM among them by the GEMM's own shape, so a forced half
-    would get other bits than the whole; and the automatic decision never splits there.
-    """
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    before = autograd._blas_threads()
-    try:
-        set_threads = ctypes.CDLL(umath.__file__).scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        set_threads = None
-    if before is None or set_threads is None:
-        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set, so the split never runs")
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
-    yield
-    set_threads(before)
-
-
 def _head_jobs(names):
     """The names of the head's jobs, without the cell BPTT's span flushes that a forced split also sends."""
     return [name for name in names if name in HEAD_JOBS]

@@ -84,11 +84,11 @@ class TestSharedRows:
         flushed = {name: np.full_like(w, np.nan) for name, w in written.items()}
         add = autograd._add_weight_grads
 
-        def keep_rows(groups, deltas, span, grads, prefix):
+        def keep_rows(groups, deltas, span, *rest):
             lo = next(t for t in range(len(trace.xh)) if np.shares_memory(span.xh, trace.xh[t]))
             for name, got in flushed.items():
                 got[lo:lo + len(span.xh)] = getattr(span, name)
-            return add(groups, deltas, span, grads, prefix)
+            return add(groups, deltas, span, *rest)
 
         monkeypatch.setattr(autograd, "_add_weight_grads", keep_rows)
         backward_cell_sequence(kind, params, trace, dh_steps=dh_steps)

@@ -117,8 +117,9 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
 
     inputs are (B, T) token ids for a model with an embedding, else
     (B, T, m) features. states are the per-layer start states, or None
-    for zeros. Dropout masks are drawn fresh per step and layer and
-    applied to each layer's input, then to the head input. Each layer
+    for zeros. Dropout masks are drawn fresh per step and layer, all of
+    them before the first step, step-major, then layer, and applied to
+    each layer's input; then one is drawn for the head input. Each layer
     records into one `cells.Trace`: T rows in train mode, for the tape,
     and in eval mode one row that every step overwrites, so an eval
     pass's memory does not grow with the sequence length. Returns
@@ -145,36 +146,25 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     R = T if train_mode else 1
     traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
-    in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells] if use_drop else None
-    top_steps = [None] * T
-
-    def first_layer(t: int) -> np.ndarray:
-        # step t's masks, for every layer, are drawn before any layer's step t runs: step-major, then layer
-        inp = xs_steps[t]
-        if use_drop:
-            in_masks[0][t] = dropout_mask(rng, inp.shape, rate)
-            for l in range(1, len(mdl.cells)):
-                in_masks[l][t] = dropout_mask(rng, in_masks[l][t].shape, rate)
-            inp = inp * in_masks[0][t]
-        states[0], _ = cells.step(mdl.cell_kind, mdl.cells[0], inp, states[0], rows[0][t % R])
-        return states[0].h
-
-    def upper_layers(t: int, inp: np.ndarray) -> None:
-        for l in range(1, len(mdl.cells)):
-            if use_drop:
-                inp = inp * in_masks[l][t]
-            states[l], _ = cells.step(mdl.cell_kind, mdl.cells[l], inp, states[l], rows[l][t % R])
-            inp = states[l].h
-        top_steps[t] = inp
-
-    if autograd._wavefront(mdl.cell_kind, mdl.cells, B):
-        h = first_layer(0)
-        for t in range(1, T):
-            h = autograd._beside(functools.partial(upper_layers, t - 1, h), True, first_layer, t)
-        upper_layers(T - 1, h)
-    else:
+    in_masks = None
+    if use_drop:
+        # every step's masks up front, step-major, then layer: the order in which the steps read them
+        in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells]
         for t in range(T):
-            upper_layers(t, first_layer(t))
+            for masks in in_masks:
+                masks[t] = dropout_mask(rng, masks.shape[1:], rate)
+    layers, top_steps = range(len(mdl.cells)), [None] * T
+    if autograd._wavefront(mdl.cell_kind, mdl.cells, B):
+        # the worker runs the upper layers' step t beside the first layer's step t+1
+        first_h = [None] * T
+        first = functools.partial(_steps, mdl, layers[:1], xs_steps, first_h, states, rows, in_masks)
+        upper = functools.partial(_steps, mdl, layers[1:], first_h, top_steps, states, rows, in_masks)
+        first(range(1))
+        for t in range(1, T):
+            autograd._beside(functools.partial(upper, range(t - 1, t)), True, first, range(t, t + 1))
+        upper(range(T - 1, T))
+    else:
+        _steps(mdl, layers, xs_steps, top_steps, states, rows, in_masks, range(T))
 
     head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)
     out_masks = None
@@ -188,6 +178,24 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
 
     tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
     return logits, states, tape
+
+
+def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, states: list, rows: list,
+           in_masks: list | None, steps: range) -> None:
+    """Each step t in steps, in order, of the layers in layers, in order: the first layer's input is
+    inputs[t], each layer's goes through its dropout mask if in_masks is given, and the last layer's h
+    goes to outputs[t].
+
+    A layer steps only its own state, trace rows and masks, so two threads may run two layers' steps.
+    """
+    for t in steps:
+        inp = inputs[t]
+        for l in layers:
+            if in_masks is not None:
+                inp = inp * in_masks[l][t]
+            states[l], _ = cells.step(mdl.cell_kind, mdl.cells[l], inp, states[l], rows[l][t % len(rows[l])])
+            inp = states[l].h
+        outputs[t] = inp
 
 
 def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng | None = None):

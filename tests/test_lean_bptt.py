@@ -6,8 +6,11 @@ embedding), and each step backward then multiplies by the h columns of
 its weights only. The GRU and RAU traces keep the candidate input xrh
 and the attended input v as one shared scratch row; the backward
 rebuilds a span's rows from the recorded fields before its weight
-GEMMs.
+GEMMs, and each flush writes its weight-gradient products into arrays
+allocated once per call.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,3 +116,27 @@ class TestSharedRows:
         block = new_trace("rau", T, (B,), m, n).xh.base
         rows = T * B
         assert block.size == rows * (4 * (m + n) + 4 * n) - (rows - B) * 2 * (m + n)
+
+
+class TestFlushMemory:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_flush_allocates_no_weight_gradient_product(self, kind, monkeypatch):
+        # the rows-classify shape, seven spans of 512 rows, with every flush inline: the peak is the flush's own
+        monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: False)
+        params, trace, _, dh_steps = _record(kind, 28, 128, 28, 128, seed=1)
+        add, extra = autograd._add_weight_grads, []
+
+        def measured(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            add(*args)
+            extra.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(autograd, "_add_weight_grads", measured)
+        tracemalloc.start()
+        try:
+            backward_cell_sequence(kind, params, trace, dh_steps=dh_steps, want_dx=False)
+        finally:
+            tracemalloc.stop()
+        # the smallest product, (m+n, n) floats, takes 156 x 128 x 8 bytes
+        assert len(extra) == 7 and max(extra) < 156 * 128 * 8 // 2

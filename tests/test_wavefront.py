@@ -20,7 +20,7 @@ from rau import autograd, cells
 from rau.autograd import backward
 from rau.cells import init_cell, iter_tensors
 from rau.linalg import Rng
-from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, dropout_mask, lm_forward
+from rau.models import build_classifier, build_language_model, cross_entropy, dropout_mask, lm_forward
 from rau.train import evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier, train_epoch_lm
 
 KINDS = ("rau", "gru", "lstm")
@@ -106,7 +106,7 @@ class TestSameBits:
 
         _assert_same_bits(*_both(monkeypatch, run))
         # the upper layers' steps 0 .. T-2 go to the worker, in the train pass and in the eval pass
-        assert jobs == ["upper_layers"] * (2 * (T - 1))
+        assert jobs == ["_steps"] * (2 * (T - 1))
 
     @DROPOUT
     @STACKS
@@ -136,7 +136,7 @@ class TestSameBits:
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
         _assert_same_bits(*_both(monkeypatch, run))
-        assert jobs == ["upper_layers"] * (4 * (T - 1))  # two train windows, then two eval windows
+        assert jobs == ["_steps"] * (4 * (T - 1))  # two train windows, then two eval windows
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_classifier_trained_two_adam_steps_then_evaluated(self, kind, monkeypatch):
@@ -240,7 +240,7 @@ class TestWhenItRuns:
         mdl = build_language_model("rau", 50, 200, 2, 0.1, Rng(20))
         tokens = Rng(21).integers(50, size=(20, 4))
         got = lm_forward(mdl, tokens)[0]
-        assert jobs == ["upper_layers"] * 3
+        assert jobs == ["_steps"] * 3
         host["cpus"] = {0}
         assert lm_forward(mdl, tokens)[0].tobytes() == got.tobytes()
         assert len(jobs) == 3

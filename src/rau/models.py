@@ -148,7 +148,6 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
     in_masks = None
     if use_drop:
-        # every step's masks up front, step-major, then layer: the order in which the steps read them
         in_masks = [np.empty((T, B, p.input_size)) for p in mdl.cells]
         for t in range(T):
             for masks in in_masks:

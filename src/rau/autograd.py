@@ -280,18 +280,18 @@ def _overlap(spans: int, flop: int) -> bool:
     return spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _second_core()
 
 
-def _wavefront(kind: str, layers: Sequence[CellParams], batch: int) -> bool:
-    """Whether a stack's forward runs as a wavefront: its upper layers' step t on the worker thread, beside
-    its first layer's step t+1 in the caller (see `models._forward`).
+def _wavefront(kind: str, stack: Sequence[CellParams], batch: int) -> bool:
+    """Whether the forward of stack, its cells in layer order, runs as a wavefront: its upper layers' step t
+    on the worker thread, beside its first layer's step t+1 in the caller (see `models._forward`).
 
     It needs two layers or more, a step of WAVEFRONT_MIN_FLOP or more in every layer at this batch, the
     library's own step functions (see `_STEP_NAMES`) and a `_second_core`; a one-layer stack makes no
     system call to find out.
     """
-    if len(layers) < 2:
+    if len(stack) < 2:
         return False
     rows = _kind(kind).rows
-    flop = min(2 * batch * (p.input_size + p.hidden_size) * rows(p.input_size, p.hidden_size) for p in layers)
+    flop = min(2 * batch * (p.input_size + p.hidden_size) * rows(p.input_size, p.hidden_size) for p in stack)
     return (flop >= WAVEFRONT_MIN_FLOP and all(getattr(cells, name) is own for name, own in _STEP_NAMES)
             and _second_core())
 

@@ -6,7 +6,7 @@ computes exact analytic gradients for every parameter tensor; each kind's
 step backward and gate groups come from the `cells` table. Keys in the resulting `Grads` mirror
 `cells.iter_tensors` paths over the parameter container, so optimizer
 updates and finite-difference checks can walk the same structure, and
-the gradients share the parameters' layout: one buffer per cell.
+each cell's gradient is a cell of its kind: one buffer per cell.
 
 The weight gradients are deferred: a window's steps buffer their gate
 deltas a span at a time, and each span is flushed into the weight
@@ -39,6 +39,7 @@ no code with the analytic path.
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
 from dataclasses import dataclass
@@ -47,8 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cells, linalg
-from .cells import (CellParams, Trace, _kind, buffer_blocks, iter_buffers, iter_tensors, new_trace, step,
-                    weight_stacks, zero_state)
+from .cells import CellParams, Trace, _kind, _owner, iter_buffers, iter_tensors, new_trace, step, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -57,38 +57,42 @@ GRADCHECK_TOLERANCE = 1e-5
 class Grads(dict):
     """Gradient arrays keyed by dotted tensor path.
 
-    `zeros_like` lays them out as the parameters are, and `buffers` maps each buffer's
-    `cells.iter_buffers` key to it, for work done once per buffer (scaling, the optimizer
-    update). A Grads built from a mapping has each tensor as its own buffer.
+    `zeros_like` lays them out as the parameters are: `owners` maps each `cells.iter_buffers` key to a
+    gradient cell of the parameters' kind on a buffer of its own, or to a plain array, and the named
+    gradients are its tensors. `buffers` maps the same keys to the buffers, for work done once per buffer
+    (scaling, the optimizer update). A Grads built from a mapping has each tensor as its own buffer.
     """
 
-    _buffers: dict | None = None
-    _layouts: dict | None = None
+    owners: dict | None = None
 
     @classmethod
     def zeros_like(cls, params, prefix: str = "", unset: tuple = ()) -> "Grads":
         """Zero gradients laid out like params, keyed under prefix; the buffers keyed in unset are left unfilled."""
-        return cls._laid_out((prefix + key, (np.empty_like if key in unset else np.zeros_like)(buf), layout)
-                             for key, buf, layout in iter_buffers(params))
+        owners = {}
+        for key, buf, cell in iter_buffers(params):
+            g = (np.empty_like if key in unset else np.zeros_like)(buf)
+            owners[prefix + key] = g if cell is None else cell.on_buffer(g)
+        return cls._of(owners)
 
     @classmethod
-    def _laid_out(cls, parts) -> "Grads":
-        """Gradients over (key, buffer, layout) parts: a cell buffer's tensors are views at its layout's offsets."""
+    def _of(cls, owners: dict) -> "Grads":
+        """The gradients that owners hold: each array under its key, each cell's tensors under their paths."""
         g = cls()
-        g._buffers, g._layouts = {}, {}
-        for key, buf, layout in parts:
-            g._buffers[key], g._layouts[key] = buf, layout
-            g.update([(key, buf)] if layout is None else layout.views(buf, key))
+        g.owners = owners
+        for key, owner in owners.items():
+            g.update([(key, owner)] if isinstance(owner, np.ndarray) else
+                     ((key + path, a) for path, a in owner.tensors))
         return g
 
     @property
     def buffers(self) -> dict:
-        return self if self._buffers is None else self._buffers
+        if self.owners is None:
+            return self
+        return {key: owner if isinstance(owner, np.ndarray) else owner.buffer for key, owner in self.owners.items()}
 
     def __deepcopy__(self, memo) -> "Grads":
-        # numpy would copy each view on its own: copy each buffer, and view the copies alike
-        layouts = self._layouts or {}
-        return Grads._laid_out((key, buf.copy(), layouts.get(key)) for key, buf in self.buffers.items())
+        # numpy would copy each view on its own: copy each owner, a cell through its one buffer, and name the copies
+        return Grads._of(copy.deepcopy(dict(self) if self.owners is None else self.owners, memo))
 
     def global_norm(self) -> float:
         # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale;
@@ -186,7 +190,7 @@ def backward_cell_sequence(
     dh_last seeds the gradient at the final hidden state; dh_steps adds
     a per-step contribution (e.g. from a head or an upper layer) before
     each step's backward, one entry per recorded step. Accumulates into
-    `grads` under `prefix`, which must be laid out like params (see
+    the gradient cell `grads` holds under `prefix` (see
     `Grads.zeros_like`), and returns (grads, dx_steps, dh0) where
     dx_steps[t] is the gradient of that step's input; dx_steps is one
     (T, ..., m) array. With want_dx False no step computes its input
@@ -199,8 +203,9 @@ def backward_cell_sequence(
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grads is None:
         grads = Grads.zeros_like(params, prefix)
-    if prefix not in grads.buffers:
-        raise ContractError(f"backward_cell_sequence: no cell gradient buffer under {prefix!r}")
+    grad_cell = grads.owners.get(prefix) if grads.owners else None
+    if not isinstance(grad_cell, CellParams):
+        raise ContractError(f"backward_cell_sequence: no cell gradient under {prefix!r}")
     if T == 0:
         return grads, [], None
     m, n = params.input_size, params.hidden_size
@@ -210,8 +215,7 @@ def backward_cell_sequence(
     # every span's flush but that of the first steps, which the backward reaches last, can run beside later steps
     overlap_flop = 2 * (T - span) * per_step * (m + n) * k.rows(m, n)
     on = _overlap(len(starts), overlap_flop)
-    stacks = weight_stacks(kind, params)
-    dw, db = buffer_blocks(kind, m, n, grads.buffers[prefix])
+    stacks = [w for w, _ in _owner(params).groups]
     # with the worker, the steps fill one set of deltas while it flushes the other
     deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(2 if on else 1)]
     # a shared field's rows are one row, the last step's; each flush rebuilds its span's rows here
@@ -235,13 +239,13 @@ def backward_cell_sequence(
     for s, lo in enumerate(reversed(starts)):
         d = deltas[s % len(deltas)]
         dh, dc = _beside(flush, on, steps, lo, dh, dc, d)
-        flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, products, dw, db, m)
+        flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, products,
+                                  grad_cell.groups, m)
     flush()
     return grads, dx_steps, dh
 
 
-def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, dw: np.ndarray, db: np.ndarray,
-           m: int) -> None:
+def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, grads, m: int) -> None:
     """A span's weight and bias gradients: rebuild its rows of the shared fields, then `_add_weight_grads`.
 
     It may run on the worker thread, so it calls nothing the benchmark's tracer wraps.
@@ -249,24 +253,21 @@ def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, dw: np.
     span = trace.row(rows)
     for name, fill, buf in rebuilt:
         setattr(span, name, fill(span, m, buf[:len(span.xh)]))
-    _add_weight_grads(groups, deltas, span, products, dw, db)
+    _add_weight_grads(groups, deltas, span, products, grads)
 
 
-def _add_weight_grads(groups, deltas, rows: Trace, products, dw: np.ndarray, db: np.ndarray) -> None:
+def _add_weight_grads(groups, deltas, rows: Trace, products, grads) -> None:
     """Per gate group, one GEMM of the buffered deltas against the span's step inputs, the trace rows given,
-    into the group's C-contiguous (m+n, k) array of products, added transposed into the group's rows of the
-    weight gradient dw; and one bias sum into those of db. It allocates no product, so a flush leaves no
-    freed chunk in its thread's malloc arena."""
-    lo = 0
-    for (_, _, field_name), buf, product in zip(groups, deltas, products):
+    into the group's C-contiguous (m+n, k) array of products, added transposed into the group's weight
+    gradient; and one bias sum into its bias gradient. grads is a gradient cell's `groups`. It allocates no
+    product, so a flush leaves no freed chunk in its thread's malloc arena."""
+    for (_, _, field_name), buf, product, (dw, db) in zip(groups, deltas, products, grads):
         inputs = getattr(rows, field_name)
         flat = buf[:len(inputs)].reshape(-1, buf.shape[-1])
-        hi = lo + flat.shape[1]
         # the same product as flat.T @ inputs, and the faster GEMM order at these (rows, k) x (rows, m+n) shapes
         np.matmul(inputs.reshape(flat.shape[0], -1).T, flat, out=product)
-        dw[lo:hi] += product.T
-        db[lo:hi] += flat.sum(axis=0)
-        lo = hi
+        dw += product.T
+        db += flat.sum(axis=0)
 
 
 def _overlap(spans: int, flop: int) -> bool:

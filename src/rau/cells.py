@@ -20,8 +20,9 @@ ran about 3x slower on a (B, n) gate cut from a (B, k*n) block.
 A cell's parameters live in one float64 buffer, as packed RNN weights
 do: the (rows, m+n) weights, then the rows biases, in gate-group order
 (RAU w_r w_z w_a | w_c | w_u, GRU w_r w_z | w_c, LSTM w_f w_i w_o w_g).
-Each named tensor, each group's weights and the gate block are views of
-it, and gradients laid out alike are updated once per buffer.
+Each named tensor, each gate group and the gate block are views of it.
+A cell's gradient is a cell of its kind on a buffer of its own, so the
+update runs once per buffer.
 
 The RAU cell keeps the GRU update/reset/candidate computation unchanged
 and adds an attention gate: a learned affine score per component of
@@ -52,20 +53,25 @@ class _Cell:
 
     `gates` views the k gates' (k, m+n, n) weights, gate j being w_j.T, and (k, n) biases for one batched
     GEMM: the leading rows of the xh group, so they follow in-place updates; a RAU's are its GRU part's.
+    `groups` views each gate group's (rows, m+n) weights and rows biases, in group order: the backward's
+    GEMM operands, and in a gradient cell what each span flush adds into. `tensors` holds (path, view) of
+    each named tensor, as `iter_tensors` walks them. A RAU's GRU part has neither.
 
-    hidden_size and input_size are read off the (n, m+n) gate weight named by `_gate`.
+    hidden_size and input_size are read off the gate weights.
     """
-
-    _gate = "w_z"
 
     @property
     def hidden_size(self) -> int:
-        return getattr(self, self._gate).shape[0]
+        return self.gates[0].shape[2]
 
     @property
     def input_size(self) -> int:
-        n, m_plus_n = getattr(self, self._gate).shape
+        _, m_plus_n, n = self.gates[0].shape
         return m_plus_n - n
+
+    def on_buffer(self, buf: np.ndarray) -> "CellParams":
+        """A cell of this one's kind and sizes whose tensors view buf, a buffer laid out as this one's."""
+        return _on_buffer(_KIND_OF[type(self)], self.input_size, self.hidden_size, buf)
 
     def __reduce__(self):
         # copy.deepcopy and pickle would copy each view on its own: copy the one buffer and view the copy alike
@@ -104,8 +110,6 @@ class RauParams(_Cell):
     w_u: np.ndarray
     b_u: np.ndarray
 
-    _gate = "w_u"
-
 
 @dataclass
 class LstmParams(_Cell):
@@ -119,8 +123,6 @@ class LstmParams(_Cell):
     b_i: np.ndarray
     b_o: np.ndarray
     b_g: np.ndarray
-
-    _gate = "w_f"
 
 
 CellParams = GruParams | RauParams | LstmParams
@@ -193,10 +195,6 @@ class _Layout(NamedTuple):
     weights: int    # the weight block's size, rows * (m+n); the biases follow it
     groups: tuple   # (first row, end row) of each gate group
 
-    def views(self, buf: np.ndarray, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        """(prefix + path, view) of each named tensor in buf, a buffer laid out so, in declaration order."""
-        return ((prefix + path, buf[lo:hi].reshape(shape)) for path, lo, hi, shape in self.tensors)
-
 
 @functools.cache
 def _layout(kind: str, m: int, n: int) -> _Layout:
@@ -215,42 +213,35 @@ def _layout(kind: str, m: int, n: int) -> _Layout:
     return _Layout(tuple((q, *at[q]) for q in paths), weights, tuple(zip(groups, groups[1:] + [row])))
 
 
-def buffer_blocks(kind: str, m: int, n: int, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A cell buffer's (rows, m+n) weight block and its rows biases, as views; gradients are laid out alike."""
-    w = buf[:_layout(kind, m, n).weights]
-    return w.reshape(-1, m + n), buf[w.size:]
-
-
 def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
-    """The cell of a kind whose tensors view buf, a 1-D buffer laid out as `_layout` says."""
+    """The cell of a kind whose tensors view buf, a 1-D buffer laid out as `_layout` says.
+
+    This is the one place that cuts a cell buffer, for parameters, gradients and Adam moments alike.
+    """
     k = _kind(kind)
-    views = dict(_layout(kind, m, n).views(buf))
+    layout = _layout(kind, m, n)
+    views = {path: buf[lo:hi].reshape(shape) for path, lo, hi, shape in layout.tensors}
+    tensors = tuple(views.items())
     if kind == "rau":
         views["gru"] = GruParams(**{f.name: views.pop(f"gru.{f.name}") for f in dataclasses.fields(GruParams)})
     p = k.params(**views)
-    w, b = buffer_blocks(kind, m, n, buf)
+    w, b = buf[:layout.weights].reshape(-1, m + n), buf[layout.weights:]
     j = len(k.block[1])
-    p.buffer = buf
+    p.buffer, p.tensors = buf, tensors
     # the gates lead the xh group; a transposed view per gate computes its product as `xh @ w_j.T` does
     p.gates = w[:j * n].reshape(j, n, m + n).transpose(0, 2, 1), b[:j * n].reshape(j, n)
+    p.groups = tuple((w[lo:hi], b[lo:hi]) for lo, hi in layout.groups)
     if kind == "rau":
         p.gru.gates = p.gates
     return p
 
 
-def _own_buffer(p: CellParams) -> np.ndarray:
-    """p's buffer; a RAU's GRU part has none of its own, so it raises ContractError for that part."""
+def _owner(p: CellParams) -> CellParams:
+    """p, which owns its buffer; a RAU's GRU part views its RAU's, so it raises ContractError for that part."""
     if "buffer" not in vars(p):
         raise ContractError(f"{type(p).__name__} is a RAU's GRU part: it views its RAU's buffer and has no "
                             "buffer of its own; take gradients of the RAU")
-    return p.buffer
-
-
-def weight_stacks(kind: str, p: CellParams) -> list:
-    """Each gate group's weights, row-stacked in group order: views of p's buffer, the backward's GEMM operands."""
-    m, n = p.input_size, p.hidden_size
-    w, _ = buffer_blocks(kind, m, n, _own_buffer(p))
-    return [w[lo:hi] for lo, hi in _layout(kind, m, n).groups]
+    return p
 
 
 def _trace_row(kind: str, p: CellParams, x: np.ndarray, tr: Trace | None) -> Trace:
@@ -599,15 +590,14 @@ def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
     return _leaves(obj, prefix, False)
 
 
-def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, _Layout | None]]:
-    """Walk a container as `iter_tensors` does, yielding each buffer once: (key, buffer, layout).
+def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, CellParams | None]]:
+    """Walk a container as `iter_tensors` does, yielding each buffer once: (key, buffer, owner cell).
 
-    A cell's key is its tensors' path prefix ("cells.0.", or "" alone) and its layout its `_layout`;
-    any other array is its own buffer, keyed by its path, with layout None.
+    A cell's key is its tensors' path prefix ("cells.0.", or "" alone); any other array is its own
+    buffer, keyed by its path, with owner None.
     """
     for path, leaf in _leaves(obj, "", True):
         if isinstance(leaf, np.ndarray):
             yield path, leaf, None
         else:
-            key = f"{path}." if path else ""
-            yield key, _own_buffer(leaf), _layout(_KIND_OF[type(leaf)], leaf.input_size, leaf.hidden_size)
+            yield (f"{path}." if path else ""), _owner(leaf).buffer, leaf

@@ -57,7 +57,6 @@ class RunConfig:
     cell: str = "rau"
     hidden: int = 64
     layers: int = 1
-    classes: int = 4
     epochs: int = 4
     batch_size: int = 64
     optimizer: str = "adam"
@@ -81,11 +80,11 @@ class RunConfig:
 
 # Published per-task configurations; desk-scale epoch budgets noted inline.
 PRESETS = {
-    "mnist": dict(task="mnist-rows", hidden=128, layers=1, classes=10, optimizer="adam", lr=1e-3,
+    "mnist": dict(task="mnist-rows", hidden=128, layers=1, optimizer="adam", lr=1e-3,
                   batch_size=128, dropout=0.0, init_scale=0.1, epochs=213),
-    "fashion": dict(task="fashion-rows", hidden=128, layers=1, classes=10, optimizer="adam", lr=1e-3,
+    "fashion": dict(task="fashion-rows", hidden=128, layers=1, optimizer="adam", lr=1e-3,
                     batch_size=128, dropout=0.0, init_scale=0.1, epochs=213),
-    "sentiment": dict(task="sentiment", hidden=128, layers=1, classes=2, optimizer="adam", lr=1e-5,
+    "sentiment": dict(task="sentiment", hidden=128, layers=1, optimizer="adam", lr=1e-5,
                       batch_size=128, dropout=0.5, init_scale=0.1, epochs=100, emb_dim=100, vocab=10000,
                       max_len=200),
     "ptb-small": dict(task="ptb", hidden=200, layers=2, optimizer="sgd", lr=1.0, decay_factor=0.5,
@@ -97,7 +96,7 @@ PRESETS = {
     "ptb-large": dict(task="ptb", hidden=1500, layers=2, optimizer="sgd", lr=1.0, decay_factor=1 / 1.5,
                       decay_start_epoch=15, epochs=55, batch_size=20, dropout=0.65, init_scale=0.04,
                       vocab=10000, unroll=30),
-    "synthetic": dict(task="synthetic", hidden=64, layers=1, classes=4, optimizer="adam", lr=1e-2,
+    "synthetic": dict(task="synthetic", hidden=64, layers=1, optimizer="adam", lr=1e-2,
                       batch_size=64, dropout=0.0, init_scale=0.5, epochs=4),
 }
 
@@ -112,6 +111,9 @@ SYNTH_T = 28
 SYNTH_M = 8
 SYNTH_CLASSES = 4
 SYNTH_NOISE = 0.25
+
+# Each classifier task fixes its own class count.
+TASK_CLASSES = {"mnist-rows": 10, "fashion-rows": 10, "sentiment": 2, "synthetic": SYNTH_CLASSES}
 
 
 class ConfigError(Exception):
@@ -179,7 +181,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown cell {cfg.cell!r}; choices: {', '.join(CELL_KINDS)}")
     if cfg.optimizer not in ("sgd", "adam"):
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
-    for name in ("hidden", "layers", "classes", "epochs", "batch_size", "unroll", "vocab", "max_len", "max_steps"):
+    for name in ("hidden", "layers", "epochs", "batch_size", "unroll", "vocab", "max_len", "max_steps"):
         if getattr(cfg, name) is not None and getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
     if not 0.0 <= cfg.dropout < 1.0:
@@ -241,6 +243,10 @@ def load_task(cfg: RunConfig, data_rng: Rng):
         if cfg.desk_scale:
             train = datamod.ImageSet(train.images[:DESK_MNIST_TRAIN], train.labels[:DESK_MNIST_TRAIN])
             test = datamod.ImageSet(test.images[:DESK_MNIST_TEST], test.labels[:DESK_MNIST_TEST])
+        classes = TASK_CLASSES[cfg.task]
+        for s in (train, test):
+            if s.labels.max(initial=0) >= classes:
+                raise datamod.DataError(f"{cfg.task} labels must be below {classes}, got {s.labels.max()}")
         return {
             "train": (datamod.images_to_sequences(train.images), train.labels.astype(np.int64)),
             "test": (datamod.images_to_sequences(test.images), test.labels.astype(np.int64)),
@@ -288,12 +294,11 @@ def run_experiment(cfg: RunConfig, out_dir: Path) -> list:
             model = build_language_model(cfg.cell, vocab, cfg.hidden, cfg.layers, cfg.init_scale, init_rng,
                                          dropout=cfg.dropout)
         elif vocab is not None:
-            model = build_classifier(cfg.cell, None, cfg.hidden, cfg.layers, cfg.classes, cfg.init_scale, init_rng,
-                                     vocab=vocab, emb_dim=cfg.emb_dim or 100, dropout=cfg.dropout)
+            model = build_classifier(cfg.cell, None, cfg.hidden, cfg.layers, TASK_CLASSES[cfg.task], cfg.init_scale,
+                                     init_rng, vocab=vocab, emb_dim=cfg.emb_dim or 100, dropout=cfg.dropout)
         else:
-            classes = SYNTH_CLASSES if cfg.task == "synthetic" else cfg.classes
-            model = build_classifier(cfg.cell, splits["train"][0].shape[2], cfg.hidden, cfg.layers, classes,
-                                     cfg.init_scale, init_rng, dropout=cfg.dropout)
+            model = build_classifier(cfg.cell, splits["train"][0].shape[2], cfg.hidden, cfg.layers,
+                                     TASK_CLASSES[cfg.task], cfg.init_scale, init_rng, dropout=cfg.dropout)
         opt = make_optimizer(cfg.optimizer, model, cfg.lr)
         # an LM is scored on valid after each epoch and on test at the end;
         # a classifier on test after each epoch
@@ -407,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="JSON config file merged under explicit flags")
     p_train.add_argument("--hidden", type=int)
     p_train.add_argument("--layers", type=int)
-    p_train.add_argument("--classes", type=int)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--batch-size", dest="batch_size", type=int)
     p_train.add_argument("--optimizer", choices=("sgd", "adam"))

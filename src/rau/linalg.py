@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

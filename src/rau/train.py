@@ -9,6 +9,7 @@ triple pins every emitted metric except wall-clock time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -69,18 +70,7 @@ class MetricsRecord:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "step": self.step,
-                "split": self.split,
-                "loss": self.loss,
-                "metric_name": self.metric_name,
-                "metric_value": self.metric_value,
-                "wall_ms": self.wall_ms,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self))
 
 
 @dataclass
@@ -113,9 +103,9 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     the gradients: the loops' clip_global_norm already has.
     """
     sgd = opt.kind == "sgd"
+    by_key = [grads.buffers] if sgd else [grads.buffers, opt.m.buffers, opt.v.buffers]
     try:
-        bufs = [(arr, grads.buffers[key], *(() if sgd else (opt.m.buffers[key], opt.v.buffers[key])))
-                for key, arr, _ in iter_buffers(params)]
+        bufs = [(arr, *(buffers[key] for buffers in by_key)) for key, arr, _ in iter_buffers(params)]
     except KeyError as e:
         raise ContractError(f"apply_update: no buffer {e} among the gradients or moments; "
                             "lay them out with Grads.zeros_like") from e

@@ -88,7 +88,7 @@ def test_criterion_4_desk_scale_mnist(tmp_path):
     t0 = time.monotonic()
     accs = {}
     for cell in ("rau", "gru", "lstm"):
-        cfg = rcli.RunConfig(task="mnist-rows", cell=cell, hidden=128, layers=1, classes=10,
+        cfg = rcli.RunConfig(task="mnist-rows", cell=cell, hidden=128, layers=1,
                              epochs=5, batch_size=128, optimizer="adam", lr=1e-3,
                              dropout=0.0, init_scale=0.1, seed=7, desk_scale=True,
                              data_dir=data_dir)

@@ -18,7 +18,7 @@ from rau.cli import (
 )
 from rau.linalg import Rng
 from rau.train import DivergenceError
-from rau.models import build_classifier, build_language_model, save_checkpoint
+from rau.models import build_classifier, build_language_model, load_checkpoint, save_checkpoint
 
 
 def _train_args(tmp_path, *extra):
@@ -80,6 +80,14 @@ class TestTrainCommand:
         assert rc == EXIT_DIVERGED
         ckpt = tmp_path / "synthetic-gru-seed7" / "model.bin"
         assert ckpt.exists() and capsys.readouterr().err.endswith(f"; last good checkpoint: {ckpt}\n")
+
+    def test_classes_flag_is_gone(self, tmp_path, capsys):
+        # each task fixes its own class count
+        with pytest.raises(SystemExit) as exc:
+            main(_train_args(tmp_path, "--classes", "10"))
+        assert exc.value.code == EXIT_BAD_CONFIG
+        assert "--classes" in capsys.readouterr().err
+        assert "classes" not in {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_bad_task_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--task", "ptb", "--out", str(tmp_path)])
@@ -200,7 +208,7 @@ class TestImageTaskPath:
 
     def test_end_to_end(self, image_dir, tmp_path, capsys):
         rc = main(["train", "--task", "mnist-rows", "--cell", "gru", "--data-dir", str(image_dir),
-                   "--hidden", "24", "--classes", "10", "--batch-size", "32", "--epochs", "3",
+                   "--hidden", "24", "--batch-size", "32", "--epochs", "3",
                    "--lr", "0.01", "--init-scale", "0.2", "--seed", "5",
                    "--out", str(tmp_path / "out")])
         assert rc == 0
@@ -213,6 +221,25 @@ class TestImageTaskPath:
         out = json.loads(capsys.readouterr().out)
         assert out["loss"] == final["loss"]
         assert out["metric_value"] == final["metric_value"]
+
+    def test_without_a_preset_builds_a_ten_class_head(self, image_dir, tmp_path):
+        # with no preset the labels 0-9 once met a 4-output head, and cross_entropy raised
+        assert main(["train", "--task", "mnist-rows", "--data-dir", str(image_dir), "--hidden", "8",
+                     "--epochs", "1", "--max-steps", "2", "--out", str(tmp_path / "out")]) == 0
+        model, _ = load_checkpoint(tmp_path / "out" / "mnist-rows-rau-seed7" / "model.bin")
+        assert model.w_out.shape == (10, 8)
+
+    def test_a_label_beyond_the_task_classes_exits_2(self, tmp_path, capsys):
+        from conftest import write_idx_pair
+
+        d = tmp_path / "idx"
+        d.mkdir()
+        for split in ("train", "t10k"):
+            img, lbl = write_idx_pair(d, np.zeros((4, 28, 28)), [0, 1, 12, 3])
+            img.rename(d / f"{split}-images-idx3-ubyte")
+            lbl.rename(d / f"{split}-labels-idx1-ubyte")
+        assert main(["train", "--task", "mnist-rows", "--data-dir", str(d), "--out", str(tmp_path / "out")]) == 2
+        assert "mnist-rows labels must be below 10, got 12" in capsys.readouterr().err
 
 
 class TestSentimentTask:
@@ -235,13 +262,14 @@ class TestSentimentTask:
     def test_end_to_end(self, imdb_like, tmp_path, capsys):
         rc = main(["train", "--task", "sentiment", "--cell", "gru", "--data-dir", str(imdb_like),
                    "--hidden", "8", "--emb-dim", "8", "--vocab", "40", "--max-len", "6",
-                   "--classes", "2", "--batch-size", "4", "--epochs", "1", "--seed", "3",
+                   "--batch-size", "4", "--epochs", "1", "--seed", "3",
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         run_dir = tmp_path / "out" / "sentiment-gru-seed3"
         records = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
         assert {r["split"] for r in records} == {"train", "test"}
         ckpt = run_dir / "model.bin"
+        assert load_checkpoint(ckpt)[0].w_out.shape[0] == 2  # the task's two classes
         capsys.readouterr()
         assert main(["eval", str(ckpt), "--split", "test", "--data-dir", str(imdb_like)]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -393,6 +421,14 @@ class TestEvalCommand:
         save_checkpoint(ckpt, build_classifier("gru", 8, 4, 1, 4, 0.1, Rng(0)), cfg)
         assert main(["eval", str(ckpt)]) == EXIT_BAD_CONFIG
         assert "seed must be int, got 'x'" in capsys.readouterr().err
+
+    def test_config_echo_with_a_classes_key_still_evaluates(self, tmp_path, capsys):
+        # checkpoints written before the class count was derived from the task echo a classes key
+        ckpt = tmp_path / "old.bin"
+        cfg = dataclasses.asdict(RunConfig(task="synthetic", cell="gru", seed=7)) | {"classes": 4}
+        save_checkpoint(ckpt, build_classifier("gru", 8, 16, 1, 4, 0.0, Rng(0)), cfg)
+        assert main(["eval", str(ckpt), "--split", "test"]) == 0
+        assert json.loads(capsys.readouterr().out)["metric_name"] == "accuracy"
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "nope.bin")])

@@ -14,7 +14,7 @@ import pytest
 
 from rau import cells
 from rau.autograd import Grads, backward, backward_cell_sequence
-from rau.cells import init_cell, iter_buffers, iter_tensors, param_count, weight_stacks
+from rau.cells import init_cell, iter_buffers, iter_tensors, param_count
 from rau.data import synthetic_memorization
 from rau.linalg import ContractError, Rng
 from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
@@ -89,17 +89,35 @@ class TestCellBuffer:
 
 class TestStacksAreViews:
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
-    def test_weight_stacks_view_the_params(self, kind):
+    def test_groups_view_the_params(self, kind):
         p = init_cell(kind, 3, 4, 0.5, Rng(4))
         tensors = dict(iter_tensors(p))
-        stacks = weight_stacks(kind, p)
-        assert len(stacks) == len(GROUPS[kind])
-        for stack, group in zip(stacks, GROUPS[kind]):
-            assert np.shares_memory(stack, p.buffer)
-            assert np.array_equal(stack, np.concatenate([tensors[w] for w in group]))
+        assert len(p.groups) == len(GROUPS[kind])
+        for (w, b), group in zip(p.groups, GROUPS[kind]):
+            assert np.shares_memory(w, p.buffer) and np.shares_memory(b, p.buffer)
+            assert np.array_equal(w, np.concatenate([tensors[q] for q in group]))
+            assert np.array_equal(b, np.concatenate([tensors[q.replace("w_", "b_")] for q in group]))
             first = tensors[group[0]]
-            first += 1.0  # an in-place update shows in the stack
-            assert np.array_equal(stack[:first.shape[0]], first)
+            first += 1.0  # an in-place update shows in the group
+            assert np.array_equal(w[:first.shape[0]], first)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
+    def test_a_gradient_cells_groups_tile_its_buffer(self, kind, m, n):
+        g = Grads.zeros_like(build_classifier(kind, m, n, 1, 2, 0.5, Rng(5)))
+        buf = g.buffers["cells.0."]
+        assert g.owners["cells.0."].buffer is buf
+        want = _offsets(kind, m, n)
+        covered = np.zeros(buf.size, dtype=int)
+        for (w, b), group in zip(g.owners["cells.0."].groups, GROUPS[kind]):
+            rows = sum(want[q][1][0] for q in group)
+            assert w.shape == (rows, m + n) and b.shape == (rows,)
+            assert w.flags.c_contiguous and b.flags.c_contiguous
+            assert _offset(w, buf) == want[group[0]][0] and _offset(b, buf) == want[group[0].replace("w_", "b_")][0]
+            assert np.shares_memory(w, g[f"cells.0.{group[0]}"])
+            covered[_offset(w, buf):_offset(w, buf) + w.size] += 1
+            covered[_offset(b, buf):_offset(b, buf) + b.size] += 1
+        assert (covered == 1).all()
 
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_gate_block_views_the_params(self, kind):
@@ -236,6 +254,27 @@ class TestDeepcopy:
         _assert_on_buffer(q, q.buffer)
         assert not np.shares_memory(q.buffer, p.buffer)
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(iter_tensors(p.gru), iter_tensors(q)))
+
+    @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
+    def test_a_backward_result_copies_onto_buffers_of_its_own(self, kind):
+        mdl = build_language_model(kind, 7, 4, 2, 0.5, Rng(25))
+        logits, _, tape = lm_forward(mdl, Rng(26).integers(7, size=(2, 3)), train_mode=True)
+        g = backward(tape, np.ones_like(logits))
+        q = copy.deepcopy(g)
+        assert list(q) == list(g) and list(q.owners) == list(g.owners)
+        qbufs, gbufs = q.buffers, g.buffers
+        for name, a in q.items():
+            key = name if name in q.owners else name[:len("cells.0.")]
+            assert a.tobytes() == g[name].tobytes(), name
+            assert np.shares_memory(a, qbufs[key]) and _offset(a, qbufs[key]) == _offset(g[name], gbufs[key]), name
+            assert not any(np.shares_memory(a, b) for b in gbufs.values()), name
+        for l in range(2):
+            cell = q.owners[f"cells.{l}."]
+            assert cell.buffer is qbufs[f"cells.{l}."]
+            for (w, b), (gw, gb) in zip(cell.groups, g.owners[f"cells.{l}."].groups):
+                assert np.shares_memory(w, cell.buffer) and np.shares_memory(b, cell.buffer)
+                assert not any(np.shares_memory(w, x) or np.shares_memory(b, x) for x in gbufs.values())
+                assert w.tobytes() == gw.tobytes() and b.tobytes() == gb.tobytes()
 
     def test_optimizer_moments_keep_their_layout(self):
         mdl = build_classifier("rau", 3, 4, 1, 2, 0.5, Rng(20))

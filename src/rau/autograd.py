@@ -27,10 +27,14 @@ row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
 
 In a stack of large steps, the forward in `models` runs as a wavefront:
 the worker runs the upper layers' step t beside the first layer's step
-t+1. Each layer keeps its own steps in order, so the bits stay. Every
-handoff goes through one join, `_beside`, and one of two gates:
-`_overlap` for work cut into pieces, `_wavefront` for a stack's forward.
-Both hand work over only on a `_second_core`.
+t+1. Each layer keeps its own steps in order, so the bits stay. Where a
+stack is no wavefront, a RAU step of a large forward hands its attention
+branch to the worker and runs its GRU branch in the caller (see
+`cells.rau_step`). So the worker has four uses: the span flushes, the
+head halves, the wavefront and the attention branch. Every handoff goes
+through one join, `_beside`, and one of three gates: `_overlap` for work
+cut into pieces, `_wavefront` and `_attention_beside` for a forward's
+steps. Each hands work over only on a `_second_core`.
 
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
@@ -161,15 +165,20 @@ ELEMENT_FLOP = 64
 # 1e6 multiply-adds: OpenBLAS computes smaller products with other kernels. A half that passes
 # `_overlap` holds 15x that.
 SPLIT_ROWS = 96
-# A stack's forward runs as a wavefront (`_wavefront`) only when each layer's step holds this many GEMM flops,
-# 2 * batch * (m+n) * rows; a handoff per step costs about 0.3 ms at small shapes. On the 2-core host with
-# one BLAS thread, a 2-layer, 20-step forward with the wavefront against without ran 0.64-0.70x as fast at
-# 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at 2.4-5.8 MFLOP (RAU 0.94-1.10x
-# there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU 19.2, LSTM 12.8, GRU 9.6).
-WAVEFRONT_MIN_FLOP = 6_000_000
+# A forward hands the worker a piece of every step only when that piece holds this many GEMM flops: each
+# layer's step, 2 * batch * (m+n) * rows, for a stack's wavefront (`_wavefront`), and a RAU step's attention
+# branch, 2 * batch * (m+n) * (m+2n), for `_attention_beside`; a handoff per step costs about 0.3 ms at small
+# shapes. On the 2-core host with one BLAS thread, a 2-layer, 20-step forward with the wavefront against
+# without ran 0.64-0.70x as fast at 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at
+# 2.4-5.8 MFLOP (RAU 0.94-1.10x there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU
+# 19.2, LSTM 12.8, GRU 9.6). A 1-layer, 28-step RAU eval forward with its attention branch on the worker
+# against inline ran 0.28-0.39x as fast at B=1, 0.58-0.90x at 0.7-4.3 MFLOP of attention a step (m=28,
+# n=128 at B=8-48; m=8, n=64 at B=64), 1.01x at 5.7 (B=64 at m=28, n=128) and 1.19-1.49x at 8.5-22.7
+# (B=96-256 at m=28, n=128; B=256 at m=8, n=64; B=20 at m=n=200).
+STEP_HANDOFF_FLOP = 6_000_000
 # A forward step calls these names of `cells`, which the benchmark's tracer may wrap. A wrapped one opens
-# spans on the thread that calls it, so the wavefront runs only while each is the library's own: a traced
-# run then times the inline forward, and every span stays on the thread that opened it.
+# spans on the thread that calls it, so no step hands work to the worker unless each is the library's own:
+# a traced run then times the inline forward, and every span stays on the thread that opened it.
 _STEP_NAMES = (("step", cells.step), ("sigmoid", linalg.sigmoid), ("tanh", linalg.tanh),
                ("softmax", linalg.softmax))
 
@@ -285,15 +294,33 @@ def _wavefront(kind: str, stack: Sequence[CellParams], batch: int) -> bool:
     """Whether the forward of stack, its cells in layer order, runs as a wavefront: its upper layers' step t
     on the worker thread, beside its first layer's step t+1 in the caller (see `models._forward`).
 
-    It needs two layers or more, a step of WAVEFRONT_MIN_FLOP or more in every layer at this batch, the
-    library's own step functions (see `_STEP_NAMES`) and a `_second_core`; a one-layer stack makes no
-    system call to find out.
+    It needs two layers or more and a `_step_handoff` of every layer's step at this batch; a one-layer
+    stack makes no system call to find out.
     """
     if len(stack) < 2:
         return False
     rows = _kind(kind).rows
-    flop = min(2 * batch * (p.input_size + p.hidden_size) * rows(p.input_size, p.hidden_size) for p in stack)
-    return (flop >= WAVEFRONT_MIN_FLOP and all(getattr(cells, name) is own for name, own in _STEP_NAMES)
+    return _step_handoff(min(2 * batch * (p.input_size + p.hidden_size) * rows(p.input_size, p.hidden_size)
+                             for p in stack))
+
+
+def _attention_beside(kind: str, stack: Sequence[CellParams], batch: int) -> bool:
+    """Whether each RAU step of the forward of stack runs its attention branch on the worker thread, beside
+    its GRU branch in the caller (see `cells.rau_step`); `models._forward` asks where `_wavefront` declined,
+    so no step of a wavefront hands work on.
+
+    It needs a RAU stack and a `_step_handoff` of every layer's attention branch at this batch, the w_a and
+    w_u GEMMs; a GRU or LSTM stack makes no system call to find out.
+    """
+    return kind == "rau" and _step_handoff(min(2 * batch * (p.input_size + p.hidden_size)
+                                               * (p.input_size + 2 * p.hidden_size) for p in stack))
+
+
+def _step_handoff(flop: int) -> bool:
+    """Whether a forward that would hand the worker flop GEMM flops of every step does: STEP_HANDOFF_FLOP or
+    more, the library's own step functions (see `_STEP_NAMES`) and a `_second_core`. The size is tested
+    first, so small steps make no system call."""
+    return (flop >= STEP_HANDOFF_FLOP and all(getattr(cells, name) is own for name, own in _STEP_NAMES)
             and _second_core())
 
 

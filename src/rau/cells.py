@@ -29,7 +29,11 @@ and adds an attention gate: a learned affine score per component of
 [x, h_prev], softmax-normalized within the step, reweights the
 concatenation before a tanh projection back to hidden size. The hidden
 state then mixes the previous state, the GRU candidate, and the
-attended state with coefficients (1-z), z/2, z/2.
+attended state with coefficients (1-z), z/2, z/2. Within a step the
+attention branch and the GRU branch read only [x, h_prev], so a large
+forward runs the attention branch on `autograd`'s worker thread beside
+the GRU branch. The worker has four uses: the span flushes, the head
+halves, the layer wavefront and this attention branch.
 """
 
 from __future__ import annotations
@@ -289,13 +293,13 @@ def _fill_v(tr: Trace, m: int, out: np.ndarray) -> np.ndarray:
 
 
 def _gru_gates(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace) -> None:
-    """Shared update/reset/candidate computation (used verbatim by RAU), written into tr.
+    """Shared update/reset/candidate computation (used verbatim by RAU), from tr.xh, which the step has
+    written, into tr's rz, xrh and hc.
 
     r and z come from one GEMM against p's gate block and one sigmoid.
     """
     m = x.shape[-1]
-    xh = np.concatenate([x, h_prev], axis=-1, out=tr.xh)
-    sigmoid(_gate_affine(xh, p.gates, out=tr.rz), out=tr.rz)
+    sigmoid(_gate_affine(tr.xh, p.gates, out=tr.rz), out=tr.rz)
     # `_fill_xrh` from x and h_prev: the elementwise ops run faster on them than on xh's strided halves
     tr.xrh[..., :m] = x
     np.multiply(tr.r, h_prev, out=tr.xrh[..., m:])
@@ -357,6 +361,7 @@ def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
     tr = _trace_row("gru", p, x, tr)
+    np.concatenate([x, h_prev], axis=-1, out=tr.xh)
     _gru_gates(p, x, h_prev, tr)
     return _mix(h_prev, tr.z, tr.z * tr.hc), tr
 
@@ -373,7 +378,7 @@ def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
 
 
 def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, *,
-             attended_override: np.ndarray | None = None):
+             attended_override: np.ndarray | None = None, beside: Callable | None = None):
     """One RAU step: h = (1-z)*h_prev + z*(candidate + attended)/2; returns (h, the trace row written).
 
     The update/reset/candidate path is exactly the GRU computation on
@@ -385,20 +390,40 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     collapse bitwise to gru_step when the attended state is overridden
     with the candidate. attended_override substitutes ha and leaves u
     and v unwritten; test use only.
+
+    The two branches meet only in the mix: each reads xh, written once
+    before either starts, and writes trace fields of its own. So with
+    beside, which is `autograd._beside`, the worker thread runs the
+    attention branch (`_attend`) while the caller runs the GRU branch,
+    and every output keeps its bits. `models._forward` passes it where
+    `autograd._attention_beside` admits the forward; without it the step
+    runs both branches inline.
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
     tr = _trace_row("rau", p, x, tr)
-    _gru_gates(p.gru, x, h_prev, tr)
-    if attended_override is None:
-        softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
-        np.multiply(tr.u, tr.xh, out=tr.v)  # `_fill_v`
-        tanh(_affine(tr.v, p.w_u, p.b_u, out=tr.ha), out=tr.ha)
+    np.concatenate([x, h_prev], axis=-1, out=tr.xh)
+    if beside is None or attended_override is not None:
+        _gru_gates(p.gru, x, h_prev, tr)
+        if attended_override is None:
+            # `_attend`, inline: a call per step shows at one-row shapes, as for `_fill_v`
+            softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
+            np.multiply(tr.u, tr.xh, out=tr.v)
+            tanh(_affine(tr.v, p.w_u, p.b_u, out=tr.ha), out=tr.ha)
+        else:
+            tr.ha[...] = attended_override
     else:
-        tr.ha[...] = attended_override
+        beside(functools.partial(_attend, p, tr), True, _gru_gates, p.gru, x, h_prev, tr)
     z_new = tr.hc + tr.ha
     z_new /= 2.0
     z_new *= tr.z
     return _mix(h_prev, tr.z, z_new), tr
+
+
+def _attend(p: RauParams, tr: Trace) -> None:
+    """A RAU step's attention branch, from tr.xh into tr's u, v (`_fill_v`) and ha."""
+    softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
+    np.multiply(tr.u, tr.xh, out=tr.v)
+    tanh(_affine(tr.v, p.w_u, p.b_u, out=tr.ha), out=tr.ha)
 
 
 def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):

@@ -129,6 +129,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     so the outputs keep their bits however the layers interleave. In a
     stack that `autograd._wavefront` admits, the worker thread runs the
     upper layers' step t while the caller runs the first layer's step t+1.
+    Else, in a RAU stack that `autograd._attention_beside` admits, it runs
+    each step's attention branch beside the step's GRU branch.
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -163,7 +165,9 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             autograd._beside(functools.partial(upper, range(t - 1, t)), True, first, range(t, t + 1))
         upper(range(T - 1, T))
     else:
-        _steps(mdl, layers, xs_steps, top_steps, states, rows, in_masks, range(T))
+        # where the gate admits it, each RAU step hands its attention branch to the worker (see `cells.rau_step`)
+        beside = autograd._beside if autograd._attention_beside(mdl.cell_kind, mdl.cells, B) else None
+        _steps(mdl, layers, xs_steps, top_steps, states, rows, in_masks, range(T), beside)
 
     head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)
     out_masks = None
@@ -180,10 +184,10 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
 
 
 def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, states: list, rows: list,
-           in_masks: list | None, steps: range) -> None:
+           in_masks: list | None, steps: range, beside=None) -> None:
     """Each step t in steps, in order, of the layers in layers, in order: the first layer's input is
     inputs[t], each layer's goes through its dropout mask if in_masks is given, and the last layer's h
-    goes to outputs[t].
+    goes to outputs[t]. beside, if given, goes to each RAU step (see `cells.rau_step`).
 
     A layer steps only its own state, trace rows and masks, so two threads may run two layers' steps.
     """
@@ -192,7 +196,11 @@ def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, state
         for l in layers:
             if in_masks is not None:
                 inp = inp * in_masks[l][t]
-            states[l], _ = cells.step(mdl.cell_kind, mdl.cells[l], inp, states[l], rows[l][t % len(rows[l])])
+            row = rows[l][t % len(rows[l])]
+            if beside is None:
+                states[l], _ = cells.step(mdl.cell_kind, mdl.cells[l], inp, states[l], row)
+            else:
+                states[l] = cells.CellState(cells.rau_step(mdl.cells[l], inp, states[l].h, row, beside=beside)[0])
             inp = states[l].h
         outputs[t] = inp
 

@@ -169,6 +169,14 @@ def _train_forward(what: str, epoch: int, step: int, forward, *args, **kwargs):
         raise DivergenceError(f"{what} forward diverged at epoch {epoch}, step {step}: {e}") from e
 
 
+def _check_loop(op: str, batch_size: int, max_steps: int | None = None, step_offset: int = 0) -> None:
+    """A loop's ContractError, before any work, for a batch size below 1 or no optimizer step left."""
+    if batch_size < 1:
+        raise ContractError(f"{op}: batch_size must be >= 1, got {batch_size}")
+    if max_steps is not None and step_offset >= max_steps:
+        raise ContractError(f"{op}: no step left: step_offset {step_offset} reaches max_steps {max_steps}")
+
+
 def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_size: int,
                            epoch: int, seed: int, clip_norm: float = DEFAULT_CLIP_NORM,
                            max_steps: int | None = None, step_offset: int = 0):
@@ -180,6 +188,7 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
     N = len(ys)
     if N == 0:
         raise ContractError("train_epoch_classifier: empty data")
+    _check_loop("train_epoch_classifier", batch_size, max_steps, step_offset)
     t0 = time.monotonic()
     order = rng.permutation(N)
     total_loss = 0.0
@@ -216,6 +225,7 @@ def evaluate_classifier(model, xs, ys, batch_size: int = 256):
     N = len(ys)
     if N == 0:
         raise ContractError("evaluate_classifier: empty data")
+    _check_loop("evaluate_classifier", batch_size)
     total_loss = 0.0
     correct = 0
     for start in range(0, N, batch_size):
@@ -244,6 +254,7 @@ def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int
                    epoch: int, seed: int, clip_norm: float = DEFAULT_CLIP_NORM,
                    max_steps: int | None = None, step_offset: int = 0):
     """One pass over the token stream with cross-window state carry."""
+    _check_loop("train_epoch_lm", batch_size, max_steps, step_offset)
     t0 = time.monotonic()
     total_loss = 0.0
     total_tokens = 0

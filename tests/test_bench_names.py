@@ -62,7 +62,7 @@ def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch):
     # worker, and a stack whose step functions are the library's own would run as a wavefront
     monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
     monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "WAVEFRONT_MIN_FLOP", 0)
+    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0)
     monkeypatch.setattr(models, "CE_BLOCK_BYTES", 10 * 8 * 50)  # blocks of 10 rows, so cross-entropy splits
     mdl = build_language_model("rau", 50, 8, 2, 0.1, Rng(1), dropout=0.2)
     stream = Rng(2).integers(50, size=20 * 11)

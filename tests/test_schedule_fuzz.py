@@ -121,11 +121,11 @@ def _shake(fuzz, run, inline: dict):
 def _inline(monkeypatch, run) -> dict:
     """run()'s bits with every handoff inline; then every gate is forced open."""
     monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: False)
-    monkeypatch.setattr(autograd, "WAVEFRONT_MIN_FLOP", float("inf"))
+    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", float("inf"))
     out = _bits(run())
     monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
     monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "WAVEFRONT_MIN_FLOP", 0)
+    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0)
     return out
 
 

@@ -5,7 +5,7 @@ upper layers' step t to the worker thread while the caller runs the first
 layer's step t+1. Each layer still runs its own steps in order on its own
 state, trace and dropout masks, so every output keeps its bits. These
 tests force the wavefront on or off through its flop floor
-`autograd.WAVEFRONT_MIN_FLOP` and a patched `autograd._second_core`, which
+`autograd.STEP_HANDOFF_FLOP` and a patched `autograd._second_core`, which
 leaves the gate's check of the step functions in force, and pin BLAS at
 one thread per call, where the wavefront runs.
 """
@@ -45,7 +45,7 @@ def jobs(monkeypatch):
 
 def _force(monkeypatch, on: bool):
     monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "WAVEFRONT_MIN_FLOP", 0 if on else float("inf"))
+    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0 if on else float("inf"))
 
 
 def _both(monkeypatch, run):

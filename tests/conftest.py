@@ -106,3 +106,31 @@ def one_blas_thread():
     set_threads(1)
     yield
     set_threads(before)
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """The name of the function behind every job handed to the worker, in order."""
+    names = []
+    submit = autograd._submit
+
+    def record(job):
+        names.append(job.func.__name__)
+        return submit(job)
+
+    monkeypatch.setattr(autograd, "_submit", record)
+    return names
+
+
+@pytest.fixture
+def queued(monkeypatch):
+    """The Future of every job handed to the worker, in order."""
+    futures = []
+    submit = autograd._submit
+
+    def keep(job):
+        futures.append(submit(job))
+        return futures[-1]
+
+    monkeypatch.setattr(autograd, "_submit", keep)
+    return futures

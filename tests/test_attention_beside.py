@@ -1,0 +1,268 @@
+"""A RAU step's attention branch on the worker thread gives the inline path's bits.
+
+In a RAU forward that `autograd._attention_beside` admits, and that no
+wavefront takes, each `cells.rau_step` writes xh, then hands its
+attention branch (`cells._attend`: the w_a affine, the softmax into u,
+v = u*xh, the w_u affine and tanh into ha) to the worker thread while the
+caller runs the GRU branch; the caller mixes after the join. Both
+branches only read xh and each writes its own trace fields, so every
+output keeps its bits. These tests force the split on or off through the
+flop floor `autograd.STEP_HANDOFF_FLOP` and a patched
+`autograd._second_core`, which leaves the gate's check of the step
+functions in force, and pin BLAS at one thread per call, where it runs.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from rau import autograd, cells
+from rau.autograd import backward
+from rau.cells import gru_step, init_cell, iter_tensors, rau_step
+from rau.linalg import NumericError, Rng
+from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
+from rau.train import (DivergenceError, evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier,
+                       train_epoch_lm)
+
+B, T, M, N, C, V = 5, 7, 3, 6, 4, 29
+DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dropout"])
+# the row-MNIST shape: an attention branch of 2 * 128 * 156 * 284 = 11.3 MFLOP a step
+ROWS = dict(m=28, n=128, batch=128, steps=28)
+
+
+def _force(monkeypatch, on: bool):
+    monkeypatch.setattr(autograd, "_second_core", lambda: True)
+    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0 if on else float("inf"))
+
+
+def _both(monkeypatch, run):
+    """run() with the split off, then on."""
+    _force(monkeypatch, False)
+    inline = run()
+    _force(monkeypatch, True)
+    return inline, run()
+
+
+def _assert_same_bits(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert np.asarray(a[name]).tobytes() == np.asarray(b[name]).tobytes(), name
+
+
+def _tape(tape):
+    """Every trace field, the dropout masks and the head input of a one-layer tape."""
+    out = {"head_in": tape.head_in, **{f"trace.{name}": buf for name, buf in vars(tape.traces[0]).items()}}
+    if tape.in_masks is not None:
+        out.update(in_mask=tape.in_masks[0], out_mask=tape.out_masks)
+    return out
+
+
+def _features(seed, shape):
+    return Rng(seed).uniform(-1.0, 1.0, shape)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestSameBits:
+    @DROPOUT
+    def test_classifier_forward_and_gradients(self, dropout, monkeypatch, jobs):
+        mdl, xs = build_classifier("rau", M, N, 1, C, 0.5, Rng(1), dropout=dropout), _features(2, (B, T, M))
+        targets = Rng(3).integers(C, size=B)
+
+        def run():
+            logits, tape = classify_forward(mdl, xs, train_mode=True, rng=Rng(4))
+            grads = backward(tape, cross_entropy(logits, targets)[1])
+            return {"train": logits, "eval": classify_forward(mdl, xs)[0], **_tape(tape), **grads}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        # every step's attention branch goes to the worker, in the train pass and in the eval pass
+        assert jobs == ["_attend"] * (2 * T)
+
+    @DROPOUT
+    def test_lm_forward_and_gradients(self, dropout, monkeypatch, jobs):
+        mdl = build_language_model("rau", V, N, 1, 0.5, Rng(5), dropout=dropout)
+        tokens, targets = Rng(6).integers(V, size=(B, T)), Rng(7).integers(V, size=T * B)
+        # a carried-in state, as the next window of a stream starts from
+        start = lm_forward(mdl, Rng(8).integers(V, size=(B, T)))[1]
+
+        def run():
+            logits, states, tape = lm_forward(mdl, tokens, start, train_mode=True, rng=Rng(9))
+            grads = backward(tape, cross_entropy(logits.reshape(T * B, -1), targets)[1].reshape(logits.shape))
+            eval_logits, eval_states, _ = lm_forward(mdl, tokens, start)
+            return {"train": logits, "h": states[0].h, "eval": eval_logits, "eval_h": eval_states[0].h,
+                    **_tape(tape), **grads}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+        assert jobs == ["_attend"] * (2 * T)
+
+    def test_classifier_trained_two_adam_steps_then_evaluated(self, monkeypatch):
+        start = build_classifier("rau", M, N, 1, C, 0.5, Rng(10), dropout=0.2)
+        xs, ys = _features(11, (2 * B, T, M)), Rng(12).integers(C, size=2 * B)
+
+        def run():
+            mdl = copy.deepcopy(start)
+            record, steps = train_epoch_classifier(mdl, xs, ys, make_optimizer("adam", mdl, 0.01), Rng(13), B, 1, 13)
+            assert steps == 2
+            loss, acc = evaluate_classifier(mdl, xs, ys, B)
+            return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "acc": acc}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, monkeypatch):
+        start = build_language_model("rau", V, N, 1, 0.5, Rng(14), dropout=0.3)
+        stream = Rng(15).integers(V, size=B * (2 * T + 1))
+
+        def run():
+            mdl = copy.deepcopy(start)
+            # the state carries from the first window into the second
+            record, steps = train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 0.5), Rng(16), B, T, 1, 16)
+            assert steps == 2
+            loss, ppl = evaluate_lm(mdl, stream, B, T)
+            return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
+
+        _assert_same_bits(*_both(monkeypatch, run))
+
+    def test_the_rows_shape_through_the_library_gate(self, monkeypatch, jobs):
+        # the floor stays the library's; only the host is taken to have a second core
+        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(17))
+        xs = _features(18, (ROWS["batch"], ROWS["steps"], ROWS["m"]))
+        targets = Rng(19).integers(10, size=ROWS["batch"])
+
+        def run():
+            logits, tape = classify_forward(mdl, xs, train_mode=True)
+            return {"logits": logits, **_tape(tape), **backward(tape, cross_entropy(logits, targets)[1])}
+
+        monkeypatch.setattr(autograd, "_second_core", lambda: False)
+        inline = run()
+        assert jobs == []
+        monkeypatch.setattr(autograd, "_second_core", lambda: True)
+        _assert_same_bits(inline, run())
+        # the backward's span flushes go to the worker too
+        assert [name for name in jobs if name != "_flush"] == ["_attend"] * ROWS["steps"]
+
+    def test_attended_override_stays_inline(self):
+        p = init_cell("rau", M, N, 0.5, Rng(20))
+        x, h = _features(21, (B, M)), _features(22, (B, N))
+
+        def unasked(*args):
+            raise AssertionError("the step handed work on")
+
+        h_gru, tr = gru_step(p.gru, x, h)
+        h_rau, _ = rau_step(p, x, h, attended_override=tr.hc, beside=unasked)
+        assert h_rau.tobytes() == h_gru.tobytes()
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestFailures:
+    def test_a_numeric_error_on_the_worker_ends_the_train_loop_as_a_divergence(self, monkeypatch, queued):
+        _force(monkeypatch, True)
+        mdl = build_classifier("rau", M, N, 1, C, 0.5, Rng(23))
+        mdl.cells[0].b_a[0] = np.inf  # a non-finite attention score: only the worker's softmax sees it
+        before = {k: v.copy() for k, v in iter_tensors(mdl)}
+        xs, ys = _features(24, (B, T, M)), Rng(25).integers(C, size=B)
+        with pytest.raises(DivergenceError, match="softmax") as exc:
+            train_epoch_classifier(mdl, xs, ys, make_optimizer("adam", mdl, 0.01), Rng(26), B, 1, 26)
+        assert isinstance(exc.value.__cause__, NumericError)
+        assert [type(job.exception()) for job in queued] == [NumericError]
+        assert all(job.done() for job in queued)
+        for k, v in iter_tensors(mdl):
+            assert np.array_equal(v, before[k]), k
+
+    @pytest.mark.parametrize("side", ["worker", "caller"])
+    def test_a_raising_branch_surfaces_and_nothing_is_pending(self, side, monkeypatch, queued):
+        _force(monkeypatch, True)
+        mdl, xs = build_classifier("rau", M, N, 1, C, 0.5, Rng(27)), _features(28, (B, T, M))
+        want = classify_forward(mdl, xs)[0]
+        queued.clear()
+        name = "_attend" if side == "worker" else "_gru_gates"
+        own, calls = getattr(cells, name), []
+
+        def branch(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("branch failed")
+            return own(*args)
+
+        monkeypatch.setattr(cells, name, branch)
+        with pytest.raises(RuntimeError, match="branch failed"):
+            classify_forward(mdl, xs)
+        assert len(queued) == 4 and all(job.done() for job in queued)
+        # the worker keeps serving: the next forward gives the inline bits
+        monkeypatch.setattr(cells, name, own)
+        assert classify_forward(mdl, xs)[0].tobytes() == want.tobytes()
+
+
+class TestWhenItRuns:
+    """The automatic decision, with the BLAS thread count and the CPU affinity patched."""
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        state = {"blas": 1, "cpus": {0, 1}}
+        monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
+        monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
+        return state
+
+    @staticmethod
+    def _stack(kind="rau", m=ROWS["m"], n=ROWS["n"], layers=1):
+        rng = Rng(29)
+        return [init_cell(kind, m if l == 0 else n, n, 0.1, rng) for l in range(layers)]
+
+    def test_on_at_the_rows_shape(self, host):
+        assert autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+        # B=96, 8.5 MFLOP a step, is on; B=64, 5.7 MFLOP, where the split ran 1.01x, is off
+        assert autograd._attention_beside("rau", self._stack(), 96)
+        assert not autograd._attention_beside("rau", self._stack(), 64)
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_a_rows_shape_eval_hands_each_attention_branch_to_the_worker(self, host, jobs):
+        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(30))
+        xs = _features(31, (ROWS["batch"], 4, ROWS["m"]))
+        got = classify_forward(mdl, xs)[0]
+        assert jobs == ["_attend"] * 4
+        host["cpus"] = {0}
+        assert classify_forward(mdl, xs)[0].tobytes() == got.tobytes()
+        assert len(jobs) == 4
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_off_for_the_cells_without_an_attention_branch(self, kind, host):
+        assert not autograd._attention_beside(kind, self._stack(kind), ROWS["batch"])
+
+    def test_one_row_and_one_d_steps_make_no_system_call(self, monkeypatch):
+        def unasked(*args):
+            raise AssertionError("the gate asked the host")
+
+        monkeypatch.setattr(autograd, "_blas_threads", unasked)
+        monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
+        assert not autograd._attention_beside("rau", self._stack(), 1)
+        assert not autograd._attention_beside("rau", self._stack(m=3, n=4), 1)
+        assert not autograd._attention_beside("gru", self._stack("gru"), ROWS["batch"])
+        # a one-sequence forward is a B=1 batch; gradcheck and lone steps run 1-D steps and never ask
+        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(32))
+        classify_forward(mdl, _features(33, (ROWS["steps"], ROWS["m"])))
+        cells.step("rau", mdl.cells[0], _features(34, ROWS["m"]), cells.zero_state("rau", ROWS["n"]))
+        assert max(autograd.gradcheck_cell("rau", 3, 4, 5, 1, 35).values()) <= autograd.GRADCHECK_TOLERANCE
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_off_in_a_stack_the_wavefront_takes(self, host, jobs):
+        # a 2-layer stack at the rows shape: every layer's attention branch qualifies, and so does its step
+        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 2, 10, 0.1, Rng(36))
+        assert autograd._wavefront("rau", mdl.cells, ROWS["batch"])
+        assert autograd._attention_beside("rau", mdl.cells, ROWS["batch"])
+        classify_forward(mdl, _features(37, (ROWS["batch"], 4, ROWS["m"])))
+        assert jobs == ["_steps"] * 3
+
+    @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
+    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host):
+        host["blas"] = blas
+        assert not autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+
+    def test_off_on_one_cpu(self, host):
+        host["cpus"] = {0}
+        assert not autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+
+    @pytest.mark.parametrize("name", ["step", "sigmoid", "tanh", "softmax"])
+    def test_off_while_a_step_function_is_wrapped(self, name, host, monkeypatch):
+        # a tracer's wrapper would open its spans on the worker thread
+        own = getattr(cells, name)
+        monkeypatch.setattr(cells, name, lambda *args, **kwargs: own(*args, **kwargs))
+        assert not autograd._attention_beside("rau", self._stack(), ROWS["batch"])

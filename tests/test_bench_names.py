@@ -17,8 +17,8 @@ import pytest
 
 from rau import autograd, models
 from rau.linalg import Rng
-from rau.models import build_language_model
-from rau.train import evaluate_lm, make_optimizer, train_epoch_lm
+from rau.models import build_classifier, build_language_model
+from rau.train import evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier, train_epoch_lm
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -59,7 +59,8 @@ def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch):
 
     monkeypatch.setattr(autograd, "_submit", record)
     # every gate forced open: the head's halves, cross-entropy's, the update's and any flushes go to the
-    # worker, and a stack whose step functions are the library's own would run as a wavefront
+    # worker, and a stack whose step functions are the library's own would run as a wavefront, a one-layer
+    # RAU with its attention branches on the worker
     monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
     monkeypatch.setattr(autograd, "_second_core", lambda: True)
     monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0)
@@ -68,6 +69,11 @@ def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch):
     stream = Rng(2).integers(50, size=20 * 11)
     train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 1.0), Rng(3), 20, 10, 1, 3)
     evaluate_lm(mdl, stream, 20, 10)
+    clf = build_classifier("rau", 3, 8, 1, 4, 0.1, Rng(4))
+    xs, ys = Rng(5).uniform(-1.0, 1.0, (8, 5, 3)), Rng(6).integers(4, size=8)
+    train_epoch_classifier(clf, xs, ys, make_optimizer("adam", clf, 0.01), Rng(7), 8, 1, 7)
+    evaluate_classifier(clf, xs, ys, 8)
     assert {"_gemm_rows", "_cross_entropy_rows", "_head_grads", "_sgd"} <= set(jobs)
-    assert {name for name, _ in calls} >= {"rau.cells.step", "rau.cells.sigmoid", "rau.train.lm_forward"}
+    assert {name for name, _ in calls} >= {"rau.cells.step", "rau.cells.sigmoid", "rau.cells.softmax",
+                                           "rau.train.lm_forward", "rau.train.classify_forward"}
     assert [name for name, thread in calls if thread is not threading.main_thread()] == []

@@ -34,20 +34,6 @@ CI_SHAPE = dict(vocab=3000, hidden=64, batch=20, unroll=20)
 HEAD_JOBS = {"_gemm_rows", "_cross_entropy_rows", "_head_grads", "_sgd"}
 
 
-@pytest.fixture
-def jobs(monkeypatch):
-    """The name of the function behind every job handed to the worker, in order."""
-    names = []
-    submit = autograd._submit
-
-    def record(job):
-        names.append(job.func.__name__)
-        return submit(job)
-
-    monkeypatch.setattr(autograd, "_submit", record)
-    return names
-
-
 def _head_jobs(names):
     """The names of the head's jobs, without the cell BPTT's span flushes that a forced split also sends."""
     return [name for name in names if name in HEAD_JOBS]
@@ -200,19 +186,6 @@ class TestFailures:
         with pytest.raises(RuntimeError, match="caller half failed"):
             apply_update(make_optimizer("sgd", mdl, 0.1), mdl, Grads.zeros_like(mdl))
         assert done == [slice(1, 2)]
-
-    @pytest.fixture
-    def queued(self, monkeypatch):
-        """The Future of every job handed to the worker, in order."""
-        futures = []
-        submit = autograd._submit
-
-        def keep(job):
-            futures.append(submit(job))
-            return futures[-1]
-
-        monkeypatch.setattr(autograd, "_submit", keep)
-        return futures
 
     def test_a_raising_head_gradient_surfaces_and_nothing_is_pending(self, monkeypatch, queued):
         _force(monkeypatch, True)

@@ -6,8 +6,9 @@ a seeded random 0-2 ms before and after it runs, or, in other seeds,
 wraps the caller's side of `autograd._beside` the same way; the test
 also lowers the interpreter's switch interval, so the GIL changes hands
 often. Each path runs over SEEDS seeds: the span flushes, the head GEMM,
-cross-entropy and SGD halves, the head's gradients and the forward
-wavefront. A run must give the inline bits and leave no Future pending.
+cross-entropy and SGD halves, the head's gradients, the forward
+wavefront and a RAU step's attention branch. A run must give the inline
+bits and leave no Future pending.
 In every fifth seed one handoff fails instead, on the worker's side, on
 the caller's, or with a KeyboardInterrupt in the caller's half; the
 error must surface in the caller with nothing pending.
@@ -25,7 +26,7 @@ from rau import autograd, models
 from rau.autograd import Grads, backward, backward_cell_sequence
 from rau.cells import init_cell, iter_tensors, new_trace, step, zero_state
 from rau.linalg import Rng
-from rau.models import build_language_model, cross_entropy, lm_forward
+from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
 from rau.train import apply_update, make_optimizer
 
 SEEDS = 50
@@ -205,5 +206,18 @@ def test_forward_wavefront(kind, layers, monkeypatch, fuzz):
         eval_logits, eval_states, _ = lm_forward(mdl, tokens, states)
         return {"train": train_logits, "eval": eval_logits, **{f"h{l}": s.h for l, s in enumerate(eval_states)},
                 **{f"trace{l}.{name}": buf for l, tr in enumerate(tape.traces) for name, buf in vars(tr).items()}}
+
+    _shake(fuzz, run, _inline(monkeypatch, run))
+
+
+def test_attention_branch(monkeypatch, fuzz):
+    # a one-layer RAU: no wavefront, so each step's attention branch goes to the worker
+    mdl = build_classifier("rau", 3, 6, 1, 4, 0.5, Rng(12), dropout=0.3)
+    xs = Rng(13).uniform(-1.0, 1.0, (4, 6, 3))
+
+    def run():
+        train_logits, tape = classify_forward(mdl, xs, train_mode=True, rng=Rng(14))
+        return {"train": train_logits, "eval": classify_forward(mdl, xs)[0],
+                **{f"trace.{name}": buf for name, buf in vars(tape.traces[0]).items()}}
 
     _shake(fuzz, run, _inline(monkeypatch, run))

@@ -314,3 +314,58 @@ class TestNonFiniteGradientsDiverge:
         stream = Rng(5).integers(20, size=4 * (2 * 5 + 1))
         with pytest.raises(DivergenceError, match="gradient norm overflows"):
             train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 1.0), Rng(6), 4, 5, 1, 6)
+
+
+class TestLoopArguments:
+    """A loop given no step to take or a batch size below 1 raises ContractError before any work.
+
+    Before, each of these divided by zero (no step taken) or failed in range() (batch size 0).
+    """
+
+    NO_STEP_LEFT = pytest.mark.parametrize("max_steps,step_offset", [(0, 0), (3, 3), (3, 5)],
+                                           ids=["max_steps_0", "offset_at_max", "offset_past_max"])
+
+    @staticmethod
+    def _classifier():
+        xs, ys = synthetic_memorization(Rng(3), 32, 6, 4, 3, 0.5)
+        return build_classifier("rau", 4, 5, 1, 3, 0.3, Rng(4)), xs, ys
+
+    @staticmethod
+    def _untouched(mdl, rng, run):
+        """run() raises ContractError, and leaves mdl's parameters and rng's stream as they were."""
+        before, state = {k: v.copy() for k, v in iter_tensors(mdl)}, rng._state
+        with pytest.raises(ContractError):
+            run()
+        assert rng._state == state
+        for k, v in iter_tensors(mdl):
+            assert np.array_equal(v, before[k]), k
+
+    @NO_STEP_LEFT
+    def test_classifier_epoch_with_no_step_left(self, max_steps, step_offset):
+        mdl, xs, ys = self._classifier()
+        rng, opt = Rng(5), make_optimizer("adam", mdl, 0.01)
+        self._untouched(mdl, rng, lambda: train_epoch_classifier(mdl, xs, ys, opt, rng, 8, 1, 5,
+                                                                 max_steps=max_steps, step_offset=step_offset))
+        assert opt.step == 0
+
+    @NO_STEP_LEFT
+    def test_lm_epoch_with_no_step_left(self, max_steps, step_offset):
+        from rau.models import build_language_model
+
+        mdl, stream, rng = build_language_model("rau", 20, 6, 1, 0.3, Rng(7)), Rng(6).integers(20, size=400), Rng(8)
+        opt = make_optimizer("sgd", mdl, 0.5)
+        self._untouched(mdl, rng, lambda: train_epoch_lm(mdl, stream, opt, rng, 4, 5, 1, 6,
+                                                         max_steps=max_steps, step_offset=step_offset))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_classifier_epoch_with_batch_size_below_one(self, batch_size):
+        mdl, xs, ys = self._classifier()
+        rng = Rng(5)
+        self._untouched(mdl, rng, lambda: train_epoch_classifier(mdl, xs, ys, make_optimizer("sgd", mdl, 0.5), rng,
+                                                                 batch_size, 1, 5))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_classifier_eval_with_batch_size_below_one(self, batch_size):
+        mdl, xs, ys = self._classifier()
+        with pytest.raises(ContractError, match="batch_size"):
+            evaluate_classifier(mdl, xs, ys, batch_size)

@@ -29,20 +29,6 @@ STACKS = pytest.mark.parametrize("layers", [2, 3], ids=["2layers", "3layers"])
 DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dropout"])
 
 
-@pytest.fixture
-def jobs(monkeypatch):
-    """The name of the function behind every job handed to the worker, in order."""
-    names = []
-    submit = autograd._submit
-
-    def record(job):
-        names.append(job.func.__name__)
-        return submit(job)
-
-    monkeypatch.setattr(autograd, "_submit", record)
-    return names
-
-
 def _force(monkeypatch, on: bool):
     monkeypatch.setattr(autograd, "_second_core", lambda: True)
     monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0 if on else float("inf"))
@@ -165,19 +151,6 @@ class TestSameBits:
 
 @pytest.mark.usefixtures("one_blas_thread")
 class TestFailures:
-    @pytest.fixture
-    def queued(self, monkeypatch):
-        """The Future of every job handed to the worker, in order."""
-        futures = []
-        submit = autograd._submit
-
-        def keep(job):
-            futures.append(submit(job))
-            return futures[-1]
-
-        monkeypatch.setattr(autograd, "_submit", keep)
-        return futures
-
     @staticmethod
     def _failing_steps(monkeypatch, kind, fail, slow):
         """The kind's step raises at fail's (params, call) and sleeps in slow's params; returns the real step."""

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import cells, linalg
-from .cells import CellParams, Trace, _kind, _owner, iter_buffers, iter_tensors, new_trace, step, zero_state
+from .cells import CellParams, Trace, _kind_of, _owner, iter_buffers, iter_tensors, new_trace, step, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -117,7 +117,7 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
     checks them: a non-finite norm raises NumericError naming the first
     non-finite tensor.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:  # NaN fails it too
         raise ContractError("clip_global_norm: max_norm must be positive")
     norm = g.global_norm()
     if not np.isfinite(norm):
@@ -167,7 +167,7 @@ ELEMENT_FLOP = 64
 SPLIT_ROWS = 96
 # A forward hands the worker a piece of every step only when that piece holds this many GEMM flops: each
 # layer's step, 2 * batch * (m+n) * rows, for a stack's wavefront (`_wavefront`), and a RAU step's attention
-# branch, 2 * batch * (m+n) * (m+2n), for `_attention_beside`; a handoff per step costs about 0.3 ms at small
+# branch, the same over the rows of w_a and w_u, for `_attention_beside`; a handoff per step costs about 0.3 ms at small
 # shapes. On the 2-core host with one BLAS thread, a 2-layer, 20-step forward with the wavefront against
 # without ran 0.64-0.70x as fast at 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at
 # 2.4-5.8 MFLOP (RAU 0.94-1.10x there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU
@@ -184,7 +184,6 @@ _STEP_NAMES = (("step", cells.step), ("sigmoid", linalg.sigmoid), ("tanh", linal
 
 
 def backward_cell_sequence(
-    kind: str,
     params: CellParams,
     trace: Trace,
     dh_last: np.ndarray | None = None,
@@ -206,7 +205,7 @@ def backward_cell_sequence(
     gradient and dx_steps is None. Every flush has run when it returns
     or raises.
     """
-    k = _kind(kind)
+    k = cells._KINDS[_kind_of(params, "backward_cell_sequence")]
     T, batch = trace.lead
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
@@ -221,10 +220,9 @@ def backward_cell_sequence(
     per_step = int(np.prod(batch))
     span = min(T, max(1, DW_GEMM_ROWS // per_step))
     starts = range(0, T, span)
-    # every span's flush but that of the first steps, which the backward reaches last, can run beside later steps
-    overlap_flop = 2 * (T - span) * per_step * (m + n) * k.rows(m, n)
-    on = _overlap(len(starts), overlap_flop)
     stacks = [w for w, _ in _owner(params).groups]
+    # every span's flush but that of the first steps, which the backward reaches last, can run beside later steps
+    on = _overlap(len(starts), 2 * (T - span) * per_step * sum(w.size for w in stacks))
     # with the worker, the steps fill one set of deltas while it flushes the other
     deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(2 if on else 1)]
     # a shared field's rows are one row, the last step's; each flush rebuilds its span's rows here
@@ -290,21 +288,17 @@ def _overlap(spans: int, flop: int) -> bool:
     return spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _second_core()
 
 
-def _wavefront(kind: str, stack: Sequence[CellParams], batch: int) -> bool:
+def _wavefront(stack: Sequence[CellParams], batch: int) -> bool:
     """Whether the forward of stack, its cells in layer order, runs as a wavefront: its upper layers' step t
     on the worker thread, beside its first layer's step t+1 in the caller (see `models._forward`).
 
     It needs two layers or more and a `_step_handoff` of every layer's step at this batch; a one-layer
     stack makes no system call to find out.
     """
-    if len(stack) < 2:
-        return False
-    rows = _kind(kind).rows
-    return _step_handoff(min(2 * batch * (p.input_size + p.hidden_size) * rows(p.input_size, p.hidden_size)
-                             for p in stack))
+    return len(stack) > 1 and _step_handoff(min(2 * batch * sum(w.size for w, _ in p.groups) for p in stack))
 
 
-def _attention_beside(kind: str, stack: Sequence[CellParams], batch: int) -> bool:
+def _attention_beside(stack: Sequence[CellParams], batch: int) -> bool:
     """Whether each RAU step of the forward of stack runs its attention branch on the worker thread, beside
     its GRU branch in the caller (see `cells.rau_step`); `models._forward` asks where `_wavefront` declined,
     so no step of a wavefront hands work on.
@@ -312,8 +306,8 @@ def _attention_beside(kind: str, stack: Sequence[CellParams], batch: int) -> boo
     It needs a RAU stack and a `_step_handoff` of every layer's attention branch at this batch, the w_a and
     w_u GEMMs; a GRU or LSTM stack makes no system call to find out.
     """
-    return kind == "rau" and _step_handoff(min(2 * batch * (p.input_size + p.hidden_size)
-                                               * (p.input_size + 2 * p.hidden_size) for p in stack))
+    return all(p.kind == "rau" for p in stack) and _step_handoff(
+        min(2 * batch * (p.w_a.size + p.w_u.size) for p in stack))
 
 
 def _step_handoff(flop: int) -> bool:
@@ -492,7 +486,6 @@ def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
         # the bottom layer's input gradient is read only to reach an embedding
         want_dx = layer > 0 or tape.token_ids is not None
         _, dx_steps, _ = backward_cell_sequence(
-            model.cell_kind,
             model.cells[layer],
             tape.traces[layer],
             dh_last=dh_last,
@@ -513,7 +506,7 @@ def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
 
 def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> Grads:
     """Central-difference gradient oracle: (f(p+eps*e) - f(p-eps*e)) / 2eps per coordinate."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails it too
         raise ContractError("fd_gradient: epsilon must be positive")
     out = Grads()
     for name, arr in iter_tensors(params):
@@ -567,21 +560,21 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, ep
         xs = rng.uniform(-1.0, 1.0, size=(T, m))
         gs = rng.uniform(-1.0, 1.0, size=(T, n))
 
-        reused_row = new_trace(kind, 1, (), m, n).row(0)
+        reused_row = new_trace(params, 1, ()).row(0)
 
         def forward_loss(p):
-            state = zero_state(kind, n)
+            state = zero_state(p)
             total = 0.0
             for t in range(T):
-                state, _ = step(kind, p, xs[t], state, reused_row)
+                state, _ = step(p, xs[t], state, reused_row)
                 total += float(gs[t] @ state.h)
             return total
 
-        state = zero_state(kind, n)
-        trace = new_trace(kind, T, (), m, n)
+        state = zero_state(params)
+        trace = new_trace(params, T, ())
         for t in range(T):
-            state, _ = step(kind, params, xs[t], state, trace.row(t))
-        analytic, _, _ = backward_cell_sequence(kind, params, trace, dh_steps=gs)
+            state, _ = step(params, xs[t], state, trace.row(t))
+        analytic, _, _ = backward_cell_sequence(params, trace, dh_steps=gs)
         if perturb:
             first = next(iter(analytic))
             analytic[first].reshape(-1)[0] += perturb

@@ -10,9 +10,10 @@ Only the weight-gradient GEMMs read the GRU and RAU candidate input
 [x, r*h_prev] and the RAU attended input u*xh, and one multiply rebuilds
 each from recorded fields, so every step writes them into one shared
 scratch row and the backward rebuilds them a span of steps at a time.
-`_KINDS` is the one table of the kinds. A kind's gates (GRU and RAU
-r|z, LSTM f|i|o|g) form one block: one matmul, a GEMM batched over the
-gates against the stacked weights of a cell's `gates`, writes them into one
+`_KINDS` is the one table of the kinds; a function that takes a cell
+reads its kind and sizes off it. A kind's gates (GRU and RAU r|z, LSTM
+f|i|o|g) form one block: one matmul, a GEMM batched over the gates
+against the stacked weights of a cell's `gates`, writes them into one
 gate-major trace field, and one sigmoid call activates the sigmoid
 gates. Gate-major keeps each gate contiguous: numpy's elementwise ops
 ran about 3x slower on a (B, n) gate cut from a (B, k*n) block.
@@ -32,8 +33,7 @@ state then mixes the previous state, the GRU candidate, and the
 attended state with coefficients (1-z), z/2, z/2. Within a step the
 attention branch and the GRU branch read only [x, h_prev], so a large
 forward runs the attention branch on `autograd`'s worker thread beside
-the GRU branch. The worker has four uses: the span flushes, the head
-halves, the layer wavefront and this attention branch.
+the GRU branch.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
@@ -61,8 +62,12 @@ class _Cell:
     GEMM operands, and in a gradient cell what each span flush adds into. `tensors` holds (path, view) of
     each named tensor, as `iter_tensors` walks them. A RAU's GRU part has neither.
 
-    hidden_size and input_size are read off the gate weights.
+    kind is looked up from the cell's type; hidden_size and input_size are read off the gate weights.
     """
+
+    @property
+    def kind(self) -> str:
+        return _KIND_OF[type(self)]
 
     @property
     def hidden_size(self) -> int:
@@ -75,11 +80,11 @@ class _Cell:
 
     def on_buffer(self, buf: np.ndarray) -> "CellParams":
         """A cell of this one's kind and sizes whose tensors view buf, a buffer laid out as this one's."""
-        return _on_buffer(_KIND_OF[type(self)], self.input_size, self.hidden_size, buf)
+        return _on_buffer(self.kind, self.input_size, self.hidden_size, buf)
 
     def __reduce__(self):
         # copy.deepcopy and pickle would copy each view on its own: copy the one buffer and view the copy alike
-        kind, m, n = _KIND_OF[type(self)], self.input_size, self.hidden_size
+        kind, m, n = self.kind, self.input_size, self.hidden_size
         own = self
         if "buffer" not in vars(self):  # a RAU's GRU part views its RAU's buffer: copy it onto a GRU buffer
             own = init_cell(kind, m, n, 0.0, None)
@@ -164,14 +169,15 @@ class Trace(SimpleNamespace):
         return Trace(**{name: buf[t] for name, buf in vars(self).items()})
 
 
-def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
-    """An unfilled trace of `rows` steps of a cell kind with input size m and hidden size n.
+def new_trace(p: CellParams, rows: int, batch: tuple) -> Trace:
+    """An unfilled trace of `rows` steps of cell p.
 
     The fields, then each shared field's one row, are consecutive pieces of one block: the
     allocator maps and unmaps a train trace (tens of MB) whole, where one array per field grew
     and trimmed the heap on every call.
     """
-    k = _kind(kind)
+    k = _KINDS[_kind_of(p, "new_trace")]
+    m, n = p.input_size, p.hidden_size
     fused, gates = k.block
     width = {"n": n, "m+n": m + n, f"{len(gates)}n": len(gates) * n}
     per_row = math.prod(batch)
@@ -196,25 +202,27 @@ def new_trace(kind: str, rows: int, batch: tuple, m: int, n: int) -> Trace:
 
 class _Layout(NamedTuple):
     tensors: tuple  # (path, start, stop, shape) of each named tensor in the buffer, in declaration order
-    weights: int    # the weight block's size, rows * (m+n); the biases follow it
+    rows: int       # weight rows; the (rows, m+n) weight block comes first, the rows biases follow it
     groups: tuple   # (first row, end row) of each gate group
 
 
 @functools.cache
 def _layout(kind: str, m: int, n: int) -> _Layout:
-    """Where each tensor of a cell lies in its buffer; a weight and its bias take the same rows (m+n for w_a)."""
+    """Where each tensor of a cell lies in its buffer: the one place that sizes a weight and its bias, whose
+    rows are m+n for w_a and n for every other weight."""
     k = _kind(kind)
-    weights = k.rows(m, n) * (m + n)
+    rows = {w: m + n if w == "w_a" else n for w_paths, _, _ in k.groups for w in w_paths}
+    weights = sum(rows.values()) * (m + n)
     at, groups, row = {}, [], 0
     for w_paths, b_paths, _ in k.groups:
         groups.append(row)
         for w, b in zip(w_paths, b_paths):
-            r = m + n if w == "w_a" else n
+            r = rows[w]
             at[w], at[b] = (row * (m + n), (row + r) * (m + n), (r, m + n)), (weights + row, weights + row + r, (r,))
             row += r
     paths = [f"gru.{f.name}" for f in dataclasses.fields(GruParams)] if kind == "rau" else []
     paths = [q for f in dataclasses.fields(k.params) for q in (paths if f.name == "gru" else [f.name])]
-    return _Layout(tuple((q, *at[q]) for q in paths), weights, tuple(zip(groups, groups[1:] + [row])))
+    return _Layout(tuple((q, *at[q]) for q in paths), row, tuple(zip(groups, groups[1:] + [row])))
 
 
 def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
@@ -229,7 +237,7 @@ def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
     if kind == "rau":
         views["gru"] = GruParams(**{f.name: views.pop(f"gru.{f.name}") for f in dataclasses.fields(GruParams)})
     p = k.params(**views)
-    w, b = buf[:layout.weights].reshape(-1, m + n), buf[layout.weights:]
+    w, b = buf[:layout.rows * (m + n)].reshape(-1, m + n), buf[layout.rows * (m + n):]
     j = len(k.block[1])
     p.buffer, p.tensors = buf, tensors
     # the gates lead the xh group; a transposed view per gate computes its product as `xh @ w_j.T` does
@@ -246,11 +254,6 @@ def _owner(p: CellParams) -> CellParams:
         raise ContractError(f"{type(p).__name__} is a RAU's GRU part: it views its RAU's buffer and has no "
                             "buffer of its own; take gradients of the RAU")
     return p
-
-
-def _trace_row(kind: str, p: CellParams, x: np.ndarray, tr: Trace | None) -> Trace:
-    """tr, or else the row of a fresh one-row trace for one step of p on x."""
-    return new_trace(kind, 1, x.shape[:-1], p.input_size, p.hidden_size).row(0) if tr is None else tr
 
 
 def _affine(inp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -360,7 +363,7 @@ def _mix(h_prev: np.ndarray, z: np.ndarray, z_new: np.ndarray) -> np.ndarray:
 def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None):
     """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
-    tr = _trace_row("gru", p, x, tr)
+    tr = new_trace(p, 1, x.shape[:-1]).row(0) if tr is None else tr
     np.concatenate([x, h_prev], axis=-1, out=tr.xh)
     _gru_gates(p, x, h_prev, tr)
     return _mix(h_prev, tr.z, tr.z * tr.hc), tr
@@ -400,7 +403,7 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     runs both branches inline.
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
-    tr = _trace_row("rau", p, x, tr)
+    tr = new_trace(p, 1, x.shape[:-1]).row(0) if tr is None else tr
     np.concatenate([x, h_prev], axis=-1, out=tr.xh)
     if beside is None or attended_override is not None:
         _gru_gates(p.gru, x, h_prev, tr)
@@ -462,7 +465,7 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None =
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
     if state.c.shape != state.h.shape:
         raise ContractError("lstm_step: cell state shape must match hidden state")
-    tr = _trace_row("lstm", p, x, tr)
+    tr = new_trace(p, 1, x.shape[:-1]).row(0) if tr is None else tr
     xh = np.concatenate([x, state.h], axis=-1, out=tr.xh)
     fiog = _gate_affine(xh, p.gates, out=tr.fiog)
     sigmoid(fiog[:3], out=fiog[:3])
@@ -531,7 +534,6 @@ class _Kind(NamedTuple):
                         # delta rows, both in group order, dx row or None, m, n) -> (dh_prev, dc_prev);
                         # writes the deltas, and dx unless it is None
     has_c: bool         # the state carries a cell state c
-    rows: Callable      # (m, n) -> weight rows; each row holds m+n weights and a bias (see `_layout`)
     fields: tuple       # (name, width) of each trace field, the width "n", "m+n" or k*n for the fused gates
     shared: tuple       # (name, width, fill) of each shared scratch field; fill(trace rows, m, out) rebuilds
                         # its rows from the fields, as the step computes them
@@ -547,14 +549,14 @@ def _group(field: str, *weights: str) -> tuple:
 _GRU_FIELDS = (("xh", "m+n"), ("rz", "2n"), ("hc", "n"))
 _GRU_SHARED = (("xrh", "m+n", _fill_xrh),)
 _KINDS = {
-    "rau": _Kind(RauParams, rau_step, _rau_backward, False, lambda m, n: m + 5 * n,
+    "rau": _Kind(RauParams, rau_step, _rau_backward, False,
                  _GRU_FIELDS + (("u", "m+n"), ("ha", "n")), _GRU_SHARED + (("v", "m+n", _fill_v),),
                  (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u")),
                  ("rz", ("r", "z"))),
-    "gru": _Kind(GruParams, gru_step, _gru_backward, False, lambda m, n: 3 * n, _GRU_FIELDS, _GRU_SHARED,
+    "gru": _Kind(GruParams, gru_step, _gru_backward, False, _GRU_FIELDS, _GRU_SHARED,
                  (_group("xh", "w_r", "w_z"), _group("xrh", "w_c")),
                  ("rz", ("r", "z"))),
-    "lstm": _Kind(LstmParams, lstm_step, _lstm_backward, True, lambda m, n: 4 * n,
+    "lstm": _Kind(LstmParams, lstm_step, _lstm_backward, True,
                   (("xh", "m+n"), ("fiog", "4n"), ("c_prev", "n")), (),
                   (_group("xh", "w_f", "w_i", "w_o", "w_g"),),
                   ("fiog", ("f", "i", "o", "g"))),
@@ -569,28 +571,34 @@ def _kind(kind: str) -> _Kind:
     return _KINDS[kind]
 
 
-def step(kind: str, p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
-    """Kind-dispatched step over a CellState into trace row tr (a fresh one if None); returns (state, row)."""
-    k = _kind(kind)
+def _kind_of(p, op: str) -> str:
+    """Cell p's kind, for a lookup in `_KINDS` at call time; ContractError naming p's type if p is no cell."""
+    if type(p) not in _KIND_OF:
+        raise ContractError(f"{op}: expected a {' or '.join(t.__name__ for t in _KIND_OF)}, got {type(p).__name__}")
+    return _KIND_OF[type(p)]
+
+
+def step(p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
+    """p's kind's step over a CellState into trace row tr (a fresh one if None); returns (state, row)."""
+    k = _KINDS[_kind_of(p, "step")]
     if k.has_c:
         return k.step(p, x, state, tr)
     h, tr = k.step(p, x, state.h, tr)
     return CellState(h=h), tr
 
 
-def zero_state(kind: str, n: int, batch: int | None = None) -> CellState:
-    shape = (n,) if batch is None else (batch, n)
-    h = np.zeros(shape)
-    c = np.zeros(shape) if _kind(kind).has_c else _EMPTY
-    return CellState(h=h, c=c)
+def zero_state(p: CellParams, batch: int | None = None) -> CellState:
+    has_c = _KINDS[_kind_of(p, "zero_state")].has_c
+    shape = (p.hidden_size,) if batch is None else (batch, p.hidden_size)
+    return CellState(h=np.zeros(shape), c=np.zeros(shape) if has_c else _EMPTY)
 
 
 def param_count(kind: str, m: int, n: int) -> int:
     """Learnable scalar count for one cell."""
-    rows = _kind(kind).rows
+    rows = _layout(kind, m, n).rows
     if m < 1 or n < 1:
         raise ContractError("param_count: m and n must be >= 1")
-    return rows(m, n) * (m + n + 1)
+    return rows * (m + n + 1)
 
 
 def _leaves(obj, prefix: str, whole_cells: bool) -> Iterator[tuple[str, object]]:
@@ -603,6 +611,8 @@ def _leaves(obj, prefix: str, whole_cells: bool) -> Iterator[tuple[str, object]]
     elif isinstance(obj, (list, tuple)):
         for k, item in enumerate(obj):
             yield from _leaves(item, f"{prefix}.{k}" if prefix else str(k), whole_cells)
+    elif isinstance(obj, Mapping):
+        raise ContractError(f"a mapping at {prefix or 'its top'} of a parameter container: hold its tensors in a list")
 
 
 def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
@@ -610,7 +620,7 @@ def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
 
     Dataclass fields are visited as declared, lists by index. Non-array
     leaves (strings, numbers, None) are skipped, so containers may carry
-    metadata alongside their tensors.
+    metadata alongside their tensors; a mapping raises ContractError.
     """
     return _leaves(obj, prefix, False)
 

@@ -144,7 +144,7 @@ def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:
     """
     if rows < 1 or cols < 1:
         raise ContractError("init_matrix: rows and cols must be >= 1")
-    if scale < 0:
+    if not scale >= 0:  # NaN fails it too
         raise ContractError("init_matrix: scale must be non-negative")
     if scale == 0:
         return np.zeros((rows, cols))

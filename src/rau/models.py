@@ -62,16 +62,21 @@ class SequenceModel:
 
     The builders set the readout: a classifier ("last") reads out the
     top hidden state of the final step, a language model ("every") the
-    top hidden state of every step.
+    top hidden state of every step. The cells name their kind; a
+    checkpoint records one, so the stack holds cells of one kind.
     """
 
     cells: list
     w_out: np.ndarray
     b_out: np.ndarray
     embedding: np.ndarray | None = None
-    cell_kind: str = "gru"
     dropout: DropoutSpec = field(default_factory=DropoutSpec)
     readout: str = "last"
+
+    def __post_init__(self):
+        kinds = {cells._kind_of(p, "SequenceModel") for p in self.cells}
+        if len(kinds) != 1:
+            raise ContractError(f"SequenceModel: a stack of one cell kind, got {sorted(kinds) or 'no cells'}")
 
     @property
     def hidden_size(self) -> int:
@@ -94,13 +99,13 @@ def build_classifier(cell_kind, input_size, hidden, layers, classes, scale, rng,
         embedding = init_matrix(vocab, emb_dim, scale, rng)
         input_size = emb_dim
     cell_list, w_out, b_out = _cells_and_head(cell_kind, input_size, hidden, layers, classes, scale, rng)
-    return SequenceModel(cell_list, w_out, b_out, embedding, cell_kind, DropoutSpec(dropout), readout="last")
+    return SequenceModel(cell_list, w_out, b_out, embedding, DropoutSpec(dropout), readout="last")
 
 
 def build_language_model(cell_kind, vocab, hidden, layers, scale, rng, dropout=0.0) -> SequenceModel:
     cell_list, w_out, b_out = _cells_and_head(cell_kind, hidden, hidden, layers, vocab, scale, rng)
     embedding = init_matrix(vocab, hidden, scale, rng)
-    return SequenceModel(cell_list, w_out, b_out, embedding, cell_kind, DropoutSpec(dropout), readout="every")
+    return SequenceModel(cell_list, w_out, b_out, embedding, DropoutSpec(dropout), readout="every")
 
 
 def _lookup_tokens(embedding: np.ndarray, ids: np.ndarray, op: str):
@@ -137,16 +142,15 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     if use_drop and rng is None:
         raise ContractError("dropout requires an rng in train mode")
     B, T = inputs.shape[:2]
-    n = mdl.hidden_size
     # a step writes no state array in place, so the start states need no copy
-    states = [cells.zero_state(mdl.cell_kind, n, B) for _ in mdl.cells] if states is None else list(states)
+    states = [cells.zero_state(p, B) for p in mdl.cells] if states is None else list(states)
     xs_steps = [inputs[:, t] for t in range(T)]
     token_ids = None
     if mdl.embedding is not None:
         token_ids = inputs
         xs_steps = [mdl.embedding[ids] for ids in xs_steps]
     R = T if train_mode else 1
-    traces = [cells.new_trace(mdl.cell_kind, R, (B,), p.input_size, n) for p in mdl.cells]
+    traces = [cells.new_trace(p, R, (B,)) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
     in_masks = None
     if use_drop:
@@ -155,7 +159,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             for masks in in_masks:
                 masks[t] = dropout_mask(rng, masks.shape[1:], rate)
     layers, top_steps = range(len(mdl.cells)), [None] * T
-    if autograd._wavefront(mdl.cell_kind, mdl.cells, B):
+    if autograd._wavefront(mdl.cells, B):
         # the worker runs the upper layers' step t beside the first layer's step t+1
         first_h = [None] * T
         first = functools.partial(_steps, mdl, layers[:1], xs_steps, first_h, states, rows, in_masks)
@@ -166,7 +170,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         upper(range(T - 1, T))
     else:
         # where the gate admits it, each RAU step hands its attention branch to the worker (see `cells.rau_step`)
-        beside = autograd._beside if autograd._attention_beside(mdl.cell_kind, mdl.cells, B) else None
+        beside = autograd._beside if autograd._attention_beside(mdl.cells, B) else None
         _steps(mdl, layers, xs_steps, top_steps, states, rows, in_masks, range(T), beside)
 
     head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)
@@ -176,7 +180,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         head_in = head_in * out_masks
     # one GEMM for every position the head reads, the bias added into its output in place; at a
     # vocabulary-sized head the worker thread takes about half of the rows (see `autograd._split_gemm`)
-    logits = autograd._split_gemm(head_in.reshape(-1, n), mdl.w_out.T, mdl.b_out)
+    logits = autograd._split_gemm(head_in.reshape(-1, mdl.hidden_size), mdl.w_out.T, mdl.b_out)
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
     tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
@@ -198,7 +202,7 @@ def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, state
                 inp = inp * in_masks[l][t]
             row = rows[l][t % len(rows[l])]
             if beside is None:
-                states[l], _ = cells.step(mdl.cell_kind, mdl.cells[l], inp, states[l], row)
+                states[l], _ = cells.step(mdl.cells[l], inp, states[l], row)
             else:
                 states[l] = cells.CellState(cells.rau_step(mdl.cells[l], inp, states[l].h, row, beside=beside)[0])
             inp = states[l].h
@@ -319,7 +323,7 @@ def _model_spec(model: SequenceModel) -> dict:
     if model.readout == "every":
         return {
             "type": "lm",
-            "cell": model.cell_kind,
+            "cell": model.cells[0].kind,
             "hidden": model.hidden_size,
             "layers": len(model.cells),
             "vocab": model.embedding.shape[0],
@@ -327,7 +331,7 @@ def _model_spec(model: SequenceModel) -> dict:
         }
     return {
         "type": "classifier",
-        "cell": model.cell_kind,
+        "cell": model.cells[0].kind,
         "input_size": model.cells[0].input_size if model.embedding is None else None,
         "hidden": model.hidden_size,
         "layers": len(model.cells),

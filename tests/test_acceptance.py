@@ -69,7 +69,7 @@ def test_criterion_3_softmax_gate_invariants():
         m = 1 + rng.integers(5)
         n = 1 + rng.integers(5)
         p = init_rau(m, n, 1.5, rng)
-        state = zero_state("rau", n)
+        state = zero_state(p)
         for _ in range(40):
             x = rng.uniform(-3.0, 3.0, m)
             h, tr = rau_step(p, x, state.h)

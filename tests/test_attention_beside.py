@@ -208,10 +208,10 @@ class TestWhenItRuns:
         return [init_cell(kind, m if l == 0 else n, n, 0.1, rng) for l in range(layers)]
 
     def test_on_at_the_rows_shape(self, host):
-        assert autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+        assert autograd._attention_beside(self._stack(), ROWS["batch"])
         # B=96, 8.5 MFLOP a step, is on; B=64, 5.7 MFLOP, where the split ran 1.01x, is off
-        assert autograd._attention_beside("rau", self._stack(), 96)
-        assert not autograd._attention_beside("rau", self._stack(), 64)
+        assert autograd._attention_beside(self._stack(), 96)
+        assert not autograd._attention_beside(self._stack(), 64)
 
     @pytest.mark.usefixtures("one_blas_thread")
     def test_a_rows_shape_eval_hands_each_attention_branch_to_the_worker(self, host, jobs):
@@ -225,7 +225,7 @@ class TestWhenItRuns:
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_off_for_the_cells_without_an_attention_branch(self, kind, host):
-        assert not autograd._attention_beside(kind, self._stack(kind), ROWS["batch"])
+        assert not autograd._attention_beside(self._stack(kind), ROWS["batch"])
 
     def test_one_row_and_one_d_steps_make_no_system_call(self, monkeypatch):
         def unasked(*args):
@@ -233,36 +233,36 @@ class TestWhenItRuns:
 
         monkeypatch.setattr(autograd, "_blas_threads", unasked)
         monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
-        assert not autograd._attention_beside("rau", self._stack(), 1)
-        assert not autograd._attention_beside("rau", self._stack(m=3, n=4), 1)
-        assert not autograd._attention_beside("gru", self._stack("gru"), ROWS["batch"])
+        assert not autograd._attention_beside(self._stack(), 1)
+        assert not autograd._attention_beside(self._stack(m=3, n=4), 1)
+        assert not autograd._attention_beside(self._stack("gru"), ROWS["batch"])
         # a one-sequence forward is a B=1 batch; gradcheck and lone steps run 1-D steps and never ask
         mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(32))
         classify_forward(mdl, _features(33, (ROWS["steps"], ROWS["m"])))
-        cells.step("rau", mdl.cells[0], _features(34, ROWS["m"]), cells.zero_state("rau", ROWS["n"]))
+        cells.step(mdl.cells[0], _features(34, ROWS["m"]), cells.zero_state(mdl.cells[0]))
         assert max(autograd.gradcheck_cell("rau", 3, 4, 5, 1, 35).values()) <= autograd.GRADCHECK_TOLERANCE
 
     @pytest.mark.usefixtures("one_blas_thread")
     def test_off_in_a_stack_the_wavefront_takes(self, host, jobs):
         # a 2-layer stack at the rows shape: every layer's attention branch qualifies, and so does its step
         mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 2, 10, 0.1, Rng(36))
-        assert autograd._wavefront("rau", mdl.cells, ROWS["batch"])
-        assert autograd._attention_beside("rau", mdl.cells, ROWS["batch"])
+        assert autograd._wavefront(mdl.cells, ROWS["batch"])
+        assert autograd._attention_beside(mdl.cells, ROWS["batch"])
         classify_forward(mdl, _features(37, (ROWS["batch"], 4, ROWS["m"])))
         assert jobs == ["_steps"] * 3
 
     @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
     def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host):
         host["blas"] = blas
-        assert not autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+        assert not autograd._attention_beside(self._stack(), ROWS["batch"])
 
     def test_off_on_one_cpu(self, host):
         host["cpus"] = {0}
-        assert not autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+        assert not autograd._attention_beside(self._stack(), ROWS["batch"])
 
     @pytest.mark.parametrize("name", ["step", "sigmoid", "tanh", "softmax"])
     def test_off_while_a_step_function_is_wrapped(self, name, host, monkeypatch):
         # a tracer's wrapper would open its spans on the worker thread
         own = getattr(cells, name)
         monkeypatch.setattr(cells, name, lambda *args, **kwargs: own(*args, **kwargs))
-        assert not autograd._attention_beside("rau", self._stack(), ROWS["batch"])
+        assert not autograd._attention_beside(self._stack(), ROWS["batch"])

@@ -44,6 +44,16 @@ class TestFdGradient:
         with pytest.raises(ContractError):
             fd_gradient(lambda q: 0.0, OneParam(np.zeros(1)), 0.0)
 
+    def test_nan_epsilon_raises_contract_error(self):
+        # NaN passed an `epsilon <= 0` test and surfaced as a non-finite loss while perturbing
+        with pytest.raises(ContractError, match="epsilon must be positive"):
+            fd_gradient(lambda q: float(q.theta.sum()), OneParam(np.zeros(1)), float("nan"))
+
+    def test_a_mapping_raises_instead_of_giving_no_gradient(self):
+        # a mapping's tensors were skipped, so the oracle returned {}
+        with pytest.raises(ContractError, match="mapping at its top"):
+            fd_gradient(lambda q: float(q["w"].sum()), {"w": np.zeros(2)})
+
 
 class TestClipGlobalNorm:
     def test_scales_when_over(self):
@@ -67,6 +77,11 @@ class TestClipGlobalNorm:
         with pytest.raises(NumericError, match="overflows"):
             clip_global_norm(g, 5.0)
 
+    def test_nan_max_norm_raises(self):
+        # NaN passed a `max_norm <= 0` test, and no norm exceeds NaN, so nothing was ever clipped
+        with pytest.raises(ContractError, match="max_norm must be positive"):
+            clip_global_norm(Grads({"a": np.array([6.0, 8.0])}), float("nan"))
+
     def test_post_norm_is_min_of_norm_and_max(self):
         rng = Rng(9)
         for max_norm in (0.5, 3.0, 100.0):
@@ -76,35 +91,35 @@ class TestClipGlobalNorm:
             assert abs(g.global_norm() - min(before, max_norm)) <= 1e-12
 
 
-def _record_sequence(kind, params, xs):
-    state = zero_state(kind, params.hidden_size)
-    trace = new_trace(kind, len(xs), (), params.input_size, params.hidden_size)
+def _record_sequence(params, xs):
+    state = zero_state(params)
+    trace = new_trace(params, len(xs), ())
     for t in range(len(xs)):
-        state, _ = step(kind, params, xs[t], state, trace.row(t))
+        state, _ = step(params, xs[t], state, trace.row(t))
     return trace
 
 
 def _rau_grads(params, traces, **seed):
-    """RAU BPTT gradients, seeded by dh_last or dh_steps."""
-    return backward_cell_sequence("rau", params, traces, **seed)[0]
+    """BPTT gradients, seeded by dh_last or dh_steps."""
+    return backward_cell_sequence(params, traces, **seed)[0]
 
 
 class TestBackward:
     def test_zero_length_sequence_gives_zero_grads(self):
         p = init_rau(2, 3, 0.5, Rng(1))
-        g = _rau_grads(p, _record_sequence("rau", p, []), dh_last=np.zeros(3))
+        g = _rau_grads(p, _record_sequence(p, []), dh_last=np.zeros(3))
         assert set(g) == {name for name, _ in iter_tensors(p)}
         assert all(np.array_equal(v, np.zeros_like(v)) for v in g.values())
 
     def test_one_step_zero_param_rau_sum_loss(self):
         p = init_rau(2, 3, 0.0, Rng(0))
         x = np.array([0.3, -0.8])
-        traces = _record_sequence("rau", p, [x])
+        traces = _record_sequence(p, [x])
         analytic = _rau_grads(p, traces, dh_last=np.ones(3))
 
         def loss(q):
-            s = zero_state("rau", 3)
-            s, _ = step("rau", q, x, s)
+            s = zero_state(q)
+            s, _ = step(q, x, s)
             return float(s.h.sum())
 
         numeric = fd_gradient(loss, p, 1e-5)
@@ -121,13 +136,13 @@ class TestBackward:
         p = init_rau(3, 4, 0.5, rng)
         xs = rng.uniform(-1, 1, (5, 3))
         gsel = rng.uniform(-1, 1, 4)
-        traces = _record_sequence("rau", p, xs)
+        traces = _record_sequence(p, xs)
         analytic = _rau_grads(p, traces, dh_last=gsel)
 
         def loss(q):
-            s = zero_state("rau", 4)
+            s = zero_state(q)
             for t in range(5):
-                s, _ = step("rau", q, xs[t], s)
+                s, _ = step(q, xs[t], s)
             return float(gsel @ s.h)
 
         # eps 1e-4: loss reads only h_T, so early-step gate gradients are
@@ -139,7 +154,7 @@ class TestBackward:
         rng = Rng(23)
         p = init_rau(2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (4, 2))
-        traces = _record_sequence("rau", p, xs)
+        traces = _record_sequence(p, xs)
         g1 = rng.uniform(-1, 1, 3)
         g2 = rng.uniform(-1, 1, 3)
         a, b = 0.7, -1.3
@@ -153,7 +168,7 @@ class TestBackward:
         rng = Rng(29)
         p = init_rau(2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (4, 2))
-        traces = _record_sequence("rau", p, xs)
+        traces = _record_sequence(p, xs)
         gsel = rng.uniform(-1, 1, 3)
         g_a = _rau_grads(p, traces, dh_last=gsel)
         g_b = _rau_grads(p, traces, dh_last=gsel)
@@ -164,26 +179,48 @@ class TestBackward:
         rng = Rng(37)
         p = init_rau(2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (3, 2))
-        traces = _record_sequence("rau", p, xs)
+        traces = _record_sequence(p, xs)
         gs = [rng.uniform(-1, 1, 3) for _ in range(3)]
         analytic = _rau_grads(p, traces, dh_steps=gs)
 
         def loss(q):
-            s = zero_state("rau", 3)
+            s = zero_state(q)
             total = 0.0
             for t in range(3):
-                s, _ = step("rau", q, xs[t], s)
+                s, _ = step(q, xs[t], s)
                 total += float(gs[t] @ s.h)
             return total
 
         numeric = fd_gradient(loss, p, 1e-5)
         assert max(relative_errors(analytic, numeric).values()) <= 1e-5
 
+    def test_rau_gradients_come_from_the_cell_alone(self):
+        # with a kind passed beside the cell, a "gru" backward of a RAU trace gave an all-zero w_u gradient,
+        # a wrong w_a one, and bits that changed between identical calls (it flushed unwritten delta columns)
+        rng = Rng(43)
+        p = init_rau(3, 4, 0.5, rng)
+        xs = rng.uniform(-1, 1, (5, 3))
+        gs = rng.uniform(-1, 1, (5, 4))
+        traces = _record_sequence(p, xs)
+        first, again = _rau_grads(p, traces, dh_steps=gs), _rau_grads(p, traces, dh_steps=gs)
+        assert all(first[name].tobytes() == again[name].tobytes() for name in first)
+        assert np.abs(first["w_u"]).max() > 0.01
+
+        def loss(q):
+            s = zero_state(q)
+            total = 0.0
+            for t in range(5):
+                s, _ = step(q, xs[t], s)
+                total += float(gs[t] @ s.h)
+            return total
+
+        assert max(relative_errors(first, fd_gradient(loss, p, 1e-5)).values()) <= 1e-5
+
     @pytest.mark.parametrize("count", [0, 2, 4], ids=["none", "short", "long"])
     def test_per_step_list_of_wrong_length_raises(self, count):
         rng = Rng(41)
         p = init_rau(2, 3, 0.5, rng)
-        traces = _record_sequence("rau", p, rng.uniform(-1, 1, (3, 2)))
+        traces = _record_sequence(p, rng.uniform(-1, 1, (3, 2)))
         gs = [rng.uniform(-1, 1, 3) for _ in range(count)]
         with pytest.raises(ContractError, match=f"{count} per-step gradients for 3 steps"):
             _rau_grads(p, traces, dh_steps=gs)

@@ -104,7 +104,8 @@ def _ref_lstm_step(p, tr, dh, dc_in, g, prefix):
     return dxh[..., :m].copy(), dxh[..., m:].copy(), dc * tr.f
 
 
-def reference_cell_sequence(kind, params, trace, dh_last=None, dh_steps=None, grads=None, prefix=""):
+def reference_cell_sequence(params, trace, dh_last=None, dh_steps=None, grads=None, prefix=""):
+    kind = params.kind
     if grads is None:
         grads = Grads((prefix + k, np.zeros_like(a)) for k, a in iter_tensors(params))
     dx_steps = [None] * len(trace.xh)
@@ -141,7 +142,7 @@ def reference_lm_backward(tape, dlogits):
     dh_steps = list(dh_all)
     for layer in reversed(range(len(mdl.cells))):
         _, dx_steps, _ = reference_cell_sequence(
-            mdl.cell_kind, mdl.cells[layer], tape.traces[layer],
+            mdl.cells[layer], tape.traces[layer],
             dh_steps=dh_steps, grads=grads, prefix=f"cells.{layer}.")
         if tape.in_masks is not None:
             dx_steps = [dx * tape.in_masks[layer][t] for t, dx in enumerate(dx_steps)]
@@ -158,10 +159,10 @@ def _record(kind, m, n, T, batch, seed):
     params = init_cell(kind, m, n, 0.5, rng)
     shape = (T, m) if batch is None else (T, batch, m)
     xs = rng.uniform(-1.0, 1.0, size=shape)
-    state = zero_state(kind, n, batch)
-    trace = new_trace(kind, T, () if batch is None else (batch,), m, n)
+    state = zero_state(params, batch)
+    trace = new_trace(params, T, () if batch is None else (batch,))
     for t in range(T):
-        state, _ = step(kind, params, xs[t], state, trace.row(t))
+        state, _ = step(params, xs[t], state, trace.row(t))
     return params, trace, rng
 
 
@@ -188,8 +189,8 @@ def test_matches_loop_reference(kind, batch, upstream):
     dh_last = rng.uniform(-1.0, 1.0, size=h_shape) if upstream in ("dh_last", "both") else None
     dh_steps = ([rng.uniform(-1.0, 1.0, size=h_shape) for _ in range(T)]
                 if upstream in ("dh_steps", "both") else None)
-    want, want_dx, want_dh = reference_cell_sequence(kind, params, traces, dh_last, dh_steps)
-    got, got_dx, got_dh = backward_cell_sequence(kind, params, traces, dh_last, dh_steps)
+    want, want_dx, want_dh = reference_cell_sequence(params, traces, dh_last, dh_steps)
+    got, got_dx, got_dh = backward_cell_sequence(params, traces, dh_last, dh_steps)
     _assert_grads_close(got, want)
     _assert_seq_close(got_dx, got_dh, want_dx, want_dh)
 
@@ -202,8 +203,8 @@ def test_long_window_flushes_deltas_in_spans(kind, rows, monkeypatch):
     monkeypatch.setattr(autograd, "DW_GEMM_ROWS", rows)
     params, traces, rng = _record(kind, 3, 4, 6, 5, 31)
     dh_steps = [rng.uniform(-1.0, 1.0, size=(5, 4)) for _ in range(6)]
-    want, want_dx, want_dh = reference_cell_sequence(kind, params, traces, dh_steps=dh_steps)
-    got, got_dx, got_dh = backward_cell_sequence(kind, params, traces, dh_steps=dh_steps)
+    want, want_dx, want_dh = reference_cell_sequence(params, traces, dh_steps=dh_steps)
+    got, got_dx, got_dh = backward_cell_sequence(params, traces, dh_steps=dh_steps)
     _assert_grads_close(got, want)
     _assert_seq_close(got_dx, got_dh, want_dx, want_dh)
 
@@ -216,8 +217,8 @@ def test_accumulates_into_existing_grads_under_prefix(kind):
     for g in start.values():
         g[...] = rng.uniform(-1.0, 1.0, g.shape)
     want = Grads((k, v.copy()) for k, v in start.items())
-    reference_cell_sequence(kind, params, traces, dh_last=dh_last, grads=want, prefix="layer.")
-    got, _, _ = backward_cell_sequence(kind, params, traces, dh_last=dh_last, grads=start, prefix="layer.")
+    reference_cell_sequence(params, traces, dh_last=dh_last, grads=want, prefix="layer.")
+    got, _, _ = backward_cell_sequence(params, traces, dh_last=dh_last, grads=start, prefix="layer.")
     assert got is start
     _assert_grads_close(got, want)
 
@@ -225,9 +226,9 @@ def test_accumulates_into_existing_grads_under_prefix(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_zero_steps(kind):
     params = init_cell(kind, 2, 3, 0.5, Rng(3))
-    empty = new_trace(kind, 0, (), 2, 3)
-    got, dx_steps, dh0 = backward_cell_sequence(kind, params, empty, dh_last=np.ones(3))
-    want, want_dx, want_dh = reference_cell_sequence(kind, params, empty, dh_last=np.ones(3))
+    empty = new_trace(params, 0, ())
+    got, dx_steps, dh0 = backward_cell_sequence(params, empty, dh_last=np.ones(3))
+    want, want_dx, want_dh = reference_cell_sequence(params, empty, dh_last=np.ones(3))
     assert len(dx_steps) == len(want_dx) == 0
     assert dh0 is None and want_dh is None
     assert all(not v.any() for v in got.values())

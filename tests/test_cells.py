@@ -1,6 +1,7 @@
 """Cell forward steps against independent scalar-loop references."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rau.cells import (
     init_rau,
     iter_tensors,
     lstm_step,
+    new_trace,
     param_count,
     rau_step,
     step,
@@ -207,7 +209,7 @@ class TestLstmStep:
     def test_zero_params_zero_state(self):
         p = init_lstm(2, 3, 0.0, Rng(0))
         p.b_f[:] = 0.0
-        state, _ = lstm_step(p, np.array([1.0, -1.0]), zero_state("lstm", 3))
+        state, _ = lstm_step(p, np.array([1.0, -1.0]), zero_state(p))
         assert np.array_equal(state.h, np.zeros(3))
         assert np.array_equal(state.c, np.zeros(3))
 
@@ -241,9 +243,9 @@ class TestCellState:
         assert state.c.shape == (0,)
         assert state.c is cells._EMPTY
         assert CellState(h=np.zeros(5)).c is state.c
-        assert zero_state("rau", 3).c is cells._EMPTY
-        assert zero_state("gru", 3).c is cells._EMPTY
-        lstm = zero_state("lstm", 3, batch=2)
+        assert zero_state(init_rau(2, 3, 0.1, Rng(0))).c is cells._EMPTY
+        assert zero_state(init_gru(2, 3, 0.1, Rng(0))).c is cells._EMPTY
+        lstm = zero_state(init_lstm(2, 3, 0.1, Rng(0)), batch=2)
         assert lstm.c.shape == lstm.h.shape == (2, 3)
         assert lstm.c is not lstm.h and not np.any(lstm.c)
 
@@ -288,15 +290,33 @@ class TestKindTable:
 
 class TestUnknownKind:
     @pytest.mark.parametrize("call", [
-        lambda: step("foo", init_gru(2, 3, 0.1, Rng(0)), np.zeros(2), zero_state("gru", 3)),
         lambda: init_cell("foo", 2, 3, 0.1, Rng(0)),
-        lambda: zero_state("foo", 3),
         lambda: param_count("foo", 2, 3),
-        lambda: backward_cell_sequence("foo", init_gru(2, 3, 0.1, Rng(0)), []),
-    ], ids=["step", "init_cell", "zero_state", "param_count", "backward_cell_sequence"])
+    ], ids=["init_cell", "param_count"])
     def test_raises_contract_error(self, call):
         with pytest.raises(ContractError, match="unknown cell kind 'foo'"):
             call()
+
+
+class TestKindFromTheCell:
+    """A function that takes a cell reads its kind and sizes off it, and names the type of anything else."""
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_a_cell_names_its_kind(self, kind):
+        p = init_cell(kind, 2, 3, 0.1, Rng(0))
+        assert p.kind == kind and (p.input_size, p.hidden_size) == (2, 3)
+        assert zero_state(p, 4).h.shape == new_trace(p, 5, (4,)).xh.shape[1:-1] + (3,)
+
+    @pytest.mark.parametrize("not_a_cell", [{"w_z": np.zeros((3, 5))}, "gru", None], ids=["dict", "str", "None"])
+    @pytest.mark.parametrize("call", [
+        lambda p: step(p, np.zeros(2), CellState(h=np.zeros(3))),
+        lambda p: new_trace(p, 1, ()),
+        lambda p: zero_state(p),
+        lambda p: backward_cell_sequence(p, new_trace(init_gru(2, 3, 0.1, Rng(0)), 1, ())),
+    ], ids=["step", "new_trace", "zero_state", "backward_cell_sequence"])
+    def test_a_non_cell_raises_naming_its_type(self, call, not_a_cell):
+        with pytest.raises(ContractError, match=f"expected a .*Params, got {type(not_a_cell).__name__}$"):
+            call(not_a_cell)
 
 
 class TestBoundedness:
@@ -305,9 +325,9 @@ class TestBoundedness:
         rng = Rng(13)
         for _ in range(5):
             params = init_cell(kind, 3, 4, 2.0, rng)
-            state = zero_state(kind, 4)
+            state = zero_state(params)
             for _ in range(50):
-                state, _ = step(kind, params, rng.uniform(-5, 5, 3), state)
+                state, _ = step(params, rng.uniform(-5, 5, 3), state)
                 assert np.all(np.abs(state.h) < 1.0)
 
 
@@ -317,6 +337,17 @@ class TestIterTensors:
         names = [name for name, _ in iter_tensors(p)]
         assert names == ["gru.w_z", "gru.w_r", "gru.w_c", "gru.b_z", "gru.b_r", "gru.b_c",
                          "w_a", "b_a", "w_u", "b_u"]
+
+    def test_a_mapping_raises_naming_its_path(self):
+        # a mapping's tensors were skipped as a non-array leaf: an update or an oracle walked none of them
+        @dataclass
+        class Holder:
+            params: dict
+
+        with pytest.raises(ContractError, match="mapping at its top"):
+            list(iter_tensors({"w": np.zeros(2)}))
+        with pytest.raises(ContractError, match="mapping at params"):
+            list(cells.iter_buffers(Holder({"w": np.zeros(2)})))
 
     def test_skips_non_tensor_fields(self):
         from rau.models import build_classifier

@@ -63,7 +63,7 @@ def _instance(kind, m, n, batch, seed):
     p = init_cell(kind, m, n, 0.5, rng)
     lead = () if batch is None else (batch,)
     x = rng.uniform(-1.0, 1.0, lead + (m,))
-    state = zero_state(kind, n, batch)
+    state = zero_state(p, batch)
     state.h = rng.uniform(-1.0, 1.0, lead + (n,))
     if cells._kind(kind).has_c:
         state.c = rng.uniform(-1.0, 1.0, lead + (n,))
@@ -77,7 +77,7 @@ class TestFusedStepMatchesPerGateReference:
     def test_state_and_every_trace_field(self, kind, m, n, batch):
         p, x, state = _instance(kind, m, n, batch, seed=1000 * m + n)
         want_state, want = REFERENCE[kind](p, x, state)
-        got_state, tr = step(kind, p, x, state)
+        got_state, tr = step(p, x, state)
         assert set(vars(tr)) == set(want)
         for name, value in want.items():
             got = getattr(tr, name)
@@ -94,15 +94,15 @@ class TestFusedStepMatchesPerGateReference:
         for _, a in cells.iter_tensors(p):
             a *= 1.5
         fresh = copy.deepcopy(p)
-        updated, _ = step(kind, p, x, state)
-        built, _ = step(kind, fresh, x, state)
+        updated, _ = step(p, x, state)
+        built, _ = step(fresh, x, state)
         assert updated.h.tobytes() == built.h.tobytes() and updated.c.tobytes() == built.c.tobytes()
 
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_step_writes_no_input_in_place(self, kind):
         p, x, state = _instance(kind, 3, 4, 2, seed=4)
         before = [a.copy() for a in (x, state.h, state.c)] + [a.copy() for _, a in cells.iter_tensors(p)]
-        step(kind, p, x, state)
+        step(p, x, state)
         after = [x, state.h, state.c] + [a for _, a in cells.iter_tensors(p)]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 

@@ -30,11 +30,11 @@ def _record(kind, m, n, T, batch, seed):
     params = init_cell(kind, m, n, 0.5, rng)
     lead = () if batch is None else (batch,)
     xs = rng.uniform(-1.0, 1.0, (T, *lead, m))
-    state = zero_state(kind, n, batch)
-    trace = new_trace(kind, T, lead, m, n)
+    state = zero_state(params, batch)
+    trace = new_trace(params, T, lead)
     written = {name: [] for name, _, _ in cells._KINDS[kind].shared}
     for t in range(T):
-        state, tr = step(kind, params, xs[t], state, trace.row(t))
+        state, tr = step(params, xs[t], state, trace.row(t))
         for name, rows in written.items():
             rows.append(getattr(tr, name).copy())
     dh_steps = rng.uniform(-1.0, 1.0, (T, *lead, n))
@@ -47,8 +47,8 @@ class TestUnreadInputGradient:
     @pytest.mark.parametrize("kind", KINDS)
     def test_parameter_gradients_equal_the_full_path_bitwise(self, kind, m, n, batch):
         params, trace, _, dh_steps = _record(kind, m, n, 4, batch, seed=m * n + (batch or 0))
-        full, dx_steps, dh0 = backward_cell_sequence(kind, params, trace, dh_steps=dh_steps)
-        lean, no_dx, lean_dh0 = backward_cell_sequence(kind, params, trace, dh_steps=dh_steps, want_dx=False)
+        full, dx_steps, dh0 = backward_cell_sequence(params, trace, dh_steps=dh_steps)
+        lean, no_dx, lean_dh0 = backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)
         assert dx_steps.shape == dh_steps.shape[:-1] + (m,) and no_dx is None
         assert lean_dh0.tobytes() == dh0.tobytes()
         for name, g in full.items():
@@ -94,7 +94,7 @@ class TestSharedRows:
             return add(groups, deltas, span, *rest)
 
         monkeypatch.setattr(autograd, "_add_weight_grads", keep_rows)
-        backward_cell_sequence(kind, params, trace, dh_steps=dh_steps)
+        backward_cell_sequence(params, trace, dh_steps=dh_steps)
         assert set(flushed) == ({"xrh", "v"} if kind == "rau" else {"xrh"})
         for name, want in written.items():
             assert flushed[name].tobytes() == want.tobytes(), name
@@ -102,7 +102,7 @@ class TestSharedRows:
     @pytest.mark.parametrize("batch", [None, 6], ids=["1d", "batched"])
     def test_shared_field_is_one_row_every_step_writes(self, batch):
         lead = () if batch is None else (batch,)
-        trace = new_trace("rau", 4, lead, 3, 5)
+        trace = new_trace(init_cell("rau", 3, 5, 0.0, None), 4, lead)
         assert trace.xrh.shape == trace.v.shape == (4, *lead, 8)
         for name in ("xrh", "v"):
             rows = [getattr(trace.row(t), name) for t in range(4)]
@@ -113,7 +113,7 @@ class TestSharedRows:
         # at the parent the RAU trace held 4(m+n) + 4n floats per row (xh, rz, xrh, hc, u, v, ha);
         # xrh and v now take one shared row each instead of one per row
         T, B, m, n = 28, 128, 28, 128
-        block = new_trace("rau", T, (B,), m, n).xh.base
+        block = new_trace(init_cell("rau", m, n, 0.0, None), T, (B,)).xh.base
         rows = T * B
         assert block.size == rows * (4 * (m + n) + 4 * n) - (rows - B) * 2 * (m + n)
 
@@ -135,7 +135,7 @@ class TestFlushMemory:
         monkeypatch.setattr(autograd, "_add_weight_grads", measured)
         tracemalloc.start()
         try:
-            backward_cell_sequence(kind, params, trace, dh_steps=dh_steps, want_dx=False)
+            backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)
         finally:
             tracemalloc.stop()
         # the smallest product, (m+n, n) floats, takes 156 x 128 x 8 bytes

@@ -123,6 +123,11 @@ class TestInitMatrix:
         with pytest.raises(ContractError):
             init_matrix(2, 2, -0.1, Rng(0))
 
+    def test_nan_scale_rejected(self):
+        # NaN fails no `scale < 0` test: it drew NaN weights
+        with pytest.raises(ContractError, match="scale must be non-negative"):
+            init_matrix(2, 3, math.nan, Rng(0))
+
 
 class TestRng:
     def test_bulk_matches_single_draws(self):

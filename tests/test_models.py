@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rau import cells
 from rau.autograd import backward, fd_gradient
-from rau.linalg import ContractError, Rng, softmax
+from rau.linalg import ContractError, Rng, init_matrix, softmax
 from rau import models
 from rau.models import (
     CheckpointError,
@@ -49,6 +49,37 @@ def _max_rel_err(analytic, numeric):
     return worst
 
 
+class TestModelOfCells:
+    """A model reads its cell kind off its cells: a stack of one kind, each cell a cell."""
+
+    def test_a_directly_built_rau_model_runs_and_round_trips(self, tmp_path):
+        # with a kind field beside the cells, this model took the default "gru": its forward raised and its
+        # checkpoint recorded a GRU spec that its RAU tensors did not fit
+        rng = Rng(60)
+        mdl = models.SequenceModel([cells.init_cell("rau", 3, 4, 0.5, rng)], init_matrix(2, 4, 0.5, rng), np.zeros(2))
+        xs = Rng(61).uniform(-1, 1, (2, 5, 3))
+        logits = classify_forward(mdl, xs)[0]
+        assert logits.tobytes() == classify_forward(build_classifier("rau", 3, 4, 1, 2, 0.5, Rng(60)), xs)[0].tobytes()
+        save_checkpoint(tmp_path / "model.bin", mdl)
+        loaded, _ = load_checkpoint(tmp_path / "model.bin")
+        assert [p.kind for p in loaded.cells] == ["rau"]
+        assert classify_forward(loaded, xs)[0].tobytes() == logits.tobytes()
+
+    @pytest.mark.parametrize("stack, match", [
+        ([], "one cell kind, got no cells"),
+        ([cells.init_cell("rau", 3, 4, 0.5, Rng(0)), cells.init_cell("gru", 4, 4, 0.5, Rng(0))],
+         r"one cell kind, got \['gru', 'rau'\]"),
+        ([np.zeros((12, 8))], "expected a .*Params, got ndarray"),
+    ], ids=["empty", "mixed", "not_a_cell"])
+    def test_a_stack_that_is_no_one_kind_raises(self, stack, match):
+        with pytest.raises(ContractError, match=match):
+            models.SequenceModel(stack, np.zeros((2, 4)), np.zeros(2))
+
+    def test_a_nan_init_scale_raises(self):
+        with pytest.raises(ContractError, match="scale must be non-negative"):
+            build_classifier("rau", 3, 4, 1, 2, float("nan"), Rng(0))
+
+
 class TestClassifyForward:
     def test_zero_params_uniform_probabilities(self):
         mdl = build_classifier("rau", 3, 4, 1, 5, 0.0, Rng(0))
@@ -61,7 +92,7 @@ class TestClassifyForward:
         mdl = build_classifier("gru", 3, 4, 1, 2, 0.5, rng)
         x = rng.uniform(-1, 1, 3)
         logits, _ = classify_forward(mdl, x[None, :])
-        state, _ = cells.step("gru", mdl.cells[0], x, cells.zero_state("gru", 4))
+        state, _ = cells.step(mdl.cells[0], x, cells.zero_state(mdl.cells[0]))
         manual = mdl.w_out @ state.h + mdl.b_out
         assert np.allclose(logits, manual, atol=1e-12, rtol=0)
 
@@ -488,7 +519,7 @@ class TestCheckpoint:
         save_checkpoint(path, mdl, {"seed": 7, "task": "synthetic"})
         loaded, cfg = load_checkpoint(path)
         assert cfg == {"seed": 7, "task": "synthetic"}
-        assert loaded.cell_kind == "rau"
+        assert [p.kind for p in loaded.cells] == ["rau", "rau"]
         assert loaded.dropout.rate == 0.25
         for (name_a, a), (name_b, b) in zip(cells.iter_tensors(mdl), cells.iter_tensors(loaded)):
             assert name_a == name_b

@@ -69,10 +69,10 @@ def _record(kind, m, n, T, batch, seed):
     params = init_cell(kind, m, n, 0.5, rng)
     lead = () if batch is None else (batch,)
     xs = rng.uniform(-1.0, 1.0, (T, *lead, m))
-    state = zero_state(kind, n, batch)
-    trace = new_trace(kind, T, lead, m, n)
+    state = zero_state(params, batch)
+    trace = new_trace(params, T, lead)
     for t in range(T):
-        state, _ = step(kind, params, xs[t], state, trace.row(t))
+        state, _ = step(params, xs[t], state, trace.row(t))
     return params, trace, rng.uniform(-1.0, 1.0, (T, *lead, n))
 
 
@@ -85,7 +85,7 @@ class TestSameBits:
         params, trace, dh_steps = _record(kind, 5, 6, 9, batch, seed=rows + (batch or 0))
 
         def run():
-            grads, dx, dh0 = backward_cell_sequence(kind, params, trace, dh_last=dh_steps[-1], dh_steps=dh_steps)
+            grads, dx, dh0 = backward_cell_sequence(params, trace, dh_last=dh_steps[-1], dh_steps=dh_steps)
             return {**grads, "dx": dx, "dh0": dh0}
 
         inline, worker = _both(monkeypatch, run)
@@ -97,7 +97,7 @@ class TestSameBits:
     def test_rows_classify_shape(self, kind, monkeypatch, submitted):
         # B=128, T=28, m=28, n=128 at the default DW_GEMM_ROWS: seven spans of four steps
         params, trace, dh_steps = _record(kind, 28, 128, 28, 128, seed=3)
-        run = lambda: backward_cell_sequence(kind, params, trace, dh_steps=dh_steps, want_dx=False)[0]
+        run = lambda: backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)[0]
         _assert_same_bits(*_both(monkeypatch, run))
         assert len(submitted) == 6
 
@@ -176,15 +176,15 @@ class TestFailures:
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)
         monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
         tape, dlogits = self._tape()
-        kind_backward, steps = autograd._kind("gru").backward, []
+        k, steps = cells._KINDS["gru"], []
 
         def fail_late(*args):
             steps.append(1)
             if len(steps) == 7:  # in the fourth span of two steps
                 raise RuntimeError("step failed")
-            return kind_backward(*args)
+            return k.backward(*args)
 
-        monkeypatch.setattr(autograd, "_kind", lambda kind: cells._KINDS[kind]._replace(backward=fail_late))
+        monkeypatch.setitem(cells._KINDS, "gru", k._replace(backward=fail_late))
         with pytest.raises(RuntimeError, match="step failed"):
             backward(tape, dlogits)
         assert len(submitted) == 3 and all(job.done() for job in submitted)
@@ -210,7 +210,7 @@ class TestWhenTheWorkerRuns:
     def _uses_worker(kind, m, n, T, batch, submitted):
         params, trace, dh_steps = _record(kind, m, n, T, batch, seed=T)
         before = len(submitted)
-        backward_cell_sequence(kind, params, trace, dh_steps=dh_steps, want_dx=False)
+        backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)
         return len(submitted) > before
 
     def test_on_for_a_multi_span_window_of_large_flushes(self, host, submitted):
@@ -260,10 +260,10 @@ from rau.linalg import Rng
 
 rng = Rng(1)
 p = init_cell("rau", 28, 128, 0.5, rng)
-trace, state = new_trace("rau", 8, (128,), 28, 128), zero_state("rau", 128, 128)
+trace, state = new_trace(p, 8, (128,)), zero_state(p, 128)
 for t in range(8):
-    state, _ = step("rau", p, rng.uniform(-1, 1, (128, 28)), state, trace.row(t))
-autograd.backward_cell_sequence("rau", p, trace, dh_last=rng.uniform(-1, 1, (128, 128)))
+    state, _ = step(p, rng.uniform(-1, 1, (128, 28)), state, trace.row(t))
+autograd.backward_cell_sequence(p, trace, dh_last=rng.uniform(-1, 1, (128, 128)))
 print(json.dumps({"blas": autograd._blas_threads(), "cpus": len(os.sched_getaffinity(0)),
                   "worker": autograd._worker is not None}))
 """

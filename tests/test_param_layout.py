@@ -161,11 +161,11 @@ class TestGradsLayout:
 
     def test_cell_sequence_needs_the_layout(self):
         p = init_cell("gru", 2, 3, 0.5, Rng(13))
-        trace = cells.new_trace("gru", 1, (), 2, 3)
-        cells.step("gru", p, np.ones(2), cells.zero_state("gru", 3), trace.row(0))
+        trace = cells.new_trace(p, 1, ())
+        cells.step(p, np.ones(2), cells.zero_state(p), trace.row(0))
         per_tensor = Grads((name, np.zeros_like(a)) for name, a in iter_tensors(p))
         with pytest.raises(ContractError):
-            backward_cell_sequence("gru", p, trace, dh_last=np.ones(3), grads=per_tensor)
+            backward_cell_sequence(p, trace, dh_last=np.ones(3), grads=per_tensor)
 
     def test_zeros_like_rejects_a_rau_gru_part(self):
         p = init_cell("rau", 2, 3, 0.5, Rng(14))
@@ -175,11 +175,11 @@ class TestGradsLayout:
     @pytest.mark.parametrize("given", [False, True], ids=["grads_none", "grads_given"])
     def test_cell_sequence_rejects_a_rau_gru_part(self, given):
         p = init_cell("rau", 2, 3, 0.5, Rng(15))
-        trace = cells.new_trace("gru", 1, (), 2, 3)
-        cells.step("gru", p.gru, np.ones(2), cells.zero_state("gru", 3), trace.row(0))
+        trace = cells.new_trace(p.gru, 1, ())
+        cells.step(p.gru, np.ones(2), cells.zero_state(p.gru), trace.row(0))
         grads = Grads.zeros_like(init_cell("gru", 2, 3, 0.5, Rng(16))) if given else None
         with pytest.raises(ContractError, match="views its RAU's buffer"):
-            backward_cell_sequence("gru", p.gru, trace, dh_last=np.ones(3), grads=grads)
+            backward_cell_sequence(p.gru, trace, dh_last=np.ones(3), grads=grads)
 
 
 def _per_tensor_update(opt_kind, params, grads, state, lr, t):

@@ -139,12 +139,12 @@ def test_span_flushes(kind, monkeypatch, fuzz):
     rng = Rng(1)
     params = init_cell(kind, 3, 5, 0.5, rng)
     xs, dh_steps = rng.uniform(-1.0, 1.0, (9, 4, 3)), rng.uniform(-1.0, 1.0, (9, 4, 5))
-    state, trace = zero_state(kind, 5, 4), new_trace(kind, 9, (4,), 3, 5)
+    state, trace = zero_state(params, 4), new_trace(params, 9, (4,))
     for t in range(9):
-        state, _ = step(kind, params, xs[t], state, trace.row(t))
+        state, _ = step(params, xs[t], state, trace.row(t))
 
     def run():
-        grads, dx, dh0 = backward_cell_sequence(kind, params, trace, dh_steps=dh_steps)
+        grads, dx, dh0 = backward_cell_sequence(params, trace, dh_steps=dh_steps)
         return {**grads, "dx": dx, "dh0": dh0}
 
     _shake(fuzz, run, _inline(monkeypatch, run))

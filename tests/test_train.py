@@ -49,6 +49,15 @@ class TestSgdStep:
         apply_update(make_optimizer("sgd", p, 1.0), p, Grads({"theta": np.array([0.5])}))
         assert p.theta[0] == 0.5
 
+    def test_a_mapping_of_parameters_raises(self):
+        # a mapping's tensors were skipped: the update left them as they were and raised nothing
+        w = np.zeros(2)
+        with pytest.raises(ContractError, match="mapping at its top"):
+            apply_update(make_optimizer("sgd", {"w": w}, 0.1), {"w": w}, Grads({"w": np.ones(2)}))
+        with pytest.raises(ContractError, match="mapping at its top"):
+            make_optimizer("adam", {"w": w}, 0.1)
+        assert not w.any()
+
     def test_matches_scalar_loop(self):
         rng = Rng(1)
         mdl = _tiny_model()
@@ -218,7 +227,7 @@ class TestStepMemory:
         xs, ys = synthetic_memorization(Rng(20), 3 * B, T, m, 4, 0.25)
         mdl = build_classifier("rau", m, n, 1, 4, 0.5, Rng(21))
         opt = make_optimizer("adam", mdl, 1e-3)
-        block = new_trace("rau", T, (B,), m, n).xh.base.nbytes
+        block = new_trace(mdl.cells[0], T, (B,)).xh.base.nbytes
         tracemalloc.start()
         try:
             _, steps = train_epoch_classifier(mdl, xs, ys, opt, Rng(22), B, 1, 22)

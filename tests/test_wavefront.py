@@ -205,8 +205,8 @@ class TestWhenItRuns:
     @pytest.mark.parametrize("kind", KINDS)
     def test_on_at_the_ptb_small_shape(self, kind, host):
         # B=20, n=200: RAU steps of 19.2 MFLOP, LSTM 12.8, GRU 9.6
-        assert autograd._wavefront(kind, self._stack(kind, 200), 20)
-        assert autograd._wavefront(kind, self._stack(kind, 200, layers=3), 20)
+        assert autograd._wavefront(self._stack(kind, 200), 20)
+        assert autograd._wavefront(self._stack(kind, 200, layers=3), 20)
 
     @pytest.mark.usefixtures("one_blas_thread")
     def test_a_ptb_small_lm_hands_its_upper_layer_to_the_worker(self, host, jobs):
@@ -221,11 +221,11 @@ class TestWhenItRuns:
     @pytest.mark.parametrize("kind", KINDS)
     def test_off_at_hidden_64(self, kind, host):
         # B=20, n=64: a RAU step of 2 MFLOP, where the wavefront ran 0.64-0.70x as fast
-        assert not autograd._wavefront(kind, self._stack(kind, 64), 20)
+        assert not autograd._wavefront(self._stack(kind, 64), 20)
 
     def test_off_where_any_layer_is_small(self, host):
         # a 28-wide first layer under a 200-wide one
-        assert not autograd._wavefront("gru", self._stack("gru", 200, m=28), 4)
+        assert not autograd._wavefront(self._stack("gru", 200, m=28), 4)
 
     def test_one_layer_and_small_steps_make_no_system_call(self, monkeypatch):
         def unasked(*args):
@@ -233,22 +233,22 @@ class TestWhenItRuns:
 
         monkeypatch.setattr(autograd, "_blas_threads", unasked)
         monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
-        assert not autograd._wavefront("rau", self._stack("rau", 200, layers=1), 20)
-        assert not autograd._wavefront("rau", self._stack("rau", 200), 1)
-        assert not autograd._wavefront("rau", self._stack("rau", 4, m=3), 1)
+        assert not autograd._wavefront(self._stack("rau", 200, layers=1), 20)
+        assert not autograd._wavefront(self._stack("rau", 200), 1)
+        assert not autograd._wavefront(self._stack("rau", 4, m=3), 1)
 
     @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
     def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host):
         host["blas"] = blas
-        assert not autograd._wavefront("rau", self._stack("rau", 200), 20)
+        assert not autograd._wavefront(self._stack("rau", 200), 20)
 
     def test_off_on_one_cpu(self, host):
         host["cpus"] = {0}
-        assert not autograd._wavefront("rau", self._stack("rau", 200), 20)
+        assert not autograd._wavefront(self._stack("rau", 200), 20)
 
     @pytest.mark.parametrize("name", ["step", "sigmoid", "tanh", "softmax"])
     def test_off_while_a_step_function_is_wrapped(self, name, host, monkeypatch):
         # a tracer's wrapper would open its spans on the worker thread
         own = getattr(cells, name)
         monkeypatch.setattr(cells, name, lambda *args, **kwargs: own(*args, **kwargs))
-        assert not autograd._wavefront("rau", self._stack("rau", 200), 20)
+        assert not autograd._wavefront(self._stack("rau", 200), 20)

@@ -32,9 +32,9 @@ stack is no wavefront, a RAU step of a large forward hands its attention
 branch to the worker and runs its GRU branch in the caller (see
 `cells.rau_step`). So the worker has four uses: the span flushes, the
 head halves, the wavefront and the attention branch. Every handoff goes
-through one join, `_beside`, and one of three gates: `_overlap` for work
-cut into pieces, `_wavefront` and `_attention_beside` for a forward's
-steps. Each hands work over only on a `_second_core`.
+through one join, `_beside`, and one policy, `_handoff`: work of its
+use's flop floor or more, and a CPU of its own for the worker. A forward
+asks `_forward_plan` once which of its two uses, if either, it runs.
 
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
@@ -142,7 +142,7 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
 # backward ~10% faster than spans of 1024 rows or more, and whole-window
 # buffers would also add ~27 MB to the peak memory of a RAU train step.
 #
-# In a window of more than one span, the worker thread (see `_overlap`) may
+# In a window of more than one span, the worker thread (see `_handoff`) may
 # run each span's flush while the caller runs the steps of the span before
 # it into a second set of delta buffers. The flushes still run one at a
 # time in span order, so they add the same products in the same order and
@@ -162,12 +162,12 @@ ELEMENT_FLOP = 64
 # changed bits at some shapes, e.g. (400, 200) x (200, 1009) cut at 200 rows, likely because OpenBLAS
 # packs a product's rows in chunks of up to 3 x its dgemm N-unroll. At multiples of 96 rows the head
 # GEMM and dh kept their bits at every shape tried (n 5-300, V 65-10000), provided each half held over
-# 1e6 multiply-adds: OpenBLAS computes smaller products with other kernels. A half that passes
-# `_overlap` holds 15x that.
+# 1e6 multiply-adds: OpenBLAS computes smaller products with other kernels. A half that reaches
+# OVERLAP_MIN_FLOP holds 15x that.
 SPLIT_ROWS = 96
-# A forward hands the worker a piece of every step only when that piece holds this many GEMM flops: each
-# layer's step, 2 * batch * (m+n) * rows, for a stack's wavefront (`_wavefront`), and a RAU step's attention
-# branch, the same over the rows of w_a and w_u, for `_attention_beside`; a handoff per step costs about 0.3 ms at small
+# A forward hands the worker a piece of every step only when that piece holds this many GEMM flops (see
+# `_forward_plan`): each layer's step, 2 * batch * (m+n) * rows, for a stack's wavefront, and a RAU step's
+# attention branch, the same over the rows of w_a and w_u; a handoff per step costs about 0.3 ms at small
 # shapes. On the 2-core host with one BLAS thread, a 2-layer, 20-step forward with the wavefront against
 # without ran 0.64-0.70x as fast at 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at
 # 2.4-5.8 MFLOP (RAU 0.94-1.10x there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU
@@ -203,9 +203,18 @@ def backward_cell_sequence(
     dx_steps[t] is the gradient of that step's input; dx_steps is one
     (T, ..., m) array. With want_dx False no step computes its input
     gradient and dx_steps is None. Every flush has run when it returns
-    or raises.
+    or raises. A trace of another kind or sizes than params raises
+    ContractError.
     """
-    k = cells._KINDS[_kind_of(params, "backward_cell_sequence")]
+    kind = _kind_of(params, "backward_cell_sequence")
+    k, m, n = cells._KINDS[kind], params.input_size, params.hidden_size
+    fields = set(vars(trace))
+    if fields != _trace_fields(k):
+        of = next((other for other, o in cells._KINDS.items() if _trace_fields(o) == fields), "unknown")
+        raise ContractError(f"backward_cell_sequence: a trace of kind {of} for a cell of kind {kind}")
+    widths = trace.xh.shape[-1], getattr(trace, k.block[0]).shape[-1]
+    if widths != (m + n, n):
+        raise ContractError(f"backward_cell_sequence: a trace of (m+n, n) = {widths} for a cell of {(m + n, n)}")
     T, batch = trace.lead
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
@@ -216,13 +225,13 @@ def backward_cell_sequence(
         raise ContractError(f"backward_cell_sequence: no cell gradient under {prefix!r}")
     if T == 0:
         return grads, [], None
-    m, n = params.input_size, params.hidden_size
     per_step = int(np.prod(batch))
     span = min(T, max(1, DW_GEMM_ROWS // per_step))
     starts = range(0, T, span)
     stacks = [w for w, _ in _owner(params).groups]
     # every span's flush but that of the first steps, which the backward reaches last, can run beside later steps
-    on = _overlap(len(starts), 2 * (T - span) * per_step * sum(w.size for w in stacks))
+    on = len(starts) > 1 and _handoff(2 * (T - span) * per_step * sum(w.size for w in stacks),
+                                      OVERLAP_MIN_FLOP * (len(starts) - 1))
     # with the worker, the steps fill one set of deltas while it flushes the other
     deltas = [[np.empty((span,) + batch + (w.shape[0],)) for w in stacks] for _ in range(2 if on else 1)]
     # a shared field's rows are one row, the last step's; each flush rebuilds its span's rows here
@@ -252,6 +261,11 @@ def backward_cell_sequence(
     return grads, dx_steps, dh
 
 
+def _trace_fields(k: cells._Kind) -> set:
+    """The names in a trace of kind k (see `cells.new_trace`): its fields, its gate views and its shared fields."""
+    return {f[0] for f in k.fields + k.shared} | set(k.block[1])
+
+
 def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, grads, m: int) -> None:
     """A span's weight and bias gradients: rebuild its rows of the shared fields, then `_add_weight_grads`.
 
@@ -277,65 +291,45 @@ def _add_weight_grads(groups, deltas, rows: Trace, products, grads) -> None:
         db += flat.sum(axis=0)
 
 
-def _overlap(spans: int, flop: int) -> bool:
-    """Whether work cut into this many pieces hands some of them to the worker thread.
+def _handoff(flop: float, floor: float) -> bool:
+    """Whether work of flop flops goes to the worker thread: flop reaches the call site's floor (tested
+    first, so small work makes no system call), the bundled OpenBLAS runs each call on one thread (with
+    two, the flush overlap made a RAU step slower) and the process may use two CPUs or more."""
+    return (flop >= floor and _blas_threads() == 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
 
-    For a window's span flushes, flop is the work of the flushes that can run beside earlier spans' steps;
-    for the halves of `_in_halves`, spans is 2 and flop is the worker's half, with an element of an
-    elementwise pass counted as ELEMENT_FLOP. A handoff pays only for a piece of OVERLAP_MIN_FLOP or more,
-    on average, and only on a `_second_core`.
+
+def _forward_plan(stack: Sequence[CellParams], batch: int) -> str | None:
+    """How the worker thread takes part in the forward of stack, its cells in layer order, at this batch:
+    "wavefront", the upper layers' step t beside the first layer's step t+1 (see `models._forward`), for
+    two layers or more; "attention", each step's attention branch beside its GRU branch (see
+    `cells.rau_step`), for one RAU layer; else None, the forward inline. Each needs its piece of every
+    step, the smallest layer's step or the w_a and w_u GEMMs, to `_handoff` at STEP_HANDOFF_FLOP, and the
+    step functions to be the library's own (`_STEP_NAMES`). A layer's attention flops are below its
+    step's, so a stack the wavefront declines would get no attention split either.
     """
-    return spans > 1 and flop >= OVERLAP_MIN_FLOP * (spans - 1) and _second_core()
-
-
-def _wavefront(stack: Sequence[CellParams], batch: int) -> bool:
-    """Whether the forward of stack, its cells in layer order, runs as a wavefront: its upper layers' step t
-    on the worker thread, beside its first layer's step t+1 in the caller (see `models._forward`).
-
-    It needs two layers or more and a `_step_handoff` of every layer's step at this batch; a one-layer
-    stack makes no system call to find out.
-    """
-    return len(stack) > 1 and _step_handoff(min(2 * batch * sum(w.size for w, _ in p.groups) for p in stack))
-
-
-def _attention_beside(stack: Sequence[CellParams], batch: int) -> bool:
-    """Whether each RAU step of the forward of stack runs its attention branch on the worker thread, beside
-    its GRU branch in the caller (see `cells.rau_step`); `models._forward` asks where `_wavefront` declined,
-    so no step of a wavefront hands work on.
-
-    It needs a RAU stack and a `_step_handoff` of every layer's attention branch at this batch, the w_a and
-    w_u GEMMs; a GRU or LSTM stack makes no system call to find out.
-    """
-    return all(p.kind == "rau" for p in stack) and _step_handoff(
-        min(2 * batch * (p.w_a.size + p.w_u.size) for p in stack))
-
-
-def _step_handoff(flop: int) -> bool:
-    """Whether a forward that would hand the worker flop GEMM flops of every step does: STEP_HANDOFF_FLOP or
-    more, the library's own step functions (see `_STEP_NAMES`) and a `_second_core`. The size is tested
-    first, so small steps make no system call."""
-    return (flop >= STEP_HANDOFF_FLOP and all(getattr(cells, name) is own for name, own in _STEP_NAMES)
-            and _second_core())
-
-
-def _second_core() -> bool:
-    """Whether the worker's work gets a CPU of its own beside the caller's: the bundled OpenBLAS runs each
-    call on one thread (with two, the flush overlap made a RAU step slower), and the process may use two
-    CPUs or more."""
-    return _blas_threads() == 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    if not all(getattr(cells, name) is own for name, own in _STEP_NAMES):
+        return None
+    if len(stack) > 1:
+        plan, flop = "wavefront", min(2 * batch * sum(w.size for w, _ in p.groups) for p in stack)
+    elif stack[0].kind == "rau":
+        plan, flop = "attention", 2 * batch * (stack[0].w_a.size + stack[0].w_u.size)
+    else:
+        return None
+    return plan if _handoff(flop, STEP_HANDOFF_FLOP) else None
 
 
 def _in_halves(rows: int, align: int, row_flop: int, fn: Callable, *args) -> None:
     """fn(*args, part) over parts that together cover range(rows), each row costing row_flop.
 
-    The cut is the multiple of align nearest half of rows, rounding up; align is SPLIT_ROWS for a GEMM,
-    the block for cross-entropy's row blocks and 1 for the SGD update's two halves. When `_overlap` finds the rows from the cut worth a handoff, the worker
-    thread runs fn(*args, slice(cut, rows)) beside fn(*args, slice(0, cut)) in the caller (see `_beside`);
-    else the caller runs fn(*args, slice(0, rows)). fn must give each part's outputs its own memory,
-    allocate no large array and call nothing the benchmark's tracer wraps.
+    The cut is the multiple of align nearest half of rows, rounding up; align is SPLIT_ROWS for a GEMM, the
+    block for cross-entropy's row blocks and 1 for the SGD update's two halves. Where the rows from the cut
+    `_handoff` at OVERLAP_MIN_FLOP, the worker thread runs fn(*args, slice(cut, rows)) beside fn(*args,
+    slice(0, cut)) in the caller (see `_beside`); else the caller runs fn(*args, slice(0, rows)). fn must
+    give each part's outputs its own memory, allocate no large array and call nothing the tracer wraps.
     """
     cut = align * ((rows + align) // (2 * align))
-    if 0 < cut < rows and _overlap(2, (rows - cut) * row_flop):
+    if 0 < cut < rows and _handoff((rows - cut) * row_flop, OVERLAP_MIN_FLOP):
         _beside(functools.partial(fn, *args, slice(cut, rows)), True, fn, *args, slice(0, cut))
     else:
         fn(*args, slice(0, rows))
@@ -440,7 +434,7 @@ def backward(tape: Tape, dlogits) -> Grads:
     """Exact gradients of the recorded scalar loss w.r.t. every model parameter.
 
     dlogits is d(loss)/d(logits), shaped like the forward's logits. At a
-    vocabulary-sized head the worker thread (see `_overlap`) takes a row
+    vocabulary-sized head the worker thread (see `_handoff`) takes a row
     half of dh = dlogits @ w_out, then the head's weight and bias
     gradients, which it computes beside the layers' BPTT; they are done
     when backward returns or raises.
@@ -455,7 +449,7 @@ def backward(tape: Tape, dlogits) -> Grads:
     # the head's gradients read only dlogits and the head input, so they can run beside the BPTT
     head = functools.partial(_head_grads, tape.head_in.reshape(rows, -1), flat, [np.empty((n, V))], grads["w_out"],
                              grads["b_out"])
-    _beside(head, _overlap(2, 2 * rows * V * n), _backward_stack, tape, grads, dh)
+    _beside(head, _handoff(2 * rows * V * n, OVERLAP_MIN_FLOP), _backward_stack, tape, grads, dh)
     return grads
 
 

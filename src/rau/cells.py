@@ -399,8 +399,8 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     beside, which is `autograd._beside`, the worker thread runs the
     attention branch (`_attend`) while the caller runs the GRU branch,
     and every output keeps its bits. `models._forward` passes it where
-    `autograd._attention_beside` admits the forward; without it the step
-    runs both branches inline.
+    `autograd._forward_plan` answers "attention"; without it the step runs
+    both branches inline.
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
     tr = new_trace(p, 1, x.shape[:-1]).row(0) if tr is None else tr
@@ -519,11 +519,6 @@ def init_cell(kind: str, m: int, n: int, scale: float, rng: Rng) -> CellParams:
     if kind == "lstm":
         p.b_f[...] = 1.0  # so early training carries memory
     return p
-
-
-init_gru = functools.partial(init_cell, "gru")
-init_rau = functools.partial(init_cell, "rau")
-init_lstm = functools.partial(init_cell, "lstm")
 
 
 class _Kind(NamedTuple):

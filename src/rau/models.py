@@ -131,11 +131,11 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     (logits, final states, tape or None).
 
     Each layer runs its steps in order on its own state, trace and masks,
-    so the outputs keep their bits however the layers interleave. In a
-    stack that `autograd._wavefront` admits, the worker thread runs the
-    upper layers' step t while the caller runs the first layer's step t+1.
-    Else, in a RAU stack that `autograd._attention_beside` admits, it runs
-    each step's attention branch beside the step's GRU branch.
+    so the outputs keep their bits however the layers interleave. Where
+    `autograd._forward_plan` answers "wavefront", the worker thread runs the
+    upper layers' step t while the caller runs the first layer's step t+1;
+    where it answers "attention", each step's attention branch beside the
+    step's GRU branch.
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -159,7 +159,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             for masks in in_masks:
                 masks[t] = dropout_mask(rng, masks.shape[1:], rate)
     layers, top_steps = range(len(mdl.cells)), [None] * T
-    if autograd._wavefront(mdl.cells, B):
+    plan = autograd._forward_plan(mdl.cells, B)
+    if plan == "wavefront":
         # the worker runs the upper layers' step t beside the first layer's step t+1
         first_h = [None] * T
         first = functools.partial(_steps, mdl, layers[:1], xs_steps, first_h, states, rows, in_masks)
@@ -169,8 +170,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             autograd._beside(functools.partial(upper, range(t - 1, t)), True, first, range(t, t + 1))
         upper(range(T - 1, T))
     else:
-        # where the gate admits it, each RAU step hands its attention branch to the worker (see `cells.rau_step`)
-        beside = autograd._beside if autograd._attention_beside(mdl.cells, B) else None
+        # with the "attention" plan, each RAU step hands its attention branch to the worker (see `cells.rau_step`)
+        beside = autograd._beside if plan == "attention" else None
         _steps(mdl, layers, xs_steps, top_steps, states, rows, in_masks, range(T), beside)
 
     head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)

@@ -86,7 +86,7 @@ def idx_fixture(tmp_path):
 
 @pytest.fixture
 def one_blas_thread():
-    """BLAS at one thread per call while the test runs, where the worker runs (see `autograd._second_core`).
+    """BLAS at one thread per call while the test runs, where the worker runs (see `autograd._handoff`).
 
     With more threads, BLAS partitions each GEMM among them by the GEMM's own shape, so a forced half
     would get other bits than the whole; and the automatic decisions never hand work to the worker there.
@@ -106,6 +106,32 @@ def one_blas_thread():
     set_threads(1)
     yield
     set_threads(before)
+
+
+@pytest.fixture
+def handoff(monkeypatch):
+    """force(on): from now on every handoff the policy decides goes to the worker (on) or stays inline.
+
+    It patches the one policy, `autograd._handoff`, so it forces the span flushes, the head's halves and
+    gradients and a forward's plan at once; `_forward_plan` still runs the forward inline while a step
+    function is wrapped. To force one use alone, lower that use's floor under the `host` fixture.
+    """
+    def force(on: bool):
+        monkeypatch.setattr(autograd, "_handoff", lambda flop, floor: on)
+
+    return force
+
+
+@pytest.fixture
+def host(monkeypatch):
+    """The host the policy sees, as a dict to change: its BLAS threads per call and its CPU affinity.
+
+    It starts as one BLAS thread and two CPUs, where `autograd._handoff` hands work of its floor over.
+    """
+    state = {"blas": 1, "cpus": {0, 1}}
+    monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
+    monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
+    return state
 
 
 @pytest.fixture

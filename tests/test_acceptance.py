@@ -14,7 +14,7 @@ import pytest
 
 from rau import cli as rcli
 from rau.autograd import backward
-from rau.cells import gru_step, init_rau, rau_step, zero_state
+from rau.cells import gru_step, init_cell, rau_step, zero_state
 from rau.data import (
     IdxCountMismatchError,
     IdxDimensionError,
@@ -52,7 +52,7 @@ def test_criterion_2_gru_degeneration_bitwise():
     for _ in range(1000):
         m = 1 + rng.integers(4)
         n = 1 + rng.integers(4)
-        p = init_rau(m, n, 1.0, rng)
+        p = init_cell("rau", m, n, 1.0, rng)
         x = rng.uniform(-2.0, 2.0, m)
         h_prev = rng.uniform(-1.0, 1.0, n)
         h_gru, tr = gru_step(p.gru, x, h_prev)
@@ -68,7 +68,7 @@ def test_criterion_3_softmax_gate_invariants():
     for _ in range(25):
         m = 1 + rng.integers(5)
         n = 1 + rng.integers(5)
-        p = init_rau(m, n, 1.5, rng)
+        p = init_cell("rau", m, n, 1.5, rng)
         state = zero_state(p)
         for _ in range(40):
             x = rng.uniform(-3.0, 3.0, m)

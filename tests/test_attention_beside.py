@@ -1,15 +1,14 @@
 """A RAU step's attention branch on the worker thread gives the inline path's bits.
 
-In a RAU forward that `autograd._attention_beside` admits, and that no
-wavefront takes, each `cells.rau_step` writes xh, then hands its
-attention branch (`cells._attend`: the w_a affine, the softmax into u,
-v = u*xh, the w_u affine and tanh into ha) to the worker thread while the
-caller runs the GRU branch; the caller mixes after the join. Both
-branches only read xh and each writes its own trace fields, so every
-output keeps its bits. These tests force the split on or off through the
-flop floor `autograd.STEP_HANDOFF_FLOP` and a patched
-`autograd._second_core`, which leaves the gate's check of the step
-functions in force, and pin BLAS at one thread per call, where it runs.
+Where `autograd._forward_plan` answers "attention", each `cells.rau_step`
+writes xh, then hands its attention branch (`cells._attend`: the w_a
+affine, the softmax into u, v = u*xh, the w_u affine and tanh into ha) to
+the worker thread while the caller runs the GRU branch; the caller mixes
+after the join. Both branches only read xh and each writes its own trace
+fields, so every output keeps its bits. These tests force every handoff
+on or off through the `handoff` fixture, which leaves the plan's check of
+the step functions in force, and pin BLAS at one thread per call, where
+it runs. When it runs unforced is tested in tests/test_forward_plan.py.
 """
 
 import copy
@@ -17,7 +16,7 @@ import copy
 import numpy as np
 import pytest
 
-from rau import autograd, cells
+from rau import cells
 from rau.autograd import backward
 from rau.cells import gru_step, init_cell, iter_tensors, rau_step
 from rau.linalg import NumericError, Rng
@@ -31,16 +30,11 @@ DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dro
 ROWS = dict(m=28, n=128, batch=128, steps=28)
 
 
-def _force(monkeypatch, on: bool):
-    monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0 if on else float("inf"))
-
-
-def _both(monkeypatch, run):
-    """run() with the split off, then on."""
-    _force(monkeypatch, False)
+def _both(handoff, run):
+    """run() with every handoff off, then on."""
+    handoff(False)
     inline = run()
-    _force(monkeypatch, True)
+    handoff(True)
     return inline, run()
 
 
@@ -65,7 +59,7 @@ def _features(seed, shape):
 @pytest.mark.usefixtures("one_blas_thread")
 class TestSameBits:
     @DROPOUT
-    def test_classifier_forward_and_gradients(self, dropout, monkeypatch, jobs):
+    def test_classifier_forward_and_gradients(self, dropout, handoff, jobs):
         mdl, xs = build_classifier("rau", M, N, 1, C, 0.5, Rng(1), dropout=dropout), _features(2, (B, T, M))
         targets = Rng(3).integers(C, size=B)
 
@@ -74,12 +68,13 @@ class TestSameBits:
             grads = backward(tape, cross_entropy(logits, targets)[1])
             return {"train": logits, "eval": classify_forward(mdl, xs)[0], **_tape(tape), **grads}
 
-        _assert_same_bits(*_both(monkeypatch, run))
-        # every step's attention branch goes to the worker, in the train pass and in the eval pass
-        assert jobs == ["_attend"] * (2 * T)
+        _assert_same_bits(*_both(handoff, run))
+        # every step's attention branch goes to the worker, in the train pass and in the eval pass; the
+        # backward hands the head's gradients over too
+        assert [name for name in jobs if name != "_head_grads"] == ["_attend"] * (2 * T)
 
     @DROPOUT
-    def test_lm_forward_and_gradients(self, dropout, monkeypatch, jobs):
+    def test_lm_forward_and_gradients(self, dropout, handoff, jobs):
         mdl = build_language_model("rau", V, N, 1, 0.5, Rng(5), dropout=dropout)
         tokens, targets = Rng(6).integers(V, size=(B, T)), Rng(7).integers(V, size=T * B)
         # a carried-in state, as the next window of a stream starts from
@@ -92,10 +87,10 @@ class TestSameBits:
             return {"train": logits, "h": states[0].h, "eval": eval_logits, "eval_h": eval_states[0].h,
                     **_tape(tape), **grads}
 
-        _assert_same_bits(*_both(monkeypatch, run))
-        assert jobs == ["_attend"] * (2 * T)
+        _assert_same_bits(*_both(handoff, run))
+        assert [name for name in jobs if name != "_head_grads"] == ["_attend"] * (2 * T)
 
-    def test_classifier_trained_two_adam_steps_then_evaluated(self, monkeypatch):
+    def test_classifier_trained_two_adam_steps_then_evaluated(self, handoff):
         start = build_classifier("rau", M, N, 1, C, 0.5, Rng(10), dropout=0.2)
         xs, ys = _features(11, (2 * B, T, M)), Rng(12).integers(C, size=2 * B)
 
@@ -106,9 +101,9 @@ class TestSameBits:
             loss, acc = evaluate_classifier(mdl, xs, ys, B)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "acc": acc}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
 
-    def test_lm_trained_two_sgd_windows_then_evaluated(self, monkeypatch):
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, handoff):
         start = build_language_model("rau", V, N, 1, 0.5, Rng(14), dropout=0.3)
         stream = Rng(15).integers(V, size=B * (2 * T + 1))
 
@@ -120,10 +115,10 @@ class TestSameBits:
             loss, ppl = evaluate_lm(mdl, stream, B, T)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
 
-    def test_the_rows_shape_through_the_library_gate(self, monkeypatch, jobs):
-        # the floor stays the library's; only the host is taken to have a second core
+    def test_the_rows_shape_through_the_library_policy(self, host, jobs):
+        # the floors stay the library's; only the host is taken to have one CPU, then two
         mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(17))
         xs = _features(18, (ROWS["batch"], ROWS["steps"], ROWS["m"]))
         targets = Rng(19).integers(10, size=ROWS["batch"])
@@ -132,10 +127,10 @@ class TestSameBits:
             logits, tape = classify_forward(mdl, xs, train_mode=True)
             return {"logits": logits, **_tape(tape), **backward(tape, cross_entropy(logits, targets)[1])}
 
-        monkeypatch.setattr(autograd, "_second_core", lambda: False)
+        host["cpus"] = {0}
         inline = run()
         assert jobs == []
-        monkeypatch.setattr(autograd, "_second_core", lambda: True)
+        host["cpus"] = {0, 1}
         _assert_same_bits(inline, run())
         # the backward's span flushes go to the worker too
         assert [name for name in jobs if name != "_flush"] == ["_attend"] * ROWS["steps"]
@@ -154,8 +149,8 @@ class TestSameBits:
 
 @pytest.mark.usefixtures("one_blas_thread")
 class TestFailures:
-    def test_a_numeric_error_on_the_worker_ends_the_train_loop_as_a_divergence(self, monkeypatch, queued):
-        _force(monkeypatch, True)
+    def test_a_numeric_error_on_the_worker_ends_the_train_loop_as_a_divergence(self, handoff, queued):
+        handoff(True)
         mdl = build_classifier("rau", M, N, 1, C, 0.5, Rng(23))
         mdl.cells[0].b_a[0] = np.inf  # a non-finite attention score: only the worker's softmax sees it
         before = {k: v.copy() for k, v in iter_tensors(mdl)}
@@ -169,8 +164,8 @@ class TestFailures:
             assert np.array_equal(v, before[k]), k
 
     @pytest.mark.parametrize("side", ["worker", "caller"])
-    def test_a_raising_branch_surfaces_and_nothing_is_pending(self, side, monkeypatch, queued):
-        _force(monkeypatch, True)
+    def test_a_raising_branch_surfaces_and_nothing_is_pending(self, side, monkeypatch, handoff, queued):
+        handoff(True)
         mdl, xs = build_classifier("rau", M, N, 1, C, 0.5, Rng(27)), _features(28, (B, T, M))
         want = classify_forward(mdl, xs)[0]
         queued.clear()
@@ -191,78 +186,3 @@ class TestFailures:
         monkeypatch.setattr(cells, name, own)
         assert classify_forward(mdl, xs)[0].tobytes() == want.tobytes()
 
-
-class TestWhenItRuns:
-    """The automatic decision, with the BLAS thread count and the CPU affinity patched."""
-
-    @pytest.fixture
-    def host(self, monkeypatch):
-        state = {"blas": 1, "cpus": {0, 1}}
-        monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
-        monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
-        return state
-
-    @staticmethod
-    def _stack(kind="rau", m=ROWS["m"], n=ROWS["n"], layers=1):
-        rng = Rng(29)
-        return [init_cell(kind, m if l == 0 else n, n, 0.1, rng) for l in range(layers)]
-
-    def test_on_at_the_rows_shape(self, host):
-        assert autograd._attention_beside(self._stack(), ROWS["batch"])
-        # B=96, 8.5 MFLOP a step, is on; B=64, 5.7 MFLOP, where the split ran 1.01x, is off
-        assert autograd._attention_beside(self._stack(), 96)
-        assert not autograd._attention_beside(self._stack(), 64)
-
-    @pytest.mark.usefixtures("one_blas_thread")
-    def test_a_rows_shape_eval_hands_each_attention_branch_to_the_worker(self, host, jobs):
-        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(30))
-        xs = _features(31, (ROWS["batch"], 4, ROWS["m"]))
-        got = classify_forward(mdl, xs)[0]
-        assert jobs == ["_attend"] * 4
-        host["cpus"] = {0}
-        assert classify_forward(mdl, xs)[0].tobytes() == got.tobytes()
-        assert len(jobs) == 4
-
-    @pytest.mark.parametrize("kind", ["gru", "lstm"])
-    def test_off_for_the_cells_without_an_attention_branch(self, kind, host):
-        assert not autograd._attention_beside(self._stack(kind), ROWS["batch"])
-
-    def test_one_row_and_one_d_steps_make_no_system_call(self, monkeypatch):
-        def unasked(*args):
-            raise AssertionError("the gate asked the host")
-
-        monkeypatch.setattr(autograd, "_blas_threads", unasked)
-        monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
-        assert not autograd._attention_beside(self._stack(), 1)
-        assert not autograd._attention_beside(self._stack(m=3, n=4), 1)
-        assert not autograd._attention_beside(self._stack("gru"), ROWS["batch"])
-        # a one-sequence forward is a B=1 batch; gradcheck and lone steps run 1-D steps and never ask
-        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(32))
-        classify_forward(mdl, _features(33, (ROWS["steps"], ROWS["m"])))
-        cells.step(mdl.cells[0], _features(34, ROWS["m"]), cells.zero_state(mdl.cells[0]))
-        assert max(autograd.gradcheck_cell("rau", 3, 4, 5, 1, 35).values()) <= autograd.GRADCHECK_TOLERANCE
-
-    @pytest.mark.usefixtures("one_blas_thread")
-    def test_off_in_a_stack_the_wavefront_takes(self, host, jobs):
-        # a 2-layer stack at the rows shape: every layer's attention branch qualifies, and so does its step
-        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 2, 10, 0.1, Rng(36))
-        assert autograd._wavefront(mdl.cells, ROWS["batch"])
-        assert autograd._attention_beside(mdl.cells, ROWS["batch"])
-        classify_forward(mdl, _features(37, (ROWS["batch"], 4, ROWS["m"])))
-        assert jobs == ["_steps"] * 3
-
-    @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
-    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host):
-        host["blas"] = blas
-        assert not autograd._attention_beside(self._stack(), ROWS["batch"])
-
-    def test_off_on_one_cpu(self, host):
-        host["cpus"] = {0}
-        assert not autograd._attention_beside(self._stack(), ROWS["batch"])
-
-    @pytest.mark.parametrize("name", ["step", "sigmoid", "tanh", "softmax"])
-    def test_off_while_a_step_function_is_wrapped(self, name, host, monkeypatch):
-        # a tracer's wrapper would open its spans on the worker thread
-        own = getattr(cells, name)
-        monkeypatch.setattr(cells, name, lambda *args, **kwargs: own(*args, **kwargs))
-        assert not autograd._attention_beside(self._stack(), ROWS["batch"])

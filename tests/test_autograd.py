@@ -1,5 +1,6 @@
 """BPTT gradients against the central-difference oracle."""
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from rau.autograd import (
     gradcheck_cell,
     relative_errors,
 )
-from rau.cells import init_rau, iter_tensors, new_trace, step, zero_state
+from rau.cells import init_cell, iter_tensors, new_trace, step, zero_state
 from rau.linalg import ContractError, NumericError, Rng
 
 
@@ -106,13 +107,13 @@ def _rau_grads(params, traces, **seed):
 
 class TestBackward:
     def test_zero_length_sequence_gives_zero_grads(self):
-        p = init_rau(2, 3, 0.5, Rng(1))
+        p = init_cell("rau", 2, 3, 0.5, Rng(1))
         g = _rau_grads(p, _record_sequence(p, []), dh_last=np.zeros(3))
         assert set(g) == {name for name, _ in iter_tensors(p)}
         assert all(np.array_equal(v, np.zeros_like(v)) for v in g.values())
 
     def test_one_step_zero_param_rau_sum_loss(self):
-        p = init_rau(2, 3, 0.0, Rng(0))
+        p = init_cell("rau", 2, 3, 0.0, Rng(0))
         x = np.array([0.3, -0.8])
         traces = _record_sequence(p, [x])
         analytic = _rau_grads(p, traces, dh_last=np.ones(3))
@@ -133,7 +134,7 @@ class TestBackward:
 
     def test_random_rau_sequence_against_fd(self):
         rng = Rng(17)
-        p = init_rau(3, 4, 0.5, rng)
+        p = init_cell("rau", 3, 4, 0.5, rng)
         xs = rng.uniform(-1, 1, (5, 3))
         gsel = rng.uniform(-1, 1, 4)
         traces = _record_sequence(p, xs)
@@ -152,7 +153,7 @@ class TestBackward:
 
     def test_linearity(self):
         rng = Rng(23)
-        p = init_rau(2, 3, 0.5, rng)
+        p = init_cell("rau", 2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (4, 2))
         traces = _record_sequence(p, xs)
         g1 = rng.uniform(-1, 1, 3)
@@ -166,7 +167,7 @@ class TestBackward:
 
     def test_determinism_bitwise(self):
         rng = Rng(29)
-        p = init_rau(2, 3, 0.5, rng)
+        p = init_cell("rau", 2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (4, 2))
         traces = _record_sequence(p, xs)
         gsel = rng.uniform(-1, 1, 3)
@@ -177,7 +178,7 @@ class TestBackward:
 
     def test_per_step_loss_grad_list(self):
         rng = Rng(37)
-        p = init_rau(2, 3, 0.5, rng)
+        p = init_cell("rau", 2, 3, 0.5, rng)
         xs = rng.uniform(-1, 1, (3, 2))
         traces = _record_sequence(p, xs)
         gs = [rng.uniform(-1, 1, 3) for _ in range(3)]
@@ -198,7 +199,7 @@ class TestBackward:
         # with a kind passed beside the cell, a "gru" backward of a RAU trace gave an all-zero w_u gradient,
         # a wrong w_a one, and bits that changed between identical calls (it flushed unwritten delta columns)
         rng = Rng(43)
-        p = init_rau(3, 4, 0.5, rng)
+        p = init_cell("rau", 3, 4, 0.5, rng)
         xs = rng.uniform(-1, 1, (5, 3))
         gs = rng.uniform(-1, 1, (5, 4))
         traces = _record_sequence(p, xs)
@@ -219,11 +220,40 @@ class TestBackward:
     @pytest.mark.parametrize("count", [0, 2, 4], ids=["none", "short", "long"])
     def test_per_step_list_of_wrong_length_raises(self, count):
         rng = Rng(41)
-        p = init_rau(2, 3, 0.5, rng)
+        p = init_cell("rau", 2, 3, 0.5, rng)
         traces = _record_sequence(p, rng.uniform(-1, 1, (3, 2)))
         gs = [rng.uniform(-1, 1, 3) for _ in range(count)]
         with pytest.raises(ContractError, match=f"{count} per-step gradients for 3 steps"):
             _rau_grads(p, traces, dh_steps=gs)
+
+
+class TestTraceOfTheCell:
+    """backward_cell_sequence checks the trace's fields and widths against the cell's kind and sizes."""
+
+    def test_a_rau_trace_for_a_gru_cell_raises(self):
+        # it returned gradients without error
+        rng = Rng(47)
+        rau, gru = init_cell("rau", 3, 4, 0.5, rng), init_cell("gru", 3, 4, 0.5, rng)
+        trace = _record_sequence(rau, rng.uniform(-1, 1, (5, 3)))
+        with pytest.raises(ContractError, match="a trace of kind rau for a cell of kind gru"):
+            backward_cell_sequence(gru, trace, dh_last=np.ones(4))
+
+    def test_a_rau_trace_for_an_lstm_cell_raises(self):
+        # it raised AttributeError: 'Trace' object has no attribute 'f'
+        rng = Rng(53)
+        rau, lstm = init_cell("rau", 3, 4, 0.5, rng), init_cell("lstm", 3, 4, 0.5, rng)
+        trace = _record_sequence(rau, rng.uniform(-1, 1, (5, 3)))
+        with pytest.raises(ContractError, match="a trace of kind rau for a cell of kind lstm"):
+            backward_cell_sequence(lstm, trace, dh_last=np.ones(4))
+
+    @pytest.mark.parametrize("m,n,want", [(3, 5, "(7, 4) for a cell of (8, 5)"), (4, 3, "(7, 4) for a cell of (7, 3)")],
+                             ids=["hidden", "split"])
+    def test_a_trace_of_other_sizes_raises(self, m, n, want):
+        # a GRU cell with n=5 given an n=4 trace raised numpy's ValueError: operands could not be broadcast together
+        rng = Rng(59)
+        trace = _record_sequence(init_cell("gru", 3, 4, 0.5, rng), rng.uniform(-1, 1, (5, 3)))
+        with pytest.raises(ContractError, match=re.escape(f"a trace of (m+n, n) = {want}")):
+            backward_cell_sequence(init_cell("gru", m, n, 0.5, rng), trace, dh_last=np.ones(n))
 
 
 class TestGradcheckCell:

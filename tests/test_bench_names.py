@@ -40,7 +40,7 @@ def test_wrapped_name_is_callable(module, attr):
 
 
 @pytest.mark.usefixtures("one_blas_thread")
-def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch):
+def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch, handoff):
     calls, jobs = [], []
     for module, attr in _TARGETS:
         mod = importlib.import_module(module)
@@ -58,12 +58,10 @@ def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch):
         return submit(job)
 
     monkeypatch.setattr(autograd, "_submit", record)
-    # every gate forced open: the head's halves, cross-entropy's, the update's and any flushes go to the
+    # every handoff forced on: the head's halves, cross-entropy's, the update's and any flushes go to the
     # worker, and a stack whose step functions are the library's own would run as a wavefront, a one-layer
     # RAU with its attention branches on the worker
-    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
-    monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0)
+    handoff(True)
     monkeypatch.setattr(models, "CE_BLOCK_BYTES", 10 * 8 * 50)  # blocks of 10 rows, so cross-entropy splits
     mdl = build_language_model("rau", 50, 8, 2, 0.1, Rng(1), dropout=0.2)
     stream = Rng(2).integers(50, size=20 * 11)

@@ -14,9 +14,6 @@ from rau.cells import (
     RauParams,
     gru_step,
     init_cell,
-    init_gru,
-    init_lstm,
-    init_rau,
     iter_tensors,
     lstm_step,
     new_trace,
@@ -87,11 +84,11 @@ def ref_lstm(p, x, h, c):
 
 
 def zero_gru(m, n):
-    return init_gru(m, n, 0.0, Rng(0))
+    return init_cell("gru", m, n, 0.0, Rng(0))
 
 
 def zero_rau(m, n):
-    return init_rau(m, n, 0.0, Rng(0))
+    return init_cell("rau", m, n, 0.0, Rng(0))
 
 
 class TestGruStep:
@@ -103,7 +100,7 @@ class TestGruStep:
 
     def test_gate_saturation_reserves_state(self):
         rng = Rng(1)
-        p = init_gru(2, 3, 1e-3, rng)
+        p = init_cell("gru", 2, 3, 1e-3, rng)
         p.b_z[:] = -1000.0
         h_prev = rng.uniform(-1, 1, 3)
         h, _ = gru_step(p, rng.uniform(-1, 1, 2), h_prev)
@@ -112,7 +109,7 @@ class TestGruStep:
     def test_matches_scalar_reference(self):
         rng = Rng(21)
         for _ in range(20):
-            p = init_gru(2, 3, 1.0, rng)
+            p = init_cell("gru", 2, 3, 1.0, rng)
             x = rng.uniform(-2, 2, 2)
             h_prev = rng.uniform(-1, 1, 3)
             h, _ = gru_step(p, x, h_prev)
@@ -127,7 +124,7 @@ class TestGruStep:
 
     def test_batched_matches_single(self):
         rng = Rng(8)
-        p = init_gru(3, 4, 0.8, rng)
+        p = init_cell("gru", 3, 4, 0.8, rng)
         xb = rng.uniform(-1, 1, (5, 3))
         hb = rng.uniform(-1, 1, (5, 4))
         batch, _ = gru_step(p, xb, hb)
@@ -148,7 +145,7 @@ class TestRauAttention:
     def test_matches_scalar_reference(self):
         rng = Rng(31)
         for _ in range(20):
-            p = init_rau(2, 3, 1.0, rng)
+            p = init_cell("rau", 2, 3, 1.0, rng)
             x = rng.uniform(-2, 2, 2)
             h_prev = rng.uniform(-1, 1, 3)
             _, tr = rau_step(p, x, h_prev)
@@ -159,7 +156,7 @@ class TestRauAttention:
     def test_weights_positive_sum_to_one(self):
         rng = Rng(41)
         for _ in range(50):
-            p = init_rau(3, 2, 2.0, rng)
+            p = init_cell("rau", 3, 2, 2.0, rng)
             _, tr = rau_step(p, rng.uniform(-3, 3, 3), rng.uniform(-1, 1, 2))
             assert np.all(tr.u > 0)
             assert abs(tr.u.sum() - 1.0) <= 1e-12
@@ -174,7 +171,7 @@ class TestRauStep:
     def test_candidate_override_degenerates_to_gru(self):
         rng = Rng(55)
         for _ in range(100):
-            p = init_rau(2, 3, 1.0, rng)
+            p = init_cell("rau", 2, 3, 1.0, rng)
             x = rng.uniform(-2, 2, 2)
             h_prev = rng.uniform(-1, 1, 3)
             h_gru, tr = gru_step(p.gru, x, h_prev)
@@ -184,7 +181,7 @@ class TestRauStep:
     def test_matches_scalar_reference(self):
         rng = Rng(61)
         for _ in range(20):
-            p = init_rau(2, 3, 1.0, rng)
+            p = init_cell("rau", 2, 3, 1.0, rng)
             x = rng.uniform(-2, 2, 2)
             h_prev = rng.uniform(-1, 1, 3)
             h, _ = rau_step(p, x, h_prev)
@@ -198,7 +195,7 @@ class TestRauStep:
 
     def test_trace_records_attention_intermediates(self):
         rng = Rng(81)
-        p = init_rau(2, 3, 0.5, rng)
+        p = init_cell("rau", 2, 3, 0.5, rng)
         _, tr = rau_step(p, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 3))
         widths = {"xh": (5,), "rz": (2, 3), "r": (3,), "z": (3,), "xrh": (5,), "hc": (3,), "u": (5,), "v": (5,), "ha": (3,)}
         assert {name: a.shape for name, a in vars(tr).items()} == widths
@@ -207,7 +204,7 @@ class TestRauStep:
 
 class TestLstmStep:
     def test_zero_params_zero_state(self):
-        p = init_lstm(2, 3, 0.0, Rng(0))
+        p = init_cell("lstm", 2, 3, 0.0, Rng(0))
         p.b_f[:] = 0.0
         state, _ = lstm_step(p, np.array([1.0, -1.0]), zero_state(p))
         assert np.array_equal(state.h, np.zeros(3))
@@ -215,7 +212,7 @@ class TestLstmStep:
 
     def test_memory_carry_under_saturated_gates(self):
         rng = Rng(2)
-        p = init_lstm(2, 3, 1e-3, rng)
+        p = init_cell("lstm", 2, 3, 1e-3, rng)
         p.b_f[:] = 1000.0
         p.b_i[:] = -1000.0
         c0 = rng.uniform(-1, 1, 3)
@@ -225,7 +222,7 @@ class TestLstmStep:
     def test_matches_scalar_reference(self):
         rng = Rng(91)
         for _ in range(20):
-            p = init_lstm(2, 3, 1.0, rng)
+            p = init_cell("lstm", 2, 3, 1.0, rng)
             x = rng.uniform(-2, 2, 2)
             h = rng.uniform(-1, 1, 3)
             c = rng.uniform(-1, 1, 3)
@@ -243,9 +240,9 @@ class TestCellState:
         assert state.c.shape == (0,)
         assert state.c is cells._EMPTY
         assert CellState(h=np.zeros(5)).c is state.c
-        assert zero_state(init_rau(2, 3, 0.1, Rng(0))).c is cells._EMPTY
-        assert zero_state(init_gru(2, 3, 0.1, Rng(0))).c is cells._EMPTY
-        lstm = zero_state(init_lstm(2, 3, 0.1, Rng(0)), batch=2)
+        assert zero_state(init_cell("rau", 2, 3, 0.1, Rng(0))).c is cells._EMPTY
+        assert zero_state(init_cell("gru", 2, 3, 0.1, Rng(0))).c is cells._EMPTY
+        lstm = zero_state(init_cell("lstm", 2, 3, 0.1, Rng(0)), batch=2)
         assert lstm.c.shape == lstm.h.shape == (2, 3)
         assert lstm.c is not lstm.h and not np.any(lstm.c)
 
@@ -312,7 +309,7 @@ class TestKindFromTheCell:
         lambda p: step(p, np.zeros(2), CellState(h=np.zeros(3))),
         lambda p: new_trace(p, 1, ()),
         lambda p: zero_state(p),
-        lambda p: backward_cell_sequence(p, new_trace(init_gru(2, 3, 0.1, Rng(0)), 1, ())),
+        lambda p: backward_cell_sequence(p, new_trace(init_cell("gru", 2, 3, 0.1, Rng(0)), 1, ())),
     ], ids=["step", "new_trace", "zero_state", "backward_cell_sequence"])
     def test_a_non_cell_raises_naming_its_type(self, call, not_a_cell):
         with pytest.raises(ContractError, match=f"expected a .*Params, got {type(not_a_cell).__name__}$"):
@@ -333,7 +330,7 @@ class TestBoundedness:
 
 class TestIterTensors:
     def test_rau_paths_and_order(self):
-        p = init_rau(2, 3, 0.1, Rng(0))
+        p = init_cell("rau", 2, 3, 0.1, Rng(0))
         names = [name for name, _ in iter_tensors(p)]
         assert names == ["gru.w_z", "gru.w_r", "gru.w_c", "gru.b_z", "gru.b_r", "gru.b_c",
                          "w_a", "b_a", "w_u", "b_u"]

@@ -4,11 +4,11 @@ At a vocabulary-sized LM head, `autograd._in_halves` hands the worker
 thread a row half of the head GEMM and bias add and of dh = dlogits @
 w_out (both `autograd._split_gemm`), of cross-entropy, and a half of each
 buffer of the SGD update; `autograd.backward` runs the head's weight and
-bias gradients on the worker beside the layers' BPTT. These tests force the
-split on or off by patching the predicate `autograd._overlap`, as
-tests/test_overlap.py does. The forced shapes keep each GEMM half above
-OpenBLAS's small-matrix sizes, as the automatic decision does (see
-`autograd.SPLIT_ROWS`).
+bias gradients on the worker beside the layers' BPTT. These tests force
+every handoff on or off through the `handoff` fixture, as
+tests/test_overlap.py does, and count only the head's jobs. The forced
+shapes keep each GEMM half above OpenBLAS's small-matrix sizes, as the
+automatic decision does (see `autograd.SPLIT_ROWS`).
 """
 
 import copy
@@ -35,19 +35,15 @@ HEAD_JOBS = {"_gemm_rows", "_cross_entropy_rows", "_head_grads", "_sgd"}
 
 
 def _head_jobs(names):
-    """The names of the head's jobs, without the cell BPTT's span flushes that a forced split also sends."""
+    """The names of the head's jobs, without the forward's and the cell BPTT's that a forced handoff also sends."""
     return [name for name in names if name in HEAD_JOBS]
 
 
-def _force(monkeypatch, on: bool):
-    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: on)
-
-
-def _both(monkeypatch, run):
-    """run() with the split off, then on."""
-    _force(monkeypatch, False)
+def _both(handoff, run):
+    """run() with every handoff off, then on."""
+    handoff(False)
     inline = run()
-    _force(monkeypatch, True)
+    handoff(True)
     return inline, run()
 
 
@@ -72,7 +68,7 @@ LAYERS = pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.3)], ids=["1
 class TestSameBits:
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_logits(self, kind, layers, dropout, monkeypatch, jobs):
+    def test_logits(self, kind, layers, dropout, handoff, jobs):
         mdl, tokens = _lm(kind, layers, dropout), _tokens(2)
 
         def run():
@@ -80,12 +76,12 @@ class TestSameBits:
             eval_logits, _, _ = lm_forward(mdl, tokens)
             return {"train": train_logits, "eval": eval_logits, **{f"h{l}": s.h for l, s in enumerate(states)}}
 
-        _assert_same_bits(*_both(monkeypatch, run))
-        assert jobs == ["_gemm_rows"] * 2
+        _assert_same_bits(*_both(handoff, run))
+        assert _head_jobs(jobs) == ["_gemm_rows"] * 2
 
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("rows", [B * T, 40], ids=["odd_rows", "even_rows"])
-    def test_cross_entropy(self, rows, grad, monkeypatch, jobs):
+    def test_cross_entropy(self, rows, grad, monkeypatch, handoff, jobs):
         monkeypatch.setattr(models, "CE_BLOCK_BYTES", 10 * 8 * V)  # blocks of 10 rows
         logits = Rng(4).uniform(-8.0, 8.0, (rows, V))
         targets = Rng(5).integers(V, size=rows)
@@ -94,12 +90,12 @@ class TestSameBits:
             loss, dlogits = cross_entropy(logits, targets, grad=grad)
             return {"loss": loss, "dlogits": dlogits}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         assert jobs == ["_cross_entropy_rows"]
 
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_backward(self, kind, layers, dropout, monkeypatch, jobs):
+    def test_backward(self, kind, layers, dropout, handoff, jobs):
         mdl, tokens, targets = _lm(kind, layers, dropout), _tokens(6), _tokens(7, (B * T,))
 
         def run():
@@ -107,10 +103,10 @@ class TestSameBits:
             _, dlogits = cross_entropy(logits.reshape(B * T, -1), targets)
             return backward(tape, dlogits.reshape(logits.shape))
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         assert _head_jobs(jobs) == ["_gemm_rows", "_cross_entropy_rows", "_gemm_rows", "_head_grads"]
 
-    def test_sgd_update(self, monkeypatch, jobs):
+    def test_sgd_update(self, handoff, jobs):
         start = _lm("rau", 2, 0.0)
         grads = Grads.zeros_like(start)
         for g in grads.buffers.values():
@@ -121,12 +117,12 @@ class TestSameBits:
             apply_update(make_optimizer("sgd", mdl, 0.7), mdl, g)
             return {**dict(iter_tensors(mdl)), **{f"grad.{k}": v for k, v in g.items()}}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         assert jobs == ["_sgd"]
 
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, dropout, monkeypatch, jobs):
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, dropout, handoff, jobs):
         start = _lm(kind, layers, dropout, seed=9)
         stream = _tokens(10, (B * (2 * T + 1),))
 
@@ -137,7 +133,7 @@ class TestSameBits:
             loss, ppl = evaluate_lm(mdl, stream, B, T)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         # per window the forward, cross-entropy, dh, the head's gradients and the update; then the eval windows
         window = ["_gemm_rows", "_cross_entropy_rows"]
         assert _head_jobs(jobs) == (window + ["_gemm_rows", "_head_grads", "_sgd"]) * 2 + window * 2
@@ -150,8 +146,8 @@ class TestFailures:
         logits, _, tape = lm_forward(mdl, _tokens(12), train_mode=True)
         return tape, np.full(logits.shape, 1e-3)
 
-    def test_a_raising_worker_half_surfaces_in_the_caller(self, monkeypatch, jobs):
-        _force(monkeypatch, True)
+    def test_a_raising_worker_half_surfaces_in_the_caller(self, monkeypatch, handoff, jobs):
+        handoff(True)
         gemm_rows = autograd._gemm_rows
 
         def fail_on_the_worker(a, b, bias, out, rows):
@@ -167,11 +163,11 @@ class TestFailures:
         # the worker keeps serving: the next forward gives the inline bits
         monkeypatch.setattr(autograd, "_gemm_rows", gemm_rows)
         got = lm_forward(mdl, tokens)[0]
-        _force(monkeypatch, False)
+        handoff(False)
         assert lm_forward(mdl, tokens)[0].tobytes() == got.tobytes()
 
-    def test_a_raising_caller_half_waits_for_the_worker_half(self, monkeypatch):
-        _force(monkeypatch, True)
+    def test_a_raising_caller_half_waits_for_the_worker_half(self, monkeypatch, handoff):
+        handoff(True)
         sgd, done = train._sgd, []
 
         def fail_in_the_caller(bufs, lr, part):
@@ -187,8 +183,8 @@ class TestFailures:
             apply_update(make_optimizer("sgd", mdl, 0.1), mdl, Grads.zeros_like(mdl))
         assert done == [slice(1, 2)]
 
-    def test_a_raising_head_gradient_surfaces_and_nothing_is_pending(self, monkeypatch, queued):
-        _force(monkeypatch, True)
+    def test_a_raising_head_gradient_surfaces_and_nothing_is_pending(self, monkeypatch, handoff, queued):
+        handoff(True)
 
         def fail(*args):
             time.sleep(0.02)
@@ -200,8 +196,8 @@ class TestFailures:
             backward(tape, dlogits)
         assert queued and all(job.done() for job in queued)
 
-    def test_no_job_is_pending_when_the_bptt_raises(self, monkeypatch, queued):
-        _force(monkeypatch, True)
+    def test_no_job_is_pending_when_the_bptt_raises(self, monkeypatch, handoff, queued):
+        handoff(True)
         head_grads = autograd._head_grads
 
         def slow(*args):
@@ -220,8 +216,8 @@ class TestFailures:
         # dh's worker half, then the head's gradients
         assert len(queued) == 2 and all(job.done() for job in queued)
 
-    def test_inline_head_gradients_free_their_scratch_before_the_bptt(self, monkeypatch):
-        _force(monkeypatch, False)
+    def test_inline_head_gradients_free_their_scratch_before_the_bptt(self, monkeypatch, handoff):
+        handoff(False)
         scratch, seen = [], []
         head_grads, backward_stack = autograd._head_grads, autograd._backward_stack
 
@@ -239,26 +235,19 @@ class TestFailures:
         assert seen == [True]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_an_overflowing_worker_half_runs_under_the_callers_errstate(self, monkeypatch, jobs):
+    def test_an_overflowing_worker_half_runs_under_the_callers_errstate(self, handoff, jobs):
         # the train forward ignores overflow; a worker thread starts from numpy's defaults and would warn
-        _force(monkeypatch, True)
+        handoff(True)
         mdl = _lm("rau", 1, 0.0)
         mdl.w_out[:] = 1e308
         stream = _tokens(14, (B * (T + 1),))
         with pytest.raises(DivergenceError, match="loss diverged"):
             train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 1.0), Rng(15), B, T, 1, 15)
-        assert jobs[0] == "_gemm_rows"
+        assert _head_jobs(jobs)[0] == "_gemm_rows"
 
 
 class TestWhenItRuns:
-    """The automatic decision, with the BLAS thread count and the CPU affinity patched."""
-
-    @pytest.fixture
-    def host(self, monkeypatch):
-        state = {"blas": 1, "cpus": {0, 1}}
-        monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
-        monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
-        return state
+    """The automatic decision, on the host the `host` fixture gives."""
 
     @staticmethod
     def _lm_step(vocab, hidden, batch, unroll, layers=2):
@@ -305,8 +294,8 @@ class TestWhenItRuns:
         self._lm_step(**CI_SHAPE)
         assert not jobs
 
-    def test_row_cuts_fall_on_the_tiling_grid(self, monkeypatch):
-        _force(monkeypatch, True)
+    def test_row_cuts_fall_on_the_tiling_grid(self, handoff):
+        handoff(True)
 
         def cut(rows, align):
             parts = []

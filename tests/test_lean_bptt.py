@@ -120,9 +120,9 @@ class TestSharedRows:
 
 class TestFlushMemory:
     @pytest.mark.parametrize("kind", KINDS)
-    def test_a_flush_allocates_no_weight_gradient_product(self, kind, monkeypatch):
+    def test_a_flush_allocates_no_weight_gradient_product(self, kind, monkeypatch, handoff):
         # the rows-classify shape, seven spans of 512 rows, with every flush inline: the peak is the flush's own
-        monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: False)
+        handoff(False)
         params, trace, _, dh_steps = _record(kind, 28, 128, 28, 128, seed=1)
         add, extra = autograd._add_weight_grads, []
 

@@ -5,9 +5,9 @@ rebuild, one weight GEMM per gate group and the bias sums) to one worker
 thread while the caller runs the steps of the span before it; the flush
 of the first span, which the backward reaches last, runs in the caller.
 The flushes run one at a time in span order, so the gradient buffer gets
-the same sums in the same order. These tests force the worker on or off
-by patching the predicate `autograd._overlap`, and force many spans with
-small `DW_GEMM_ROWS` values.
+the same sums in the same order. These tests force every handoff on or
+off through the `handoff` fixture, count only the flushes, and force many
+spans with small `DW_GEMM_ROWS` values.
 """
 
 import copy
@@ -50,11 +50,11 @@ def submitted(monkeypatch):
     return futures
 
 
-def _both(monkeypatch, run):
-    """run() inline, then with every window's flushes on the worker."""
-    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: False)
+def _both(handoff, run):
+    """run() inline, then with every handoff, every window's flushes among them, on the worker."""
+    handoff(False)
     inline = run()
-    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
+    handoff(True)
     return inline, run()
 
 
@@ -80,7 +80,7 @@ class TestSameBits:
     @pytest.mark.parametrize("rows", [1, 40, 512], ids=lambda r: f"rows{r}")
     @pytest.mark.parametrize("batch", [None, 1, 3, 20, 128], ids=lambda b: "1d" if b is None else f"B{b}")
     @pytest.mark.parametrize("kind", KINDS)
-    def test_cell_gradients_equal_the_inline_path(self, kind, batch, rows, monkeypatch, submitted):
+    def test_cell_gradients_equal_the_inline_path(self, kind, batch, rows, monkeypatch, handoff, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", rows)
         params, trace, dh_steps = _record(kind, 5, 6, 9, batch, seed=rows + (batch or 0))
 
@@ -88,21 +88,21 @@ class TestSameBits:
             grads, dx, dh0 = backward_cell_sequence(params, trace, dh_last=dh_steps[-1], dh_steps=dh_steps)
             return {**grads, "dx": dx, "dh0": dh0}
 
-        inline, worker = _both(monkeypatch, run)
+        inline, worker = _both(handoff, run)
         _assert_same_bits(inline, worker)
         span = min(9, max(1, rows // (batch or 1)))
         assert len(submitted) == -(-9 // span) - 1  # every span's flush but the first's
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_rows_classify_shape(self, kind, monkeypatch, submitted):
+    def test_rows_classify_shape(self, kind, handoff, submitted):
         # B=128, T=28, m=28, n=128 at the default DW_GEMM_ROWS: seven spans of four steps
         params, trace, dh_steps = _record(kind, 28, 128, 28, 128, seed=3)
         run = lambda: backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)[0]
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         assert len(submitted) == 6
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_two_layer_lm_with_dropout(self, kind, monkeypatch, submitted):
+    def test_two_layer_lm_with_dropout(self, kind, monkeypatch, handoff, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 12)
         mdl = build_language_model(kind, 11, 5, 2, 0.5, Rng(30), dropout=0.3)
         tokens = Rng(31).integers(11, size=(4, 7))
@@ -113,11 +113,11 @@ class TestSameBits:
             _, dlogits = cross_entropy(logits.reshape(7 * 4, -1), targets)
             return backward(tape, dlogits.reshape(logits.shape))
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         assert len(submitted) == 2 * 2  # two layers, spans of 3, 3 and 1 steps
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_classifier_trained_three_adam_steps(self, kind, monkeypatch, submitted):
+    def test_classifier_trained_three_adam_steps(self, kind, monkeypatch, handoff, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 24)
         xs, ys = synthetic_memorization(Rng(40), 24, 10, 3, 3, 0.25)
         start = build_classifier(kind, 3, 6, 1, 3, 0.5, Rng(41))
@@ -129,7 +129,7 @@ class TestSameBits:
             assert steps == 3
             return dict(iter_tensors(mdl))
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         assert len(submitted) == 3 * 3  # spans of 3 steps over T=10
 
 
@@ -150,9 +150,9 @@ class TestFailures:
         logits, tape = classify_forward(mdl, Rng(51).uniform(-1, 1, (5, 9, 3)), train_mode=True)
         return tape, np.ones_like(logits)
 
-    def test_a_flush_that_raises_surfaces_in_the_caller(self, monkeypatch, submitted):
+    def test_a_flush_that_raises_surfaces_in_the_caller(self, monkeypatch, handoff, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)
-        monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
+        handoff(True)
         add, calls = autograd._add_weight_grads, []
 
         def fail_third(*args):
@@ -169,12 +169,12 @@ class TestFailures:
         # the worker keeps serving: the next backward gives the inline bits
         monkeypatch.setattr(autograd, "_add_weight_grads", add)
         got = backward(tape, dlogits)
-        monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: False)
+        handoff(False)
         _assert_same_bits(backward(tape, dlogits), got)
 
-    def test_no_flush_is_pending_when_a_step_raises(self, monkeypatch, submitted, slow_flushes):
+    def test_no_flush_is_pending_when_a_step_raises(self, monkeypatch, handoff, submitted, slow_flushes):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)
-        monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
+        handoff(True)
         tape, dlogits = self._tape()
         k, steps = cells._KINDS["gru"], []
 
@@ -189,22 +189,15 @@ class TestFailures:
             backward(tape, dlogits)
         assert len(submitted) == 3 and all(job.done() for job in submitted)
 
-    def test_no_flush_is_pending_when_backward_returns(self, monkeypatch, submitted, slow_flushes):
+    def test_no_flush_is_pending_when_backward_returns(self, monkeypatch, handoff, submitted, slow_flushes):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)
-        monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
+        handoff(True)
         backward(*self._tape())
         assert len(submitted) == 2 * 4 and all(job.done() for job in submitted)
 
 
 class TestWhenTheWorkerRuns:
-    """The automatic decision, with the BLAS thread count and the CPU affinity patched."""
-
-    @pytest.fixture
-    def host(self, monkeypatch):
-        state = {"blas": 1, "cpus": {0, 1}}
-        monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
-        monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
-        return state
+    """The automatic decision, on the host the `host` fixture gives."""
 
     @staticmethod
     def _uses_worker(kind, m, n, T, batch, submitted):
@@ -306,9 +299,9 @@ from rau.models import cross_entropy
 
 warnings.simplefilter("ignore", DeprecationWarning)  # newer Pythons warn on a fork beside a live thread
 logits, targets = Rng(1).uniform(-8.0, 8.0, (259, 1009)), Rng(2).integers(1009, size=259)
-autograd._overlap = lambda spans, flop: False
+autograd._handoff = lambda flop, floor: False
 inline = cross_entropy(logits, targets)[1].tobytes()
-autograd._overlap = lambda spans, flop: True
+autograd._handoff = lambda flop, floor: True
 
 
 def split_on_own_worker():

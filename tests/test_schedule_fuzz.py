@@ -119,14 +119,11 @@ def _shake(fuzz, run, inline: dict):
         assert fuzz.futures and all(f.done() for f in fuzz.futures), f"seed {seed}: a job is pending"
 
 
-def _inline(monkeypatch, run) -> dict:
-    """run()'s bits with every handoff inline; then every gate is forced open."""
-    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: False)
-    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", float("inf"))
+def _inline(handoff, run) -> dict:
+    """run()'s bits with every handoff inline; then every handoff is forced on."""
+    handoff(False)
     out = _bits(run())
-    monkeypatch.setattr(autograd, "_overlap", lambda spans, flop: True)
-    monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0)
+    handoff(True)
     return out
 
 
@@ -134,7 +131,7 @@ pytestmark = pytest.mark.usefixtures("one_blas_thread")
 
 
 @pytest.mark.parametrize("kind", ["rau", "lstm"])
-def test_span_flushes(kind, monkeypatch, fuzz):
+def test_span_flushes(kind, monkeypatch, handoff, fuzz):
     monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 8)  # spans of two steps over T=9: four flushes on the worker
     rng = Rng(1)
     params = init_cell(kind, 3, 5, 0.5, rng)
@@ -147,21 +144,21 @@ def test_span_flushes(kind, monkeypatch, fuzz):
         grads, dx, dh0 = backward_cell_sequence(params, trace, dh_steps=dh_steps)
         return {**grads, "dx": dx, "dh0": dh0}
 
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))
 
 
 # B x T = 259 rows and V = 1009, as tests/test_head_split.py: each GEMM half holds over 1e6 multiply-adds
 HB, HT, HN, HV = 7, 37, 48, 1009
 
 
-def test_head_gemm(monkeypatch, fuzz):
+def test_head_gemm(handoff, fuzz):
     rng = Rng(2)
     a, b, bias = rng.uniform(-1.0, 1.0, (HB * HT, HN)), rng.uniform(-1.0, 1.0, (HN, HV)), rng.uniform(-1.0, 1.0, HV)
     run = lambda: {"out": autograd._split_gemm(a, b, bias)}
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))
 
 
-def test_cross_entropy_halves(monkeypatch, fuzz):
+def test_cross_entropy_halves(monkeypatch, handoff, fuzz):
     monkeypatch.setattr(models, "CE_BLOCK_BYTES", 10 * 8 * HV)  # blocks of 10 rows
     logits, targets = Rng(3).uniform(-8.0, 8.0, (HB * HT, HV)), Rng(4).integers(HV, size=HB * HT)
 
@@ -169,10 +166,10 @@ def test_cross_entropy_halves(monkeypatch, fuzz):
         loss, dlogits = cross_entropy(logits, targets)
         return {"loss": loss, "dlogits": dlogits, "no_grad": cross_entropy(logits, targets, grad=False)[0]}
 
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))
 
 
-def test_sgd_halves(monkeypatch, fuzz):
+def test_sgd_halves(handoff, fuzz):
     start = build_language_model("gru", HV, HN, 1, 0.5, Rng(5))
     grads = Grads.zeros_like(start)
     for g in grads.buffers.values():
@@ -183,20 +180,20 @@ def test_sgd_halves(monkeypatch, fuzz):
         apply_update(make_optimizer("sgd", mdl, 0.7), mdl, g)
         return dict(iter_tensors(mdl))
 
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))
 
 
-def test_head_gradients(monkeypatch, fuzz):
+def test_head_gradients(handoff, fuzz):
     # dh's row half, then the head's weight and bias gradients beside the layers' BPTT
     mdl = build_language_model("rau", HV, HN, 1, 0.5, Rng(6))
     logits, _, tape = lm_forward(mdl, Rng(7).integers(HV, size=(HB, HT)), train_mode=True)
     dlogits = Rng(8).uniform(-1e-3, 1e-3, logits.shape)
     run = lambda: backward(tape, dlogits)
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))
 
 
 @pytest.mark.parametrize("kind,layers", [("rau", 2), ("gru", 3), ("lstm", 2)])
-def test_forward_wavefront(kind, layers, monkeypatch, fuzz):
+def test_forward_wavefront(kind, layers, handoff, fuzz):
     # the head and cross-entropy are too small to cut: only the upper layers' steps go to the worker
     mdl = build_language_model(kind, 23, 6, layers, 0.5, Rng(9), dropout=0.3)
     tokens = Rng(10).integers(23, size=(4, 6))
@@ -207,10 +204,10 @@ def test_forward_wavefront(kind, layers, monkeypatch, fuzz):
         return {"train": train_logits, "eval": eval_logits, **{f"h{l}": s.h for l, s in enumerate(eval_states)},
                 **{f"trace{l}.{name}": buf for l, tr in enumerate(tape.traces) for name, buf in vars(tr).items()}}
 
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))
 
 
-def test_attention_branch(monkeypatch, fuzz):
+def test_attention_branch(handoff, fuzz):
     # a one-layer RAU: no wavefront, so each step's attention branch goes to the worker
     mdl = build_classifier("rau", 3, 6, 1, 4, 0.5, Rng(12), dropout=0.3)
     xs = Rng(13).uniform(-1.0, 1.0, (4, 6, 3))
@@ -220,4 +217,4 @@ def test_attention_branch(monkeypatch, fuzz):
         return {"train": train_logits, "eval": classify_forward(mdl, xs)[0],
                 **{f"trace.{name}": buf for name, buf in vars(tape.traces[0]).items()}}
 
-    _shake(fuzz, run, _inline(monkeypatch, run))
+    _shake(fuzz, run, _inline(handoff, run))

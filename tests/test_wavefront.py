@@ -1,13 +1,13 @@
 """A stack's forward as a wavefront on the worker thread gives the inline path's bits.
 
-In a stack that `autograd._wavefront` admits, `models._forward` hands the
-upper layers' step t to the worker thread while the caller runs the first
-layer's step t+1. Each layer still runs its own steps in order on its own
-state, trace and dropout masks, so every output keeps its bits. These
-tests force the wavefront on or off through its flop floor
-`autograd.STEP_HANDOFF_FLOP` and a patched `autograd._second_core`, which
-leaves the gate's check of the step functions in force, and pin BLAS at
-one thread per call, where the wavefront runs.
+Where `autograd._forward_plan` answers "wavefront", `models._forward` hands
+the upper layers' step t to the worker thread while the caller runs the
+first layer's step t+1. Each layer still runs its own steps in order on
+its own state, trace and dropout masks, so every output keeps its bits.
+These tests force every handoff on or off through the `handoff` fixture,
+which leaves the plan's check of the step functions in force, and pin
+BLAS at one thread per call, where the wavefront runs. When it runs
+unforced is tested in tests/test_forward_plan.py.
 """
 
 import copy
@@ -16,9 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from rau import autograd, cells
+from rau import cells
 from rau.autograd import backward
-from rau.cells import init_cell, iter_tensors
+from rau.cells import iter_tensors
 from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, cross_entropy, dropout_mask, lm_forward
 from rau.train import evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier, train_epoch_lm
@@ -29,16 +29,11 @@ STACKS = pytest.mark.parametrize("layers", [2, 3], ids=["2layers", "3layers"])
 DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dropout"])
 
 
-def _force(monkeypatch, on: bool):
-    monkeypatch.setattr(autograd, "_second_core", lambda: True)
-    monkeypatch.setattr(autograd, "STEP_HANDOFF_FLOP", 0 if on else float("inf"))
-
-
-def _both(monkeypatch, run):
-    """run() with the wavefront off, then on."""
-    _force(monkeypatch, False)
+def _both(handoff, run):
+    """run() with every handoff off, then on."""
+    handoff(False)
     inline = run()
-    _force(monkeypatch, True)
+    handoff(True)
     return inline, run()
 
 
@@ -79,7 +74,7 @@ class TestSameBits:
     @DROPOUT
     @STACKS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lm_forward(self, kind, layers, dropout, monkeypatch, jobs):
+    def test_lm_forward(self, kind, layers, dropout, handoff, jobs):
         mdl, tokens = _lm(kind, layers, dropout), _tokens(2)
         # a carried-in state, as the next window of a stream starts from
         start = lm_forward(mdl, _tokens(3), train_mode=False)[1]
@@ -90,14 +85,14 @@ class TestSameBits:
             return {"train": train_logits, "eval": eval_logits, **_states("train", train_states),
                     **_states("eval", eval_states), **_tape(tape)}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
         # the upper layers' steps 0 .. T-2 go to the worker, in the train pass and in the eval pass
         assert jobs == ["_steps"] * (2 * (T - 1))
 
     @DROPOUT
     @STACKS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_gradients(self, kind, layers, dropout, monkeypatch):
+    def test_gradients(self, kind, layers, dropout, handoff):
         mdl, tokens, targets = _lm(kind, layers, dropout), _tokens(5), _tokens(6, (T * B,))
 
         def run():
@@ -105,11 +100,11 @@ class TestSameBits:
             _, dlogits = cross_entropy(logits.reshape(T * B, -1), targets)
             return backward(tape, dlogits.reshape(logits.shape))
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
 
     @STACKS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, monkeypatch, jobs):
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, handoff, jobs):
         start = _lm(kind, layers, 0.3, seed=8)
         stream = _tokens(9, (B * (2 * T + 1),))
 
@@ -121,11 +116,13 @@ class TestSameBits:
             loss, ppl = evaluate_lm(mdl, stream, B, T)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
-        _assert_same_bits(*_both(monkeypatch, run))
-        assert jobs == ["_steps"] * (4 * (T - 1))  # two train windows, then two eval windows
+        _assert_same_bits(*_both(handoff, run))
+        # two train windows, then two eval windows; the train windows hand the head's gradients and the SGD
+        # update's halves over too
+        assert [name for name in jobs if name == "_steps"] == ["_steps"] * (4 * (T - 1))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_classifier_trained_two_adam_steps_then_evaluated(self, kind, monkeypatch):
+    def test_classifier_trained_two_adam_steps_then_evaluated(self, kind, handoff):
         start = build_classifier(kind, 3, N, 2, 4, 0.5, Rng(11), dropout=0.2)
         xs, ys = Rng(12).uniform(-1.0, 1.0, (2 * B, T, 3)), Rng(13).integers(4, size=2 * B)
 
@@ -136,11 +133,11 @@ class TestSameBits:
             loss, acc = evaluate_classifier(mdl, xs, ys, B)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "acc": acc}
 
-        _assert_same_bits(*_both(monkeypatch, run))
+        _assert_same_bits(*_both(handoff, run))
 
     @STACKS
-    def test_dropout_draws_stay_step_major_then_layer(self, layers, monkeypatch):
-        _force(monkeypatch, True)
+    def test_dropout_draws_stay_step_major_then_layer(self, layers, handoff):
+        handoff(True)
         _, _, tape = lm_forward(_lm("rau", layers, 0.3), _tokens(15), train_mode=True, rng=Rng(16))
         rng = Rng(16)
         for t in range(T):
@@ -170,8 +167,8 @@ class TestFailures:
 
     @pytest.mark.parametrize("side", ["worker", "caller"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_a_raising_step_surfaces_and_nothing_is_pending(self, kind, side, monkeypatch, queued):
-        _force(monkeypatch, True)
+    def test_a_raising_step_surfaces_and_nothing_is_pending(self, kind, side, monkeypatch, handoff, queued):
+        handoff(True)
         mdl, tokens = _lm(kind, 2, 0.3), _tokens(17)
         want = lm_forward(mdl, tokens, train_mode=True, rng=Rng(18))[0]
         queued.clear()
@@ -186,69 +183,3 @@ class TestFailures:
         monkeypatch.setitem(cells._KINDS, kind, k)
         assert lm_forward(mdl, tokens, train_mode=True, rng=Rng(18))[0].tobytes() == want.tobytes()
 
-
-class TestWhenItRuns:
-    """The automatic decision, with the BLAS thread count and the CPU affinity patched."""
-
-    @pytest.fixture
-    def host(self, monkeypatch):
-        state = {"blas": 1, "cpus": {0, 1}}
-        monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
-        monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
-        return state
-
-    @staticmethod
-    def _stack(kind, n, layers=2, m=None):
-        rng = Rng(19)
-        return [init_cell(kind, (m or n) if l == 0 else n, n, 0.1, rng) for l in range(layers)]
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_on_at_the_ptb_small_shape(self, kind, host):
-        # B=20, n=200: RAU steps of 19.2 MFLOP, LSTM 12.8, GRU 9.6
-        assert autograd._wavefront(self._stack(kind, 200), 20)
-        assert autograd._wavefront(self._stack(kind, 200, layers=3), 20)
-
-    @pytest.mark.usefixtures("one_blas_thread")
-    def test_a_ptb_small_lm_hands_its_upper_layer_to_the_worker(self, host, jobs):
-        mdl = build_language_model("rau", 50, 200, 2, 0.1, Rng(20))
-        tokens = Rng(21).integers(50, size=(20, 4))
-        got = lm_forward(mdl, tokens)[0]
-        assert jobs == ["_steps"] * 3
-        host["cpus"] = {0}
-        assert lm_forward(mdl, tokens)[0].tobytes() == got.tobytes()
-        assert len(jobs) == 3
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_off_at_hidden_64(self, kind, host):
-        # B=20, n=64: a RAU step of 2 MFLOP, where the wavefront ran 0.64-0.70x as fast
-        assert not autograd._wavefront(self._stack(kind, 64), 20)
-
-    def test_off_where_any_layer_is_small(self, host):
-        # a 28-wide first layer under a 200-wide one
-        assert not autograd._wavefront(self._stack("gru", 200, m=28), 4)
-
-    def test_one_layer_and_small_steps_make_no_system_call(self, monkeypatch):
-        def unasked(*args):
-            raise AssertionError("the gate asked the host")
-
-        monkeypatch.setattr(autograd, "_blas_threads", unasked)
-        monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
-        assert not autograd._wavefront(self._stack("rau", 200, layers=1), 20)
-        assert not autograd._wavefront(self._stack("rau", 200), 1)
-        assert not autograd._wavefront(self._stack("rau", 4, m=3), 1)
-
-    @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
-    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host):
-        host["blas"] = blas
-        assert not autograd._wavefront(self._stack("rau", 200), 20)
-
-    def test_off_on_one_cpu(self, host):
-        host["cpus"] = {0}
-        assert not autograd._wavefront(self._stack("rau", 200), 20)
-
-    @pytest.mark.parametrize("name", ["step", "sigmoid", "tanh", "softmax"])
-    def test_off_while_a_step_function_is_wrapped(self, name, host, monkeypatch):
-        # a tracer's wrapper would open its spans on the worker thread
-        own = getattr(cells, name)
-        monkeypatch.setattr(cells, name, lambda *args, **kwargs: own(*args, **kwargs))
-        assert not autograd._wavefront(self._stack("rau", 200), 20)

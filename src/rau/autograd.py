@@ -30,11 +30,13 @@ the worker runs the upper layers' step t beside the first layer's step
 t+1. Each layer keeps its own steps in order, so the bits stay. Where a
 stack is no wavefront, a RAU step of a large forward hands its attention
 branch to the worker and runs its GRU branch in the caller (see
-`cells.rau_step`). So the worker has four uses: the span flushes, the
-head halves, the wavefront and the attention branch. Every handoff goes
-through one join, `_beside`, and one policy, `_handoff`: work of its
-use's flop floor or more, and a CPU of its own for the worker. A forward
-asks `_forward_plan` once which of its two uses, if either, it runs.
+`cells.rau_step`). A classifier's eval may score two batches at once,
+the worker running one batch's whole forward beside the caller's (see
+`_eval_pairs`). So the worker has five uses: the span flushes, the head
+halves, the wavefront, the attention branch and the eval pairs. Every
+handoff goes through one join, `_beside`, and one policy, `_handoff`:
+work of its use's flop floor or more, and a CPU of its own for the
+worker. A forward asks `_forward_plan` once which use, if either, it runs.
 
 `fd_gradient` is the independent oracle: central differences of any
 scalar function of the parameters, one coordinate at a time. It shares
@@ -46,6 +48,7 @@ from __future__ import annotations
 import copy
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -174,7 +177,10 @@ SPLIT_ROWS = 96
 # 19.2, LSTM 12.8, GRU 9.6). A 1-layer, 28-step RAU eval forward with its attention branch on the worker
 # against inline ran 0.28-0.39x as fast at B=1, 0.58-0.90x at 0.7-4.3 MFLOP of attention a step (m=28,
 # n=128 at B=8-48; m=8, n=64 at B=64), 1.01x at 5.7 (B=64 at m=28, n=128) and 1.19-1.49x at 8.5-22.7
-# (B=96-256 at m=28, n=128; B=256 at m=8, n=64; B=20 at m=n=200).
+# (B=96-256 at m=28, n=128; B=256 at m=8, n=64; B=20 at m=n=200). A classifier's eval that runs two whole
+# batches at once (see `_eval_pairs`), each inline, against one at a time ran 0.95x as fast at 3.5 MFLOP a
+# step (GRU m=8, n=64, B=128), 0.79x at 3.0 (RAU m=8, n=64, B=64), and 1.26-1.68x at 6.7-12.1 (RAU m=28,
+# n=128 at B=32; GRU m=28, n=128 at B=64; RAU and GRU m=8, n=64 at B=256), a step counting every layer.
 STEP_HANDOFF_FLOP = 6_000_000
 # A forward step calls these names of `cells`, which the benchmark's tracer may wrap. A wrapped one opens
 # spans on the thread that calls it, so no step hands work to the worker unless each is the library's own:
@@ -319,6 +325,18 @@ def _forward_plan(stack: Sequence[CellParams], batch: int) -> str | None:
     return plan if _handoff(flop, STEP_HANDOFF_FLOP) else None
 
 
+def _eval_pairs(stack: Sequence[CellParams], batch: int, batches: int) -> bool:
+    """Whether `train.evaluate_classifier` scores its batches of stack two at a time, the worker thread
+    running one batch's forward beside the caller's: for two batches or more, where a step of the whole
+    stack at the pairs' smallest batch `_handoff`s at STEP_HANDOFF_FLOP and the step functions and train's
+    classify_forward and cross_entropy, which the benchmark's tracer may wrap, are the library's own."""
+    from . import models, train
+
+    own = train.classify_forward is models.classify_forward and train.cross_entropy is models.cross_entropy
+    return (batches > 1 and own and all(getattr(cells, name) is fn for name, fn in _STEP_NAMES)
+            and _handoff(2 * batch * sum(w.size for p in stack for w, _ in p.groups), STEP_HANDOFF_FLOP))
+
+
 def _in_halves(rows: int, align: int, row_flop: int, fn: Callable, *args) -> None:
     """fn(*args, part) over parts that together cover range(rows), each row costing row_flop.
 
@@ -352,12 +370,12 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None, out: np.nd
 def _beside(job: Callable | None, on: bool, fn: Callable, *args):
     """job() and fn(*args); returns fn's result once both have run, raising what either raised.
 
-    With on, the worker thread runs job while the caller runs fn; else the caller runs job, then fn. A job
-    of None is no work.
+    With on, the worker thread runs job while the caller runs fn; else the caller runs job, then fn, as it
+    also does on the worker thread, where a queued job would wait on itself. A job of None is no work.
     """
     if job is None:
         return fn(*args)
-    if not on:
+    if not on or threading.current_thread().name.startswith(_WORKER_NAME):
         job()
         return fn(*args)
     queued = _submit(job)
@@ -393,6 +411,7 @@ def _blas_threads_query():
 
 
 _worker: tuple | None = None  # (pid, executor) of the worker thread; a forked child starts its own
+_WORKER_NAME = "rau-worker"
 
 
 def _submit(job: Callable):
@@ -406,7 +425,7 @@ def _submit(job: Callable):
     if _worker is None or _worker[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
 
-        _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="rau-worker"))
+        _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix=_WORKER_NAME))
     return _worker[1].submit(np.errstate(**np.geterr())(job))
 
 
@@ -419,7 +438,7 @@ class Tape:
     step, per the model's readout), the dropout masks of each layer's
     cell inputs (one (T, B, m) array per layer) and of the head input,
     and the token ids of an embedding. The model is shared, not copied,
-    so a tape is only valid until its parameters are updated.
+    so `backward` raises once `train.apply_update` has bumped its version.
     """
 
     model: object
@@ -428,6 +447,7 @@ class Tape:
     in_masks: list | None = None
     out_masks: np.ndarray | None = None
     token_ids: np.ndarray | None = None
+    version: int = 0
 
 
 def backward(tape: Tape, dlogits) -> Grads:
@@ -440,6 +460,8 @@ def backward(tape: Tape, dlogits) -> Grads:
     when backward returns or raises.
     """
     model = tape.model
+    if tape.version != model.version:
+        raise ContractError(f"backward: a stale tape, of model version {tape.version}, at {model.version} now")
     # the head-weight gradient overwrites its whole buffer, so it skips the zero fill
     grads = Grads.zeros_like(model, unset=("w_out",))
     V, n = model.w_out.shape

@@ -72,6 +72,7 @@ class SequenceModel:
     embedding: np.ndarray | None = None
     dropout: DropoutSpec = field(default_factory=DropoutSpec)
     readout: str = "last"
+    version: int = 0  # bumped by `train.apply_update`, so a tape of an older one raises; no checkpoint keeps it
 
     def __post_init__(self):
         kinds = {cells._kind_of(p, "SequenceModel") for p in self.cells}
@@ -117,7 +118,7 @@ def _lookup_tokens(embedding: np.ndarray, ids: np.ndarray, op: str):
     return ids
 
 
-def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, rng):
+def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, rng, *, traces: list | None = None):
     """Unroll the stack over batch-first inputs, apply the readout, record the tape.
 
     inputs are (B, T) token ids for a model with an embedding, else
@@ -135,7 +136,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     `autograd._forward_plan` answers "wavefront", the worker thread runs the
     upper layers' step t while the caller runs the first layer's step t+1;
     where it answers "attention", each step's attention branch beside the
-    step's GRU branch.
+    step's GRU branch. Given eval traces (see `train.evaluate_classifier`),
+    it records into them and hands nothing over.
     """
     rate = mdl.dropout.rate
     use_drop = train_mode and rate > 0.0
@@ -150,7 +152,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         token_ids = inputs
         xs_steps = [mdl.embedding[ids] for ids in xs_steps]
     R = T if train_mode else 1
-    traces = [cells.new_trace(p, R, (B,)) for p in mdl.cells]
+    plan = None if traces else autograd._forward_plan(mdl.cells, B)
+    traces = traces or [cells.new_trace(p, R, (B,)) for p in mdl.cells]
     rows = [[trace.row(r) for r in range(R)] for trace in traces]
     in_masks = None
     if use_drop:
@@ -158,8 +161,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         for t in range(T):
             for masks in in_masks:
                 masks[t] = dropout_mask(rng, masks.shape[1:], rate)
-    layers, top_steps = range(len(mdl.cells)), [None] * T
-    plan = autograd._forward_plan(mdl.cells, B)
+    # the "last" readout reads one step's top state, so its one slot takes every step's (see `_steps`)
+    layers, top_steps = range(len(mdl.cells)), [None] * (T if mdl.readout == "every" else 1)
     if plan == "wavefront":
         # the worker runs the upper layers' step t beside the first layer's step t+1
         first_h = [None] * T
@@ -184,7 +187,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     logits = autograd._split_gemm(head_in.reshape(-1, mdl.hidden_size), mdl.w_out.T, mdl.b_out)
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
-    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids) if train_mode else None
+    tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids, mdl.version) if train_mode else None
     return logits, states, tape
 
 
@@ -192,7 +195,7 @@ def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, state
            in_masks: list | None, steps: range, beside=None) -> None:
     """Each step t in steps, in order, of the layers in layers, in order: the first layer's input is
     inputs[t], each layer's goes through its dropout mask if in_masks is given, and the last layer's h
-    goes to outputs[t]. beside, if given, goes to each RAU step (see `cells.rau_step`).
+    goes to outputs[t % len(outputs)]. beside, if given, goes to each RAU step (see `cells.rau_step`).
 
     A layer steps only its own state, trace rows and masks, so two threads may run two layers' steps.
     """
@@ -207,11 +210,12 @@ def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, state
             else:
                 states[l] = cells.CellState(cells.rau_step(mdl.cells[l], inp, states[l].h, row, beside=beside)[0])
             inp = states[l].h
-        outputs[t] = inp
+        outputs[t % len(outputs)] = inp
 
 
-def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng | None = None):
-    """Run the stack over a sequence and read out logits from the final state."""
+def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng | None = None, *,
+                     _traces: list | None = None):
+    """Run the stack over a sequence and read out logits from the final state; _traces go to `_forward`."""
     if mdl.embedding is not None:
         arr = _lookup_tokens(mdl.embedding, seq, "classify_forward")
         single = arr.ndim == 1
@@ -224,7 +228,7 @@ def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng
         arr = arr[None]
     if arr.shape[1] == 0:
         raise ContractError("classify_forward: empty sequence")
-    logits, _, tape = _forward(mdl, arr, None, train_mode, rng)
+    logits, _, tape = _forward(mdl, arr, None, train_mode, rng, traces=_traces)
     return (logits[0] if single else logits), tape
 
 

@@ -10,6 +10,7 @@ triple pins every emitted metric except wall-clock time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autograd
 from .autograd import Grads, backward, clip_global_norm
-from .cells import iter_buffers
+from .cells import iter_buffers, new_trace
 from .data import lm_batches
 from .linalg import ContractError, NumericError, Rng
 from .models import classify_forward, cross_entropy, lm_forward, perplexity
@@ -100,8 +101,11 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     the Adam moments must be laid out like params (`Grads.zeros_like`). It
     consumes grads: SGD scales each buffer by the learning rate in place,
     as clip_global_norm scales them in place before it. It does not check
-    the gradients: the loops' clip_global_norm already has.
+    the gradients: the loops' clip_global_norm already has. It first bumps
+    a model's version, which stales its tapes (`autograd.Tape`); a bare cell has none.
     """
+    if hasattr(params, "version"):
+        params.version += 1
     sgd = opt.kind == "sgd"
     by_key = [grads.buffers] if sgd else [grads.buffers, opt.m.buffers, opt.v.buffers]
     try:
@@ -169,8 +173,12 @@ def _train_forward(what: str, epoch: int, step: int, forward, *args, **kwargs):
         raise DivergenceError(f"{what} forward diverged at epoch {epoch}, step {step}: {e}") from e
 
 
-def _check_loop(op: str, batch_size: int, max_steps: int | None = None, step_offset: int = 0) -> None:
-    """A loop's ContractError, before any work, for a batch size below 1 or no optimizer step left."""
+def _check_loop(op: str, batch_size: int, max_steps: int | None = None, step_offset: int = 0,
+                xs=(), ys=None) -> None:
+    """A loop's ContractError, before any work, for a classifier's labels ys that are none or not one per
+    input in xs, a batch size below 1 or no optimizer step left."""
+    if ys is not None and not 0 < len(ys) == len(xs):
+        raise ContractError(f"{op}: {len(xs)} inputs for {len(ys)} labels" if len(ys) else f"{op}: empty data")
     if batch_size < 1:
         raise ContractError(f"{op}: batch_size must be >= 1, got {batch_size}")
     if max_steps is not None and step_offset >= max_steps:
@@ -185,10 +193,8 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
     Loss and accuracy are running averages over the shuffled batches.
     max_steps caps total optimizer steps (step_offset counts prior ones).
     """
+    _check_loop("train_epoch_classifier", batch_size, max_steps, step_offset, xs, ys)
     N = len(ys)
-    if N == 0:
-        raise ContractError("train_epoch_classifier: empty data")
-    _check_loop("train_epoch_classifier", batch_size, max_steps, step_offset)
     t0 = time.monotonic()
     order = rng.permutation(N)
     total_loss = 0.0
@@ -221,21 +227,38 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
 
 
 def evaluate_classifier(model, xs, ys, batch_size: int = 256):
-    """Deterministic eval pass; returns (mean loss, accuracy)."""
+    """Deterministic eval pass; returns (mean loss, accuracy).
+
+    Where `autograd._eval_pairs` says so, the worker thread scores the second batch of each pair beside
+    the first, and a last odd batch runs alone. The sums add each batch's loss and count in batch order.
+    """
+    _check_loop("evaluate_classifier", batch_size, xs=xs, ys=ys)
     N = len(ys)
-    if N == 0:
-        raise ContractError("evaluate_classifier: empty data")
-    _check_loop("evaluate_classifier", batch_size)
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, N, batch_size):
-        xb = xs[start:start + batch_size]
-        yb = ys[start:start + batch_size]
-        logits, _ = classify_forward(model, xb, train_mode=False)
-        loss, _ = cross_entropy(logits, yb, grad=False)
-        total_loss += loss * len(yb)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+    rows = [slice(start, min(start + batch_size, N)) for start in range(0, N, batch_size)]
+    # every pair holds full batches, but the last when the batches are even in number
+    paired = autograd._eval_pairs(model.cells, len(ys[rows[-1]]) if len(rows) % 2 == 0 else batch_size, len(rows))
+    scores = [None] * len(rows)
+    for i in range(0, len(rows), 1 + paired):
+        if paired and i + 1 < len(rows):
+            # the caller allocates both forwards' traces: the worker thread's malloc arena, which keeps its
+            # high-water mark, then holds only the steps' temporaries
+            traces = [[new_trace(p, 1, (len(ys[r]),)) for p in model.cells] for r in rows[i:i + 2]]
+            autograd._beside(functools.partial(_score, model, xs, ys, rows[i + 1], scores, i + 1, traces[1]), True,
+                             _score, model, xs, ys, rows[i], scores, i, traces[0])
+        else:
+            _score(model, xs, ys, rows[i], scores, i, None)
+    total_loss, correct = 0.0, 0
+    for loss, right in scores:
+        total_loss, correct = total_loss + loss, correct + right
     return total_loss / N, correct / N
+
+
+def _score(model, xs, ys, rows: slice, scores: list, i: int, traces: list | None) -> None:
+    """scores[i] = (summed loss, correct count) of the batch of rows; a forward given its eval traces
+    records into them and hands the worker thread nothing (see `models._forward`)."""
+    logits, _ = classify_forward(model, xs[rows], train_mode=False, _traces=traces)
+    loss, _ = cross_entropy(logits, ys[rows], grad=False)
+    scores[i] = (loss * len(ys[rows]), int(np.sum(np.argmax(logits, axis=1) == ys[rows])))
 
 
 def _lm_window_loss(model, inputs, targets, states, train_mode, rng):

@@ -114,6 +114,23 @@ class TestClassifyForward:
         assert peaks[1] - peaks[0] <= 2 * (64 - 8) * B * n * 8
 
     @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_eval_memory_does_not_grow_with_the_steps_at_the_rows_shape(self, kind):
+        # the "last" readout keeps one step's top state: keeping every step's, at T=28, would add
+        # 27 * (256, 128) floats = 7.1 MB to the peak of a B=256 eval forward
+        B, m, n = 256, 28, 128
+        mdl = build_classifier(kind, m, n, 1, 10, 0.1, Rng(0))
+        peaks = []
+        for T in (1, 28):
+            xs = Rng(1).uniform(-1, 1, (B, T, m))
+            tracemalloc.start()
+            try:
+                classify_forward(mdl, xs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 27 * B * n * 8 - 6_000_000
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
     def test_eval_logits_equal_train_mode_logits_without_dropout(self, kind):
         rng = Rng(8)
         mdl = build_classifier(kind, 3, 4, 2, 5, 0.5, rng)
@@ -284,6 +301,22 @@ class TestLmForward:
         loss, dflat = cross_entropy(lg.reshape(T * B, V), np.ascontiguousarray(targs.T).reshape(-1))
         analytic = backward(tape, dflat.reshape(T, B, V))
         assert _max_rel_err(analytic, fd_gradient(loss_fn, mdl, FD_EPS)) <= FD_TOL
+
+    @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
+    def test_logits_read_the_top_state_of_every_step(self, kind):
+        # the "every" readout keeps each step's top state: the head reads them all, in step order
+        B, T, n, V = 3, 6, 4, 11
+        mdl = build_language_model(kind, V, n, 2, 0.5, Rng(10))
+        toks = Rng(11).integers(V, size=(B, T))
+        states, tops = [cells.zero_state(p, B) for p in mdl.cells], []
+        for t in range(T):
+            inp = mdl.embedding[toks[:, t]]
+            for l, p in enumerate(mdl.cells):
+                states[l], _ = cells.step(p, inp, states[l])
+                inp = states[l].h
+            tops.append(inp)
+        want = np.stack(tops).reshape(T * B, n) @ mdl.w_out.T + mdl.b_out
+        assert lm_forward(mdl, toks)[0].tobytes() == want.reshape(T, B, V).tobytes()
 
     def test_state_carry_matches_single_window(self):
         rng = Rng(9)

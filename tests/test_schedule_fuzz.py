@@ -7,7 +7,8 @@ wraps the caller's side of `autograd._beside` the same way; the test
 also lowers the interpreter's switch interval, so the GIL changes hands
 often. Each path runs over SEEDS seeds: the span flushes, the head GEMM,
 cross-entropy and SGD halves, the head's gradients, the forward
-wavefront and a RAU step's attention branch. A run must give the inline
+wavefront, a RAU step's attention branch and a classifier eval's pairs of
+batches. A run must give the inline
 bits and leave no Future pending.
 In every fifth seed one handoff fails instead, on the worker's side, on
 the caller's, or with a KeyboardInterrupt in the caller's half; the
@@ -27,7 +28,7 @@ from rau.autograd import Grads, backward, backward_cell_sequence
 from rau.cells import init_cell, iter_tensors, new_trace, step, zero_state
 from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
-from rau.train import apply_update, make_optimizer
+from rau.train import apply_update, evaluate_classifier, make_optimizer
 
 SEEDS = 50
 FAILURES = ("worker", "caller", "interrupt")
@@ -217,4 +218,13 @@ def test_attention_branch(handoff, fuzz):
         return {"train": train_logits, "eval": classify_forward(mdl, xs)[0],
                 **{f"trace.{name}": buf for name, buf in vars(tape.traces[0]).items()}}
 
+    _shake(fuzz, run, _inline(handoff, run))
+
+
+def test_eval_pairs(handoff, fuzz):
+    # five batches: two pairs, each one's second batch on the worker, then a short batch alone whose
+    # forward hands each step's attention branch to the worker
+    mdl = build_classifier("rau", 3, 6, 1, 4, 0.5, Rng(15), dropout=0.3)
+    xs, ys = Rng(16).uniform(-1.0, 1.0, (19, 6, 3)), Rng(17).integers(4, size=19)
+    run = lambda: dict(zip(("loss", "accuracy"), evaluate_classifier(mdl, xs, ys, 4)))
     _shake(fuzz, run, _inline(handoff, run))

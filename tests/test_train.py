@@ -113,6 +113,39 @@ class TestAdamStep:
             assert abs(delta - 0.05) <= 1e-6 * 0.05
 
 
+class TestStaleTape:
+    """A tape replays its forward's parameters: after an update moves them, backward raises.
+
+    Before, the old tape's backward gave the gradients of a mix of the old
+    forward and the new weights, silently.
+    """
+
+    @staticmethod
+    def _recorded(mdl):
+        xs, ys = Rng(30).uniform(-1, 1, (4, 5, 2)), Rng(31).integers(2, size=4)
+        logits, tape = classify_forward(mdl, xs, train_mode=True)
+        return tape, cross_entropy(logits, ys)[1]
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_a_tape_recorded_before_an_update_raises(self, kind):
+        mdl = _tiny_model()
+        tape, dlogits = self._recorded(mdl)
+        apply_update(make_optimizer(kind, mdl, 0.1), mdl, backward(tape, dlogits))
+        with pytest.raises(ContractError, match="stale tape"):
+            backward(tape, dlogits)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_a_tape_recorded_after_an_update_replays_it(self, kind):
+        mdl = _tiny_model()
+        opt = make_optimizer(kind, mdl, 0.1)
+        apply_update(opt, mdl, backward(*self._recorded(mdl)))
+        grads = backward(*self._recorded(mdl))
+        # the gradients of a copy of the updated parameters
+        for name, g in backward(*self._recorded(copy.deepcopy(mdl))).items():
+            assert g.tobytes() == grads[name].tobytes(), name
+        apply_update(opt, mdl, grads)
+
+
 class TestLrSchedule:
     def test_before_decay_start(self):
         s = LrSchedule(1.0, 0.5, 5)
@@ -340,10 +373,10 @@ class TestLoopArguments:
         return build_classifier("rau", 4, 5, 1, 3, 0.3, Rng(4)), xs, ys
 
     @staticmethod
-    def _untouched(mdl, rng, run):
+    def _untouched(mdl, rng, run, match=None):
         """run() raises ContractError, and leaves mdl's parameters and rng's stream as they were."""
         before, state = {k: v.copy() for k, v in iter_tensors(mdl)}, rng._state
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=match):
             run()
         assert rng._state == state
         for k, v in iter_tensors(mdl):
@@ -372,6 +405,22 @@ class TestLoopArguments:
         rng = Rng(5)
         self._untouched(mdl, rng, lambda: train_epoch_classifier(mdl, xs, ys, make_optimizer("sgd", mdl, 0.5), rng,
                                                                  batch_size, 1, 5))
+
+    # 10 inputs for 8 labels used to drop the last 2 inputs; 6 for 8 raised an IndexError in the train loop
+    # and a cross_entropy error about target shapes in the eval
+    @pytest.mark.parametrize("inputs", [10, 6])
+    def test_classifier_epoch_with_inputs_and_labels_of_two_lengths(self, inputs):
+        mdl, xs, ys = self._classifier()
+        rng, opt = Rng(5), make_optimizer("adam", mdl, 0.01)
+        self._untouched(mdl, rng, lambda: train_epoch_classifier(mdl, xs[:inputs], ys[:8], opt, rng, 4, 1, 5),
+                        f"{inputs} inputs for 8 labels")
+        assert opt.step == 0
+
+    @pytest.mark.parametrize("inputs", [10, 6])
+    def test_classifier_eval_with_inputs_and_labels_of_two_lengths(self, inputs):
+        mdl, xs, ys = self._classifier()
+        with pytest.raises(ContractError, match=f"{inputs} inputs for 8 labels"):
+            evaluate_classifier(mdl, xs[:inputs], ys[:8], 4)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_classifier_eval_with_batch_size_below_one(self, batch_size):

@@ -102,7 +102,7 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     consumes grads: SGD scales each buffer by the learning rate in place,
     as clip_global_norm scales them in place before it. It does not check
     the gradients: the loops' clip_global_norm already has. It first bumps
-    a model's version, which stales its tapes (`autograd.Tape`); a bare cell has none.
+    a model's version, staling its tapes (`autograd.Tape`); a bare cell has none.
     """
     if hasattr(params, "version"):
         params.version += 1

@@ -556,7 +556,7 @@ def relative_errors(analytic: Grads, numeric: Grads) -> dict[str, float]:
     return report
 
 
-def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, epsilon: float = 1e-5, perturb: float = 0.0):
+def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, perturb: float = 0.0):
     """Compare BPTT gradients against central differences on random instances.
 
     The loss is a fixed random linear functional of every step's hidden
@@ -594,7 +594,7 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, ep
         if perturb:
             first = next(iter(analytic))
             analytic[first].reshape(-1)[0] += perturb
-        numeric = fd_gradient(forward_loss, params, epsilon)
+        numeric = fd_gradient(forward_loss, params)
         for name, err in relative_errors(analytic, numeric).items():
             worst[name] = max(worst.get(name, 0.0), err)
     return worst

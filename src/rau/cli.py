@@ -51,33 +51,6 @@ EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-@dataclass
-class RunConfig:
-    task: str = "synthetic"
-    cell: str = "rau"
-    hidden: int = 64
-    layers: int = 1
-    epochs: int = 4
-    batch_size: int = 64
-    optimizer: str = "adam"
-    lr: float = 1e-2
-    decay_factor: float = 1.0
-    decay_start_epoch: int = 1
-    dropout: float = 0.0
-    init_scale: float = 0.5
-    seed: int = 7
-    unroll: int = 20
-    vocab: int = 10000
-    emb_dim: int | None = None
-    max_len: int = 200
-    clip_norm: float = 5.0
-    max_steps: int | None = None
-    desk_scale: bool = True
-    data_dir: str | None = None
-    out_dir: str | None = None
-    preset: str | None = None
-
-
 # Published per-task configurations; desk-scale epoch budgets noted inline.
 PRESETS = {
     "mnist": dict(task="mnist-rows", hidden=128, layers=1, optimizer="adam", lr=1e-3,
@@ -99,6 +72,40 @@ PRESETS = {
     "synthetic": dict(task="synthetic", hidden=64, layers=1, optimizer="adam", lr=1e-2,
                       batch_size=64, dropout=0.0, init_scale=0.5, epochs=4),
 }
+
+
+def _setting(default, *, choices=None, least=None, flag=None):
+    """A RunConfig field with the values it allows beside its annotated type, and its `rau train` flag
+    where that is not `--name-with-dashes`."""
+    return dataclasses.field(default=default, metadata={"choices": choices, "least": least, "flag": flag})
+
+
+@dataclass
+class RunConfig:
+    task: str = _setting("synthetic", choices=TASKS)
+    cell: str = _setting("rau", choices=CELL_KINDS)
+    hidden: int = _setting(64, least=1)
+    layers: int = _setting(1, least=1)
+    epochs: int = _setting(4, least=1)
+    batch_size: int = _setting(64, least=1)
+    optimizer: str = _setting("adam", choices=("sgd", "adam"))
+    lr: float = 1e-2
+    decay_factor: float = 1.0
+    decay_start_epoch: int = _setting(1, least=1)  # 1-based: 0 would decay the lr twice in epoch 1
+    dropout: float = 0.0
+    init_scale: float = _setting(0.5, least=0.0)
+    seed: int = 7
+    unroll: int = _setting(20, least=1)
+    vocab: int = _setting(10000, least=2)  # <unk> and <eos> take two ids
+    emb_dim: int | None = _setting(None, least=1)
+    max_len: int = _setting(200, least=1)
+    clip_norm: float = 5.0
+    max_steps: int | None = _setting(None, least=1)
+    desk_scale: bool = True
+    data_dir: str | None = None
+    out_dir: str | None = _setting(None, flag="--out")
+    preset: str | None = _setting(None, choices=tuple(sorted(PRESETS)))
+
 
 # Desk-scale substitutions: dataset subsets and epoch budgets.
 DESK_EPOCHS = {"mnist-rows": 5, "fashion-rows": 5, "ptb": 3, "sentiment": 3, "synthetic": 4}
@@ -130,14 +137,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Layer preset -> config file -> explicit flags into a RunConfig."""
-    merged: dict = {}
-    preset = getattr(args, "preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choices: {', '.join(sorted(PRESETS))}")
-        merged.update(PRESETS[preset])
-        merged["preset"] = preset
+    """Layer preset (the --preset flag's, else the config file's) -> config file -> explicit flags into a RunConfig."""
     file_cfg: dict = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path is not None:
@@ -147,7 +147,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {cfg_path}: {e}")
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {cfg_path} must hold a JSON object")
-        merged.update(file_cfg)
+    preset = getattr(args, "preset", None) or file_cfg.get("preset")
+    # a preset that names none of PRESETS stays in merged, from its flag or file, for validate_config to reject
+    merged = dict(PRESETS.get(preset, {}) if isinstance(preset, str) else {})
+    merged.update(file_cfg)
     field_names = {f.name for f in dataclasses.fields(RunConfig)}
     for name in field_names:
         val = getattr(args, name, None)
@@ -175,22 +178,19 @@ def validate_config(cfg: RunConfig) -> None:
         # bool is an int subclass, but true/false is no number
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-    if cfg.task not in TASKS:
-        raise ConfigError(f"unknown task {cfg.task!r}; choices: {', '.join(TASKS)}")
-    if cfg.cell not in CELL_KINDS:
-        raise ConfigError(f"unknown cell {cfg.cell!r}; choices: {', '.join(CELL_KINDS)}")
-    if cfg.optimizer not in ("sgd", "adam"):
-        raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
-    for name in ("hidden", "layers", "epochs", "batch_size", "unroll", "vocab", "max_len", "max_steps"):
-        if getattr(cfg, name) is not None and getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if value is None:
+            continue
+        choices, least = f.metadata.get("choices"), f.metadata.get("least")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"unknown {f.name} {value!r}; choices: {', '.join(choices)}")
+        if least is not None and value < least:
+            raise ConfigError(f"{f.name} must be >= {least}")
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError("dropout must be in [0, 1)")
-    for name in ("lr", "clip_norm", "init_scale"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)!r}")
-    if cfg.lr <= 0 or cfg.init_scale < 0 or cfg.clip_norm <= 0:
-        raise ConfigError("lr and clip_norm must be positive, init_scale non-negative")
+    if cfg.lr <= 0 or cfg.clip_norm <= 0:
+        raise ConfigError("lr and clip_norm must be positive")
     if not 0.0 < cfg.decay_factor <= 1.0:
         raise ConfigError("decay_factor must be in (0, 1]")
     if cfg.task in ("mnist-rows", "fashion-rows", "ptb", "sentiment") and cfg.data_dir is None:
@@ -406,33 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model per config/preset")
-    p_train.add_argument("--task", choices=TASKS)
-    p_train.add_argument("--cell", choices=CELL_KINDS)
-    p_train.add_argument("--preset", choices=sorted(PRESETS))
     p_train.add_argument("--config", help="JSON config file merged under explicit flags")
-    p_train.add_argument("--hidden", type=int)
-    p_train.add_argument("--layers", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--optimizer", choices=("sgd", "adam"))
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--decay-factor", dest="decay_factor", type=float)
-    p_train.add_argument("--decay-start-epoch", dest="decay_start_epoch", type=int)
-    p_train.add_argument("--dropout", type=float)
-    p_train.add_argument("--init-scale", dest="init_scale", type=float)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--unroll", type=int)
-    p_train.add_argument("--vocab", type=int)
-    p_train.add_argument("--emb-dim", dest="emb_dim", type=int)
-    p_train.add_argument("--max-len", dest="max_len", type=int)
-    p_train.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p_train.add_argument("--max-steps", dest="max_steps", type=int)
-    # accepts --desk-scale, --desk-scale=false, --no-desk-scale
-    p_train.add_argument("--desk-scale", dest="desk_scale", nargs="?", const=True, type=_parse_bool)
-    p_train.add_argument("--no-desk-scale", dest="desk_scale", action="store_false")
-    p_train.set_defaults(desk_scale=None)
-    p_train.add_argument("--data-dir", dest="data_dir")
-    p_train.add_argument("--out", dest="out_dir")
+    for f in dataclasses.fields(RunConfig):
+        flag = f.metadata.get("flag") or "--" + f.name.replace("_", "-")
+        kind = f.type.split(" | ")[0]
+        if kind == "bool":
+            # accepts --flag, --flag=false, --no-flag
+            p_train.add_argument(flag, dest=f.name, nargs="?", const=True, type=_parse_bool)
+            p_train.add_argument("--no-" + flag[2:], dest=f.name, action="store_false", default=None)
+        else:
+            p_train.add_argument(flag, dest=f.name, type={"int": int, "float": float}.get(kind),
+                                 choices=f.metadata.get("choices"))
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")

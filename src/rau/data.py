@@ -138,9 +138,10 @@ def build_vocab(train_text: str, max_size: int) -> Vocab:
         counts.update(tokenize_line(line))
     if not counts:
         raise ContractError("build_vocab: empty corpus")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = [w for w, _ in ranked[: max_size - 2] if w not in (UNK_TOKEN, EOS_TOKEN)]
-    id_to_word = [UNK_TOKEN, EOS_TOKEN] + keep
+    # a literal <unk> or <eos> in the text, as in PTB's files, takes no slot of a real word
+    words = [kv for kv in counts.items() if kv[0] not in (UNK_TOKEN, EOS_TOKEN)]
+    ranked = sorted(words, key=lambda kv: (-kv[1], kv[0]))
+    id_to_word = [UNK_TOKEN, EOS_TOKEN] + [w for w, _ in ranked[: max_size - 2]]
     word_to_id = {w: i for i, w in enumerate(id_to_word)}
     return Vocab(word_to_id=word_to_id, id_to_word=id_to_word)
 

@@ -22,7 +22,7 @@ import functools
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +37,6 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(Exception):
     """Unreadable or inconsistent checkpoint file."""
-
-
-@dataclass
-class DropoutSpec:
-    """Dropout rate in [0, 1); 0 disables. Applied at cell inputs and head input."""
-
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise ContractError(f"dropout rate must be in [0, 1), got {self.rate}")
 
 
 def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
@@ -70,11 +59,13 @@ class SequenceModel:
     w_out: np.ndarray
     b_out: np.ndarray
     embedding: np.ndarray | None = None
-    dropout: DropoutSpec = field(default_factory=DropoutSpec)
+    dropout: float = 0.0  # the rate in [0, 1) at cell inputs and head input; 0 disables
     readout: str = "last"
     version: int = 0  # bumped by `train.apply_update`, so a tape of an older one raises; no checkpoint keeps it
 
     def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout rate must be in [0, 1), got {self.dropout}")
         kinds = {cells._kind_of(p, "SequenceModel") for p in self.cells}
         if len(kinds) != 1:
             raise ContractError(f"SequenceModel: a stack of one cell kind, got {sorted(kinds) or 'no cells'}")
@@ -100,13 +91,13 @@ def build_classifier(cell_kind, input_size, hidden, layers, classes, scale, rng,
         embedding = init_matrix(vocab, emb_dim, scale, rng)
         input_size = emb_dim
     cell_list, w_out, b_out = _cells_and_head(cell_kind, input_size, hidden, layers, classes, scale, rng)
-    return SequenceModel(cell_list, w_out, b_out, embedding, DropoutSpec(dropout), readout="last")
+    return SequenceModel(cell_list, w_out, b_out, embedding, dropout, readout="last")
 
 
 def build_language_model(cell_kind, vocab, hidden, layers, scale, rng, dropout=0.0) -> SequenceModel:
     cell_list, w_out, b_out = _cells_and_head(cell_kind, hidden, hidden, layers, vocab, scale, rng)
     embedding = init_matrix(vocab, hidden, scale, rng)
-    return SequenceModel(cell_list, w_out, b_out, embedding, DropoutSpec(dropout), readout="every")
+    return SequenceModel(cell_list, w_out, b_out, embedding, dropout, readout="every")
 
 
 def _lookup_tokens(embedding: np.ndarray, ids: np.ndarray, op: str):
@@ -139,7 +130,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     step's GRU branch. Given eval traces (see `train.evaluate_classifier`),
     it records into them and hands nothing over.
     """
-    rate = mdl.dropout.rate
+    rate = mdl.dropout
     use_drop = train_mode and rate > 0.0
     if use_drop and rng is None:
         raise ContractError("dropout requires an rng in train mode")
@@ -332,7 +323,7 @@ def _model_spec(model: SequenceModel) -> dict:
             "hidden": model.hidden_size,
             "layers": len(model.cells),
             "vocab": model.embedding.shape[0],
-            "dropout": model.dropout.rate,
+            "dropout": model.dropout,
         }
     return {
         "type": "classifier",
@@ -343,7 +334,7 @@ def _model_spec(model: SequenceModel) -> dict:
         "classes": model.w_out.shape[0],
         "vocab": None if model.embedding is None else int(model.embedding.shape[0]),
         "emb_dim": None if model.embedding is None else int(model.embedding.shape[1]),
-        "dropout": model.dropout.rate,
+        "dropout": model.dropout,
     }
 
 

@@ -25,6 +25,8 @@ from .linalg import ContractError, NumericError, Rng
 from .models import classify_forward, cross_entropy, lm_forward, perplexity
 
 DEFAULT_CLIP_NORM = 5.0
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -78,9 +80,6 @@ class MetricsRecord:
 class OptimizerState:
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: Grads | None = None
     v: Grads | None = None
@@ -120,15 +119,14 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
         return
     opt.step += 1
     t = opt.step
-    b1, b2 = opt.beta1, opt.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for arr, g, m, v in bufs:
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        arr -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        arr -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _sgd(bufs, lr: float, part: slice) -> None:

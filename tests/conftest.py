@@ -123,6 +123,23 @@ def handoff(monkeypatch):
 
 
 @pytest.fixture
+def same_bits(handoff):
+    """same_bits(run, force=handoff): run() under force(False), then under force(True), by default with every
+    handoff off and then on; the two results, dicts of arrays or numbers, must match key for key and byte for byte.
+    """
+    def check(run, force=handoff):
+        force(False)
+        off = run()
+        force(True)
+        on = run()
+        assert list(off) == list(on)
+        for name in off:
+            assert np.asarray(off[name]).tobytes() == np.asarray(on[name]).tobytes(), name
+
+    return check
+
+
+@pytest.fixture
 def host(monkeypatch):
     """The host the policy sees, as a dict to change: its BLAS threads per call and its CPU affinity.
 

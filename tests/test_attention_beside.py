@@ -30,20 +30,6 @@ DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dro
 ROWS = dict(m=28, n=128, batch=128, steps=28)
 
 
-def _both(handoff, run):
-    """run() with every handoff off, then on."""
-    handoff(False)
-    inline = run()
-    handoff(True)
-    return inline, run()
-
-
-def _assert_same_bits(a, b):
-    assert list(a) == list(b)
-    for name in a:
-        assert np.asarray(a[name]).tobytes() == np.asarray(b[name]).tobytes(), name
-
-
 def _tape(tape):
     """Every trace field, the dropout masks and the head input of a one-layer tape."""
     out = {"head_in": tape.head_in, **{f"trace.{name}": buf for name, buf in vars(tape.traces[0]).items()}}
@@ -59,7 +45,7 @@ def _features(seed, shape):
 @pytest.mark.usefixtures("one_blas_thread")
 class TestSameBits:
     @DROPOUT
-    def test_classifier_forward_and_gradients(self, dropout, handoff, jobs):
+    def test_classifier_forward_and_gradients(self, dropout, same_bits, jobs):
         mdl, xs = build_classifier("rau", M, N, 1, C, 0.5, Rng(1), dropout=dropout), _features(2, (B, T, M))
         targets = Rng(3).integers(C, size=B)
 
@@ -68,13 +54,13 @@ class TestSameBits:
             grads = backward(tape, cross_entropy(logits, targets)[1])
             return {"train": logits, "eval": classify_forward(mdl, xs)[0], **_tape(tape), **grads}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         # every step's attention branch goes to the worker, in the train pass and in the eval pass; the
         # backward hands the head's gradients over too
         assert [name for name in jobs if name != "_head_grads"] == ["_attend"] * (2 * T)
 
     @DROPOUT
-    def test_lm_forward_and_gradients(self, dropout, handoff, jobs):
+    def test_lm_forward_and_gradients(self, dropout, same_bits, jobs):
         mdl = build_language_model("rau", V, N, 1, 0.5, Rng(5), dropout=dropout)
         tokens, targets = Rng(6).integers(V, size=(B, T)), Rng(7).integers(V, size=T * B)
         # a carried-in state, as the next window of a stream starts from
@@ -87,10 +73,10 @@ class TestSameBits:
             return {"train": logits, "h": states[0].h, "eval": eval_logits, "eval_h": eval_states[0].h,
                     **_tape(tape), **grads}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert [name for name in jobs if name != "_head_grads"] == ["_attend"] * (2 * T)
 
-    def test_classifier_trained_two_adam_steps_then_evaluated(self, handoff):
+    def test_classifier_trained_two_adam_steps_then_evaluated(self, same_bits):
         start = build_classifier("rau", M, N, 1, C, 0.5, Rng(10), dropout=0.2)
         xs, ys = _features(11, (2 * B, T, M)), Rng(12).integers(C, size=2 * B)
 
@@ -101,9 +87,9 @@ class TestSameBits:
             loss, acc = evaluate_classifier(mdl, xs, ys, B)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "acc": acc}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
 
-    def test_lm_trained_two_sgd_windows_then_evaluated(self, handoff):
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, same_bits):
         start = build_language_model("rau", V, N, 1, 0.5, Rng(14), dropout=0.3)
         stream = Rng(15).integers(V, size=B * (2 * T + 1))
 
@@ -115,9 +101,9 @@ class TestSameBits:
             loss, ppl = evaluate_lm(mdl, stream, B, T)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
 
-    def test_the_rows_shape_through_the_library_policy(self, host, jobs):
+    def test_the_rows_shape_through_the_library_policy(self, host, jobs, same_bits):
         # the floors stay the library's; only the host is taken to have one CPU, then two
         mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(17))
         xs = _features(18, (ROWS["batch"], ROWS["steps"], ROWS["m"]))
@@ -127,11 +113,11 @@ class TestSameBits:
             logits, tape = classify_forward(mdl, xs, train_mode=True)
             return {"logits": logits, **_tape(tape), **backward(tape, cross_entropy(logits, targets)[1])}
 
-        host["cpus"] = {0}
-        inline = run()
-        assert jobs == []
-        host["cpus"] = {0, 1}
-        _assert_same_bits(inline, run())
+        def cpus(on):
+            assert not on or jobs == []  # the one-CPU run hands nothing over
+            host["cpus"] = {0, 1} if on else {0}
+
+        same_bits(run, cpus)
         # the backward's span flushes go to the worker too
         assert [name for name in jobs if name != "_flush"] == ["_attend"] * ROWS["steps"]
 

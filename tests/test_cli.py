@@ -127,6 +127,20 @@ class TestTrainCommand:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "synthetic-rau-seed7").exists()
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("vocab", 1, 2), ("emb_dim", 0, 1), ("emb_dim", -5, 1), ("decay_start_epoch", 0, 1)])
+    def test_value_below_the_field_least_exits_2(self, tmp_path, capsys, field, value, least):
+        # as a flag and as a config file value; vocab 1 and emb_dim -5 used to end in a traceback on the
+        # tasks that read them, emb_dim 0 to train a 100-wide embedding, decay_start_epoch 0 to decay twice
+        flag = f"--{field.replace('_', '-')}"
+        assert main(_train_args(tmp_path, "--max-steps", "1", flag, str(value))) == EXIT_BAD_CONFIG
+        assert f"error: {field} must be >= {least}" in capsys.readouterr().err
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: value}))
+        assert main(_train_args(tmp_path, "--max-steps", "1", "--config", str(cfg_file))) == EXIT_BAD_CONFIG
+        assert f"error: {field} must be >= {least}" in capsys.readouterr().err
+        assert not (tmp_path / "synthetic-rau-seed7").exists()
+
     def test_config_file_merged_under_flags(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"hidden": 32, "lr": 0.5}))
@@ -138,6 +152,41 @@ class TestTrainCommand:
 
 
 class TestPresets:
+    def test_config_file_preset_applies_under_the_file_values(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"preset": "mnist", "hidden": 32}))
+        cfg = resolve_config(build_parser().parse_args(["train", "--config", str(cfg_file), "--data-dir", "x"]))
+        assert (cfg.preset, cfg.task, cfg.lr, cfg.init_scale) == ("mnist", "mnist-rows", 1e-3, 0.1)
+        assert cfg.hidden == 32  # the file's own value over its preset's
+        assert cfg.epochs == 5  # the desk-scale epoch budget, as for a --preset flag
+
+    def test_preset_flag_wins_over_the_config_file_preset(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"preset": "mnist"}))
+        args = build_parser().parse_args(
+            ["train", "--config", str(cfg_file), "--preset", "ptb-small", "--data-dir", "x"])
+        cfg = resolve_config(args)
+        assert (cfg.preset, cfg.task, cfg.hidden, cfg.layers) == ("ptb-small", "ptb", 200, 2)
+
+    @pytest.mark.parametrize("preset, message", [("nope", "unknown preset 'nope'; choices: fashion, mnist"),
+                                                 (["mnist"], "preset must be str | None, got ['mnist']")],
+                             ids=["unknown-name", "list"])
+    def test_unknown_preset_in_config_file_exits_2(self, tmp_path, capsys, preset, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"preset": preset}))
+        assert main(_train_args(tmp_path, "--config", str(cfg_file))) == EXIT_BAD_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "synthetic-rau-seed7").exists()
+
+    def test_a_run_config_json_as_config_gives_the_same_settings(self, tmp_path):
+        # the preset's values must not come back over the flags the run was given
+        assert main(["train", "--preset", "synthetic", "--hidden", "8", "--lr", "0.5", "--max-steps", "1",
+                     "--out", str(tmp_path)]) == 0
+        written = (tmp_path / "synthetic-rau-seed7" / "config.json").read_text()
+        cfg = resolve_config(build_parser().parse_args(
+            ["train", "--config", str(tmp_path / "synthetic-rau-seed7" / "config.json")]))
+        assert json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n" == written
+
     def test_small_lm_preset_values(self):
         args = build_parser().parse_args(
             ["train", "--preset", "ptb-small", "--data-dir", "unused"])

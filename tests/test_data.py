@@ -110,6 +110,11 @@ class TestVocab:
         v = build_vocab("a b c d e f", 4)
         assert len(v) == 4
 
+    def test_literal_special_tokens_take_no_word_slot(self):
+        # PTB's text holds literal <unk> tokens; they used to rank among the words and crowd out b
+        v = build_vocab("a a a <unk> <unk> b b c\nd <eos>", 4)
+        assert v.id_to_word == ["<unk>", "<eos>", "a", "b"]
+
     def test_oov_encodes_to_unk(self):
         v = build_vocab("a a b", 4)
         ids = encode_stream(v, "a zzz b")

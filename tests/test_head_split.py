@@ -39,20 +39,6 @@ def _head_jobs(names):
     return [name for name in names if name in HEAD_JOBS]
 
 
-def _both(handoff, run):
-    """run() with every handoff off, then on."""
-    handoff(False)
-    inline = run()
-    handoff(True)
-    return inline, run()
-
-
-def _assert_same_bits(a, b):
-    assert list(a) == list(b)
-    for name in a:
-        assert np.asarray(a[name]).tobytes() == np.asarray(b[name]).tobytes(), name
-
-
 def _lm(kind, layers, dropout, vocab=V, hidden=N, seed=1):
     return build_language_model(kind, vocab, hidden, layers, 0.5, Rng(seed), dropout=dropout)
 
@@ -68,7 +54,7 @@ LAYERS = pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.3)], ids=["1
 class TestSameBits:
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_logits(self, kind, layers, dropout, handoff, jobs):
+    def test_logits(self, kind, layers, dropout, same_bits, jobs):
         mdl, tokens = _lm(kind, layers, dropout), _tokens(2)
 
         def run():
@@ -76,12 +62,12 @@ class TestSameBits:
             eval_logits, _, _ = lm_forward(mdl, tokens)
             return {"train": train_logits, "eval": eval_logits, **{f"h{l}": s.h for l, s in enumerate(states)}}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert _head_jobs(jobs) == ["_gemm_rows"] * 2
 
     @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
     @pytest.mark.parametrize("rows", [B * T, 40], ids=["odd_rows", "even_rows"])
-    def test_cross_entropy(self, rows, grad, monkeypatch, handoff, jobs):
+    def test_cross_entropy(self, rows, grad, monkeypatch, same_bits, jobs):
         monkeypatch.setattr(models, "CE_BLOCK_BYTES", 10 * 8 * V)  # blocks of 10 rows
         logits = Rng(4).uniform(-8.0, 8.0, (rows, V))
         targets = Rng(5).integers(V, size=rows)
@@ -90,12 +76,12 @@ class TestSameBits:
             loss, dlogits = cross_entropy(logits, targets, grad=grad)
             return {"loss": loss, "dlogits": dlogits}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert jobs == ["_cross_entropy_rows"]
 
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_backward(self, kind, layers, dropout, handoff, jobs):
+    def test_backward(self, kind, layers, dropout, same_bits, jobs):
         mdl, tokens, targets = _lm(kind, layers, dropout), _tokens(6), _tokens(7, (B * T,))
 
         def run():
@@ -103,10 +89,10 @@ class TestSameBits:
             _, dlogits = cross_entropy(logits.reshape(B * T, -1), targets)
             return backward(tape, dlogits.reshape(logits.shape))
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert _head_jobs(jobs) == ["_gemm_rows", "_cross_entropy_rows", "_gemm_rows", "_head_grads"]
 
-    def test_sgd_update(self, handoff, jobs):
+    def test_sgd_update(self, same_bits, jobs):
         start = _lm("rau", 2, 0.0)
         grads = Grads.zeros_like(start)
         for g in grads.buffers.values():
@@ -117,12 +103,12 @@ class TestSameBits:
             apply_update(make_optimizer("sgd", mdl, 0.7), mdl, g)
             return {**dict(iter_tensors(mdl)), **{f"grad.{k}": v for k, v in g.items()}}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert jobs == ["_sgd"]
 
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, dropout, handoff, jobs):
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, dropout, same_bits, jobs):
         start = _lm(kind, layers, dropout, seed=9)
         stream = _tokens(10, (B * (2 * T + 1),))
 
@@ -133,7 +119,7 @@ class TestSameBits:
             loss, ppl = evaluate_lm(mdl, stream, B, T)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         # per window the forward, cross-entropy, dh, the head's gradients and the update; then the eval windows
         window = ["_gemm_rows", "_cross_entropy_rows"]
         assert _head_jobs(jobs) == (window + ["_gemm_rows", "_head_grads", "_sgd"]) * 2 + window * 2

@@ -18,7 +18,6 @@ from rau.linalg import ContractError, Rng, init_matrix, softmax
 from rau import models
 from rau.models import (
     CheckpointError,
-    DropoutSpec,
     build_classifier,
     build_language_model,
     classify_forward,
@@ -541,7 +540,7 @@ class TestDropout:
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ContractError):
-            DropoutSpec(rate=1.0)
+            build_classifier("gru", 3, 4, 1, 2, 0.5, Rng(14), dropout=1.0)
 
 
 class TestCheckpoint:
@@ -553,7 +552,7 @@ class TestCheckpoint:
         loaded, cfg = load_checkpoint(path)
         assert cfg == {"seed": 7, "task": "synthetic"}
         assert [p.kind for p in loaded.cells] == ["rau", "rau"]
-        assert loaded.dropout.rate == 0.25
+        assert loaded.dropout == 0.25
         for (name_a, a), (name_b, b) in zip(cells.iter_tensors(mdl), cells.iter_tensors(loaded)):
             assert name_a == name_b
             assert np.array_equal(a, b)

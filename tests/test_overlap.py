@@ -50,20 +50,6 @@ def submitted(monkeypatch):
     return futures
 
 
-def _both(handoff, run):
-    """run() inline, then with every handoff, every window's flushes among them, on the worker."""
-    handoff(False)
-    inline = run()
-    handoff(True)
-    return inline, run()
-
-
-def _assert_same_bits(a, b):
-    assert list(a) == list(b)
-    for name in a:
-        assert a[name].tobytes() == b[name].tobytes(), name
-
-
 def _record(kind, m, n, T, batch, seed):
     rng = Rng(seed)
     params = init_cell(kind, m, n, 0.5, rng)
@@ -80,7 +66,7 @@ class TestSameBits:
     @pytest.mark.parametrize("rows", [1, 40, 512], ids=lambda r: f"rows{r}")
     @pytest.mark.parametrize("batch", [None, 1, 3, 20, 128], ids=lambda b: "1d" if b is None else f"B{b}")
     @pytest.mark.parametrize("kind", KINDS)
-    def test_cell_gradients_equal_the_inline_path(self, kind, batch, rows, monkeypatch, handoff, submitted):
+    def test_cell_gradients_equal_the_inline_path(self, kind, batch, rows, monkeypatch, same_bits, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", rows)
         params, trace, dh_steps = _record(kind, 5, 6, 9, batch, seed=rows + (batch or 0))
 
@@ -88,21 +74,20 @@ class TestSameBits:
             grads, dx, dh0 = backward_cell_sequence(params, trace, dh_last=dh_steps[-1], dh_steps=dh_steps)
             return {**grads, "dx": dx, "dh0": dh0}
 
-        inline, worker = _both(handoff, run)
-        _assert_same_bits(inline, worker)
+        same_bits(run)
         span = min(9, max(1, rows // (batch or 1)))
         assert len(submitted) == -(-9 // span) - 1  # every span's flush but the first's
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_rows_classify_shape(self, kind, handoff, submitted):
+    def test_rows_classify_shape(self, kind, same_bits, submitted):
         # B=128, T=28, m=28, n=128 at the default DW_GEMM_ROWS: seven spans of four steps
         params, trace, dh_steps = _record(kind, 28, 128, 28, 128, seed=3)
         run = lambda: backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)[0]
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert len(submitted) == 6
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_two_layer_lm_with_dropout(self, kind, monkeypatch, handoff, submitted):
+    def test_two_layer_lm_with_dropout(self, kind, monkeypatch, same_bits, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 12)
         mdl = build_language_model(kind, 11, 5, 2, 0.5, Rng(30), dropout=0.3)
         tokens = Rng(31).integers(11, size=(4, 7))
@@ -113,11 +98,11 @@ class TestSameBits:
             _, dlogits = cross_entropy(logits.reshape(7 * 4, -1), targets)
             return backward(tape, dlogits.reshape(logits.shape))
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert len(submitted) == 2 * 2  # two layers, spans of 3, 3 and 1 steps
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_classifier_trained_three_adam_steps(self, kind, monkeypatch, handoff, submitted):
+    def test_classifier_trained_three_adam_steps(self, kind, monkeypatch, same_bits, submitted):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 24)
         xs, ys = synthetic_memorization(Rng(40), 24, 10, 3, 3, 0.25)
         start = build_classifier(kind, 3, 6, 1, 3, 0.5, Rng(41))
@@ -129,7 +114,7 @@ class TestSameBits:
             assert steps == 3
             return dict(iter_tensors(mdl))
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         assert len(submitted) == 3 * 3  # spans of 3 steps over T=10
 
 
@@ -150,7 +135,7 @@ class TestFailures:
         logits, tape = classify_forward(mdl, Rng(51).uniform(-1, 1, (5, 9, 3)), train_mode=True)
         return tape, np.ones_like(logits)
 
-    def test_a_flush_that_raises_surfaces_in_the_caller(self, monkeypatch, handoff, submitted):
+    def test_a_flush_that_raises_surfaces_in_the_caller(self, monkeypatch, handoff, submitted, same_bits):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)
         handoff(True)
         add, calls = autograd._add_weight_grads, []
@@ -168,9 +153,7 @@ class TestFailures:
         assert submitted and all(job.done() for job in submitted)
         # the worker keeps serving: the next backward gives the inline bits
         monkeypatch.setattr(autograd, "_add_weight_grads", add)
-        got = backward(tape, dlogits)
-        handoff(False)
-        _assert_same_bits(backward(tape, dlogits), got)
+        same_bits(lambda: backward(tape, dlogits))
 
     def test_no_flush_is_pending_when_a_step_raises(self, monkeypatch, handoff, submitted, slow_flushes):
         monkeypatch.setattr(autograd, "DW_GEMM_ROWS", 10)

@@ -13,7 +13,6 @@ unforced is tested in tests/test_forward_plan.py.
 import copy
 import time
 
-import numpy as np
 import pytest
 
 from rau import cells
@@ -27,20 +26,6 @@ KINDS = ("rau", "gru", "lstm")
 B, T, N, V = 5, 7, 6, 37
 STACKS = pytest.mark.parametrize("layers", [2, 3], ids=["2layers", "3layers"])
 DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dropout"])
-
-
-def _both(handoff, run):
-    """run() with every handoff off, then on."""
-    handoff(False)
-    inline = run()
-    handoff(True)
-    return inline, run()
-
-
-def _assert_same_bits(a, b):
-    assert list(a) == list(b)
-    for name in a:
-        assert np.asarray(a[name]).tobytes() == np.asarray(b[name]).tobytes(), name
 
 
 def _lm(kind, layers, dropout=0.0, seed=1):
@@ -74,7 +59,7 @@ class TestSameBits:
     @DROPOUT
     @STACKS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lm_forward(self, kind, layers, dropout, handoff, jobs):
+    def test_lm_forward(self, kind, layers, dropout, same_bits, jobs):
         mdl, tokens = _lm(kind, layers, dropout), _tokens(2)
         # a carried-in state, as the next window of a stream starts from
         start = lm_forward(mdl, _tokens(3), train_mode=False)[1]
@@ -85,14 +70,14 @@ class TestSameBits:
             return {"train": train_logits, "eval": eval_logits, **_states("train", train_states),
                     **_states("eval", eval_states), **_tape(tape)}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         # the upper layers' steps 0 .. T-2 go to the worker, in the train pass and in the eval pass
         assert jobs == ["_steps"] * (2 * (T - 1))
 
     @DROPOUT
     @STACKS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_gradients(self, kind, layers, dropout, handoff):
+    def test_gradients(self, kind, layers, dropout, same_bits):
         mdl, tokens, targets = _lm(kind, layers, dropout), _tokens(5), _tokens(6, (T * B,))
 
         def run():
@@ -100,11 +85,11 @@ class TestSameBits:
             _, dlogits = cross_entropy(logits.reshape(T * B, -1), targets)
             return backward(tape, dlogits.reshape(logits.shape))
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
 
     @STACKS
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, handoff, jobs):
+    def test_lm_trained_two_sgd_windows_then_evaluated(self, kind, layers, same_bits, jobs):
         start = _lm(kind, layers, 0.3, seed=8)
         stream = _tokens(9, (B * (2 * T + 1),))
 
@@ -116,13 +101,13 @@ class TestSameBits:
             loss, ppl = evaluate_lm(mdl, stream, B, T)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "ppl": ppl}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
         # two train windows, then two eval windows; the train windows hand the head's gradients and the SGD
         # update's halves over too
         assert [name for name in jobs if name == "_steps"] == ["_steps"] * (4 * (T - 1))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_classifier_trained_two_adam_steps_then_evaluated(self, kind, handoff):
+    def test_classifier_trained_two_adam_steps_then_evaluated(self, kind, same_bits):
         start = build_classifier(kind, 3, N, 2, 4, 0.5, Rng(11), dropout=0.2)
         xs, ys = Rng(12).uniform(-1.0, 1.0, (2 * B, T, 3)), Rng(13).integers(4, size=2 * B)
 
@@ -133,7 +118,7 @@ class TestSameBits:
             loss, acc = evaluate_classifier(mdl, xs, ys, B)
             return {**dict(iter_tensors(mdl)), "train": record.loss, "eval": loss, "acc": acc}
 
-        _assert_same_bits(*_both(handoff, run))
+        same_bits(run)
 
     @STACKS
     def test_dropout_draws_stay_step_major_then_layer(self, layers, handoff):

@@ -28,12 +28,13 @@ row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
 In a stack of large steps, the forward in `models` runs as a wavefront:
 the worker runs the upper layers' step t beside the first layer's step
 t+1. Each layer keeps its own steps in order, so the bits stay. Where a
-stack is no wavefront, a RAU step of a large forward hands its attention
-branch to the worker and runs its GRU branch in the caller (see
-`cells.rau_step`). A classifier's eval may score two batches at once,
-the worker running one batch's whole forward beside the caller's (see
-`_eval_pairs`). So the worker has five uses: the span flushes, the head
-halves, the wavefront, the attention branch and the eval pairs. Every
+stack is no wavefront, a step of a large forward hands its kind's branch
+to the worker and runs the rest in the caller: a RAU its attention
+branch beside its GRU branch, an LSTM its f and i gates beside its o and
+g gates (see `cells.step`). A classifier's eval may score two batches at
+once, the worker running one batch's whole forward beside the caller's
+(see `_eval_pairs`). So the worker has five uses: the span flushes, the
+head halves, the wavefront, a step's branch and the eval pairs. Every
 handoff goes through one join, `_beside`, and one policy, `_handoff`:
 work of its use's flop floor or more, and a CPU of its own for the
 worker. A forward asks `_forward_plan` once which use, if either, it runs.
@@ -169,18 +170,22 @@ ELEMENT_FLOP = 64
 # OVERLAP_MIN_FLOP holds 15x that.
 SPLIT_ROWS = 96
 # A forward hands the worker a piece of every step only when that piece holds this many GEMM flops (see
-# `_forward_plan`): each layer's step, 2 * batch * (m+n) * rows, for a stack's wavefront, and a RAU step's
-# attention branch, the same over the rows of w_a and w_u; a handoff per step costs about 0.3 ms at small
-# shapes. On the 2-core host with one BLAS thread, a 2-layer, 20-step forward with the wavefront against
-# without ran 0.64-0.70x as fast at 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at
-# 2.4-5.8 MFLOP (RAU 0.94-1.10x there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU
-# 19.2, LSTM 12.8, GRU 9.6). A 1-layer, 28-step RAU eval forward with its attention branch on the worker
-# against inline ran 0.28-0.39x as fast at B=1, 0.58-0.90x at 0.7-4.3 MFLOP of attention a step (m=28,
-# n=128 at B=8-48; m=8, n=64 at B=64), 1.01x at 5.7 (B=64 at m=28, n=128) and 1.19-1.49x at 8.5-22.7
-# (B=96-256 at m=28, n=128; B=256 at m=8, n=64; B=20 at m=n=200). A classifier's eval that runs two whole
-# batches at once (see `_eval_pairs`), each inline, against one at a time ran 0.95x as fast at 3.5 MFLOP a
-# step (GRU m=8, n=64, B=128), 0.79x at 3.0 (RAU m=8, n=64, B=64), and 1.26-1.68x at 6.7-12.1 (RAU m=28,
-# n=128 at B=32; GRU m=28, n=128 at B=64; RAU and GRU m=8, n=64 at B=256), a step counting every layer.
+# `_forward_plan`): each layer's step, 2 * batch * (m+n) * rows, for a stack's wavefront, and a one-layer step's
+# branch, the same over the rows of its branch weights (RAU w_a and w_u, LSTM w_f and w_i); a handoff per step costs
+# about 0.3 ms at small shapes. On the 2-core host with one BLAS thread, a 2-layer, 20-step forward with the wavefront
+# against without ran 0.64-0.70x as fast at 1-2 MFLOP a step (RAU at B=1, n=200 and at B=20, n=64), 0.83-1.33x at
+# 2.4-5.8 MFLOP (RAU 0.94-1.10x there), and 1.07-1.47x at 7.7-19.2 MFLOP, the ptb-small steps included (RAU 19.2, LSTM
+# 12.8, GRU 9.6). A 1-layer, 28-step RAU eval forward with its attention branch on the worker against inline ran
+# 0.28-0.39x as fast at B=1, 0.58-0.90x at 0.7-4.3 MFLOP of attention a step (m=28, n=128 at B=8-48; m=8, n=64 at
+# B=64), 1.01x at 5.7 (B=64 at m=28, n=128) and 1.19-1.49x at 8.5-22.7 (B=96-256 at m=28, n=128; B=256 at m=8, n=64;
+# B=20 at m=n=200). A 1-layer, 28-step LSTM eval forward (m=28, n=128) with its f and i gates on the worker against
+# inline, in three series on a host whose two threads' GEMMs ran 1.0-1.5x one thread's time, ran 0.75-0.98x as fast at
+# 2.6 MFLOP of f|i a step (B=32), 0.91-1.07x at 5.1 (B=64), 0.85-1.27x at 7.7 (B=96), 0.70-1.25x at 10.2 (B=128),
+# 0.63-1.35x at 15.3 (B=192) and 1.30-1.46x at 20.4 (B=256); the split raised `rows-classify` LSTM train 11.2% at
+# B=128. A classifier's eval that runs two whole batches at once (see `_eval_pairs`), each inline, against one at a
+# time ran 0.95x as fast at 3.5 MFLOP a step (GRU m=8, n=64, B=128), 0.79x at 3.0 (RAU m=8, n=64, B=64), and
+# 1.26-1.68x at 6.7-12.1 (RAU m=28, n=128 at B=32; GRU m=28, n=128 at B=64; RAU and GRU m=8, n=64 at B=256), a step
+# counting every layer.
 STEP_HANDOFF_FLOP = 6_000_000
 # A forward step calls these names of `cells`, which the benchmark's tracer may wrap. A wrapped one opens
 # spans on the thread that calls it, so no step hands work to the worker unless each is the library's own:
@@ -308,20 +313,20 @@ def _handoff(flop: float, floor: float) -> bool:
 def _forward_plan(stack: Sequence[CellParams], batch: int) -> str | None:
     """How the worker thread takes part in the forward of stack, its cells in layer order, at this batch:
     "wavefront", the upper layers' step t beside the first layer's step t+1 (see `models._forward`), for
-    two layers or more; "attention", each step's attention branch beside its GRU branch (see
-    `cells.rau_step`), for one RAU layer; else None, the forward inline. Each needs its piece of every
-    step, the smallest layer's step or the w_a and w_u GEMMs, to `_handoff` at STEP_HANDOFF_FLOP, and the
-    step functions to be the library's own (`_STEP_NAMES`). A layer's attention flops are below its
-    step's, so a stack the wavefront declines would get no attention split either.
+    two layers or more; "branch", each step's branch beside the rest of the step (see `cells.step`), for
+    one layer whose kind has a branch: RAU's attention branch, LSTM's f and i gates; else None, the
+    forward inline. Each needs its piece of every step, the smallest layer's step or the GEMMs of the
+    branch's weights (`cells._KINDS`), to `_handoff` at STEP_HANDOFF_FLOP, and the step functions to be
+    the library's own (`_STEP_NAMES`). A layer's branch flops are below its step's, so a stack the
+    wavefront declines would get no branch split either. A GRU's branch is empty: 0 flops, no split.
     """
     if not all(getattr(cells, name) is own for name, own in _STEP_NAMES):
         return None
     if len(stack) > 1:
         plan, flop = "wavefront", min(2 * batch * sum(w.size for w, _ in p.groups) for p in stack)
-    elif stack[0].kind == "rau":
-        plan, flop = "attention", 2 * batch * (stack[0].w_a.size + stack[0].w_u.size)
     else:
-        return None
+        p = stack[0]
+        plan, flop = "branch", 2 * batch * sum(getattr(p, w).size for w in cells._KINDS[p.kind].branch)
     return plan if _handoff(flop, STEP_HANDOFF_FLOP) else None
 
 

@@ -30,10 +30,15 @@ and adds an attention gate: a learned affine score per component of
 [x, h_prev], softmax-normalized within the step, reweights the
 concatenation before a tanh projection back to hidden size. The hidden
 state then mixes the previous state, the GRU candidate, and the
-attended state with coefficients (1-z), z/2, z/2. Within a step the
-attention branch and the GRU branch read only [x, h_prev], so a large
-forward runs the attention branch on `autograd`'s worker thread beside
-the GRU branch.
+attended state with coefficients (1-z), z/2, z/2.
+
+A large one-layer forward splits each step in two, as `autograd._forward_plan`
+says: `autograd`'s worker thread runs a branch that reads only [x, h_prev]
+while the caller runs the rest of the step. A kind's `branch` in `_KINDS`
+names the branch's weights: RAU the attention branch (w_a, w_u) beside
+its GRU branch, LSTM the forget and input gates (w_f, w_i) beside its
+output and candidate gates. A GRU has none: the one piece of its step
+off the candidate's path, its z gate, is too small to hand over.
 """
 
 from __future__ import annotations
@@ -360,8 +365,9 @@ def _mix(h_prev: np.ndarray, z: np.ndarray, z_new: np.ndarray) -> np.ndarray:
     return h
 
 
-def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None):
-    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written)."""
+def gru_step(p: GruParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, beside=None):
+    """One GRU step: h = (1-z)*h_prev + z*candidate; returns (h, the trace row written). A GRU has no
+    branch (see `_KINDS`), so the step runs inline and beside, which no plan gives it, goes unused."""
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "gru_step")
     tr = new_trace(p, 1, x.shape[:-1]).row(0) if tr is None else tr
     np.concatenate([x, h_prev], axis=-1, out=tr.xh)
@@ -380,8 +386,8 @@ def _gru_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     return _h_grad(drh, tr.r, dxh_h, dh, tr.z), None
 
 
-def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None, *,
-             attended_override: np.ndarray | None = None, beside: Callable | None = None):
+def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None = None,
+             beside: Callable | None = None, *, attended_override: np.ndarray | None = None):
     """One RAU step: h = (1-z)*h_prev + z*(candidate + attended)/2; returns (h, the trace row written).
 
     The update/reset/candidate path is exactly the GRU computation on
@@ -399,7 +405,7 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     beside, which is `autograd._beside`, the worker thread runs the
     attention branch (`_attend`) while the caller runs the GRU branch,
     and every output keeps its bits. `models._forward` passes it where
-    `autograd._forward_plan` answers "attention"; without it the step runs
+    `autograd._forward_plan` answers "branch"; without it the step runs
     both branches inline.
     """
     _check_dims(p.input_size, p.hidden_size, x, h_prev, "rau_step")
@@ -456,20 +462,29 @@ def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     return _h_grad(drh, tr.r, dxh_h, dh, tr.z), None
 
 
-def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
+def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None = None,
+              beside: Callable | None = None):
     """One standard LSTM step: c' = f*c + i*g, h' = o*tanh(c'); returns (state, the trace row written).
 
     f, i, o and g come from one GEMM against p's gate block, f|i|o from
-    one sigmoid and g from one tanh.
+    one sigmoid and g from one tanh. With beside, which is
+    `autograd._beside` where `autograd._forward_plan` answers "branch",
+    the worker thread computes f|i into tr.fiog[:2] (`_forget_input`)
+    while the caller computes o|g into tr.fiog[2:] (`_output_candidate`).
+    numpy's batched matmul runs one GEMM per gate and the activations are
+    elementwise, so each gate keeps its bits.
     """
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
     if state.c.shape != state.h.shape:
         raise ContractError("lstm_step: cell state shape must match hidden state")
     tr = new_trace(p, 1, x.shape[:-1]).row(0) if tr is None else tr
     xh = np.concatenate([x, state.h], axis=-1, out=tr.xh)
-    fiog = _gate_affine(xh, p.gates, out=tr.fiog)
-    sigmoid(fiog[:3], out=fiog[:3])
-    tanh(tr.g, out=tr.g)
+    if beside is None:
+        fiog = _gate_affine(xh, p.gates, out=tr.fiog)
+        sigmoid(fiog[:3], out=fiog[:3])
+        tanh(tr.g, out=tr.g)
+    else:
+        beside(functools.partial(_forget_input, p, tr), True, _output_candidate, p, tr)
     tr.c_prev[...] = state.c
     c = np.multiply(tr.f, state.c)
     ig = np.multiply(tr.i, tr.g)
@@ -477,6 +492,21 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None =
     h = np.tanh(c, out=ig)
     h *= tr.o
     return CellState(h=h, c=c), tr
+
+
+def _forget_input(p: LstmParams, tr: Trace) -> None:
+    """An LSTM step's f and i gates, from tr.xh into tr.fiog[:2]: their GEMM, their bias and one sigmoid."""
+    w, b = p.gates
+    fi = _gate_affine(tr.xh, (w[:2], b[:2]), out=tr.fiog[:2])
+    sigmoid(fi, out=fi)
+
+
+def _output_candidate(p: LstmParams, tr: Trace) -> None:
+    """An LSTM step's o and g gates, from tr.xh into tr.fiog[2:]: their GEMM and bias, o's sigmoid, g's tanh."""
+    w, b = p.gates
+    _gate_affine(tr.xh, (w[2:], b[2:]), out=tr.fiog[2:])
+    sigmoid(tr.o, out=tr.o)
+    tanh(tr.g, out=tr.g)
 
 
 def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
@@ -523,7 +553,7 @@ def init_cell(kind: str, m: int, n: int, scale: float, rng: Rng) -> CellParams:
 
 class _Kind(NamedTuple):
     params: type        # the params class
-    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None)
+    step: Callable      # (params, x, h, or the CellState if has_c, trace row or None, beside or None)
                         # -> (next h or CellState, trace row)
     backward: Callable  # (trace row, dh, dc from the step after or None, stacked weights and this step's
                         # delta rows, both in group order, dx row or None, m, n) -> (dh_prev, dc_prev);
@@ -534,6 +564,7 @@ class _Kind(NamedTuple):
                         # its rows from the fields, as the step computes them
     groups: tuple       # per gate group: weight paths, in buffer order; bias paths; the trace field they multiply
     block: tuple        # the fused gate field and its gates' view names; the gates lead the xh group
+    branch: tuple       # the weights of the branch a step given beside hands the worker (see `step`); () for none
 
 
 def _group(field: str, *weights: str) -> tuple:
@@ -547,14 +578,14 @@ _KINDS = {
     "rau": _Kind(RauParams, rau_step, _rau_backward, False,
                  _GRU_FIELDS + (("u", "m+n"), ("ha", "n")), _GRU_SHARED + (("v", "m+n", _fill_v),),
                  (_group("xh", "gru.w_r", "gru.w_z", "w_a"), _group("xrh", "gru.w_c"), _group("v", "w_u")),
-                 ("rz", ("r", "z"))),
+                 ("rz", ("r", "z")), ("w_a", "w_u")),
     "gru": _Kind(GruParams, gru_step, _gru_backward, False, _GRU_FIELDS, _GRU_SHARED,
                  (_group("xh", "w_r", "w_z"), _group("xrh", "w_c")),
-                 ("rz", ("r", "z"))),
+                 ("rz", ("r", "z")), ()),
     "lstm": _Kind(LstmParams, lstm_step, _lstm_backward, True,
                   (("xh", "m+n"), ("fiog", "4n"), ("c_prev", "n")), (),
                   (_group("xh", "w_f", "w_i", "w_o", "w_g"),),
-                  ("fiog", ("f", "i", "o", "g"))),
+                  ("fiog", ("f", "i", "o", "g")), ("w_f", "w_i")),
 }
 CELL_KINDS = tuple(_KINDS)
 _KIND_OF = {k.params: kind for kind, k in _KINDS.items()}
@@ -573,12 +604,13 @@ def _kind_of(p, op: str) -> str:
     return _KIND_OF[type(p)]
 
 
-def step(p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None):
-    """p's kind's step over a CellState into trace row tr (a fresh one if None); returns (state, row)."""
+def step(p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None, beside: Callable | None = None):
+    """p's kind's step over a CellState into trace row tr (a fresh one if None); returns (state, row).
+    beside, if given, runs the kind's branch on the worker (see `rau_step` and `lstm_step`)."""
     k = _KINDS[_kind_of(p, "step")]
     if k.has_c:
-        return k.step(p, x, state, tr)
-    h, tr = k.step(p, x, state.h, tr)
+        return k.step(p, x, state, tr, beside)
+    h, tr = k.step(p, x, state.h, tr, beside)
     return CellState(h=h), tr
 
 

@@ -126,9 +126,10 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
     so the outputs keep their bits however the layers interleave. Where
     `autograd._forward_plan` answers "wavefront", the worker thread runs the
     upper layers' step t while the caller runs the first layer's step t+1;
-    where it answers "attention", each step's attention branch beside the
-    step's GRU branch. Given eval traces (see `train.evaluate_classifier`),
-    it records into them and hands nothing over.
+    where it answers "branch", each step's branch (a RAU's attention
+    branch, an LSTM's f and i gates) beside the rest of the step. Given
+    eval traces (see `train.evaluate_classifier`), it records into them
+    and hands nothing over.
     """
     rate = mdl.dropout
     use_drop = train_mode and rate > 0.0
@@ -164,8 +165,8 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
             autograd._beside(functools.partial(upper, range(t - 1, t)), True, first, range(t, t + 1))
         upper(range(T - 1, T))
     else:
-        # with the "attention" plan, each RAU step hands its attention branch to the worker (see `cells.rau_step`)
-        beside = autograd._beside if plan == "attention" else None
+        # with the "branch" plan, each step hands its kind's branch to the worker (see `cells.step`)
+        beside = autograd._beside if plan == "branch" else None
         _steps(mdl, layers, xs_steps, top_steps, states, rows, in_masks, range(T), beside)
 
     head_in = top_steps[-1] if mdl.readout == "last" else np.stack(top_steps)  # (B, n) or (T, B, n)
@@ -186,7 +187,7 @@ def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, state
            in_masks: list | None, steps: range, beside=None) -> None:
     """Each step t in steps, in order, of the layers in layers, in order: the first layer's input is
     inputs[t], each layer's goes through its dropout mask if in_masks is given, and the last layer's h
-    goes to outputs[t % len(outputs)]. beside, if given, goes to each RAU step (see `cells.rau_step`).
+    goes to outputs[t % len(outputs)]. beside, if given, goes to each step (see `cells.step`).
 
     A layer steps only its own state, trace rows and masks, so two threads may run two layers' steps.
     """
@@ -195,11 +196,7 @@ def _steps(mdl: SequenceModel, layers: range, inputs: list, outputs: list, state
         for l in layers:
             if in_masks is not None:
                 inp = inp * in_masks[l][t]
-            row = rows[l][t % len(rows[l])]
-            if beside is None:
-                states[l], _ = cells.step(mdl.cells[l], inp, states[l], row)
-            else:
-                states[l] = cells.CellState(cells.rau_step(mdl.cells[l], inp, states[l].h, row, beside=beside)[0])
+            states[l], _ = cells.step(mdl.cells[l], inp, states[l], rows[l][t % len(rows[l])], beside)
             inp = states[l].h
         outputs[t % len(outputs)] = inp
 
@@ -217,8 +214,8 @@ def classify_forward(mdl: SequenceModel, seq, train_mode: bool = False, rng: Rng
         single = arr.ndim == 2
     if single:
         arr = arr[None]
-    if arr.shape[1] == 0:
-        raise ContractError("classify_forward: empty sequence")
+    if 0 in arr.shape[:2]:
+        raise ContractError(f"classify_forward: empty {'batch' if arr.shape[0] == 0 else 'sequence'}")
     logits, _, tape = _forward(mdl, arr, None, train_mode, rng, traces=_traces)
     return (logits[0] if single else logits), tape
 
@@ -234,8 +231,8 @@ def lm_forward(mdl: SequenceModel, tokens, h_init=None, train_mode: bool = False
     single = ids.ndim == 1
     if single:
         ids = ids[None, :]
-    if ids.shape[1] == 0:
-        raise ContractError("lm_forward: empty sequence")
+    if 0 in ids.shape[:2]:
+        raise ContractError(f"lm_forward: empty {'batch' if ids.shape[0] == 0 else 'sequence'}")
     if h_init is not None and len(h_init) != len(mdl.cells):
         raise ContractError(f"lm_forward: {len(h_init)} start states for {len(mdl.cells)} layers")
     logits, states, tape = _forward(mdl, ids, h_init, train_mode, rng)

@@ -126,7 +126,8 @@ class TestNoDeadlock:
     """A forward on the worker never waits on the worker, whose one thread would then wait on itself."""
 
     @pytest.mark.parametrize("kind,widths,batch,classes,plan", [
-        pytest.param("rau", (ROWS["m"], ROWS["n"]), ROWS["batch"], C, "attention", id="attention"),
+        pytest.param("rau", (ROWS["m"], ROWS["n"]), ROWS["batch"], C, "branch", id="rau_branch"),
+        pytest.param("lstm", (ROWS["m"], ROWS["n"]), ROWS["batch"], C, "branch", id="lstm_branch"),
         pytest.param("rau", (200, 200, 200), 20, C, "wavefront", id="wavefront"),
         # a head of 1000 classes: a row half of its GEMM, 41 MFLOP at B=256, qualifies for the worker
         pytest.param("gru", (ROWS["m"], ROWS["n"]), ROWS["batch"], 1000, None, id="head_half"),

@@ -1,7 +1,7 @@
 """When a forward hands work to the worker thread: `autograd._forward_plan` on the host it sees.
 
 A stack of two layers or more runs as a wavefront (tests/test_wavefront.py)
-and a one-layer RAU hands its attention branch over (tests/test_attention_beside.py),
+and a one-layer RAU or LSTM hands its step's branch over (tests/test_branch_beside.py),
 each only where every step's piece reaches `autograd.STEP_HANDOFF_FLOP`, BLAS
 runs one thread per call, the process may use two CPUs and the step functions
 are the library's own. The `host` fixture patches the BLAS thread count and
@@ -16,7 +16,8 @@ from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, classify_forward, lm_forward
 
 KINDS = ("rau", "gru", "lstm")
-# the row-MNIST shape: an attention branch of 2 * 128 * 156 * 284 = 11.3 MFLOP a step
+# the row-MNIST shape: a branch of 2 * 128 * 156 * 284 = 11.3 MFLOP a step (RAU), 2 * 128 * 156 * 256 = 10.2
+# MFLOP (LSTM)
 ROWS = dict(m=28, n=128, batch=128, steps=28)
 
 
@@ -38,15 +39,19 @@ PLANS = [
     pytest.param("gru", (200, 200, 8), 20, None, id="small_top_layer"),
     # B=96, 8.5 MFLOP of attention a step, is on; B=64, 5.7 MFLOP, where the split ran 1.01x, is off
     *(pytest.param("rau", (ROWS["m"], ROWS["n"]), batch, plan, id=f"rows_B{batch}")
-      for batch, plan in ((128, "attention"), (96, "attention"), (64, None))),
-    # no attention branch to hand over
-    *(pytest.param(kind, (ROWS["m"], ROWS["n"]), ROWS["batch"], None, id=f"rows_{kind}") for kind in ("gru", "lstm")),
+      for batch, plan in ((128, "branch"), (96, "branch"), (64, None))),
+    # an LSTM's f and i gates: 10.2 MFLOP a step at B=128 and 7.7 at B=96 are on; 5.1 at B=64 is off
+    *(pytest.param("lstm", (ROWS["m"], ROWS["n"]), batch, plan, id=f"rows_lstm_B{batch}")
+      for batch, plan in ((128, "branch"), (96, "branch"), (64, None))),
+    # a GRU has no branch to hand over, at any size
+    *(pytest.param("gru", widths, batch, None, id=f"gru_{widths[-1]}_B{batch}")
+      for widths, batch in (((ROWS["m"], ROWS["n"]), ROWS["batch"]), ((200, 200), 256))),
     # a two-layer RAU at the rows shape: each layer's attention branch qualifies, and so does its step
     pytest.param("rau", (ROWS["m"], ROWS["n"], ROWS["n"]), ROWS["batch"], "wavefront", id="rows_rau_2layers"),
 ]
 # a stack of each plan at its shape, for the host and step-function rules
 ON = [pytest.param("rau", (200, 200, 200), 20, id="wavefront"),
-      pytest.param("rau", (ROWS["m"], ROWS["n"]), ROWS["batch"], id="attention")]
+      *(pytest.param(kind, (ROWS["m"], ROWS["n"]), ROWS["batch"], id=f"branch_{kind}") for kind in ("rau", "lstm"))]
 
 
 class TestWhenItRuns:
@@ -69,7 +74,8 @@ class TestWhenItRuns:
         pytest.param("rau", (ROWS["m"], ROWS["n"]), 1, id="B1_rows"),
         pytest.param("rau", (3, 4), 1, id="oracle"),
         pytest.param("gru", (200, 200), 256, id="one_gru_layer"),
-        pytest.param("lstm", (200, 200), 256, id="one_lstm_layer"),
+        # f and i gates of 2 * 16 * 400 * 400 = 5.1 MFLOP a step
+        pytest.param("lstm", (200, 200), 16, id="one_lstm_layer"),
     ])
     def test_small_steps_make_no_system_call(self, kind, widths, batch, unasked):
         assert autograd._forward_plan(_stack(kind, widths), batch) is None
@@ -121,11 +127,12 @@ class TestForwards:
         assert lm_forward(mdl, tokens)[0].tobytes() == got.tobytes()
         assert len(jobs) == 3
 
-    def test_a_rows_shape_eval_hands_each_attention_branch_to_the_worker(self, host, jobs):
-        mdl = build_classifier("rau", ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(30))
+    @pytest.mark.parametrize("kind,branch", [("rau", "_attend"), ("lstm", "_forget_input")])
+    def test_a_rows_shape_eval_hands_each_branch_to_the_worker(self, kind, branch, host, jobs):
+        mdl = build_classifier(kind, ROWS["m"], ROWS["n"], 1, 10, 0.1, Rng(30))
         xs = Rng(31).uniform(-1.0, 1.0, (ROWS["batch"], 4, ROWS["m"]))
         got = classify_forward(mdl, xs)[0]
-        assert jobs == ["_attend"] * 4
+        assert jobs == [branch] * 4
         host["cpus"] = {0}
         assert classify_forward(mdl, xs)[0].tobytes() == got.tobytes()
         assert len(jobs) == 4

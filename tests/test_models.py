@@ -144,6 +144,16 @@ class TestClassifyForward:
         with pytest.raises(ContractError):
             classify_forward(mdl, np.zeros((0, 3)))
 
+    def test_empty_feature_batch_rejected(self):
+        mdl = build_classifier("rau", 4, 5, 1, 3, 0.3, Rng(1))
+        with pytest.raises(ContractError, match="classify_forward: empty batch"):
+            classify_forward(mdl, np.zeros((0, 6, 4)))
+
+    def test_empty_token_batch_rejected(self):
+        mdl = build_classifier("gru", None, 5, 1, 3, 0.3, Rng(1), vocab=7, emb_dim=4)
+        with pytest.raises(ContractError, match="classify_forward: empty batch"):
+            classify_forward(mdl, np.zeros((0, 5), dtype=np.int64))
+
     @pytest.mark.parametrize("kind", ["gru", "rau", "lstm"])
     def test_cross_entropy_gradient_passes_fd(self, kind):
         rng = Rng(5)
@@ -275,6 +285,11 @@ class TestLmForward:
         mdl = build_language_model("gru", 5, 3, 1, 0.3, Rng(1))
         with pytest.raises(ContractError):
             lm_forward(mdl, np.array([5]))
+
+    def test_empty_batch_rejected(self):
+        mdl = build_language_model("gru", 5, 3, 1, 0.3, Rng(1))
+        with pytest.raises(ContractError, match="lm_forward: empty batch"):
+            lm_forward(mdl, np.zeros((0, 5), dtype=np.int64))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_start_states_must_match_the_layers(self, count):

@@ -7,8 +7,8 @@ wraps the caller's side of `autograd._beside` the same way; the test
 also lowers the interpreter's switch interval, so the GIL changes hands
 often. Each path runs over SEEDS seeds: the span flushes, the head GEMM,
 cross-entropy and SGD halves, the head's gradients, the forward
-wavefront, a RAU step's attention branch and a classifier eval's pairs of
-batches. A run must give the inline
+wavefront, a RAU step's attention branch, an LSTM step's f and i gates
+and a classifier eval's pairs of batches. A run must give the inline
 bits and leave no Future pending.
 In every fifth seed one handoff fails instead, on the worker's side, on
 the caller's, or with a KeyboardInterrupt in the caller's half; the
@@ -208,9 +208,11 @@ def test_forward_wavefront(kind, layers, handoff, fuzz):
     _shake(fuzz, run, _inline(handoff, run))
 
 
-def test_attention_branch(handoff, fuzz):
-    # a one-layer RAU: no wavefront, so each step's attention branch goes to the worker
-    mdl = build_classifier("rau", 3, 6, 1, 4, 0.5, Rng(12), dropout=0.3)
+@pytest.mark.parametrize("kind", ["rau", "lstm"])
+def test_step_branch(kind, handoff, fuzz):
+    # one layer: no wavefront, so each step's branch, a RAU's attention or an LSTM's f and i gates, goes to
+    # the worker
+    mdl = build_classifier(kind, 3, 6, 1, 4, 0.5, Rng(12), dropout=0.3)
     xs = Rng(13).uniform(-1.0, 1.0, (4, 6, 3))
 
     def run():

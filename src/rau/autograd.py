@@ -304,9 +304,10 @@ def _add_weight_grads(groups, deltas, rows: Trace, products, grads) -> None:
 
 def _handoff(flop: float, floor: float) -> bool:
     """Whether work of flop flops goes to the worker thread: flop reaches the call site's floor (tested
-    first, so small work makes no system call), the bundled OpenBLAS runs each call on one thread (with
-    two, the flush overlap made a RAU step slower) and the process may use two CPUs or more."""
-    return (flop >= floor and _blas_threads() == 1 and hasattr(os, "sched_getaffinity")
+    first, so small work makes no system call), `linalg.BLAS_THREADS`, the count the import pinned, is one
+    (if None, the BLAS may split a GEMM among its own threads, by shape, so a half would get other bits
+    than the whole) and the process may use two CPUs or more."""
+    return (flop >= floor and linalg.BLAS_THREADS == 1 and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1)
 
 
@@ -391,28 +392,6 @@ def _beside(job: Callable | None, on: bool, fn: Callable, *args):
         raise
     queued.result()
     return out
-
-
-def _blas_threads() -> int | None:
-    """The threads the bundled OpenBLAS gives each call, or None where numpy bundles no such OpenBLAS."""
-    get = _blas_threads_query()
-    return None if get is None else get()
-
-
-@functools.cache
-def _blas_threads_query():
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    try:
-        get = ctypes.CDLL(umath.__file__).scipy_openblas_get_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    return get
 
 
 _worker: tuple | None = None  # (pid, executor) of the worker thread; a forked child starts its own

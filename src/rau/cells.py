@@ -414,10 +414,7 @@ def rau_step(p: RauParams, x: np.ndarray, h_prev: np.ndarray, tr: Trace | None =
     if beside is None or attended_override is not None:
         _gru_gates(p.gru, x, h_prev, tr)
         if attended_override is None:
-            # `_attend`, inline: a call per step shows at one-row shapes, as for `_fill_v`
-            softmax(_affine(tr.xh, p.w_a, p.b_a, out=tr.u), axis=-1, out=tr.u)
-            np.multiply(tr.u, tr.xh, out=tr.v)
-            tanh(_affine(tr.v, p.w_u, p.b_u, out=tr.ha), out=tr.ha)
+            _attend(p, tr)
         else:
             tr.ha[...] = attended_override
     else:

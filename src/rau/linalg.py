@@ -4,11 +4,34 @@ Matrices are 2-D C-order float64 ndarrays, vectors are 1-D float64
 ndarrays. Everything downstream (cells, models, training) goes through
 the handful of operations defined here, so the numeric contract lives in
 one place: 64-bit floats, pure functions, reproducible randomness.
+
+Importing it sets numpy's bundled OpenBLAS to one thread per call for the
+whole process (`BLAS_THREADS`): at more, OpenBLAS splits each GEMM among
+them, and a run's bits would follow the core count and OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+
+def _pin_blas() -> int | None:
+    """Set the bundled OpenBLAS to one thread per call and return the count it reads back; None where numpy
+    bundles no OpenBLAS with the scipy-openblas symbols (numpy < 2, or another BLAS), whose count stays unset."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # numpy < 2 has no _core, nor the symbols
+        set_threads, get_threads = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads(1)
+    return get_threads()
+
+
+BLAS_THREADS = _pin_blas()
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -7,7 +7,6 @@ RAU_PTB_DIR) and skip with instructions when absent.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import struct
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rau import autograd
+from rau import autograd, linalg
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +28,12 @@ MNIST_FILES = (
     "t10k-labels-idx1-ubyte",
 )
 PTB_FILES = ("ptb.train.txt", "ptb.valid.txt", "ptb.test.txt")
+
+# Marks the tests that force work onto the worker thread or compare its bits: they need importing rau to have
+# pinned the bundled OpenBLAS to one thread per call. Where it could not, OpenBLAS may split a forced half's
+# GEMM among its threads otherwise than the whole's, and the policy never hands work over.
+pinned_blas = pytest.mark.skipif(linalg.BLAS_THREADS != 1,
+                                 reason="numpy bundles no OpenBLAS whose thread count rau can pin")
 
 
 def require_mnist() -> Path:
@@ -85,30 +90,6 @@ def idx_fixture(tmp_path):
 
 
 @pytest.fixture
-def one_blas_thread():
-    """BLAS at one thread per call while the test runs, where the worker runs (see `autograd._handoff`).
-
-    With more threads, BLAS partitions each GEMM among them by the GEMM's own shape, so a forced half
-    would get other bits than the whole; and the automatic decisions never hand work to the worker there.
-    """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    before = autograd._blas_threads()
-    try:
-        set_threads = ctypes.CDLL(umath.__file__).scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        set_threads = None
-    if before is None or set_threads is None:
-        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set, so the worker never runs")
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
-    yield
-    set_threads(before)
-
-
-@pytest.fixture
 def handoff(monkeypatch):
     """force(on): from now on every handoff the policy decides goes to the worker (on) or stays inline.
 
@@ -141,12 +122,13 @@ def same_bits(handoff):
 
 @pytest.fixture
 def host(monkeypatch):
-    """The host the policy sees, as a dict to change: its BLAS threads per call and its CPU affinity.
+    """The host the policy sees, as a dict to change: its CPU affinity, under "cpus".
 
-    It starts as one BLAS thread and two CPUs, where `autograd._handoff` hands work of its floor over.
+    It starts as two CPUs, with `linalg.BLAS_THREADS` at 1, where `autograd._handoff` hands work of its
+    floor over; a test that sets the constant to 2 or None stands for a library that could not pin it.
     """
-    state = {"blas": 1, "cpus": {0, 1}}
-    monkeypatch.setattr(autograd, "_blas_threads", lambda: state["blas"])
+    state = {"cpus": {0, 1}}
+    monkeypatch.setattr(linalg, "BLAS_THREADS", 1)
     monkeypatch.setattr(autograd.os, "sched_getaffinity", lambda pid: state["cpus"])
     return state
 

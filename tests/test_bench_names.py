@@ -20,6 +20,8 @@ from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model
 from rau.train import evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier, train_epoch_lm
 
+from conftest import pinned_blas
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -39,7 +41,7 @@ def test_wrapped_name_is_callable(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 def test_every_wrapped_call_runs_on_the_callers_thread(monkeypatch, handoff):
     calls, jobs = [], []
     for module, attr in _TARGETS:

@@ -10,7 +10,7 @@ and g gates (`cells._output_candidate`). The caller mixes after the join.
 Both sides only read xh and each writes its own trace fields, so every
 output keeps its bits. These tests force every handoff on or off through
 the `handoff` fixture, which leaves the plan's check of the step
-functions in force, and pin BLAS at one thread per call, where it runs.
+functions in force, where rau pinned BLAS at one thread per call.
 When it runs unforced is tested in tests/test_forward_plan.py.
 """
 
@@ -26,6 +26,8 @@ from rau.linalg import NumericError, Rng
 from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
 from rau.train import (DivergenceError, evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier,
                        train_epoch_lm)
+
+from conftest import pinned_blas
 
 B, T, M, N, C, V = 5, 7, 3, 6, 4, 29
 DROPOUT = pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no_dropout", "dropout"])
@@ -50,7 +52,7 @@ def _features(seed, shape):
     return Rng(seed).uniform(-1.0, 1.0, shape)
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestSameBits:
     @DROPOUT
     @KIND
@@ -147,7 +149,7 @@ class TestSameBits:
         assert h_rau.tobytes() == h_gru.tobytes()
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestFailures:
     @pytest.mark.parametrize("kind,bias,op", [("rau", "b_a", "softmax"), ("lstm", "b_f", "sigmoid")])
     def test_a_numeric_error_on_the_worker_ends_the_train_loop_as_a_divergence(self, kind, bias, op, handoff,

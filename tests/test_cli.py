@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rau import cli
+from rau import cli, linalg
 from rau.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DIVERGED,
@@ -45,6 +49,29 @@ class TestTrainCommand:
         for r in rec_a + rec_b:
             del r["wall_ms"]
         assert rec_a == rec_b
+
+    @pytest.mark.skipif(linalg.BLAS_THREADS is None, reason="numpy bundles no OpenBLAS whose thread count rau can pin")
+    def test_rerun_identical_at_any_blas_thread_count(self, tmp_path):
+        # in fresh processes, since OpenBLAS reads OPENBLAS_NUM_THREADS when it loads: at two threads per call
+        # it would split each GEMM by its shape, and the bits would differ; the import pins one thread instead
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+        runs = []
+        for threads in ("1", "2"):
+            # the same relative --out in each process's own directory, since the checkpoint's header holds it
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            args = _train_args("runs", "--hidden", "256", "--batch-size", "128", "--max-steps", "5")
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-m", "rau.cli", *args], cwd=cwd, env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            out = cwd / "runs"
+            records = _read_metrics(out)
+            for r in records:
+                del r["wall_ms"]
+            runs.append(((out / "synthetic-rau-seed7" / "model.bin").read_bytes(), records))
+        assert runs[0] == runs[1]
 
     def test_divergence_names_no_checkpoint_of_an_earlier_run(self, tmp_path, capsys):
         # the first run saves model.bin; the second diverges at step 1, before it saves any

@@ -6,8 +6,8 @@ caller scores the first. Both forwards record into eval traces the caller
 allocated and hand nothing on; a last odd batch runs alone, under its own
 forward plan. Each batch's loss and count are added in batch order, so the
 loss and the accuracy keep their bits. The same-bits tests force every
-handoff on or off through the `handoff` fixture and pin BLAS at one thread
-per call; the others keep the library's floors on the host the `host`
+handoff on or off through the `handoff` fixture where rau pinned BLAS at one
+thread per call; the others keep the library's floors on the host the `host`
 fixture describes.
 """
 
@@ -16,11 +16,13 @@ import threading
 import numpy as np
 import pytest
 
-from rau import autograd, cells, models, train
+from rau import autograd, cells, linalg, models, train
 from rau.cells import init_cell
 from rau.linalg import NumericError, Rng
 from rau.models import build_classifier
 from rau.train import evaluate_classifier
+
+from conftest import pinned_blas
 
 KINDS = ("rau", "gru", "lstm")
 B, T, M, N, C = 4, 5, 3, 6, 4
@@ -42,7 +44,7 @@ def _stack(kind, widths):
     return [init_cell(kind, m, n, 0.1, rng) for m, n in zip(widths, widths[1:])]
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestSameBits:
     # (items, pairs): five full batches, two pairs and one alone; four batches, the last short and paired;
     # five batches, the last short and alone
@@ -81,11 +83,12 @@ class TestSameBits:
 class TestWhenItRuns:
     @pytest.fixture
     def unasked(self, monkeypatch):
-        """A host that fails the test if the policy asks it anything."""
+        """A host that fails the test if the policy asks it anything, at the pinned BLAS thread count, which
+        the policy checks before it asks."""
         def unasked(*args):
             raise AssertionError("the policy asked the host")
 
-        monkeypatch.setattr(autograd, "_blas_threads", unasked)
+        monkeypatch.setattr(linalg, "BLAS_THREADS", 1)
         monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -157,7 +160,7 @@ class TestNoDeadlock:
         assert name.startswith("rau-worker") and order == ["job", "fn"]
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestFailures:
     @pytest.mark.parametrize("side,bad", [("caller", 0), ("worker", 1)])
     def test_a_numeric_error_on_either_side_surfaces_and_nothing_is_pending(self, side, bad, handoff, queued):

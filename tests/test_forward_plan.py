@@ -4,16 +4,18 @@ A stack of two layers or more runs as a wavefront (tests/test_wavefront.py)
 and a one-layer RAU or LSTM hands its step's branch over (tests/test_branch_beside.py),
 each only where every step's piece reaches `autograd.STEP_HANDOFF_FLOP`, BLAS
 runs one thread per call, the process may use two CPUs and the step functions
-are the library's own. The `host` fixture patches the BLAS thread count and
-the CPU affinity; the floors stay the library's.
+are the library's own. The `host` fixture patches the pinned BLAS thread count
+and the CPU affinity; the floors stay the library's.
 """
 
 import pytest
 
-from rau import autograd, cells
+from rau import autograd, cells, linalg
 from rau.cells import init_cell
 from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, classify_forward, lm_forward
+
+from conftest import pinned_blas
 
 KINDS = ("rau", "gru", "lstm")
 # the row-MNIST shape: a branch of 2 * 128 * 156 * 284 = 11.3 MFLOP a step (RAU), 2 * 128 * 156 * 256 = 10.2
@@ -57,11 +59,12 @@ ON = [pytest.param("rau", (200, 200, 200), 20, id="wavefront"),
 class TestWhenItRuns:
     @pytest.fixture
     def unasked(self, monkeypatch):
-        """A host that fails the test if the policy asks it anything."""
+        """A host that fails the test if the policy asks it anything, at the pinned BLAS thread count, which
+        the policy checks before it asks."""
         def unasked(*args):
             raise AssertionError("the policy asked the host")
 
-        monkeypatch.setattr(autograd, "_blas_threads", unasked)
+        monkeypatch.setattr(linalg, "BLAS_THREADS", 1)
         monkeypatch.setattr(autograd.os, "sched_getaffinity", unasked)
 
     @pytest.mark.parametrize("kind,widths,batch,plan", PLANS)
@@ -89,8 +92,8 @@ class TestWhenItRuns:
 
     @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
     @pytest.mark.parametrize("kind,widths,batch", ON)
-    def test_off_unless_the_blas_runs_one_thread_per_call(self, kind, widths, batch, blas, host):
-        host["blas"] = blas
+    def test_off_unless_the_blas_runs_one_thread_per_call(self, kind, widths, batch, blas, host, monkeypatch):
+        monkeypatch.setattr(linalg, "BLAS_THREADS", blas)
         assert autograd._forward_plan(_stack(kind, widths), batch) is None
 
     @pytest.mark.parametrize("kind,widths,batch", ON)
@@ -114,7 +117,7 @@ class TestWhenItRuns:
         assert autograd._forward_plan(_stack("rau", (3, 4, 4)), 1) is None
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestForwards:
     """Whole forwards on the patched host: the jobs they hand over, and the same bits on one CPU."""
 

@@ -18,12 +18,14 @@ import weakref
 import numpy as np
 import pytest
 
-from rau import autograd, models, train
+from rau import autograd, linalg, models, train
 from rau.autograd import Grads, backward
 from rau.cells import iter_tensors
 from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
 from rau.train import DivergenceError, apply_update, evaluate_lm, make_optimizer, train_epoch_lm
+
+from conftest import pinned_blas
 
 KINDS = ("rau", "gru", "lstm")
 # B x T = 259 rows, an odd count that no CE block divides (10 rows here, or 129 at V = 1009); V is no
@@ -50,7 +52,7 @@ def _tokens(seed, shape=(B, T), vocab=V):
 LAYERS = pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.3)], ids=["1layer", "2layers_dropout"])
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestSameBits:
     @LAYERS
     @pytest.mark.parametrize("kind", KINDS)
@@ -125,7 +127,7 @@ class TestSameBits:
         assert _head_jobs(jobs) == (window + ["_gemm_rows", "_head_grads", "_sgd"]) * 2 + window * 2
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestFailures:
     def _tape(self):
         mdl = _lm("gru", 2, 0.0)
@@ -270,8 +272,8 @@ class TestWhenItRuns:
         assert not HEAD_JOBS & set(jobs)
 
     @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
-    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host, jobs):
-        host["blas"] = blas
+    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host, jobs, monkeypatch):
+        monkeypatch.setattr(linalg, "BLAS_THREADS", blas)
         self._lm_step(**CI_SHAPE)
         assert not jobs
 

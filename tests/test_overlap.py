@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rau import autograd, cells
+from rau import autograd, cells, linalg
 from rau.autograd import backward, backward_cell_sequence
 from rau.cells import init_cell, iter_tensors, new_trace, step, zero_state
 from rau.data import synthetic_memorization
@@ -208,8 +208,8 @@ class TestWhenTheWorkerRuns:
         assert not self._uses_worker("rau", 8, 32, 28, 32, submitted)
 
     @pytest.mark.parametrize("blas", [2, None], ids=["two_threads", "no_symbol"])
-    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host, submitted):
-        host["blas"] = blas
+    def test_off_unless_the_blas_runs_one_thread_per_call(self, blas, host, submitted, monkeypatch):
+        monkeypatch.setattr(linalg, "BLAS_THREADS", blas)
         assert not self._uses_worker("rau", 28, 128, 8, 128, submitted)
 
     def test_off_on_one_cpu(self, host, submitted):
@@ -218,21 +218,21 @@ class TestWhenTheWorkerRuns:
 
 
 def _run(script: str) -> dict:
-    """The JSON object that script prints last, run in a fresh process whose OpenBLAS runs one thread per call."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+    """The JSON object that script prints last, run in a fresh process in this one's environment."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_one_blas_thread_turns_the_worker_on():
-    # a rows-classify-shaped window in a fresh process whose OpenBLAS runs one thread per call
+def test_a_default_process_turns_the_worker_on():
+    # a rows-classify-shaped window in a fresh process: importing rau pins OpenBLAS to one thread per call
     script = """
 import json, os
 from rau import autograd, cells
 from rau.cells import init_cell, new_trace, step, zero_state
-from rau.linalg import Rng
+from rau.linalg import BLAS_THREADS, Rng
 
 rng = Rng(1)
 p = init_cell("rau", 28, 128, 0.5, rng)
@@ -240,12 +240,12 @@ trace, state = new_trace(p, 8, (128,)), zero_state(p, 128)
 for t in range(8):
     state, _ = step(p, rng.uniform(-1, 1, (128, 28)), state, trace.row(t))
 autograd.backward_cell_sequence(p, trace, dh_last=rng.uniform(-1, 1, (128, 128)))
-print(json.dumps({"blas": autograd._blas_threads(), "cpus": len(os.sched_getaffinity(0)),
+print(json.dumps({"blas": BLAS_THREADS, "cpus": len(os.sched_getaffinity(0)),
                   "worker": autograd._worker is not None}))
 """
     got = _run(script)
     if got["blas"] is None:
-        pytest.skip("numpy bundles no scipy_openblas_get_num_threads64_")
+        pytest.skip("numpy bundles no OpenBLAS whose thread count rau can pin")
     if got["cpus"] < 2:
         pytest.skip("this process may use one CPU only")
     assert got == {"blas": 1, "cpus": got["cpus"], "worker": True}

@@ -30,6 +30,8 @@ from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
 from rau.train import apply_update, evaluate_classifier, make_optimizer
 
+from conftest import pinned_blas
+
 SEEDS = 50
 FAILURES = ("worker", "caller", "interrupt")
 
@@ -128,7 +130,7 @@ def _inline(handoff, run) -> dict:
     return out
 
 
-pytestmark = pytest.mark.usefixtures("one_blas_thread")
+pytestmark = pinned_blas
 
 
 @pytest.mark.parametrize("kind", ["rau", "lstm"])

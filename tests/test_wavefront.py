@@ -5,8 +5,8 @@ the upper layers' step t to the worker thread while the caller runs the
 first layer's step t+1. Each layer still runs its own steps in order on
 its own state, trace and dropout masks, so every output keeps its bits.
 These tests force every handoff on or off through the `handoff` fixture,
-which leaves the plan's check of the step functions in force, and pin
-BLAS at one thread per call, where the wavefront runs. When it runs
+which leaves the plan's check of the step functions in force, and run
+where rau pinned BLAS at one thread per call (`pinned_blas`). When it runs
 unforced is tested in tests/test_forward_plan.py.
 """
 
@@ -21,6 +21,8 @@ from rau.cells import iter_tensors
 from rau.linalg import Rng
 from rau.models import build_classifier, build_language_model, cross_entropy, dropout_mask, lm_forward
 from rau.train import evaluate_classifier, evaluate_lm, make_optimizer, train_epoch_classifier, train_epoch_lm
+
+from conftest import pinned_blas
 
 KINDS = ("rau", "gru", "lstm")
 B, T, N, V = 5, 7, 6, 37
@@ -54,7 +56,7 @@ def _tape(tape):
     return out
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestSameBits:
     @DROPOUT
     @STACKS
@@ -131,7 +133,7 @@ class TestSameBits:
         assert tape.out_masks.tobytes() == dropout_mask(rng, (T, B, N), 0.3).tobytes()
 
 
-@pytest.mark.usefixtures("one_blas_thread")
+@pinned_blas
 class TestFailures:
     @staticmethod
     def _failing_steps(monkeypatch, kind, fail, slow):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -106,7 +107,7 @@ class Grads(dict):
         # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale;
         # a norm that overflows is the caller's to judge with isfinite, so numpy's warning would only be noise
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sqrt(sum(float(g.ravel() @ g.ravel()) for g in self.values())))
+            return math.sqrt(sum(float((v := g.ravel()) @ v) for g in self.values()))
 
     def scale_(self, s: float) -> "Grads":
         for g in self.buffers.values():
@@ -124,7 +125,7 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
     if not max_norm > 0:  # NaN fails it too
         raise ContractError("clip_global_norm: max_norm must be positive")
     norm = g.global_norm()
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         bad = next((k for k, v in g.items() if not np.all(np.isfinite(v))), None)
         where = f"non-finite gradient in {bad}" if bad is not None else "gradient norm overflows"
         raise NumericError(f"clip_global_norm: {where}")
@@ -192,6 +193,8 @@ STEP_HANDOFF_FLOP = 6_000_000
 # a traced run then times the inline forward, and every span stays on the thread that opened it.
 _STEP_NAMES = (("step", cells.step), ("sigmoid", linalg.sigmoid), ("tanh", linalg.tanh),
                ("softmax", linalg.softmax))
+# the names in a trace of each kind (see `cells.new_trace`): its fields, its gate views and its shared fields
+_TRACE_FIELDS = {kind: {f[0] for f in k.fields + k.shared} | set(k.block[1]) for kind, k in cells._KINDS.items()}
 
 
 def backward_cell_sequence(
@@ -219,14 +222,14 @@ def backward_cell_sequence(
     """
     kind = _kind_of(params, "backward_cell_sequence")
     k, m, n = cells._KINDS[kind], params.input_size, params.hidden_size
-    fields = set(vars(trace))
-    if fields != _trace_fields(k):
-        of = next((other for other, o in cells._KINDS.items() if _trace_fields(o) == fields), "unknown")
+    fields = vars(trace).keys()
+    if fields != _TRACE_FIELDS[kind]:
+        of = next((other for other, names in _TRACE_FIELDS.items() if names == fields), "unknown")
         raise ContractError(f"backward_cell_sequence: a trace of kind {of} for a cell of kind {kind}")
     widths = trace.xh.shape[-1], getattr(trace, k.block[0]).shape[-1]
     if widths != (m + n, n):
         raise ContractError(f"backward_cell_sequence: a trace of (m+n, n) = {widths} for a cell of {(m + n, n)}")
-    T, batch = trace.lead
+    T, batch = len(trace.xh), trace.xh.shape[1:-1]
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grads is None:
@@ -236,7 +239,7 @@ def backward_cell_sequence(
         raise ContractError(f"backward_cell_sequence: no cell gradient under {prefix!r}")
     if T == 0:
         return grads, [], None
-    per_step = int(np.prod(batch))
+    per_step = math.prod(batch)
     span = min(T, max(1, DW_GEMM_ROWS // per_step))
     starts = range(0, T, span)
     stacks = [w for w, _ in _owner(params).groups]
@@ -272,11 +275,6 @@ def backward_cell_sequence(
     return grads, dx_steps, dh
 
 
-def _trace_fields(k: cells._Kind) -> set:
-    """The names in a trace of kind k (see `cells.new_trace`): its fields, its gate views and its shared fields."""
-    return {f[0] for f in k.fields + k.shared} | set(k.block[1])
-
-
 def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, grads, m: int) -> None:
     """A span's weight and bias gradients: rebuild its rows of the shared fields, then `_add_weight_grads`.
 
@@ -299,7 +297,7 @@ def _add_weight_grads(groups, deltas, rows: Trace, products, grads) -> None:
         # the same product as flat.T @ inputs, and the faster GEMM order at these (rows, k) x (rows, m+n) shapes
         np.matmul(inputs.reshape(flat.shape[0], -1).T, flat, out=product)
         dw += product.T
-        db += flat.sum(axis=0)
+        db += np.add.reduce(flat, axis=0)
 
 
 def _handoff(flop: float, floor: float) -> bool:
@@ -471,7 +469,7 @@ def _head_grads(head_in: np.ndarray, flat: np.ndarray, scratch: list, w_grad: np
     dw = scratch.pop()
     np.matmul(head_in.T, flat, out=dw)
     w_grad[...] = dw.T
-    b_grad += flat.sum(axis=0)
+    b_grad += np.add.reduce(flat, axis=0)
 
 
 def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:

@@ -53,7 +53,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .linalg import ContractError, Rng, init_matrix, sigmoid, softmax, tanh
+from .linalg import ContractError, NumericError, Rng, init_matrix, non_finite, sigmoid, softmax, tanh
 
 _EMPTY = np.zeros(0)
 
@@ -67,21 +67,15 @@ class _Cell:
     GEMM operands, and in a gradient cell what each span flush adds into. `tensors` holds (path, view) of
     each named tensor, as `iter_tensors` walks them. A RAU's GRU part has neither.
 
-    kind is looked up from the cell's type; hidden_size and input_size are read off the gate weights.
+    kind is looked up from the cell's type; `_on_buffer` sets input_size and hidden_size beside the views.
     """
+
+    input_size: int
+    hidden_size: int
 
     @property
     def kind(self) -> str:
         return _KIND_OF[type(self)]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.gates[0].shape[2]
-
-    @property
-    def input_size(self) -> int:
-        _, m_plus_n, n = self.gates[0].shape
-        return m_plus_n - n
 
     def on_buffer(self, buf: np.ndarray) -> "CellParams":
         """A cell of this one's kind and sizes whose tensors view buf, a buffer laid out as this one's."""
@@ -153,9 +147,10 @@ class CellState:
 class Trace(SimpleNamespace):
     """A cell layer's recorded steps: one (rows, *batch, width) array per trace field of its kind.
 
-    Step t writes row t in place; `row(t)` gives its fields as views.
-    xh is the concatenation [x, h_prev], so backward recovers x and
-    h_prev by slicing at the input size. The fused gate field (GRU and
+    Step t writes row t in place; `row(t)` gives its fields as views, a
+    row that `new_trace` built once for the forward and the backward. xh
+    is the concatenation [x, h_prev], so backward recovers x and h_prev by
+    slicing at the input size. The fused gate field (GRU and
     RAU `rz`, LSTM `fiog`) holds the kind's gates gate-major, (rows, k,
     *batch, n); the trace also carries one view per gate (`r`, `z`;
     `f`, `i`, `o`, `g`), each row of which is contiguous. A shared field
@@ -164,14 +159,14 @@ class Trace(SimpleNamespace):
     each row reads the last step's values.
     """
 
-    @property
-    def lead(self) -> tuple:
-        """(rows, batch shape), read off the leading axes all fields share."""
-        return len(self.xh), self.xh.shape[1:-1]
+    __slots__ = ("_rows",)  # `new_trace`'s rows: a slot, so vars(trace) holds the fields alone
 
     def row(self, t: int | slice) -> "Trace":
-        """Row t's fields as views (rows t, for a slice)."""
-        return Trace(**{name: buf[t] for name, buf in vars(self).items()})
+        """Row t's fields as views: the row `new_trace` built, or a new one (rows t, for a slice)."""
+        rows = getattr(self, "_rows", None)  # a copy, or a trace of rows, has none
+        if rows is None or isinstance(t, slice):
+            return Trace(**{name: buf[t] for name, buf in vars(self).items()})
+        return rows[t]
 
 
 def new_trace(p: CellParams, rows: int, batch: tuple) -> Trace:
@@ -188,25 +183,28 @@ def new_trace(p: CellParams, rows: int, batch: tuple) -> Trace:
     per_row = math.prod(batch)
     lead = rows * per_row
     block = np.empty(lead * sum(width[w] for _, w in k.fields) + per_row * sum(width[w] for _, w, _ in k.shared))
-    trace, start = Trace(), 0
+    views, start = {}, 0
     for name, w in k.fields:
         shape = (rows, len(gates), *batch, n) if name == fused else (rows, *batch, width[w])
-        setattr(trace, name, block[start:start + lead * width[w]].reshape(shape))
+        views[name] = block[start:start + lead * width[w]].reshape(shape)
         start += lead * width[w]
     for j, gate in enumerate(gates):
-        setattr(trace, gate, getattr(trace, fused)[:, j])
+        views[gate] = views[fused][:, j]
     for name, w, _ in k.shared:
         one = block[start:start + per_row * width[w]].reshape(1, *batch, width[w])
         # more rows view it through a row axis of stride 0; a one-row trace (eval, a lone step) skips
         # np.ndarray, which costs ~2 us a call to reshape's ~0.5
-        setattr(trace, name, one if rows == 1 else np.ndarray((rows, *one.shape[1:]), buffer=one,
-                                                               strides=(0, *one.strides[1:])))
+        views[name] = one if rows == 1 else np.ndarray((rows, *one.shape[1:]), buffer=one,
+                                                       strides=(0, *one.strides[1:]))
         start += one.size
+    trace = Trace(**views)
+    # iterating an array gives its rows as views, as indexing it by row does
+    trace._rows = [Trace(**dict(zip(views, row))) for row in zip(*views.values())]
     return trace
 
 
 class _Layout(NamedTuple):
-    tensors: tuple  # (path, start, stop, shape) of each named tensor in the buffer, in declaration order
+    tensors: tuple  # (path, is a bias, first row, end row) of each named tensor, in declaration order
     rows: int       # weight rows; the (rows, m+n) weight block comes first, the rows biases follow it
     groups: tuple   # (first row, end row) of each gate group
 
@@ -217,14 +215,12 @@ def _layout(kind: str, m: int, n: int) -> _Layout:
     rows are m+n for w_a and n for every other weight."""
     k = _kind(kind)
     rows = {w: m + n if w == "w_a" else n for w_paths, _, _ in k.groups for w in w_paths}
-    weights = sum(rows.values()) * (m + n)
     at, groups, row = {}, [], 0
     for w_paths, b_paths, _ in k.groups:
         groups.append(row)
         for w, b in zip(w_paths, b_paths):
-            r = rows[w]
-            at[w], at[b] = (row * (m + n), (row + r) * (m + n), (r, m + n)), (weights + row, weights + row + r, (r,))
-            row += r
+            at[w], at[b] = (False, row, row + rows[w]), (True, row, row + rows[w])
+            row += rows[w]
     paths = [f"gru.{f.name}" for f in dataclasses.fields(GruParams)] if kind == "rau" else []
     paths = [q for f in dataclasses.fields(k.params) for q in (paths if f.name == "gru" else [f.name])]
     return _Layout(tuple((q, *at[q]) for q in paths), row, tuple(zip(groups, groups[1:] + [row])))
@@ -237,19 +233,19 @@ def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
     """
     k = _kind(kind)
     layout = _layout(kind, m, n)
-    views = {path: buf[lo:hi].reshape(shape) for path, lo, hi, shape in layout.tensors}
+    w, b = buf[:layout.rows * (m + n)].reshape(-1, m + n), buf[layout.rows * (m + n):]
+    views = {path: (b if bias else w)[lo:hi] for path, bias, lo, hi in layout.tensors}
     tensors = tuple(views.items())
     if kind == "rau":
-        views["gru"] = GruParams(**{f.name: views.pop(f"gru.{f.name}") for f in dataclasses.fields(GruParams)})
+        views["gru"] = GruParams(**{name: views.pop(f"gru.{name}") for name in _field_names(GruParams)})
     p = k.params(**views)
-    w, b = buf[:layout.rows * (m + n)].reshape(-1, m + n), buf[layout.rows * (m + n):]
     j = len(k.block[1])
     p.buffer, p.tensors = buf, tensors
     # the gates lead the xh group; a transposed view per gate computes its product as `xh @ w_j.T` does
-    p.gates = w[:j * n].reshape(j, n, m + n).transpose(0, 2, 1), b[:j * n].reshape(j, n)
+    gates = w[:j * n].reshape(j, n, m + n).transpose(0, 2, 1), b[:j * n].reshape(j, n)
     p.groups = tuple((w[lo:hi], b[lo:hi]) for lo, hi in layout.groups)
-    if kind == "rau":
-        p.gru.gates = p.gates
+    for cell in (p, p.gru) if kind == "rau" else (p,):
+        cell.gates, cell.input_size, cell.hidden_size = gates, m, n
     return p
 
 
@@ -446,7 +442,7 @@ def _rau_backward(tr: Trace, dh, dc, w, d, dx, m: int, n: int):
     np.multiply(dhc, t, out=d[2])
     dv = d[2] @ w[2]
     du = dv * tr.xh
-    inner = np.sum(du * tr.u, axis=-1, keepdims=True)
+    inner = np.add.reduce(du * tr.u, axis=-1, keepdims=True)  # np.sum, without its wrapper
     du -= inner
     np.multiply(tr.u, du, out=d[0][..., 2 * n:])
     dxrh_x, drh = _gru_deltas(tr, dz, dhc, w[1], d[0], d[1], m, n, x_cols)
@@ -469,7 +465,8 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None =
     the worker thread computes f|i into tr.fiog[:2] (`_forget_input`)
     while the caller computes o|g into tr.fiog[2:] (`_output_candidate`).
     numpy's batched matmul runs one GEMM per gate and the activations are
-    elementwise, so each gate keeps its bits.
+    elementwise, so each gate keeps its bits. The caller raises its own
+    NumericError after the join, so a worker's f|i error wins, as inline.
     """
     _check_dims(p.input_size, p.hidden_size, x, state.h, "lstm_step")
     if state.c.shape != state.h.shape:
@@ -480,8 +477,8 @@ def lstm_step(p: LstmParams, x: np.ndarray, state: CellState, tr: Trace | None =
         fiog = _gate_affine(xh, p.gates, out=tr.fiog)
         sigmoid(fiog[:3], out=fiog[:3])
         tanh(tr.g, out=tr.g)
-    else:
-        beside(functools.partial(_forget_input, p, tr), True, _output_candidate, p, tr)
+    elif (error := beside(functools.partial(_forget_input, p, tr), True, _output_candidate, p, tr)) is not None:
+        raise error
     tr.c_prev[...] = state.c
     c = np.multiply(tr.f, state.c)
     ig = np.multiply(tr.i, tr.g)
@@ -498,12 +495,20 @@ def _forget_input(p: LstmParams, tr: Trace) -> None:
     sigmoid(fi, out=fi)
 
 
-def _output_candidate(p: LstmParams, tr: Trace) -> None:
-    """An LSTM step's o and g gates, from tr.xh into tr.fiog[2:]: their GEMM and bias, o's sigmoid, g's tanh."""
+def _output_candidate(p: LstmParams, tr: Trace) -> NumericError | None:
+    """An LSTM step's o and g gates, from tr.xh into tr.fiog[2:]: their GEMM and bias, o's sigmoid, g's tanh.
+    It returns, rather than raises, a non-finite pre-activation's NumericError (see `lstm_step`), counting
+    o's index from f's first entry, as the inline step's one sigmoid over f|i|o does."""
     w, b = p.gates
     _gate_affine(tr.xh, (w[2:], b[2:]), out=tr.fiog[2:])
-    sigmoid(tr.o, out=tr.o)
-    tanh(tr.g, out=tr.g)
+    try:
+        sigmoid(tr.o, out=tr.o)
+    except NumericError as e:
+        return non_finite("sigmoid", 2 * tr.o.size + e.index)
+    try:
+        tanh(tr.g, out=tr.g)
+    except NumericError as e:
+        return e
 
 
 def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
@@ -608,7 +613,7 @@ def step(p: CellParams, x: np.ndarray, state: CellState, tr: Trace | None = None
     if k.has_c:
         return k.step(p, x, state, tr, beside)
     h, tr = k.step(p, x, state.h, tr, beside)
-    return CellState(h=h), tr
+    return CellState(h, _EMPTY), tr
 
 
 def zero_state(p: CellParams, batch: int | None = None) -> CellState:
@@ -625,18 +630,27 @@ def param_count(kind: str, m: int, n: int) -> int:
     return rows * (m + n + 1)
 
 
-def _leaves(obj, prefix: str, whole_cells: bool) -> Iterator[tuple[str, object]]:
-    """(path, leaf) of each array in a container, in declaration order; with whole_cells a cell is one leaf."""
+@functools.cache
+def _field_names(cls: type) -> tuple | None:
+    """The field names of a dataclass, in declaration order; None for any other type, a dataclass's class too."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
+def _leaves(obj, prefix: str, whole_cells: bool, out: list) -> list[tuple[str, object]]:
+    """out, with (path, leaf) of each array in a container appended in declaration order; with whole_cells a
+    cell is one leaf."""
     if isinstance(obj, np.ndarray) or (whole_cells and isinstance(obj, _Cell)):
-        yield prefix, obj
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            yield from _leaves(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name, whole_cells)
+        out.append((prefix, obj))
+    elif (names := _field_names(type(obj))) is not None:
+        for name in names:
+            if not isinstance(value := getattr(obj, name), (int, float, str, type(None))):  # metadata: no call
+                _leaves(value, f"{prefix}.{name}" if prefix else name, whole_cells, out)
     elif isinstance(obj, (list, tuple)):
         for k, item in enumerate(obj):
-            yield from _leaves(item, f"{prefix}.{k}" if prefix else str(k), whole_cells)
+            _leaves(item, f"{prefix}.{k}" if prefix else str(k), whole_cells, out)
     elif isinstance(obj, Mapping):
         raise ContractError(f"a mapping at {prefix or 'its top'} of a parameter container: hold its tensors in a list")
+    return out
 
 
 def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
@@ -646,7 +660,7 @@ def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
     leaves (strings, numbers, None) are skipped, so containers may carry
     metadata alongside their tensors; a mapping raises ContractError.
     """
-    return _leaves(obj, prefix, False)
+    return iter(_leaves(obj, prefix, False, []))
 
 
 def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, CellParams | None]]:
@@ -655,7 +669,7 @@ def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, CellParams | None]]:
     A cell's key is its tensors' path prefix ("cells.0.", or "" alone); any other array is its own
     buffer, keyed by its path, with owner None.
     """
-    for path, leaf in _leaves(obj, "", True):
+    for path, leaf in _leaves(obj, "", True, []):
         if isinstance(leaf, np.ndarray):
             yield path, leaf, None
         else:

@@ -50,10 +50,15 @@ class NumericError(ArithmeticError):
         self.index = index
 
 
+def non_finite(op: str, index: int) -> NumericError:
+    """The error of op's check for a non-finite input entry at flat index index."""
+    return NumericError(f"{op}: non-finite input at flat index {index}", index=index)
+
+
 def _check_finite(x: np.ndarray, op: str) -> None:
-    if not np.isfinite(x).all():
-        bad = int(np.flatnonzero(~np.isfinite(np.ravel(x)))[0])
-        raise NumericError(f"{op}: non-finite input at flat index {bad}", index=bad)
+    # the ufunc reductions that ndarray.all, .max and .sum call through a Python wrapper, here and in softmax
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
+        raise non_finite(op, int(np.flatnonzero(~np.isfinite(np.ravel(x)))[0]))
 
 
 class Rng:
@@ -153,9 +158,9 @@ def softmax(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     """
     v = np.asarray(v, dtype=np.float64)
     _check_finite(v, "softmax")
-    out = np.subtract(v, v.max(axis=axis, keepdims=True), out=out)
+    out = np.subtract(v, np.maximum.reduce(v, axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
     return out
 
 

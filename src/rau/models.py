@@ -268,7 +268,7 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
         raise ContractError(f"cross_entropy: targets shaped {tg.shape} for {B} rows of logits")
     if B == 0:
         raise ContractError("cross_entropy: empty batch")
-    if tg.min() < 0 or tg.max() >= k:
+    if np.minimum.reduce(tg) < 0 or np.maximum.reduce(tg) >= k:
         raise ContractError("cross_entropy: target out of range")
     block = max(1, CE_BLOCK_BYTES // (8 * k))
     # with grad, each block lands in its rows of dlogits; without, each half of the rows (see
@@ -278,7 +278,7 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
     autograd._in_halves(B, block, k * autograd.ELEMENT_FLOP, _cross_entropy_rows, lg, tg, buf, nll, block, grad)
     # a non-finite loss is the caller's to judge: numpy's overflow warning on the way there would only be noise
     with np.errstate(over="ignore"):
-        loss = float(np.mean(nll))
+        loss = float(np.add.reduce(nll) / B)  # np.mean's sum and division, without its wrapper
     if not grad:
         return loss, None
     return loss, (buf[0] if single else buf)
@@ -295,10 +295,10 @@ def _cross_entropy_rows(lg: np.ndarray, tg: np.ndarray, buf: np.ndarray, nll: np
         t = tg[lo:hi]
         # one exp, in place: the shifted logits become (probs - onehot) / B
         d = buf[lo:hi] if grad else scratch[:hi - lo]
-        np.subtract(lg[lo:hi], lg[lo:hi].max(axis=1, keepdims=True), out=d)
+        np.subtract(lg[lo:hi], np.maximum.reduce(lg[lo:hi], axis=1, keepdims=True), out=d)
         picked = d[rows, t]
         np.exp(d, out=d)
-        total = d.sum(axis=1, keepdims=True)
+        total = np.add.reduce(d, axis=1, keepdims=True)
         np.subtract(np.log(total[:, 0]), picked, out=nll[lo:hi])
         if grad:
             d *= 1.0 / (total * B)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -148,7 +149,7 @@ def _optimizer_step(model, opt: OptimizerState, tape, loss: float, loss_grad, cl
     A non-finite loss or gradient raises DivergenceError before any
     parameter changes.
     """
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise DivergenceError(f"{what} loss diverged at epoch {epoch}, step {step}")
     grads = backward(tape, loss_grad)
     try:
@@ -210,7 +211,7 @@ def train_epoch_classifier(model, xs, ys, opt: OptimizerState, rng: Rng, batch_s
         loss, dlogits = cross_entropy(logits, yb)
         _optimizer_step(model, opt, tape, loss, dlogits, clip_norm, "classifier", epoch, step_offset + steps)
         total_loss += loss * len(idx)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == yb))
         seen += len(idx)
         steps += 1
         # free this step's traces before the next forward allocates its own
@@ -256,7 +257,7 @@ def _score(model, xs, ys, rows: slice, scores: list, i: int, traces: list | None
     records into them and hands the worker thread nothing (see `models._forward`)."""
     logits, _ = classify_forward(model, xs[rows], train_mode=False, _traces=traces)
     loss, _ = cross_entropy(logits, ys[rows], grad=False)
-    scores[i] = (loss * len(ys[rows]), int(np.sum(np.argmax(logits, axis=1) == ys[rows])))
+    scores[i] = (loss * len(ys[rows]), int(np.count_nonzero(logits.argmax(axis=1) == ys[rows])))
 
 
 def _lm_window_loss(model, inputs, targets, states, train_mode, rng):

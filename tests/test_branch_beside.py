@@ -168,6 +168,21 @@ class TestFailures:
         for k, v in iter_tensors(mdl):
             assert np.array_equal(v, before[k]), k
 
+    @pytest.mark.parametrize("on", [False, True], ids=["inline", "beside"])
+    @pytest.mark.parametrize("biases,index", [(("b_o",), 42), (("b_f", "b_o"), 2), (("b_i", "b_g"), 22)],
+                             ids=["o", "f_and_o", "i_and_g"])
+    def test_an_lstm_gate_error_reads_as_the_inline_steps(self, biases, index, on, handoff, queued):
+        # at B=5, n=4 the inline step checks f|i|o in one sigmoid, so o's entries count from 2 * 5 * 4 = 40, and an
+        # f or i entry is met before an o or g one: the split step, which checks f|i on the worker, says the same
+        handoff(on)
+        mdl = build_classifier("lstm", M, 4, 1, C, 0.5, Rng(29))
+        for name in biases:
+            getattr(mdl.cells[0], name)[2] = np.inf
+        with pytest.raises(NumericError) as exc:
+            classify_forward(mdl, _features(30, (B, T, M)))
+        assert (str(exc.value), exc.value.index) == (f"sigmoid: non-finite input at flat index {index}", index)
+        assert len(queued) == on and all(job.done() for job in queued)
+
     @pytest.mark.parametrize("side", ["worker", "caller"])
     @KIND
     def test_a_raising_branch_surfaces_and_nothing_is_pending(self, kind, side, monkeypatch, handoff, queued):

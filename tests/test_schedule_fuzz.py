@@ -5,7 +5,8 @@ to give. Here a fixture wraps `autograd._submit` so that each job sleeps
 a seeded random 0-2 ms before and after it runs, or, in other seeds,
 wraps the caller's side of `autograd._beside` the same way; the test
 also lowers the interpreter's switch interval, so the GIL changes hands
-often. Each path runs over SEEDS seeds: the span flushes, the head GEMM,
+often. Each path runs over SEEDS seeds (RAU_FUZZ_SEEDS, default 50; CI
+also runs this file at 500): the span flushes, the head GEMM,
 cross-entropy and SGD halves, the head's gradients, the forward
 wavefront, a RAU step's attention branch, an LSTM step's f and i gates
 and a classifier eval's pairs of batches. A run must give the inline
@@ -16,6 +17,7 @@ error must surface in the caller with nothing pending.
 """
 
 import copy
+import os
 import random
 import sys
 import time
@@ -32,7 +34,7 @@ from rau.train import apply_update, evaluate_classifier, make_optimizer
 
 from conftest import pinned_blas
 
-SEEDS = 50
+SEEDS = int(os.environ.get("RAU_FUZZ_SEEDS", "50"))
 FAILURES = ("worker", "caller", "interrupt")
 
 

@@ -67,11 +67,8 @@ class _Cell:
     GEMM operands, and in a gradient cell what each span flush adds into. `tensors` holds (path, view) of
     each named tensor, as `iter_tensors` walks them. A RAU's GRU part has neither.
 
-    kind is looked up from the cell's type; `_on_buffer` sets input_size and hidden_size beside the views.
+    kind is looked up from the cell's type; `_on_buffer` sets the ints input_size and hidden_size beside the views.
     """
-
-    input_size: int
-    hidden_size: int
 
     @property
     def kind(self) -> str:
@@ -163,10 +160,9 @@ class Trace(SimpleNamespace):
 
     def row(self, t: int | slice) -> "Trace":
         """Row t's fields as views: the row `new_trace` built, or a new one (rows t, for a slice)."""
-        rows = getattr(self, "_rows", None)  # a copy, or a trace of rows, has none
-        if rows is None or isinstance(t, slice):
+        if isinstance(t, slice) or not hasattr(self, "_rows"):  # a copy, or a trace of rows, has no rows
             return Trace(**{name: buf[t] for name, buf in vars(self).items()})
-        return rows[t]
+        return self._rows[t]
 
 
 def new_trace(p: CellParams, rows: int, batch: tuple) -> Trace:

@@ -3,10 +3,11 @@
 The forward passes in `cells` and `models` record a `cells.Trace` per cell
 layer; this module replays it backwards, a whole window per cell layer, and
 computes exact analytic gradients for every parameter tensor; each kind's
-step backward and gate groups come from the `cells` table. Keys in the resulting `Grads` mirror
-`cells.iter_tensors` paths over the parameter container, so optimizer
-updates and finite-difference checks can walk the same structure, and
-each cell's gradient is a cell of its kind: one buffer per cell.
+step backward and gate groups come from the `cells` table. A gradient has
+one form: `backward` returns a `Grads` laid out as the parameters are,
+each cell layer's gradient a cell of its kind on one buffer, which
+`backward_cell_sequence` fills. Its keys are the `cells.iter_tensors`
+paths over the parameter container, as are those of the oracle's dict.
 
 The weight gradients are deferred: a window's steps buffer their gate
 deltas a span at a time, and each span is flushed into the weight
@@ -40,8 +41,8 @@ work of its use's flop floor or more, and a CPU of its own for the
 worker. A forward asks `_forward_plan` once which use, if either, it runs.
 
 `fd_gradient` is the independent oracle: central differences of any
-scalar function of the parameters, one coordinate at a time. It shares
-no code with the analytic path.
+scalar function of the parameters, one coordinate at a time, into a
+plain dict. It shares no code with the analytic path.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,55 +65,41 @@ GRADCHECK_TOLERANCE = 1e-5
 
 
 class Grads(dict):
-    """Gradient arrays keyed by dotted tensor path.
+    """Gradient arrays keyed by dotted tensor path, laid out as the parameters are (`zeros_like`).
 
-    `zeros_like` lays them out as the parameters are: `owners` maps each `cells.iter_buffers` key to a
-    gradient cell of the parameters' kind on a buffer of its own, or to a plain array, and the named
-    gradients are its tensors. `buffers` maps the same keys to the buffers, for work done once per buffer
-    (scaling, the optimizer update). A Grads built from a mapping has each tensor as its own buffer.
+    `owners` maps each `cells.iter_buffers` key to a gradient cell of the parameters' kind on a buffer of its
+    own, or to a plain array, and the named gradients are its tensors. `buffers` maps the same keys to the
+    buffers, for work done once per buffer (scaling, the optimizer update).
     """
 
-    owners: dict | None = None
+    owners: dict
+    buffers: dict
 
     @classmethod
-    def zeros_like(cls, params, prefix: str = "", unset: tuple = ()) -> "Grads":
-        """Zero gradients laid out like params, keyed under prefix; the buffers keyed in unset are left unfilled."""
+    def zeros_like(cls, params, unset: tuple = ()) -> "Grads":
+        """Zero gradients laid out like params; the buffers keyed in unset are left unfilled."""
         owners = {}
         for key, buf, cell in iter_buffers(params):
             g = (np.empty_like if key in unset else np.zeros_like)(buf)
-            owners[prefix + key] = g if cell is None else cell.on_buffer(g)
+            owners[key] = g if cell is None else cell.on_buffer(g)
         return cls._of(owners)
 
     @classmethod
     def _of(cls, owners: dict) -> "Grads":
         """The gradients that owners hold: each array under its key, each cell's tensors under their paths."""
         g = cls()
-        g.owners = owners
+        g.owners, g.buffers = owners, {}
         for key, owner in owners.items():
-            g.update([(key, owner)] if isinstance(owner, np.ndarray) else
-                     ((key + path, a) for path, a in owner.tensors))
+            if isinstance(owner, np.ndarray):
+                g[key] = g.buffers[key] = owner
+            else:
+                g.buffers[key] = owner.buffer
+                g.update((key + path, a) for path, a in owner.tensors)
         return g
-
-    @property
-    def buffers(self) -> dict:
-        if self.owners is None:
-            return self
-        return {key: owner if isinstance(owner, np.ndarray) else owner.buffer for key, owner in self.owners.items()}
 
     def __deepcopy__(self, memo) -> "Grads":
         # numpy would copy each view on its own: copy each owner, a cell through its one buffer, and name the copies
-        return Grads._of(copy.deepcopy(dict(self) if self.owners is None else self.owners, memo))
-
-    def global_norm(self) -> float:
-        # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale;
-        # a norm that overflows is the caller's to judge with isfinite, so numpy's warning would only be noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(sum(float((v := g.ravel()) @ v) for g in self.values()))
-
-    def scale_(self, s: float) -> "Grads":
-        for g in self.buffers.values():
-            g *= s
-        return self
+        return Grads._of(copy.deepcopy(self.owners, memo))
 
 
 def clip_global_norm(g: Grads, max_norm: float) -> Grads:
@@ -124,13 +111,18 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
     """
     if not max_norm > 0:  # NaN fails it too
         raise ContractError("clip_global_norm: max_norm must be positive")
-    norm = g.global_norm()
+    # one dot per named tensor, in path order: the order of the sum fixes the bits of the clipping scale;
+    # a norm that overflows is judged with isfinite below, so numpy's warning would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(sum(float((v := a.ravel()) @ v) for a in g.values()))
     if not math.isfinite(norm):
         bad = next((k for k, v in g.items() if not np.all(np.isfinite(v))), None)
         where = f"non-finite gradient in {bad}" if bad is not None else "gradient norm overflows"
         raise NumericError(f"clip_global_norm: {where}")
     if norm > max_norm:
-        g.scale_(max_norm / norm)
+        scale = max_norm / norm
+        for buf in g.buffers.values():
+            buf *= scale
     return g
 
 
@@ -202,8 +194,7 @@ def backward_cell_sequence(
     trace: Trace,
     dh_last: np.ndarray | None = None,
     dh_steps: Sequence[np.ndarray] | None = None,
-    grads: Grads | None = None,
-    prefix: str = "",
+    grad: CellParams | None = None,
     *,
     want_dx: bool = True,
 ):
@@ -212,13 +203,12 @@ def backward_cell_sequence(
     dh_last seeds the gradient at the final hidden state; dh_steps adds
     a per-step contribution (e.g. from a head or an upper layer) before
     each step's backward, one entry per recorded step. Accumulates into
-    the gradient cell `grads` holds under `prefix` (see
-    `Grads.zeros_like`), and returns (grads, dx_steps, dh0) where
-    dx_steps[t] is the gradient of that step's input; dx_steps is one
-    (T, ..., m) array. With want_dx False no step computes its input
-    gradient and dx_steps is None. Every flush has run when it returns
-    or raises. A trace of another kind or sizes than params raises
-    ContractError.
+    grad, a gradient cell of params' kind and sizes (a new zero one if
+    None), and returns (grad, dx_steps, dh0) where dx_steps[t] is the
+    gradient of that step's input; dx_steps is one (T, ..., m) array.
+    With want_dx False no step computes its input gradient and dx_steps
+    is None. Every flush has run when it returns or raises. A trace or a
+    grad of another kind or sizes than params raises ContractError.
     """
     kind = _kind_of(params, "backward_cell_sequence")
     k, m, n = cells._KINDS[kind], params.input_size, params.hidden_size
@@ -232,13 +222,13 @@ def backward_cell_sequence(
     T, batch = len(trace.xh), trace.xh.shape[1:-1]
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
-    if grads is None:
-        grads = Grads.zeros_like(params, prefix)
-    grad_cell = grads.owners.get(prefix) if grads.owners else None
-    if not isinstance(grad_cell, CellParams):
-        raise ContractError(f"backward_cell_sequence: no cell gradient under {prefix!r}")
+    if grad is None:
+        grad = params.on_buffer(np.zeros_like(_owner(params).buffer))
+    elif type(grad) is not type(params) or (grad.input_size, grad.hidden_size) != (m, n):
+        raise ContractError(f"backward_cell_sequence: a gradient {type(grad).__name__} for a {kind} cell of {(m, n)}")
+    grad_groups = _owner(grad).groups
     if T == 0:
-        return grads, [], None
+        return grad, [], None
     per_step = math.prod(batch)
     span = min(T, max(1, DW_GEMM_ROWS // per_step))
     starts = range(0, T, span)
@@ -270,9 +260,9 @@ def backward_cell_sequence(
         d = deltas[s % len(deltas)]
         dh, dc = _beside(flush, on, steps, lo, dh, dc, d)
         flush = functools.partial(_flush, k.groups, trace, slice(lo, lo + span), rebuilt, d, products,
-                                  grad_cell.groups, m)
+                                  grad_groups, m)
     flush()
-    return grads, dx_steps, dh
+    return grad, dx_steps, dh
 
 
 def _flush(groups, trace: Trace, rows: slice, rebuilt, deltas, products, grads, m: int) -> None:
@@ -488,8 +478,7 @@ def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
             tape.traces[layer],
             dh_last=dh_last,
             dh_steps=dh_steps,
-            grads=grads,
-            prefix=f"cells.{layer}.",
+            grad=grads.owners[f"cells.{layer}."],
             want_dx=want_dx,
         )
         if want_dx and tape.in_masks is not None:
@@ -502,11 +491,11 @@ def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
         np.add.at(grads["embedding"], ids, dx_steps.reshape(ids.shape[0], -1))
 
 
-def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> Grads:
-    """Central-difference gradient oracle: (f(p+eps*e) - f(p-eps*e)) / 2eps per coordinate."""
+def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central-difference gradient oracle, by tensor path: (f(p+eps*e) - f(p-eps*e)) / 2eps per coordinate."""
     if not epsilon > 0:  # NaN fails it too
         raise ContractError("fd_gradient: epsilon must be positive")
-    out = Grads()
+    out = {}
     for name, arr in iter_tensors(params):
         if not arr.flags.c_contiguous:
             raise ContractError(f"fd_gradient: tensor {name} must be contiguous to perturb in place")
@@ -527,8 +516,8 @@ def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> Grads:
     return out
 
 
-def relative_errors(analytic: Grads, numeric: Grads) -> dict[str, float]:
-    """Worst elementwise relative error per tensor: |a-b| / max(1e-8, |a|+|b|)."""
+def relative_errors(analytic: Mapping, numeric: Mapping) -> dict[str, float]:
+    """Worst elementwise relative error per tensor of analytic, paths mapped to arrays: |a-b| / max(1e-8, |a|+|b|)."""
     report = {}
     for name in analytic:
         a = analytic[name]
@@ -572,7 +561,7 @@ def gradcheck_cell(kind: str, m: int, n: int, T: int, trials: int, seed: int, pe
         trace = new_trace(params, T, ())
         for t in range(T):
             state, _ = step(params, xs[t], state, trace.row(t))
-        analytic, _, _ = backward_cell_sequence(params, trace, dh_steps=gs)
+        analytic = dict(backward_cell_sequence(params, trace, dh_steps=gs)[0].tensors)
         if perturb:
             first = next(iter(analytic))
             analytic[first].reshape(-1)[0] += perturb

@@ -80,13 +80,7 @@ class _Cell:
 
     def __reduce__(self):
         # copy.deepcopy and pickle would copy each view on its own: copy the one buffer and view the copy alike
-        kind, m, n = self.kind, self.input_size, self.hidden_size
-        own = self
-        if "buffer" not in vars(self):  # a RAU's GRU part views its RAU's buffer: copy it onto a GRU buffer
-            own = init_cell(kind, m, n, 0.0, None)
-            for (_, a), (_, b) in zip(iter_tensors(own), iter_tensors(self)):
-                a[...] = b
-        return _on_buffer, (kind, m, n, own.buffer)
+        return _on_buffer, (self.kind, self.input_size, self.hidden_size, _owner(self).buffer)
 
 
 @dataclass
@@ -249,7 +243,7 @@ def _owner(p: CellParams) -> CellParams:
     """p, which owns its buffer; a RAU's GRU part views its RAU's, so it raises ContractError for that part."""
     if "buffer" not in vars(p):
         raise ContractError(f"{type(p).__name__} is a RAU's GRU part: it views its RAU's buffer and has no "
-                            "buffer of its own; take gradients of the RAU")
+                            "buffer of its own; take gradients or copies of the RAU")
     return p
 
 

@@ -56,40 +56,59 @@ class TestFdGradient:
             fd_gradient(lambda q: float(q["w"].sum()), {"w": np.zeros(2)})
 
 
+@dataclass
+class TwoParams:
+    a: np.ndarray
+    b: np.ndarray | None = None
+
+
+def _grads(a, b=None) -> Grads:
+    """Gradients laid out like a TwoParams of a and b, holding their values."""
+    g = Grads.zeros_like(TwoParams(*(None if v is None else np.zeros(np.shape(v)) for v in (a, b))))
+    for name, value in (("a", a), ("b", b)):
+        if value is not None:
+            g[name][...] = value
+    return g
+
+
+def _norm(g: Grads) -> float:
+    return float(np.sqrt(sum(np.sum(v * v) for v in g.values())))
+
+
 class TestClipGlobalNorm:
     def test_scales_when_over(self):
-        g = Grads({"a": np.array([6.0, 8.0])})  # norm 10
+        g = _grads([6.0, 8.0])  # norm 10
         clip_global_norm(g, 5.0)
         assert np.allclose(g["a"], [3.0, 4.0], atol=1e-12)
 
     def test_unchanged_when_under(self):
-        g = Grads({"a": np.array([0.6, 0.8])})
+        g = _grads([0.6, 0.8])
         clip_global_norm(g, 5.0)
         assert np.allclose(g["a"], [0.6, 0.8], atol=0, rtol=0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_gradient_raises_naming_tensor(self, bad):
-        g = Grads({"a": np.array([0.6, 0.8]), "b": np.array([[1.0, bad]])})
+        g = _grads([0.6, 0.8], [[1.0, bad]])
         with pytest.raises(NumericError, match="non-finite gradient in b"):
             clip_global_norm(g, 5.0)
 
     def test_overflowing_norm_raises(self):
-        g = Grads({"a": np.array([1e200, 1e200])})
+        g = _grads([1e200, 1e200])
         with pytest.raises(NumericError, match="overflows"):
             clip_global_norm(g, 5.0)
 
     def test_nan_max_norm_raises(self):
         # NaN passed a `max_norm <= 0` test, and no norm exceeds NaN, so nothing was ever clipped
         with pytest.raises(ContractError, match="max_norm must be positive"):
-            clip_global_norm(Grads({"a": np.array([6.0, 8.0])}), float("nan"))
+            clip_global_norm(_grads([6.0, 8.0]), float("nan"))
 
     def test_post_norm_is_min_of_norm_and_max(self):
         rng = Rng(9)
         for max_norm in (0.5, 3.0, 100.0):
-            g = Grads({"a": rng.uniform(-1, 1, 10), "b": rng.uniform(-1, 1, (3, 3))})
-            before = g.global_norm()
+            g = _grads(rng.uniform(-1, 1, 10), rng.uniform(-1, 1, (3, 3)))
+            before = _norm(g)
             clip_global_norm(g, max_norm)
-            assert abs(g.global_norm() - min(before, max_norm)) <= 1e-12
+            assert abs(_norm(g) - min(before, max_norm)) <= 1e-12
 
 
 def _record_sequence(params, xs):
@@ -101,8 +120,8 @@ def _record_sequence(params, xs):
 
 
 def _rau_grads(params, traces, **seed):
-    """BPTT gradients, seeded by dh_last or dh_steps."""
-    return backward_cell_sequence(params, traces, **seed)[0]
+    """BPTT gradients by tensor path, seeded by dh_last or dh_steps."""
+    return dict(backward_cell_sequence(params, traces, **seed)[0].tensors)
 
 
 class TestBackward:
@@ -254,6 +273,32 @@ class TestTraceOfTheCell:
         trace = _record_sequence(init_cell("gru", 3, 4, 0.5, rng), rng.uniform(-1, 1, (5, 3)))
         with pytest.raises(ContractError, match=re.escape(f"a trace of (m+n, n) = {want}")):
             backward_cell_sequence(init_cell("gru", m, n, 0.5, rng), trace, dh_last=np.ones(n))
+
+
+class TestGradientCellOfTheCell:
+    """backward_cell_sequence accumulates into a given gradient only if it is a cell of the params' kind and sizes."""
+
+    @pytest.mark.parametrize("grad", [lambda rng: init_cell("gru", 3, 4, 0.5, rng),
+                                      lambda rng: init_cell("rau", 3, 5, 0.5, rng),
+                                      lambda rng: init_cell("rau", 2, 4, 0.5, rng),
+                                      lambda rng: Grads.zeros_like(init_cell("rau", 3, 4, 0.5, rng))],
+                             ids=["kind", "hidden", "input", "grads"])
+    def test_a_gradient_of_another_kind_or_size_raises(self, grad):
+        rng = Rng(61)
+        p = init_cell("rau", 3, 4, 0.5, rng)
+        trace = _record_sequence(p, rng.uniform(-1, 1, (5, 3)))
+        with pytest.raises(ContractError, match=r"backward_cell_sequence: a gradient \w+ for a rau cell of \(3, 4\)"):
+            backward_cell_sequence(p, trace, dh_last=np.ones(4), grad=grad(rng))
+
+    def test_a_given_gradient_is_filled_and_returned(self):
+        rng = Rng(67)
+        p = init_cell("lstm", 3, 4, 0.5, rng)
+        trace = _record_sequence(p, rng.uniform(-1, 1, (5, 3)))
+        grad = p.on_buffer(np.zeros_like(p.buffer))
+        got, _, _ = backward_cell_sequence(p, trace, dh_last=np.ones(4), grad=grad)
+        fresh, _, _ = backward_cell_sequence(p, trace, dh_last=np.ones(4))
+        assert got is grad and grad.buffer.tobytes() == fresh.buffer.tobytes()
+        assert type(fresh) is type(p) and fresh.buffer is not p.buffer
 
 
 class TestGradcheckCell:

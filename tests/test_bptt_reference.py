@@ -107,7 +107,7 @@ def _ref_lstm_step(p, tr, dh, dc_in, g, prefix):
 def reference_cell_sequence(params, trace, dh_last=None, dh_steps=None, grads=None, prefix=""):
     kind = params.kind
     if grads is None:
-        grads = Grads((prefix + k, np.zeros_like(a)) for k, a in iter_tensors(params))
+        grads = {prefix + k: np.zeros_like(a) for k, a in iter_tensors(params)}
     dx_steps = [None] * len(trace.xh)
     dh = dc = None
     for t in reversed(range(len(trace.xh))):
@@ -191,7 +191,7 @@ def test_matches_loop_reference(kind, batch, upstream):
                 if upstream in ("dh_steps", "both") else None)
     want, want_dx, want_dh = reference_cell_sequence(params, traces, dh_last, dh_steps)
     got, got_dx, got_dh = backward_cell_sequence(params, traces, dh_last, dh_steps)
-    _assert_grads_close(got, want)
+    _assert_grads_close(dict(got.tensors), want)
     _assert_seq_close(got_dx, got_dh, want_dx, want_dh)
 
 
@@ -205,22 +205,21 @@ def test_long_window_flushes_deltas_in_spans(kind, rows, monkeypatch):
     dh_steps = [rng.uniform(-1.0, 1.0, size=(5, 4)) for _ in range(6)]
     want, want_dx, want_dh = reference_cell_sequence(params, traces, dh_steps=dh_steps)
     got, got_dx, got_dh = backward_cell_sequence(params, traces, dh_steps=dh_steps)
-    _assert_grads_close(got, want)
+    _assert_grads_close(dict(got.tensors), want)
     _assert_seq_close(got_dx, got_dh, want_dx, want_dh)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_accumulates_into_existing_grads_under_prefix(kind):
+def test_accumulates_into_a_given_gradient_cell(kind):
     params, traces, rng = _record(kind, 2, 3, 4, 2, 7)
     dh_last = rng.uniform(-1.0, 1.0, size=(2, 3))
-    start = Grads.zeros_like(params, "layer.")  # laid out like params, as the backward accumulates into it
-    for g in start.values():
-        g[...] = rng.uniform(-1.0, 1.0, g.shape)
-    want = Grads((k, v.copy()) for k, v in start.items())
-    reference_cell_sequence(params, traces, dh_last=dh_last, grads=want, prefix="layer.")
-    got, _, _ = backward_cell_sequence(params, traces, dh_last=dh_last, grads=start, prefix="layer.")
+    # a cell of params' kind and sizes, as the backward accumulates into it
+    start = params.on_buffer(rng.uniform(-1.0, 1.0, params.buffer.shape))
+    want = {k: v.copy() for k, v in start.tensors}
+    reference_cell_sequence(params, traces, dh_last=dh_last, grads=want)
+    got, _, _ = backward_cell_sequence(params, traces, dh_last=dh_last, grad=start)
     assert got is start
-    _assert_grads_close(got, want)
+    _assert_grads_close(dict(got.tensors), want)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -231,8 +230,8 @@ def test_zero_steps(kind):
     want, want_dx, want_dh = reference_cell_sequence(params, empty, dh_last=np.ones(3))
     assert len(dx_steps) == len(want_dx) == 0
     assert dh0 is None and want_dh is None
-    assert all(not v.any() for v in got.values())
-    assert set(got) == set(want)
+    assert not got.buffer.any()
+    assert set(dict(got.tensors)) == set(want)
 
 
 @pytest.mark.parametrize("kind", KINDS)

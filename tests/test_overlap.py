@@ -71,8 +71,8 @@ class TestSameBits:
         params, trace, dh_steps = _record(kind, 5, 6, 9, batch, seed=rows + (batch or 0))
 
         def run():
-            grads, dx, dh0 = backward_cell_sequence(params, trace, dh_last=dh_steps[-1], dh_steps=dh_steps)
-            return {**grads, "dx": dx, "dh0": dh0}
+            grad, dx, dh0 = backward_cell_sequence(params, trace, dh_last=dh_steps[-1], dh_steps=dh_steps)
+            return {**dict(grad.tensors), "dx": dx, "dh0": dh0}
 
         same_bits(run)
         span = min(9, max(1, rows // (batch or 1)))
@@ -82,7 +82,7 @@ class TestSameBits:
     def test_rows_classify_shape(self, kind, same_bits, submitted):
         # B=128, T=28, m=28, n=128 at the default DW_GEMM_ROWS: seven spans of four steps
         params, trace, dh_steps = _record(kind, 28, 128, 28, 128, seed=3)
-        run = lambda: backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)[0]
+        run = lambda: dict(backward_cell_sequence(params, trace, dh_steps=dh_steps, want_dx=False)[0].tensors)
         same_bits(run)
         assert len(submitted) == 6
 

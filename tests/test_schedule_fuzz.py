@@ -146,8 +146,8 @@ def test_span_flushes(kind, monkeypatch, handoff, fuzz):
         state, _ = step(params, xs[t], state, trace.row(t))
 
     def run():
-        grads, dx, dh0 = backward_cell_sequence(params, trace, dh_steps=dh_steps)
-        return {**grads, "dx": dx, "dh0": dh0}
+        grad, dx, dh0 = backward_cell_sequence(params, trace, dh_steps=dh_steps)
+        return {**dict(grad.tensors), "dx": dx, "dh0": dh0}
 
     _shake(fuzz, run, _inline(handoff, run))
 

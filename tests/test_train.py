@@ -2,6 +2,7 @@
 
 import copy
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ def _tiny_model(seed=0, scale=0.5):
     return build_classifier("gru", 2, 3, 1, 2, scale, Rng(seed))
 
 
+@dataclass
+class P:
+    theta: np.ndarray
+
+
+def _theta_grads(p: P, theta) -> Grads:
+    """Gradients laid out like p, holding theta."""
+    g = Grads.zeros_like(p)
+    g["theta"][...] = theta
+    return g
+
+
 class TestSgdStep:
     def test_zero_grad_unchanged(self):
         mdl = _tiny_model()
@@ -39,21 +52,15 @@ class TestSgdStep:
             assert np.array_equal(v, before[k])
 
     def test_basic_update(self):
-        from dataclasses import dataclass
-
-        @dataclass
-        class P:
-            theta: np.ndarray
-
         p = P(theta=np.array([1.0]))
-        apply_update(make_optimizer("sgd", p, 1.0), p, Grads({"theta": np.array([0.5])}))
+        apply_update(make_optimizer("sgd", p, 1.0), p, _theta_grads(p, [0.5]))
         assert p.theta[0] == 0.5
 
     def test_a_mapping_of_parameters_raises(self):
         # a mapping's tensors were skipped: the update left them as they were and raised nothing
         w = np.zeros(2)
         with pytest.raises(ContractError, match="mapping at its top"):
-            apply_update(make_optimizer("sgd", {"w": w}, 0.1), {"w": w}, Grads({"w": np.ones(2)}))
+            apply_update(make_optimizer("sgd", {"w": w}, 0.1), {"w": w}, Grads.zeros_like([np.ones(2)]))
         with pytest.raises(ContractError, match="mapping at its top"):
             make_optimizer("adam", {"w": w}, 0.1)
         assert not w.any()
@@ -81,33 +88,20 @@ class TestAdamStep:
             assert np.array_equal(v, before[k])
 
     def test_single_step_matches_hand_formula(self):
-        from dataclasses import dataclass
-
-        @dataclass
-        class P:
-            theta: np.ndarray
-
         p = P(theta=np.array([2.0, -1.0]))
         g = np.array([0.3, -0.7])
         opt = make_optimizer("adam", p, 0.1)
-        apply_update(opt, p, Grads({"theta": g.copy()}))
+        apply_update(opt, p, _theta_grads(p, g))
         # zero state, first step: m_hat = g, v_hat = g^2
         expect = np.array([2.0, -1.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p.theta, expect, atol=1e-15, rtol=0)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
-        from dataclasses import dataclass
-
-        @dataclass
-        class P:
-            theta: np.ndarray
-
         p = P(theta=np.array([0.0]))
-        g = Grads({"theta": np.array([2.5])})
         opt = make_optimizer("adam", p, 0.05)
         prev = p.theta[0]
         for _ in range(100):
-            apply_update(opt, p, Grads({"theta": g["theta"].copy()}))
+            apply_update(opt, p, _theta_grads(p, [2.5]))
             delta = abs(p.theta[0] - prev)
             prev = p.theta[0]
             assert abs(delta - 0.05) <= 1e-6 * 0.05

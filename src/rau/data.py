@@ -171,9 +171,10 @@ def lm_batches(stream: np.ndarray, batch_size: int, unroll: int):
     """Contiguous windows over batch_size parallel rows of the token stream.
 
     Yields (inputs (B, u), targets (B, u), is_new_epoch). Targets are
-    inputs shifted by one within each row. Full unroll windows only,
-    unless the rows are shorter than one window, in which case a single
-    truncated window covers them.
+    inputs shifted by one within each row. Each window is unroll steps
+    long but the last, which ends at its row's end, so every token of a
+    row but its first is a target once: B * (len // B - 1) targets. The
+    last len mod B tokens of the stream fill no row and are cut.
     """
     stream = np.asarray(stream)
     if batch_size < 1 or unroll < 1:
@@ -182,13 +183,9 @@ def lm_batches(stream: np.ndarray, batch_size: int, unroll: int):
     if rowlen < 2:
         raise ContractError(f"lm_batches: stream too short ({len(stream)} tokens for batch_size {batch_size})")
     rows = stream[: batch_size * rowlen].reshape(batch_size, rowlen)
-    n_windows = (rowlen - 1) // unroll
-    if n_windows == 0:
-        yield rows[:, : rowlen - 1], rows[:, 1:rowlen], True
-        return
-    for w in range(n_windows):
-        k = w * unroll
-        yield rows[:, k:k + unroll], rows[:, k + 1:k + 1 + unroll], w == 0
+    for k in range(0, rowlen - 1, unroll):
+        end = min(k + unroll, rowlen - 1)
+        yield rows[:, k:end], rows[:, k + 1:end + 1], k == 0
 
 
 def _read_folder(folder: Path) -> list:

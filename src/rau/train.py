@@ -305,7 +305,12 @@ def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int
 
 
 def evaluate_lm(model, stream, batch_size: int, unroll: int):
-    """Deterministic stream evaluation; returns (loss per token, perplexity)."""
+    """Deterministic stream evaluation; returns (loss per token, perplexity).
+
+    It scores every token of each of the batch_size rows of `data.lm_batches` but the row's first, the
+    short last window included. The result still depends on batch_size in two ways: each row starts from a
+    zero state, and the last len mod batch_size tokens of the stream fill no row and are not scored.
+    """
     total_loss = 0.0
     total_tokens = 0
     states = None

@@ -158,15 +158,25 @@ class TestLmBatches:
         assert inputs.tolist() == [[0, 1, 2, 3, 4, 5, 6]]
         assert targets.tolist() == [[1, 2, 3, 4, 5, 6, 7]]
 
-    def test_target_positions_unique_and_counted(self):
-        stream = np.arange(103)
-        batch_size, unroll = 4, 5
-        rowlen = len(stream) // batch_size
+    @pytest.mark.parametrize("length", [103, 58, 21])
+    @pytest.mark.parametrize("batch_size, unroll", [(4, 5), (3, 7), (5, 1), (2, 30)])
+    def test_target_positions_unique_and_counted(self, length, batch_size, unroll):
+        # every token of a row but its first is a target once, the short last window included; the last
+        # len mod B tokens fill no row
+        stream = np.arange(length)
         seen = []
         for _, targets, _ in lm_batches(stream, batch_size, unroll):
             seen.extend(targets.ravel().tolist())
         assert len(seen) == len(set(seen))
-        assert len(seen) == batch_size * ((rowlen - 1) // unroll) * unroll
+        assert len(seen) == batch_size * (length // batch_size - 1)
+
+    def test_the_last_window_takes_the_rows_tail(self):
+        batches = list(lm_batches(np.arange(14), 2, 3))  # rows of 7: targets 1-6, windows of 3 and 3
+        assert [b[0].shape for b in batches] == [(2, 3), (2, 3)]
+        batches = list(lm_batches(np.arange(17), 2, 3))  # rows of 8: windows of 3, 3 and 1
+        assert [b[0].shape for b in batches] == [(2, 3), (2, 3), (2, 1)]
+        inputs, targets, new_epoch = batches[-1]
+        assert inputs.tolist() == [[6], [14]] and targets.tolist() == [[7], [15]] and not new_epoch
 
     def test_stream_too_short(self):
         with pytest.raises(ContractError):

@@ -104,6 +104,8 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     the gradients: the loops' clip_global_norm already has. It first bumps
     a model's version, staling its tapes (`autograd.Tape`); a bare cell has none.
     """
+    if not isinstance(grads, Grads):
+        raise ContractError(f"apply_update: gradients in a {type(grads).__name__}; lay them out with Grads.zeros_like")
     if hasattr(params, "version"):
         params.version += 1
     sgd = opt.kind == "sgd"

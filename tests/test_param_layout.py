@@ -231,6 +231,13 @@ class TestPerBufferUpdate:
         with pytest.raises(ContractError, match="no buffer 'cells.1.'"):
             apply_update(make_optimizer("sgd", mdl, 0.1), mdl, one_layer)
 
+    def test_rejects_a_mapping_of_gradients(self):
+        # the oracle's plain dict raised AttributeError: 'dict' object has no attribute 'buffers'
+        mdl = build_classifier("gru", 2, 3, 1, 2, 0.5, Rng(16))
+        per_tensor = {name: np.zeros_like(a) for name, a in iter_tensors(mdl)}
+        with pytest.raises(ContractError, match="gradients in a dict"):
+            apply_update(make_optimizer("sgd", mdl, 0.1), mdl, per_tensor)
+
     def test_scale_runs_over_the_buffers(self):
         mdl = build_classifier("rau", 2, 3, 1, 2, 0.5, Rng(17))
         g = Grads.zeros_like(mdl)

@@ -75,6 +75,9 @@ class Grads(dict):
     owners: dict
     buffers: dict
 
+    def __init__(self, *args, **kwargs):
+        raise ContractError("Grads: lay gradients out like their parameters with Grads.zeros_like")
+
     @classmethod
     def zeros_like(cls, params, unset: tuple = ()) -> "Grads":
         """Zero gradients laid out like params; the buffers keyed in unset are left unfilled."""
@@ -87,7 +90,7 @@ class Grads(dict):
     @classmethod
     def _of(cls, owners: dict) -> "Grads":
         """The gradients that owners hold: each array under its key, each cell's tensors under their paths."""
-        g = cls()
+        g = dict.__new__(cls)  # past __init__, which refuses any other form
         g.owners, g.buffers = owners, {}
         for key, owner in owners.items():
             if isinstance(owner, np.ndarray):

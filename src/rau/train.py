@@ -277,7 +277,9 @@ def _lm_window_loss(model, inputs, targets, states, train_mode, rng):
 def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int, unroll: int,
                    epoch: int, seed: int, clip_norm: float = DEFAULT_CLIP_NORM,
                    max_steps: int | None = None, step_offset: int = 0):
-    """One pass over the token stream with cross-window state carry."""
+    """One pass over the token stream with cross-window state carry.
+
+    Each target weighs 1 / (batch_size * unroll) in its window's step, in a row's short last window too."""
     _check_loop("train_epoch_lm", batch_size, max_steps, step_offset)
     t0 = time.monotonic()
     total_loss = 0.0
@@ -291,6 +293,8 @@ def train_epoch_lm(model, stream, opt: OptimizerState, rng: Rng, batch_size: int
             states = None
         loss, tokens, states, tape, dsteps = _train_forward("LM", epoch, step_offset + steps,
                                                             _lm_window_loss, model, inputs, targets, states, True, rng)
+        if len(dsteps) < unroll:  # a row's short last window, which cross_entropy averaged over fewer targets
+            dsteps *= len(dsteps) / unroll
         _optimizer_step(model, opt, tape, loss, dsteps, clip_norm, "LM", epoch, step_offset + steps)
         del tape, dsteps  # free this window's traces and (T, B, V) gradient before the next forward
         total_loss += loss * tokens

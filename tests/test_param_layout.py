@@ -238,6 +238,18 @@ class TestPerBufferUpdate:
         with pytest.raises(ContractError, match="gradients in a dict"):
             apply_update(make_optimizer("sgd", mdl, 0.1), mdl, per_tensor)
 
+    def test_a_grads_has_no_form_but_the_parameters_layout(self):
+        # a Grads built from a mapping, or empty, had no owners or buffers: apply_update and deepcopy then
+        # raised AttributeError
+        mdl = build_classifier("gru", 2, 3, 1, 2, 0.5, Rng(16))
+        per_tensor = {name: np.zeros_like(a) for name, a in iter_tensors(mdl)}
+        for build in (lambda: Grads(per_tensor), Grads, lambda: Grads.fromkeys(per_tensor)):
+            with pytest.raises(ContractError, match="Grads.zeros_like"):
+                build()
+        g = Grads.zeros_like(mdl)
+        for q in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+            assert list(q) == list(g) and list(q.buffers) == list(g.buffers)
+
     def test_scale_runs_over_the_buffers(self):
         mdl = build_classifier("rau", 2, 3, 1, 2, 0.5, Rng(17))
         g = Grads.zeros_like(mdl)

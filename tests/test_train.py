@@ -280,6 +280,26 @@ class TestTrainEpochLm:
         b = evaluate_lm(mdl, stream, 4, 10)
         assert a == b
 
+    @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
+    def test_a_short_window_weighs_each_target_as_a_full_window(self, kind):
+        # rows of 5 tokens: one window of the row's 4 targets at unroll 4, or one short window of them at 8.
+        # SGD without clipping moves the weights by unroll 8's step half as far as by unroll 4's, where the
+        # short window once took a step as long as a full window's
+        from rau.models import build_language_model
+
+        stream = Rng(30).integers(9, size=15)
+        moved = []
+        for unroll in (4, 8):
+            mdl = build_language_model(kind, 9, 5, 1, 0.3, Rng(31))
+            before = {name: a.copy() for name, a in iter_tensors(mdl)}
+            _, steps = train_epoch_lm(mdl, stream, make_optimizer("sgd", mdl, 0.5), Rng(32), 3, unroll, 1, 0,
+                                      clip_norm=1e9)
+            assert steps == 1
+            moved.append({name: a - before[name] for name, a in iter_tensors(mdl)})
+        for name, full in moved[0].items():
+            assert np.abs(full).max() > 0, name
+            assert np.allclose(moved[1][name], full / 2, rtol=1e-9, atol=1e-15), name
+
     def test_training_reduces_lm_loss(self):
         rng = Rng(12)
         # highly predictable stream: repeated 0..9 pattern

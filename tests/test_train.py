@@ -282,9 +282,8 @@ class TestTrainEpochLm:
 
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_a_short_window_weighs_each_target_as_a_full_window(self, kind):
-        # rows of 5 tokens: one window of the row's 4 targets at unroll 4, or one short window of them at 8.
-        # SGD without clipping moves the weights by unroll 8's step half as far as by unroll 4's, where the
-        # short window once took a step as long as a full window's
+        # rows of 5 tokens: one window of the row's 4 targets at unroll 4, or one short window of them at 8,
+        # where each target weighs half as much, so SGD without clipping moves the weights half as far
         from rau.models import build_language_model
 
         stream = Rng(30).integers(9, size=15)

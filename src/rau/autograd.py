@@ -4,10 +4,10 @@ The forward passes in `cells` and `models` record a `cells.Trace` per cell
 layer; this module replays it backwards, a whole window per cell layer, and
 computes exact analytic gradients for every parameter tensor; each kind's
 step backward and gate groups come from the `cells` table. A gradient has
-one form: `backward` returns a `Grads` laid out as the parameters are,
-each cell layer's gradient a cell of its kind on one buffer, which
-`backward_cell_sequence` fills. Its keys are the `cells.iter_tensors`
-paths over the parameter container, as are those of the oracle's dict.
+one form: `backward` returns a `Grads` laid out as the parameters are, a
+model on one buffer whose cells `backward_cell_sequence` fills, each cell
+layer's gradient a cell of its kind. Its keys are the parameters'
+`cells.iter_tensors` paths, as are those of the oracle's dict.
 
 The weight gradients are deferred: a window's steps buffer their gate
 deltas a span at a time, and each span is flushed into the weight
@@ -47,7 +47,6 @@ plain dict. It shares no code with the analytic path.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import os
@@ -58,7 +57,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import cells, linalg
-from .cells import CellParams, Trace, _kind_of, _owner, iter_buffers, iter_tensors, new_trace, step, zero_state
+from .cells import CellParams, Trace, _kind_of, _owner, iter_tensors, new_trace, step, zero_state
 from .linalg import ContractError, NumericError
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -67,46 +66,34 @@ GRADCHECK_TOLERANCE = 1e-5
 class Grads(dict):
     """Gradient arrays keyed by dotted tensor path, laid out as the parameters are (`zeros_like`).
 
-    `owners` maps each `cells.iter_buffers` key to a gradient cell of the parameters' kind on a buffer of its
-    own, or to a plain array, and the named gradients are its tensors. `buffers` maps the same keys to the
-    buffers, for work done once per buffer (scaling, the optimizer update).
+    `owner` is a cell or a model of the parameters' layout on a zero `buffer` of its own, and the named
+    gradients are its tensors: work done once per gradient (scaling, the optimizer update) runs over the buffer.
     """
-
-    owners: dict
-    buffers: dict
 
     def __init__(self, *args, **kwargs):
         raise ContractError("Grads: lay gradients out like their parameters with Grads.zeros_like")
 
     @classmethod
-    def zeros_like(cls, params, unset: tuple = ()) -> "Grads":
-        """Zero gradients laid out like params; the buffers keyed in unset are left unfilled."""
-        owners = {}
-        for key, buf, cell in iter_buffers(params):
-            g = (np.empty_like if key in unset else np.zeros_like)(buf)
-            owners[key] = g if cell is None else cell.on_buffer(g)
-        return cls._of(owners)
+    def zeros_like(cls, params) -> "Grads":
+        """Zero gradients laid out like params, a cell or a model."""
+        owner = _owner(params)
+        return cls._of(owner.on_buffer(np.zeros_like(owner.buffer)))
 
     @classmethod
-    def _of(cls, owners: dict) -> "Grads":
-        """The gradients that owners hold: each array under its key, each cell's tensors under their paths."""
+    def _of(cls, owner) -> "Grads":
+        """The gradients that owner's tensors hold, under their paths."""
         g = dict.__new__(cls)  # past __init__, which refuses any other form
-        g.owners, g.buffers = owners, {}
-        for key, owner in owners.items():
-            if isinstance(owner, np.ndarray):
-                g[key] = g.buffers[key] = owner
-            else:
-                g.buffers[key] = owner.buffer
-                g.update((key + path, a) for path, a in owner.tensors)
+        g.update(owner.tensors)
+        g.owner, g.buffer = owner, owner.buffer
         return g
 
-    def __deepcopy__(self, memo) -> "Grads":
-        # numpy would copy each view on its own: copy each owner, a cell through its one buffer, and name the copies
-        return Grads._of(copy.deepcopy(self.owners, memo))
+    def __reduce__(self):
+        # numpy would copy each view on its own: copy the owner, which copies its one buffer, and name the copy's views
+        return Grads._of, (self.owner,)
 
 
 def clip_global_norm(g: Grads, max_norm: float) -> Grads:
-    """Scale all buffers by max_norm/||g|| when the global norm exceeds max_norm.
+    """Scale g's buffer by max_norm/||g|| when the global norm exceeds max_norm.
 
     This is the training step's one pass over the gradients, so it also
     checks them: a non-finite norm raises NumericError naming the first
@@ -123,9 +110,7 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
         where = f"non-finite gradient in {bad}" if bad is not None else "gradient norm overflows"
         raise NumericError(f"clip_global_norm: {where}")
     if norm > max_norm:
-        scale = max_norm / norm
-        for buf in g.buffers.values():
-            buf *= scale
+        g.buffer *= max_norm / norm
     return g
 
 
@@ -437,8 +422,7 @@ def backward(tape: Tape, dlogits) -> Grads:
     model = tape.model
     if tape.version != model.version:
         raise ContractError(f"backward: a stale tape, of model version {tape.version}, at {model.version} now")
-    # the head-weight gradient overwrites its whole buffer, so it skips the zero fill
-    grads = Grads.zeros_like(model, unset=("w_out",))
+    grads = Grads.zeros_like(model)
     V, n = model.w_out.shape
     flat = np.asarray(dlogits).reshape(-1, V)
     rows = flat.shape[0]
@@ -481,7 +465,7 @@ def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
             tape.traces[layer],
             dh_last=dh_last,
             dh_steps=dh_steps,
-            grad=grads.owners[f"cells.{layer}."],
+            grad=grads.owner.cells[layer],
             want_dx=want_dx,
         )
         if want_dx and tape.in_masks is not None:
@@ -500,8 +484,6 @@ def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> dict[str, np.ndar
         raise ContractError("fd_gradient: epsilon must be positive")
     out = {}
     for name, arr in iter_tensors(params):
-        if not arr.flags.c_contiguous:
-            raise ContractError(f"fd_gradient: tensor {name} must be contiguous to perturb in place")
         g = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)

@@ -22,8 +22,8 @@ A cell's parameters live in one float64 buffer, as packed RNN weights
 do: the (rows, m+n) weights, then the rows biases, in gate-group order
 (RAU w_r w_z w_a | w_c | w_u, GRU w_r w_z | w_c, LSTM w_f w_i w_o w_g).
 Each named tensor, each gate group and the gate block are views of it.
-A cell's gradient is a cell of its kind on a buffer of its own, so the
-update runs once per buffer.
+A model lays its cells' buffers out on one of its own (`models`), and a
+gradient is a cell or a model on a buffer laid out alike.
 
 The RAU cell keeps the GRU update/reset/candidate computation unchanged
 and adds an attention gate: a learned affine score per component of
@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
@@ -67,7 +66,8 @@ class _Cell:
     GEMM operands, and in a gradient cell what each span flush adds into. `tensors` holds (path, view) of
     each named tensor, as `iter_tensors` walks them. A RAU's GRU part has neither.
 
-    kind is looked up from the cell's type; `_on_buffer` sets the ints input_size and hidden_size beside the views.
+    kind is looked up from the cell's type; `_on_buffer` sets the ints input_size and hidden_size beside the views,
+    and `layout`, the (kind, input_size, hidden_size) that cut the buffer.
     """
 
     @property
@@ -75,12 +75,12 @@ class _Cell:
         return _KIND_OF[type(self)]
 
     def on_buffer(self, buf: np.ndarray) -> "CellParams":
-        """A cell of this one's kind and sizes whose tensors view buf, a buffer laid out as this one's."""
-        return _on_buffer(self.kind, self.input_size, self.hidden_size, buf)
+        """A cell of this one's layout whose tensors view buf, a buffer laid out as this one's."""
+        return _on_buffer(*_owner(self).layout, buf)
 
     def __reduce__(self):
         # copy.deepcopy and pickle would copy each view on its own: copy the one buffer and view the copy alike
-        return _on_buffer, (self.kind, self.input_size, self.hidden_size, _owner(self).buffer)
+        return _on_buffer, (*_owner(self).layout, self.buffer)
 
 
 @dataclass
@@ -227,10 +227,10 @@ def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
     views = {path: (b if bias else w)[lo:hi] for path, bias, lo, hi in layout.tensors}
     tensors = tuple(views.items())
     if kind == "rau":
-        views["gru"] = GruParams(**{name: views.pop(f"gru.{name}") for name in _field_names(GruParams)})
+        views["gru"] = GruParams(**{f.name: views.pop(f"gru.{f.name}") for f in dataclasses.fields(GruParams)})
     p = k.params(**views)
     j = len(k.block[1])
-    p.buffer, p.tensors = buf, tensors
+    p.buffer, p.tensors, p.layout = buf, tensors, (kind, m, n)
     # the gates lead the xh group; a transposed view per gate computes its product as `xh @ w_j.T` does
     gates = w[:j * n].reshape(j, n, m + n).transpose(0, 2, 1), b[:j * n].reshape(j, n)
     p.groups = tuple((w[lo:hi], b[lo:hi]) for lo, hi in layout.groups)
@@ -239,11 +239,13 @@ def _on_buffer(kind: str, m: int, n: int, buf: np.ndarray) -> CellParams:
     return p
 
 
-def _owner(p: CellParams) -> CellParams:
-    """p, which owns its buffer; a RAU's GRU part views its RAU's, so it raises ContractError for that part."""
-    if "buffer" not in vars(p):
-        raise ContractError(f"{type(p).__name__} is a RAU's GRU part: it views its RAU's buffer and has no "
-                            "buffer of its own; take gradients or copies of the RAU")
+def _owner(p):
+    """p, a cell or a model, which owns its buffer; ContractError naming anything else, a RAU's GRU part too."""
+    if "tensors" not in getattr(p, "__dict__", ()):
+        if isinstance(p, _Cell):
+            raise ContractError(f"{type(p).__name__} is a RAU's GRU part: it views its RAU's buffer and has no "
+                                "buffer of its own; take gradients or copies of the RAU")
+        raise ContractError(f"expected a cell or a model, got {type(p).__name__}")
     return p
 
 
@@ -533,13 +535,18 @@ def _lstm_backward(tr: Trace, dh, dc_next, w, d, dx, m: int, n: int):
 
 
 def init_cell(kind: str, m: int, n: int, scale: float, rng: Rng) -> CellParams:
-    """A cell on one new buffer: each weight drawn by `init_matrix` in declaration order, the biases zero."""
-    p = _on_buffer(kind, m, n, np.zeros(param_count(kind, m, n)))
-    for path, a in iter_tensors(p):
+    """A cell on one new buffer, its weights drawn (`_draw`)."""
+    return _draw(_on_buffer(kind, m, n, np.zeros(param_count(kind, m, n))), scale, rng)
+
+
+def _draw(p: CellParams, scale: float, rng: Rng) -> CellParams:
+    """p, a cell on a zero buffer, with each weight drawn by `init_matrix` in declaration order; the biases stay
+    zero but an LSTM's forget bias, 1, so early training carries memory."""
+    for path, a in p.tensors:
         if path.rpartition(".")[2].startswith("w_"):
             a[...] = init_matrix(*a.shape, scale, rng)
-    if kind == "lstm":
-        p.b_f[...] = 1.0  # so early training carries memory
+    if p.kind == "lstm":
+        p.b_f[...] = 1.0
     return p
 
 
@@ -620,47 +627,7 @@ def param_count(kind: str, m: int, n: int) -> int:
     return rows * (m + n + 1)
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple | None:
-    """The field names of a dataclass, in declaration order; None for any other type, a dataclass's class too."""
-    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
-
-
-def _leaves(obj, prefix: str, whole_cells: bool, out: list) -> list[tuple[str, object]]:
-    """out, with (path, leaf) of each array in a container appended in declaration order; with whole_cells a
-    cell is one leaf."""
-    if isinstance(obj, np.ndarray) or (whole_cells and isinstance(obj, _Cell)):
-        out.append((prefix, obj))
-    elif (names := _field_names(type(obj))) is not None:
-        for name in names:
-            if not isinstance(value := getattr(obj, name), (int, float, str, type(None))):  # metadata: no call
-                _leaves(value, f"{prefix}.{name}" if prefix else name, whole_cells, out)
-    elif isinstance(obj, (list, tuple)):
-        for k, item in enumerate(obj):
-            _leaves(item, f"{prefix}.{k}" if prefix else str(k), whole_cells, out)
-    elif isinstance(obj, Mapping):
-        raise ContractError(f"a mapping at {prefix or 'its top'} of a parameter container: hold its tensors in a list")
-    return out
-
-
-def iter_tensors(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-    """Walk a parameter container, yielding (dotted path, array) in declaration order.
-
-    Dataclass fields are visited as declared, lists by index. Non-array
-    leaves (strings, numbers, None) are skipped, so containers may carry
-    metadata alongside their tensors; a mapping raises ContractError.
-    """
-    return iter(_leaves(obj, prefix, False, []))
-
-
-def iter_buffers(obj) -> Iterator[tuple[str, np.ndarray, CellParams | None]]:
-    """Walk a container as `iter_tensors` does, yielding each buffer once: (key, buffer, owner cell).
-
-    A cell's key is its tensors' path prefix ("cells.0.", or "" alone); any other array is its own
-    buffer, keyed by its path, with owner None.
-    """
-    for path, leaf in _leaves(obj, "", True, []):
-        if isinstance(leaf, np.ndarray):
-            yield path, leaf, None
-        else:
-            yield (f"{path}." if path else ""), _owner(leaf).buffer, leaf
+def iter_tensors(p) -> Iterator[tuple[str, np.ndarray]]:
+    """(dotted path, view) of each named tensor of a cell or a `models.SequenceModel`, in declaration order: its
+    `tensors`. Anything else, a RAU's GRU part too, raises ContractError naming it."""
+    return iter(_owner(p).tensors)

@@ -213,8 +213,8 @@ def load_task(cfg: RunConfig, data_rng: Rng):
     """The task's data by split name, and its vocabulary size (None for row inputs).
 
     LM splits are token streams, each at least two tokens per batch row;
-    classifier splits are (inputs, labels) pairs, and classifier tasks
-    hold out only a test split.
+    classifier splits are (inputs, labels) pairs of one example or more,
+    and classifier tasks hold out only a test split.
     """
     if cfg.task == "synthetic":
         def draw(count):
@@ -244,7 +244,9 @@ def load_task(cfg: RunConfig, data_rng: Rng):
             train = datamod.ImageSet(train.images[:DESK_MNIST_TRAIN], train.labels[:DESK_MNIST_TRAIN])
             test = datamod.ImageSet(test.images[:DESK_MNIST_TEST], test.labels[:DESK_MNIST_TEST])
         classes = TASK_CLASSES[cfg.task]
-        for s in (train, test):
+        for name, s in (("train", train), ("test", test)):
+            if len(s.labels) == 0:  # a sentiment split of no documents fails to load
+                raise ConfigError(f"{name} split has no examples")
             if s.labels.max(initial=0) >= classes:
                 raise datamod.DataError(f"{cfg.task} labels must be below {classes}, got {s.labels.max()}")
         return {

@@ -167,8 +167,8 @@ def softmax(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
 def init_matrix(rows: int, cols: int, scale: float, rng: Rng) -> np.ndarray:
     """Entries drawn uniform in [-scale, +scale].
 
-    Scale 0 gives zeros without drawing from rng, so rebuilding a zero
-    model (as the checkpoint loader does) costs no random numbers.
+    Scale 0 gives zeros without drawing from rng, so a zero init costs no
+    random numbers.
     """
     if rows < 1 or cols < 1:
         raise ContractError("init_matrix: rows and cols must be >= 1")

@@ -20,15 +20,17 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autograd, cells
 from .autograd import Tape
-from .cells import init_cell, iter_tensors
+from .cells import iter_tensors
 from .linalg import ContractError, Rng, init_matrix
 
 CHECKPOINT_MAGIC = b"RAUM"
@@ -45,14 +47,37 @@ def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+class _Layout(NamedTuple):
+    """Where each part of a model lies in its buffer: each cell's buffer in layer order, then w_out, b_out and
+    the embedding."""
+
+    kind: str                # the cells' kind
+    input_size: int          # the first cell's input size; each other cell's is the hidden size
+    hidden: int
+    layers: int
+    outputs: int             # the head's rows
+    embedding: tuple | None  # (vocab, width) of the embedding, or None
+
+    @property
+    def size(self) -> int:
+        """The buffer's floats, counted with no loop over the layers, as the loader counts a header's."""
+        k, m, n = self.kind, self.input_size, self.hidden
+        return (cells.param_count(k, m, n) + (self.layers - 1) * cells.param_count(k, n, n)
+                + self.outputs * (n + 1) + math.prod(self.embedding or (0,)))
+
+
 @dataclass
 class SequenceModel:
-    """Cell stack with an affine head and an optional token embedding.
+    """Cell stack with an affine head and an optional token embedding, on one float64 `buffer`.
 
     The builders set the readout: a classifier ("last") reads out the
     top hidden state of the final step, a language model ("every") the
     top hidden state of every step. The cells name their kind; a
     checkpoint records one, so the stack holds cells of one kind.
+
+    As a cell's, its tensors view its buffer (`_on_buffer`); update them in place, never rebind. The constructor
+    copies the parts it is given onto a new one. `tensors` holds (path, view) of each named tensor, as
+    `cells.iter_tensors` walks them; `layout` says where each part lies.
     """
 
     cells: list
@@ -64,23 +89,70 @@ class SequenceModel:
     version: int = 0  # bumped by `train.apply_update`, so a tape of an older one raises; no checkpoint keeps it
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout rate must be in [0, 1), got {self.dropout}")
         kinds = {cells._kind_of(p, "SequenceModel") for p in self.cells}
         if len(kinds) != 1:
             raise ContractError(f"SequenceModel: a stack of one cell kind, got {sorted(kinds) or 'no cells'}")
+        sizes = [p.layout[1:] for p in self.cells]
+        m0, n = sizes[0][0], sizes[-1][1]
+        if sizes != [(m0, n)] + [(n, n)] * (len(sizes) - 1):
+            raise ContractError(f"SequenceModel: cells of (input, hidden) sizes {sizes}; a stack takes ({m0}, {n}) "
+                                f"then ({n}, {n})")
+        w_out, b_out, embedding = self.w_out, self.b_out, self.embedding
+        fits = [("head weight", w_out, (*w_out.shape[:1], n)), ("head bias", b_out, w_out.shape[:1])]
+        if embedding is not None:
+            fits.append(("embedding", embedding, (*embedding.shape[:1], m0)))
+        for name, a, shape in fits:
+            if a.shape != shape:
+                raise ContractError(f"SequenceModel: the {name} is {a.shape} where the stack takes {shape}")
+        layout = _Layout(kinds.pop(), m0, n, len(sizes), len(w_out), None if embedding is None else embedding.shape)
+        # the parts' one copy, onto the buffer that a model of this layout and these settings views
+        buf = np.concatenate([p.buffer for p in self.cells] + [a.ravel() for _, a, _ in fits], dtype=np.float64)
+        vars(self).update(vars(_on_buffer(layout, buf, self.dropout, self.readout, self.version)))
 
-    @property
-    def hidden_size(self) -> int:
-        return self.cells[-1].hidden_size
+    def on_buffer(self, buf: np.ndarray) -> "SequenceModel":
+        """A model of this one's layout and settings whose tensors view buf, a buffer laid out as this one's."""
+        return _on_buffer(self.layout, buf, self.dropout, self.readout, self.version)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle would copy each view on its own: copy the one buffer and view the copy alike
+        return _on_buffer, (self.layout, self.buffer, self.dropout, self.readout, self.version)
 
 
-def _cells_and_head(cell_kind, input_size, hidden, layers, outputs, scale, rng):
-    """Draw the cells, then the head weights."""
-    if layers < 1:
-        raise ContractError("layers must be >= 1")
-    cell_list = [init_cell(cell_kind, input_size if k == 0 else hidden, hidden, scale, rng) for k in range(layers)]
-    return cell_list, init_matrix(outputs, hidden, scale, rng), np.zeros(outputs)
+def _on_buffer(layout: _Layout, buf: np.ndarray, dropout: float = 0.0, readout: str = "last",
+               version: int = 0) -> SequenceModel:
+    """The model of these settings whose tensors view buf, a 1-D buffer laid out as layout says: the one place
+    that cuts a model buffer, for the constructor, the builders, copies, gradients and the checkpoint loader
+    alike. Each cell views its part, as `cells._on_buffer` cuts it. A dropout rate not in [0, 1) raises."""
+    if not 0.0 <= dropout < 1.0:
+        raise ContractError(f"dropout rate must be in [0, 1), got {dropout}")
+    mdl = object.__new__(SequenceModel)  # past the constructor, which copies its parts
+    kind, m, n, layers, outputs, embedding = layout
+    ends = [0] + [cells.param_count(kind, m, n) + k * cells.param_count(kind, n, n) for k in range(layers)]
+    mdl.cells = [cells._on_buffer(kind, n if k else m, n, buf[ends[k]:ends[k + 1]]) for k in range(layers)]
+    at = ends[-1]
+    mdl.w_out, mdl.b_out = buf[at:at + outputs * n].reshape(outputs, n), buf[at + outputs * n:at + outputs * (n + 1)]
+    mdl.embedding = None if embedding is None else buf[at + outputs * (n + 1):].reshape(embedding)
+    mdl.dropout, mdl.readout, mdl.version, mdl.layout, mdl.buffer = dropout, readout, version, layout, buf
+    heads = [("w_out", mdl.w_out), ("b_out", mdl.b_out)] + [("embedding", mdl.embedding)] * (embedding is not None)
+    mdl.tensors = (*[(f"cells.{k}.{path}", a) for k, p in enumerate(mdl.cells) for path, a in p.tensors], *heads)
+    return mdl
+
+
+def _build(layout: _Layout, scale: float, rng: Rng, dropout: float, readout: str) -> SequenceModel:
+    """A model on one zero buffer, drawn into its views by `init_matrix`: a classifier's embedding, the cells in
+    layer order (`cells._draw`) and the head weight, then an LM's embedding."""
+    if min(layout.layers, layout.outputs, *(layout.embedding or (1,))) < 1:
+        raise ContractError(f"layers, outputs and embedding sizes must be >= 1, got {layout[3:]}")
+    mdl = _on_buffer(layout, np.zeros(layout.size), dropout, readout)
+    draws = [*mdl.cells, mdl.w_out]
+    if mdl.embedding is not None:
+        draws.insert(len(draws) if readout == "every" else 0, mdl.embedding)
+    for part in draws:
+        if isinstance(part, np.ndarray):
+            part[...] = init_matrix(*part.shape, scale, rng)
+        else:
+            cells._draw(part, scale, rng)
+    return mdl
 
 
 def build_classifier(cell_kind, input_size, hidden, layers, classes, scale, rng,
@@ -88,16 +160,12 @@ def build_classifier(cell_kind, input_size, hidden, layers, classes, scale, rng,
     embedding = None
     if vocab is not None:
         emb_dim = emb_dim or hidden
-        embedding = init_matrix(vocab, emb_dim, scale, rng)
-        input_size = emb_dim
-    cell_list, w_out, b_out = _cells_and_head(cell_kind, input_size, hidden, layers, classes, scale, rng)
-    return SequenceModel(cell_list, w_out, b_out, embedding, dropout, readout="last")
+        embedding, input_size = (vocab, emb_dim), emb_dim
+    return _build(_Layout(cell_kind, input_size, hidden, layers, classes, embedding), scale, rng, dropout, "last")
 
 
 def build_language_model(cell_kind, vocab, hidden, layers, scale, rng, dropout=0.0) -> SequenceModel:
-    cell_list, w_out, b_out = _cells_and_head(cell_kind, hidden, hidden, layers, vocab, scale, rng)
-    embedding = init_matrix(vocab, hidden, scale, rng)
-    return SequenceModel(cell_list, w_out, b_out, embedding, dropout, readout="every")
+    return _build(_Layout(cell_kind, hidden, hidden, layers, vocab, (vocab, hidden)), scale, rng, dropout, "every")
 
 
 def _lookup_tokens(embedding: np.ndarray, ids: np.ndarray, op: str):
@@ -176,7 +244,7 @@ def _forward(mdl: SequenceModel, inputs: np.ndarray, states, train_mode: bool, r
         head_in = head_in * out_masks
     # one GEMM for every position the head reads, the bias added into its output in place; at a
     # vocabulary-sized head the worker thread takes about half of the rows (see `autograd._split_gemm`)
-    logits = autograd._split_gemm(head_in.reshape(-1, mdl.hidden_size), mdl.w_out.T, mdl.b_out)
+    logits = autograd._split_gemm(head_in.reshape(-1, mdl.layout.hidden), mdl.w_out.T, mdl.b_out)
     logits = logits.reshape(head_in.shape[:-1] + (-1,))
 
     tape = Tape(mdl, traces, head_in, in_masks, out_masks, token_ids, mdl.version) if train_mode else None
@@ -313,26 +381,12 @@ def perplexity(total_log_loss: float, token_count: int) -> float:
 
 
 def _model_spec(model: SequenceModel) -> dict:
+    kind, m0, hidden, layers, outputs, embedding = model.layout
+    spec = {"cell": kind, "hidden": hidden, "layers": layers, "dropout": model.dropout}
     if model.readout == "every":
-        return {
-            "type": "lm",
-            "cell": model.cells[0].kind,
-            "hidden": model.hidden_size,
-            "layers": len(model.cells),
-            "vocab": model.embedding.shape[0],
-            "dropout": model.dropout,
-        }
-    return {
-        "type": "classifier",
-        "cell": model.cells[0].kind,
-        "input_size": model.cells[0].input_size if model.embedding is None else None,
-        "hidden": model.hidden_size,
-        "layers": len(model.cells),
-        "classes": model.w_out.shape[0],
-        "vocab": None if model.embedding is None else int(model.embedding.shape[0]),
-        "emb_dim": None if model.embedding is None else int(model.embedding.shape[1]),
-        "dropout": model.dropout,
-    }
+        return {"type": "lm", "vocab": outputs, **spec}
+    return {"type": "classifier", "input_size": None if embedding else m0, "classes": outputs,
+            "vocab": embedding and embedding[0], "emb_dim": embedding and embedding[1], **spec}
 
 
 def _positive_int(spec: dict, key: str) -> int:
@@ -343,7 +397,7 @@ def _positive_int(spec: dict, key: str) -> int:
 
 
 def _build_from_spec(spec, payload_bytes: int) -> SequenceModel:
-    """Rebuild the zero model a checkpoint spec describes; scale 0 draws no random numbers.
+    """The zero model a checkpoint spec describes, on one zero buffer.
 
     Every field is checked, and the tensor bytes the spec implies are
     compared with the payload, before anything is allocated: a header
@@ -359,23 +413,20 @@ def _build_from_spec(spec, payload_bytes: int) -> SequenceModel:
     hidden, layers = _positive_int(spec, "hidden"), _positive_int(spec, "layers")
     if spec["type"] == "lm":
         vocab = outputs = _positive_int(spec, "vocab")
-        m0, emb_floats = hidden, vocab * hidden
+        m0, embedding = hidden, (vocab, hidden)
     else:
         outputs = _positive_int(spec, "classes")
         if spec.get("vocab") is None:
-            m0, emb_floats = _positive_int(spec, "input_size"), 0
+            m0, embedding = _positive_int(spec, "input_size"), None
         else:
             m0 = _positive_int(spec, "emb_dim")
-            emb_floats = _positive_int(spec, "vocab") * m0
-    floats = (emb_floats + cells.param_count(cell, m0, hidden) + (layers - 1) * cells.param_count(cell, hidden, hidden)
-              + outputs * (hidden + 1))
-    if 8 * floats != payload_bytes:
-        what = "truncated checkpoint tensors" if 8 * floats > payload_bytes else "trailing bytes after checkpoint tensors"
-        raise CheckpointError(f"{what}: the spec implies {8 * floats} bytes, the file holds {payload_bytes}")
-    if spec["type"] == "lm":
-        return build_language_model(cell, vocab, hidden, layers, 0.0, Rng(0), dropout=dropout)
-    return build_classifier(cell, spec.get("input_size"), hidden, layers, outputs, 0.0, Rng(0),
-                            vocab=spec.get("vocab"), emb_dim=spec.get("emb_dim"), dropout=dropout)
+            embedding = (_positive_int(spec, "vocab"), m0)
+    layout = _Layout(cell, m0, hidden, layers, outputs, embedding)
+    if 8 * layout.size != payload_bytes:
+        what = "truncated" if 8 * layout.size > payload_bytes else "trailing bytes after"
+        raise CheckpointError(f"{what} checkpoint tensors: the spec implies {8 * layout.size} bytes, "
+                              f"the file holds {payload_bytes}")
+    return _on_buffer(layout, np.zeros(layout.size), dropout, "every" if spec["type"] == "lm" else "last")
 
 
 def save_checkpoint(path, model, config: dict | None = None) -> None:

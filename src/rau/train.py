@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd
 from .autograd import Grads, backward, clip_global_norm
-from .cells import iter_buffers, new_trace
+from .cells import _owner, new_trace
 from .data import lm_batches
 from .linalg import ContractError, NumericError, Rng
 from .models import classify_forward, cross_entropy, lm_forward, perplexity
@@ -79,69 +79,65 @@ class MetricsRecord:
 
 @dataclass
 class OptimizerState:
+    """An optimizer's settings and step count; Adam's moments m and v are arrays shaped like the buffer of the
+    parameters, a cell or a model (`make_optimizer`)."""
+
     kind: str
     lr: float
     step: int = 0
-    m: Grads | None = None
-    v: Grads | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def make_optimizer(kind: str, params, lr: float) -> OptimizerState:
     if kind == "sgd":
         return OptimizerState(kind="sgd", lr=lr)
     if kind == "adam":
-        return OptimizerState(kind="adam", lr=lr, m=Grads.zeros_like(params), v=Grads.zeros_like(params))
+        buf = _owner(params).buffer
+        return OptimizerState(kind="adam", lr=lr, m=np.zeros_like(buf), v=np.zeros_like(buf))
     raise ContractError(f"unknown optimizer kind {kind!r}")
 
 
 def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
     """Plain gradient descent or a bias-corrected Adam step; mutates params and opt.
 
-    It runs once per buffer of params (`cells.iter_buffers`), so grads and
-    the Adam moments must be laid out like params (`Grads.zeros_like`). It
-    consumes grads: SGD scales each buffer by the learning rate in place,
-    as clip_global_norm scales them in place before it. It does not check
-    the gradients: the loops' clip_global_norm already has. It first bumps
-    a model's version, staling its tapes (`autograd.Tape`); a bare cell has none.
+    It runs once over the one buffer of params, a cell or a model, so grads must be laid out like params
+    (`Grads.zeros_like`), as the Adam moments are (`make_optimizer`); anything laid out otherwise raises
+    ContractError. It consumes grads: SGD scales their buffer by the learning rate
+    in place, as clip_global_norm scales it in place before it. It does not check the gradients: the
+    loops' clip_global_norm already has. It first bumps a model's version, staling its tapes
+    (`autograd.Tape`); a bare cell has none.
     """
-    if not isinstance(grads, Grads):
-        raise ContractError(f"apply_update: gradients in a {type(grads).__name__}; lay them out with Grads.zeros_like")
+    buf = _owner(params).buffer
+    owner = getattr(grads, "owner", None)
+    if (type(owner) is not type(params) or owner.layout != params.layout
+            or opt.m is not None and opt.m.shape != buf.shape):
+        raise ContractError(f"apply_update: gradients in a {type(grads).__name__}, or Adam moments, not laid out like "
+                            f"the {type(params).__name__}; lay them out with Grads.zeros_like and make_optimizer")
     if hasattr(params, "version"):
         params.version += 1
-    sgd = opt.kind == "sgd"
-    by_key = [grads.buffers] if sgd else [grads.buffers, opt.m.buffers, opt.v.buffers]
-    try:
-        bufs = [(arr, *(buffers[key] for buffers in by_key)) for key, arr, _ in iter_buffers(params)]
-    except KeyError as e:
-        raise ContractError(f"apply_update: no buffer {e} among the gradients or moments; "
-                            "lay them out with Grads.zeros_like") from e
-    if sgd:
-        # at a vocabulary-sized model the worker thread takes half of each buffer (see `autograd._in_halves`)
-        size = sum(arr.size for arr, _ in bufs)
-        autograd._in_halves(2, 1, size // 2 * autograd.ELEMENT_FLOP, _sgd, bufs, opt.lr)
+    g = grads.buffer
+    if opt.kind == "sgd":
+        # at a vocabulary-sized model the worker thread takes half of the buffer (see `autograd._in_halves`)
+        autograd._in_halves(2, 1, buf.size // 2 * autograd.ELEMENT_FLOP, _sgd, buf, g, opt.lr)
         return
     opt.step += 1
-    t = opt.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for arr, g, m, v in bufs:
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        arr -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    bc1, bc2 = 1.0 - ADAM_BETA1**opt.step, 1.0 - ADAM_BETA2**opt.step
+    m, v = opt.m, opt.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    buf -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _sgd(bufs, lr: float, part: slice) -> None:
-    """g *= lr, then arr -= g, over part of (0, 1, 2): the first or second half of each buffer's leading
-    axis, or all of it. Each element gets the same two roundings whichever part it falls in."""
-    for arr, g in bufs:
-        if arr.ndim == 0:
-            arr, g = arr[None], g[None]
-        ends = (0, len(arr) // 2, len(arr))
-        arr, g = arr[ends[part.start]:ends[part.stop]], g[ends[part.start]:ends[part.stop]]
-        g *= lr
-        arr -= g
+def _sgd(buf: np.ndarray, g: np.ndarray, lr: float, part: slice) -> None:
+    """g *= lr, then buf -= g, over part of (0, 1, 2): the first or second half of the buffer, or all of it.
+    Each element gets the same two roundings whichever part it falls in."""
+    ends = (0, buf.size // 2, buf.size)
+    buf, g = buf[ends[part.start]:ends[part.stop]], g[ends[part.start]:ends[part.stop]]
+    g *= lr
+    buf -= g
 
 
 def _optimizer_step(model, opt: OptimizerState, tape, loss: float, loss_grad, clip_norm: float,

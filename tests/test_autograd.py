@@ -1,7 +1,6 @@
 """BPTT gradients against the central-difference oracle."""
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,56 +17,54 @@ from rau.cells import init_cell, iter_tensors, new_trace, step, zero_state
 from rau.linalg import ContractError, NumericError, Rng
 
 
-@dataclass
-class OneParam:
-    theta: np.ndarray
+def _cell(m=2, n=1):
+    """A GRU cell of zero weights: its w_z is (n, m+n), its b_z (n,)."""
+    return init_cell("gru", m, n, 0.0, Rng(0))
 
 
 class TestFdGradient:
     def test_quadratic(self):
-        p = OneParam(theta=np.array([3.0]))
-        g = fd_gradient(lambda q: float(q.theta[0] ** 2), p, 1e-5)
-        assert abs(g["theta"][0] - 6.0) <= 1e-9
+        p = _cell()
+        p.w_z[0, 0] = 3.0
+        g = fd_gradient(lambda q: float(q.w_z[0, 0] ** 2), p, 1e-5)
+        assert abs(g["w_z"][0, 0] - 6.0) <= 1e-9
+        assert all(not a.any() for name, a in g.items() if name != "w_z")
 
     def test_linear_exact(self):
-        p = OneParam(theta=np.array([1.0, -2.0, 0.5]))
+        p = _cell()
+        p.w_z[0] = [1.0, -2.0, 0.5]
         coef = np.array([2.0, 3.0, -1.0])
-        g = fd_gradient(lambda q: float(coef @ q.theta), p, 1e-3)
-        assert np.allclose(g["theta"], coef, atol=1e-10, rtol=0)
+        g = fd_gradient(lambda q: float(coef @ q.w_z[0]), p, 1e-3)
+        assert np.allclose(g["w_z"][0], coef, atol=1e-10, rtol=0)
 
     def test_restores_params(self):
-        p = OneParam(theta=np.array([1.5, 2.5]))
-        before = p.theta.copy()
-        fd_gradient(lambda q: float(q.theta.sum() ** 2), p)
-        assert np.array_equal(p.theta, before)
+        p = init_cell("gru", 2, 1, 0.5, Rng(1))
+        before = p.buffer.copy()
+        fd_gradient(lambda q: float(q.buffer.sum() ** 2), p)
+        assert np.array_equal(p.buffer, before)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ContractError):
-            fd_gradient(lambda q: 0.0, OneParam(np.zeros(1)), 0.0)
+            fd_gradient(lambda q: 0.0, _cell(), 0.0)
 
     def test_nan_epsilon_raises_contract_error(self):
         # NaN passed an `epsilon <= 0` test and surfaced as a non-finite loss while perturbing
         with pytest.raises(ContractError, match="epsilon must be positive"):
-            fd_gradient(lambda q: float(q.theta.sum()), OneParam(np.zeros(1)), float("nan"))
+            fd_gradient(lambda q: float(q.buffer.sum()), _cell(), float("nan"))
 
     def test_a_mapping_raises_instead_of_giving_no_gradient(self):
         # a mapping's tensors were skipped, so the oracle returned {}
-        with pytest.raises(ContractError, match="mapping at its top"):
+        with pytest.raises(ContractError, match="expected a cell or a model, got dict"):
             fd_gradient(lambda q: float(q["w"].sum()), {"w": np.zeros(2)})
 
 
-@dataclass
-class TwoParams:
-    a: np.ndarray
-    b: np.ndarray | None = None
-
-
-def _grads(a, b=None) -> Grads:
-    """Gradients laid out like a TwoParams of a and b, holding their values."""
-    g = Grads.zeros_like(TwoParams(*(None if v is None else np.zeros(np.shape(v)) for v in (a, b))))
-    for name, value in (("a", a), ("b", b)):
-        if value is not None:
-            g[name][...] = value
+def _grads(**values) -> Grads:
+    """Zero gradients laid out like a GRU cell of m=2, n=3, the leading entries of each named tensor set to
+    its value's: w_z and w_c hold 15 entries each, w_r 15, the biases 3."""
+    g = Grads.zeros_like(init_cell("gru", 2, 3, 0.5, Rng(0)))
+    for name, value in values.items():
+        v = np.ravel(value)
+        g[name].reshape(-1)[:v.size] = v
     return g
 
 
@@ -77,35 +74,35 @@ def _norm(g: Grads) -> float:
 
 class TestClipGlobalNorm:
     def test_scales_when_over(self):
-        g = _grads([6.0, 8.0])  # norm 10
+        g = _grads(w_r=[6.0, 8.0])  # norm 10
         clip_global_norm(g, 5.0)
-        assert np.allclose(g["a"], [3.0, 4.0], atol=1e-12)
+        assert np.allclose(g["w_r"][0, :2], [3.0, 4.0], atol=1e-12)
 
     def test_unchanged_when_under(self):
-        g = _grads([0.6, 0.8])
+        g = _grads(w_r=[0.6, 0.8])
         clip_global_norm(g, 5.0)
-        assert np.allclose(g["a"], [0.6, 0.8], atol=0, rtol=0)
+        assert np.allclose(g["w_r"][0, :2], [0.6, 0.8], atol=0, rtol=0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_gradient_raises_naming_tensor(self, bad):
-        g = _grads([0.6, 0.8], [[1.0, bad]])
-        with pytest.raises(NumericError, match="non-finite gradient in b"):
+        g = _grads(w_z=[0.6, 0.8], w_c=[[1.0, bad]])
+        with pytest.raises(NumericError, match="non-finite gradient in w_c"):
             clip_global_norm(g, 5.0)
 
     def test_overflowing_norm_raises(self):
-        g = _grads([1e200, 1e200])
+        g = _grads(w_z=[1e200, 1e200])
         with pytest.raises(NumericError, match="overflows"):
             clip_global_norm(g, 5.0)
 
     def test_nan_max_norm_raises(self):
         # NaN passed a `max_norm <= 0` test, and no norm exceeds NaN, so nothing was ever clipped
         with pytest.raises(ContractError, match="max_norm must be positive"):
-            clip_global_norm(_grads([6.0, 8.0]), float("nan"))
+            clip_global_norm(_grads(w_z=[6.0, 8.0]), float("nan"))
 
     def test_post_norm_is_min_of_norm_and_max(self):
         rng = Rng(9)
         for max_norm in (0.5, 3.0, 100.0):
-            g = _grads(rng.uniform(-1, 1, 10), rng.uniform(-1, 1, (3, 3)))
+            g = _grads(w_z=rng.uniform(-1, 1, 10), w_c=rng.uniform(-1, 1, (3, 3)))
             before = _norm(g)
             clip_global_norm(g, max_norm)
             assert abs(_norm(g) - min(before, max_norm)) <= 1e-12

@@ -335,16 +335,18 @@ class TestIterTensors:
         assert names == ["gru.w_z", "gru.w_r", "gru.w_c", "gru.b_z", "gru.b_r", "gru.b_c",
                          "w_a", "b_a", "w_u", "b_u"]
 
-    def test_a_mapping_raises_naming_its_path(self):
+    def test_anything_but_a_cell_or_a_model_raises_naming_it(self):
         # a mapping's tensors were skipped as a non-array leaf: an update or an oracle walked none of them
         @dataclass
         class Holder:
             params: dict
 
-        with pytest.raises(ContractError, match="mapping at its top"):
-            list(iter_tensors({"w": np.zeros(2)}))
-        with pytest.raises(ContractError, match="mapping at params"):
-            list(cells.iter_buffers(Holder({"w": np.zeros(2)})))
+        for obj, name in (({"w": np.zeros(2)}, "dict"), (Holder({"w": np.zeros(2)}), "Holder"),
+                          ([init_cell("gru", 2, 3, 0.1, Rng(0))], "list"), (np.zeros(2), "ndarray")):
+            with pytest.raises(ContractError, match=f"expected a cell or a model, got {name}"):
+                list(iter_tensors(obj))
+        with pytest.raises(ContractError, match="GruParams is a RAU's GRU part"):
+            list(iter_tensors(init_cell("rau", 2, 3, 0.1, Rng(0)).gru))
 
     def test_skips_non_tensor_fields(self):
         from rau.models import build_classifier

@@ -318,6 +318,26 @@ class TestImageTaskPath:
         assert "mnist-rows labels must be below 10, got 12" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("empty", ["train", "t10k"])
+    def test_a_split_of_no_images_exits_2(self, tmp_path, capsys, empty):
+        # an IDX pair whose headers count 0 images ended in a traceback: "train_epoch_classifier: empty data"
+        from conftest import write_idx_pair
+
+        d = tmp_path / "idx"
+        d.mkdir()
+        for split in ("train", "t10k"):
+            n = 0 if split == empty else 4
+            img, lbl = write_idx_pair(d, np.zeros((n, 28, 28)), [0, 1, 2, 3][:n])
+            img.rename(d / f"{split}-images-idx3-ubyte")
+            lbl.rename(d / f"{split}-labels-idx1-ubyte")
+        assert main(["train", "--task", "mnist-rows", "--data-dir", str(d), "--max-steps", "1",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {'test' if empty == 't10k' else 'train'} split has no examples" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "mnist-rows-rau-seed7" / "model.bin").exists()
+
+
 class TestSentimentTask:
     @pytest.fixture
     def imdb_like(self, tmp_path):

@@ -12,8 +12,9 @@ along v is |fd - g.v| / (|g| |v|), |g| the whole gradient's norm: g.v can
 be no larger than the denominator, and a direction nearly orthogonal to
 g does not turn the difference's rounding into a large relative error.
 
-A wrong block shows and a wrong entry may not: the negative control scales
-one row of the head-weight gradient by 1.01.
+A wrong block shows and a wrong entry may not: the negative controls scale
+one row of the head-weight gradient, or one row of the LM's embedding
+gradient that the batch's ids reach, by 1.01.
 """
 
 import numpy as np
@@ -26,8 +27,9 @@ from rau.models import build_classifier, build_language_model, classify_forward,
 
 EPS = 1e-5
 # Over every case here, handoffs off and on alike, the worst clean error was 5.4e-11 (the LM, LSTM). The
-# tolerance keeps a margin of 185x over it; the negative control reads 3.2e-6 or more along the head-weight
-# direction and 2.1e-6 or more along its worst whole-model direction.
+# tolerance keeps a margin of 185x over it; the head-weight control reads 3.2e-6 or more along the head-weight
+# direction and 2.1e-6 or more along its worst whole-model direction, the embedding control 6.8e-7 or more along
+# the embedding direction and 4.3e-6 or more along its worst whole-model direction.
 TOL = 1e-8
 KINDS = ("rau", "gru", "lstm")
 MASK_SEED = 42
@@ -124,3 +126,16 @@ def test_a_head_weight_row_scaled_by_1_01_is_caught(kind, model):
     errors = _check(model, kind, scale_row)
     assert errors["w_out"] > TOL and max(errors[f"whole{i}"] for i in range(3)) > TOL
     assert all(e <= TOL for name, e in errors.items() if name != "w_out" and not name.startswith("whole"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_embedding_row_scaled_by_1_01_is_caught(kind):
+    def scale_row(grads):
+        # a row no id reaches has a zero gradient, which no scale changes: take the largest, which the ids reach
+        rows = np.add.reduce(np.abs(grads["embedding"]), axis=1)
+        assert rows.any()
+        grads["embedding"][rows.argmax()] *= 1.01
+
+    errors = _check("lm", kind, scale_row)
+    assert errors["embedding"] > TOL and max(errors[f"whole{i}"] for i in range(3)) > TOL
+    assert all(e <= TOL for name, e in errors.items() if name != "embedding" and not name.startswith("whole"))

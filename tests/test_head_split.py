@@ -97,8 +97,7 @@ class TestSameBits:
     def test_sgd_update(self, same_bits, jobs):
         start = _lm("rau", 2, 0.0)
         grads = Grads.zeros_like(start)
-        for g in grads.buffers.values():
-            g[...] = Rng(g.size).uniform(-1.0, 1.0, g.shape)
+        grads.buffer[...] = Rng(grads.buffer.size).uniform(-1.0, 1.0, grads.buffer.shape)
 
         def run():
             mdl, g = copy.deepcopy((start, grads))
@@ -158,11 +157,11 @@ class TestFailures:
         handoff(True)
         sgd, done = train._sgd, []
 
-        def fail_in_the_caller(bufs, lr, part):
+        def fail_in_the_caller(buf, g, lr, part):
             if part.start == 0:
                 raise RuntimeError("caller half failed")
             time.sleep(0.05)
-            sgd(bufs, lr, part)
+            sgd(buf, g, lr, part)
             done.append(part)
 
         monkeypatch.setattr(train, "_sgd", fail_in_the_caller)

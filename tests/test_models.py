@@ -69,10 +69,22 @@ class TestModelOfCells:
         ([cells.init_cell("rau", 3, 4, 0.5, Rng(0)), cells.init_cell("gru", 4, 4, 0.5, Rng(0))],
          r"one cell kind, got \['gru', 'rau'\]"),
         ([np.zeros((12, 8))], "expected a .*Params, got ndarray"),
-    ], ids=["empty", "mixed", "not_a_cell"])
+        ([cells.init_cell("gru", 3, 4, 0.5, Rng(0)), cells.init_cell("gru", 5, 4, 0.5, Rng(0))],
+         r"cells of \(input, hidden\) sizes \[\(3, 4\), \(5, 4\)\]; a stack takes \(3, 4\) then \(4, 4\)"),
+    ], ids=["empty", "mixed", "not_a_cell", "unchained"])
     def test_a_stack_that_is_no_one_kind_raises(self, stack, match):
         with pytest.raises(ContractError, match=match):
             models.SequenceModel(stack, np.zeros((2, 4)), np.zeros(2))
+
+    @pytest.mark.parametrize("w_out, b_out, embedding, match", [
+        ((2, 5), (2,), None, r"the head weight is \(2, 5\) where the stack takes \(2, 4\)"),
+        ((2, 4), (3,), None, r"the head bias is \(3,\) where the stack takes \(2,\)"),
+        ((2, 4), (2,), (9, 4), r"the embedding is \(9, 4\) where the stack takes \(9, 3\)"),
+    ], ids=["head_width", "head_bias", "embedding_width"])
+    def test_a_part_that_does_not_fit_the_stack_raises(self, w_out, b_out, embedding, match):
+        with pytest.raises(ContractError, match=match):
+            models.SequenceModel([cells.init_cell("gru", 3, 4, 0.5, Rng(0))], np.zeros(w_out), np.zeros(b_out),
+                                 None if embedding is None else np.zeros(embedding))
 
     def test_a_nan_init_scale_raises(self):
         with pytest.raises(ContractError, match="scale must be non-negative"):

@@ -1,9 +1,10 @@
-"""One buffer per cell: parameters, gradients and Adam moments in gate-group layout.
+"""One buffer per cell and per model: parameters, gradients and Adam moments.
 
 A cell's buffer holds its (rows, m+n) weights and then its rows biases,
 both in gate-group order; every named tensor is a contiguous row-block
-view of it. The expected orders below are written out by hand, apart
-from the `cells` table.
+view of it. A model's buffer holds each cell's buffer in layer order, then
+w_out, b_out and the embedding. The expected orders below are written out
+by hand, apart from the `cells` table.
 """
 
 import copy
@@ -14,10 +15,11 @@ import pytest
 
 from rau import cells
 from rau.autograd import Grads, backward, backward_cell_sequence, clip_global_norm
-from rau.cells import init_cell, iter_buffers, iter_tensors, param_count
+from rau.cells import init_cell, iter_tensors, param_count
 from rau.data import synthetic_memorization
 from rau.linalg import ContractError, Rng
-from rau.models import build_classifier, build_language_model, classify_forward, cross_entropy, lm_forward
+from rau.models import (SequenceModel, build_classifier, build_language_model, classify_forward, cross_entropy,
+                        lm_forward)
 from rau.train import apply_update, make_optimizer, train_epoch_classifier
 
 SHAPES = [(1, 2), (3, 4), (28, 128)]
@@ -105,11 +107,12 @@ class TestStacksAreViews:
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_a_gradient_cells_groups_tile_its_buffer(self, kind, m, n):
         g = Grads.zeros_like(build_classifier(kind, m, n, 1, 2, 0.5, Rng(5)))
-        buf = g.buffers["cells.0."]
-        assert g.owners["cells.0."].buffer is buf
+        cell = g.owner.cells[0]
+        buf = cell.buffer
+        assert np.shares_memory(buf, g.buffer) and _offset(buf, g.buffer) == 0
         want = _offsets(kind, m, n)
         covered = np.zeros(buf.size, dtype=int)
-        for (w, b), group in zip(g.owners["cells.0."].groups, GROUPS[kind]):
+        for (w, b), group in zip(cell.groups, GROUPS[kind]):
             rows = sum(want[q][1][0] for q in group)
             assert w.shape == (rows, m + n) and b.shape == (rows,)
             assert w.flags.c_contiguous and b.flags.c_contiguous
@@ -135,29 +138,111 @@ class TestStacksAreViews:
         assert all(a is b for a, b in zip(p.gru.gates, p.gates))
 
 
+def _model_offsets(mdl):
+    """{path: (first float, shape)} of each named tensor of a model: each cell's tensors at their cell's
+    offsets from its buffer's start, the cells in layer order, then w_out, b_out and the embedding."""
+    at, start = {}, 0
+    for l, p in enumerate(mdl.cells):
+        at.update((f"cells.{l}.{name}", (start + first, shape))
+                  for name, (first, shape) in _offsets(p.kind, p.input_size, p.hidden_size).items())
+        start += param_count(p.kind, p.input_size, p.hidden_size)
+    for name in ("w_out", "b_out", "embedding"):
+        a = getattr(mdl, name)
+        if a is not None:
+            at[name], start = (start, a.shape), start + a.size
+    return at
+
+
+MODELS = {
+    "classifier": lambda kind: build_classifier(kind, 3, 4, 2, 5, 0.5, Rng(10)),
+    "embedded": lambda kind: build_classifier(kind, 3, 4, 1, 5, 0.5, Rng(10), vocab=9, emb_dim=3),
+    "lm": lambda kind: build_language_model(kind, 7, 4, 2, 0.5, Rng(10)),
+}
+
+
+class TestModelBuffer:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
+    def test_the_tensors_tile_the_buffer_in_layer_then_head_order(self, kind, model):
+        mdl = MODELS[model](kind)
+        buf = mdl.buffer
+        assert buf.ndim == 1 and buf.dtype == np.float64 and buf.flags.c_contiguous
+        want = _model_offsets(mdl)
+        heads = ["w_out", "b_out"] + ["embedding"] * (mdl.embedding is not None)
+        assert [name for name, _ in iter_tensors(mdl)] == [
+            f"cells.{l}.{name}" for l, p in enumerate(mdl.cells) for name, _ in iter_tensors(p)] + heads
+        covered = np.zeros(buf.size, dtype=int)
+        for name, a in iter_tensors(mdl):
+            assert a.flags.c_contiguous and np.shares_memory(a, buf), name
+            assert (_offset(a, buf), a.shape) == want[name], name
+            covered[_offset(a, buf):_offset(a, buf) + a.size] += 1
+        assert (covered == 1).all()
+        for p in mdl.cells:
+            assert np.shares_memory(p.buffer, buf)
+            _assert_on_buffer(p, p.buffer)
+
+    def test_the_constructor_copies_its_parts_onto_one_buffer(self):
+        stack = [init_cell("lstm", 3, 4, 0.5, Rng(1)), init_cell("lstm", 4, 4, 0.5, Rng(2))]
+        w_out, b_out, embedding = Rng(3).uniform(-1.0, 1.0, (5, 4)), np.arange(5.0), Rng(4).uniform(-1.0, 1.0, (9, 3))
+        mdl = SequenceModel(stack, w_out, b_out, embedding)
+        parts = [p.buffer for p in stack] + [w_out, b_out, embedding]
+        assert mdl.buffer.tobytes() == b"".join(a.tobytes() for a in parts)
+        assert not any(np.shares_memory(mdl.buffer, a) for a in parts)
+        assert [p.kind for p in mdl.cells] == ["lstm", "lstm"]
+        _assert_on_buffer(mdl, mdl.buffer)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_copies_keep_one_buffer_each(self, model):
+        mdl = MODELS[model]("rau")
+        mdl.version = 3
+        for deep, q in ((False, copy.copy(mdl)), (True, copy.deepcopy(mdl)), (True, pickle.loads(pickle.dumps(mdl)))):
+            assert q.buffer.tobytes() == mdl.buffer.tobytes() and q.layout == mdl.layout
+            assert (q.dropout, q.readout, q.version) == (mdl.dropout, mdl.readout, mdl.version)
+            assert [name for name, _ in iter_tensors(q)] == [name for name, _ in iter_tensors(mdl)]
+            _assert_on_buffer(q, q.buffer)
+            for p in q.cells:
+                _assert_on_buffer(p, p.buffer)
+            # a shallow copy views the buffer it copies; a deep one a buffer of its own
+            assert np.shares_memory(q.buffer, mdl.buffer) != deep
+
+    def test_gradients_and_moments_copy_onto_one_buffer_each(self):
+        mdl = MODELS["lm"]("gru")
+        g, opt = Grads.zeros_like(mdl), make_optimizer("adam", mdl, 0.01)
+        g.buffer[...] = Rng(5).uniform(-1.0, 1.0, g.buffer.shape)
+        opt.m += 1.0
+        pickled = lambda x: pickle.loads(pickle.dumps(x))
+        for deep, copy_of in ((False, copy.copy), (True, copy.deepcopy), (True, pickled)):
+            q, q_opt = copy_of(g), copy_of(opt)
+            assert list(q) == list(g) and q.buffer.tobytes() == g.buffer.tobytes()
+            assert q.owner.buffer is q.buffer and q.owner.layout == mdl.layout
+            assert all(np.shares_memory(a, q.buffer) for a in q.values())
+            assert np.shares_memory(q.buffer, g.buffer) != deep
+            for mine, theirs in ((q_opt.m, opt.m), (q_opt.v, opt.v)):
+                assert mine.shape == mdl.buffer.shape and mine.tobytes() == theirs.tobytes()
+                assert np.shares_memory(mine, theirs) != deep
+
+
 class TestGradsLayout:
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_zeros_like_lays_gradients_out_like_the_params(self, kind):
         mdl = build_classifier(kind, 3, 4, 2, 5, 0.5, Rng(10))
         g = Grads.zeros_like(mdl)
         assert list(g) == [name for name, _ in iter_tensors(mdl)]
-        assert list(g.buffers) == [key for key, _, _ in iter_buffers(mdl)] == ["cells.0.", "cells.1.", "w_out", "b_out"]
-        for l, cell in enumerate(mdl.cells):
-            gbuf = g.buffers[f"cells.{l}."]
-            assert gbuf.shape == cell.buffer.shape and not gbuf.any()
-            for name, a in iter_tensors(cell, f"cells.{l}"):
-                assert np.shares_memory(g[name], gbuf) and _offset(g[name], gbuf) == _offset(a, cell.buffer), name
-        assert g["w_out"] is g.buffers["w_out"]
+        assert g.buffer.shape == mdl.buffer.shape and not g.buffer.any()
+        assert g.owner.buffer is g.buffer and g.owner.layout == mdl.layout
+        for name, a in iter_tensors(mdl):
+            assert np.shares_memory(g[name], g.buffer) and _offset(g[name], g.buffer) == _offset(a, mdl.buffer), name
+        for l, cell in enumerate(g.owner.cells):
+            assert _offset(cell.buffer, g.buffer) == _offset(mdl.cells[l].buffer, mdl.buffer)
 
     def test_backward_returns_gradients_in_the_layout(self):
         mdl = build_language_model("rau", 7, 4, 2, 0.5, Rng(11))
         rng = Rng(12)
         logits, _, tape = lm_forward(mdl, rng.integers(7, size=(2, 3)), train_mode=True)
         g = backward(tape, np.ones_like(logits))
-        assert list(g.buffers) == ["cells.0.", "cells.1.", "w_out", "b_out", "embedding"]
-        for name, a in g.items():
-            key = name if name in g.buffers else name[:len("cells.0.")]
-            assert np.shares_memory(a, g.buffers[key]), name
+        assert list(g) == [name for name, _ in iter_tensors(mdl)]
+        for name, a in iter_tensors(mdl):
+            assert np.shares_memory(g[name], g.buffer) and _offset(g[name], g.buffer) == _offset(a, mdl.buffer), name
 
     def test_cell_sequence_needs_the_layout(self):
         p = init_cell("gru", 2, 3, 0.5, Rng(13))
@@ -171,6 +256,8 @@ class TestGradsLayout:
         p = init_cell("rau", 2, 3, 0.5, Rng(14))
         with pytest.raises(ContractError, match="views its RAU's buffer"):
             Grads.zeros_like(p.gru)
+        with pytest.raises(ContractError, match="views its RAU's buffer"):
+            p.gru.on_buffer(np.zeros(p.buffer.size))
 
     @pytest.mark.parametrize("given", [False, True], ids=["grads_none", "grads_given"])
     def test_cell_sequence_rejects_a_rau_gru_part(self, given):
@@ -227,9 +314,14 @@ class TestPerBufferUpdate:
 
     def test_rejects_gradients_not_in_the_layout(self):
         mdl = build_classifier("gru", 2, 3, 2, 2, 0.5, Rng(16))
-        one_layer = Grads.zeros_like(build_classifier("gru", 2, 3, 1, 2, 0.5, Rng(16)))
-        with pytest.raises(ContractError, match="no buffer 'cells.1.'"):
-            apply_update(make_optimizer("sgd", mdl, 0.1), mdl, one_layer)
+        other = (Grads.zeros_like(build_classifier("gru", 2, 3, 1, 2, 0.5, Rng(16))),  # one layer
+                 Grads.zeros_like(build_classifier("gru", 2, 3, 2, 3, 0.5, Rng(16))),  # three outputs
+                 Grads.zeros_like(mdl.cells[0]))
+        before = mdl.buffer.copy()
+        for grads in other:
+            with pytest.raises(ContractError, match="not laid out like the SequenceModel"):
+                apply_update(make_optimizer("sgd", mdl, 0.1), mdl, grads)
+        assert np.array_equal(mdl.buffer, before) and mdl.version == 0
 
     def test_rejects_a_mapping_of_gradients(self):
         # the oracle's plain dict raised AttributeError: 'dict' object has no attribute 'buffers'
@@ -248,7 +340,8 @@ class TestPerBufferUpdate:
                 build()
         g = Grads.zeros_like(mdl)
         for q in (copy.copy(g), pickle.loads(pickle.dumps(g))):
-            assert list(q) == list(g) and list(q.buffers) == list(g.buffers)
+            assert list(q) == list(g) and q.buffer.shape == g.buffer.shape
+            apply_update(make_optimizer("sgd", mdl, 0.1), mdl, q)
 
     def test_scale_runs_over_the_buffers(self):
         mdl = build_classifier("rau", 2, 3, 1, 2, 0.5, Rng(17))
@@ -282,24 +375,18 @@ class TestDeepcopy:
                 copy_of(p.gru)
 
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
-    def test_a_backward_result_copies_onto_buffers_of_its_own(self, kind):
+    def test_a_backward_result_copies_onto_a_buffer_of_its_own(self, kind):
         mdl = build_language_model(kind, 7, 4, 2, 0.5, Rng(25))
         logits, _, tape = lm_forward(mdl, Rng(26).integers(7, size=(2, 3)), train_mode=True)
         g = backward(tape, np.ones_like(logits))
         q = copy.deepcopy(g)
-        assert list(q) == list(g) and list(q.owners) == list(g.owners)
-        qbufs, gbufs = q.buffers, g.buffers
+        assert list(q) == list(g) and q.buffer.tobytes() == g.buffer.tobytes()
+        assert not np.shares_memory(q.buffer, g.buffer)
         for name, a in q.items():
-            key = name if name in q.owners else name[:len("cells.0.")]
-            assert a.tobytes() == g[name].tobytes(), name
-            assert np.shares_memory(a, qbufs[key]) and _offset(a, qbufs[key]) == _offset(g[name], gbufs[key]), name
-            assert not any(np.shares_memory(a, b) for b in gbufs.values()), name
-        for l in range(2):
-            cell = q.owners[f"cells.{l}."]
-            assert cell.buffer is qbufs[f"cells.{l}."]
-            for (w, b), (gw, gb) in zip(cell.groups, g.owners[f"cells.{l}."].groups):
-                assert np.shares_memory(w, cell.buffer) and np.shares_memory(b, cell.buffer)
-                assert not any(np.shares_memory(w, x) or np.shares_memory(b, x) for x in gbufs.values())
+            assert np.shares_memory(a, q.buffer) and _offset(a, q.buffer) == _offset(g[name], g.buffer), name
+        for cell, g_cell in zip(q.owner.cells, g.owner.cells):
+            for (w, b), (gw, gb) in zip(cell.groups, g_cell.groups):
+                assert np.shares_memory(w, q.buffer) and np.shares_memory(b, q.buffer)
                 assert w.tobytes() == gw.tobytes() and b.tobytes() == gb.tobytes()
 
     def test_optimizer_moments_keep_their_layout(self):
@@ -307,10 +394,7 @@ class TestDeepcopy:
         opt = make_optimizer("adam", mdl, 0.01)
         _, opt_b = copy.deepcopy((mdl, opt))
         for moments, copied in ((opt.m, opt_b.m), (opt.v, opt_b.v)):
-            assert list(copied) == list(moments) and list(copied.buffers) == list(moments.buffers)
-            for name, a in copied.items():
-                key = name if name in copied.buffers else "cells.0."
-                assert np.shares_memory(a, copied.buffers[key]) and not np.shares_memory(a, moments.buffers[key])
+            assert copied.shape == moments.shape == mdl.buffer.shape and not np.shares_memory(copied, moments)
 
     @pytest.mark.parametrize("kind", ["rau", "gru", "lstm"])
     def test_a_train_step_on_the_copy_gives_the_original_bits(self, kind):
@@ -325,6 +409,7 @@ class TestDeepcopy:
         for (name, a), (_, b) in zip(iter_tensors(mdl), iter_tensors(mdl_b)):
             assert a.tobytes() == b.tobytes(), name
         # and the copy trained through its own buffer: its views still tile it
+        _assert_on_buffer(mdl_b, mdl_b.buffer)
         _assert_on_buffer(mdl_b.cells[0], mdl_b.cells[0].buffer)
         logits, _ = classify_forward(mdl_b, xs)
         want, _ = classify_forward(mdl, xs)

@@ -177,8 +177,7 @@ def test_cross_entropy_halves(monkeypatch, handoff, fuzz):
 def test_sgd_halves(handoff, fuzz):
     start = build_language_model("gru", HV, HN, 1, 0.5, Rng(5))
     grads = Grads.zeros_like(start)
-    for g in grads.buffers.values():
-        g[...] = Rng(g.size).uniform(-1.0, 1.0, g.shape)
+    grads.buffer[...] = Rng(grads.buffer.size).uniform(-1.0, 1.0, grads.buffer.shape)
 
     def run():
         mdl, g = copy.deepcopy((start, grads))

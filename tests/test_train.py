@@ -2,13 +2,12 @@
 
 import copy
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rau.autograd import Grads, backward, clip_global_norm
-from rau.cells import iter_tensors, new_trace
+from rau.cells import init_cell, iter_tensors, new_trace
 from rau.data import synthetic_memorization
 from rau.linalg import ContractError, NumericError, Rng
 from rau.models import build_classifier, classify_forward, cross_entropy
@@ -31,15 +30,15 @@ def _tiny_model(seed=0, scale=0.5):
     return build_classifier("gru", 2, 3, 1, 2, scale, Rng(seed))
 
 
-@dataclass
-class P:
-    theta: np.ndarray
+def _zero_cell(n=1):
+    """A GRU cell of zero weights, m=1; its b_z holds n entries."""
+    return init_cell("gru", 1, n, 0.0, Rng(0))
 
 
-def _theta_grads(p: P, theta) -> Grads:
-    """Gradients laid out like p, holding theta."""
+def _b_z_grads(p, b_z) -> Grads:
+    """Gradients laid out like p, zero but b_z."""
     g = Grads.zeros_like(p)
-    g["theta"][...] = theta
+    g["b_z"][...] = b_z
     return g
 
 
@@ -52,16 +51,17 @@ class TestSgdStep:
             assert np.array_equal(v, before[k])
 
     def test_basic_update(self):
-        p = P(theta=np.array([1.0]))
-        apply_update(make_optimizer("sgd", p, 1.0), p, _theta_grads(p, [0.5]))
-        assert p.theta[0] == 0.5
+        p = _zero_cell()
+        p.b_z[0] = 1.0
+        apply_update(make_optimizer("sgd", p, 1.0), p, _b_z_grads(p, [0.5]))
+        assert p.b_z[0] == 0.5 and np.count_nonzero(p.buffer) == 1
 
     def test_a_mapping_of_parameters_raises(self):
         # a mapping's tensors were skipped: the update left them as they were and raised nothing
         w = np.zeros(2)
-        with pytest.raises(ContractError, match="mapping at its top"):
-            apply_update(make_optimizer("sgd", {"w": w}, 0.1), {"w": w}, Grads.zeros_like([np.ones(2)]))
-        with pytest.raises(ContractError, match="mapping at its top"):
+        with pytest.raises(ContractError, match="expected a cell or a model, got dict"):
+            apply_update(make_optimizer("sgd", _tiny_model(), 0.1), {"w": w}, Grads.zeros_like(_tiny_model()))
+        with pytest.raises(ContractError, match="expected a cell or a model, got dict"):
             make_optimizer("adam", {"w": w}, 0.1)
         assert not w.any()
 
@@ -88,23 +88,39 @@ class TestAdamStep:
             assert np.array_equal(v, before[k])
 
     def test_single_step_matches_hand_formula(self):
-        p = P(theta=np.array([2.0, -1.0]))
+        p = _zero_cell(n=2)
+        p.b_z[...] = [2.0, -1.0]
         g = np.array([0.3, -0.7])
         opt = make_optimizer("adam", p, 0.1)
-        apply_update(opt, p, _theta_grads(p, g))
+        apply_update(opt, p, _b_z_grads(p, g))
         # zero state, first step: m_hat = g, v_hat = g^2
         expect = np.array([2.0, -1.0]) - 0.1 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(p.theta, expect, atol=1e-15, rtol=0)
+        assert np.allclose(p.b_z, expect, atol=1e-15, rtol=0)
+        assert np.count_nonzero(p.buffer) == 2  # a zero gradient moves nothing
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
-        p = P(theta=np.array([0.0]))
+        p = _zero_cell()
         opt = make_optimizer("adam", p, 0.05)
-        prev = p.theta[0]
+        prev = p.b_z[0]
         for _ in range(100):
-            apply_update(opt, p, _theta_grads(p, [2.5]))
-            delta = abs(p.theta[0] - prev)
-            prev = p.theta[0]
+            apply_update(opt, p, _b_z_grads(p, [2.5]))
+            delta = abs(p.b_z[0] - prev)
+            prev = p.b_z[0]
             assert abs(delta - 0.05) <= 1e-6 * 0.05
+
+    def test_moments_are_arrays_shaped_like_the_buffer(self):
+        mdl = _tiny_model()
+        opt = make_optimizer("adam", mdl, 0.01)
+        assert opt.m.shape == opt.v.shape == mdl.buffer.shape and not opt.m.any() and not opt.v.any()
+        assert not np.shares_memory(opt.m, opt.v)
+
+    def test_moments_of_other_parameters_raise(self):
+        mdl = _tiny_model()
+        opt = make_optimizer("adam", build_classifier("gru", 2, 3, 2, 2, 0.5, Rng(1)), 0.01)
+        before = mdl.buffer.copy()
+        with pytest.raises(ContractError, match="or Adam moments, not laid out like the SequenceModel"):
+            apply_update(opt, mdl, Grads.zeros_like(mdl))
+        assert np.array_equal(mdl.buffer, before) and mdl.version == 0 and opt.step == 0
 
 
 class TestStaleTape:

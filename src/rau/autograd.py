@@ -19,12 +19,12 @@ same sums in the same order.
 
 The same worker takes half of a vocabulary-sized head's work: a row half
 of the head GEMM and of dh = dlogits @ w_out (`_split_gemm`), of
-cross-entropy in `models`, and a half of each buffer in the SGD update in
-`train`, all through `_in_halves`. It also computes the head's weight and
-bias gradients beside the layers' BPTT. Each half writes its own part
-of arrays the caller allocated. An elementwise half does the same
-operations on the same values, and a GEMM's halves meet on OpenBLAS's
-row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
+cross-entropy in `models`, and a half of the gradient's dense part in the
+SGD update in `train`, all through `_in_halves`. It also computes the
+head's weight and bias gradients beside the layers' BPTT. Each half
+writes its own part of arrays the caller allocated. An elementwise half
+does the same operations on the same values, and a GEMM's halves meet on
+OpenBLAS's row tiling (see `SPLIT_ROWS`), so every output keeps its bits.
 
 In a stack of large steps, the forward in `models` runs as a wavefront:
 the worker runs the upper layers' step t beside the first layer's step
@@ -68,6 +68,11 @@ class Grads(dict):
 
     `owner` is a cell or a model of the parameters' layout on a zero `buffer` of its own, and the named
     gradients are its tensors: work done once per gradient (scaling, the optimizer update) runs over the buffer.
+
+    `rows` is None, or the sorted embedding rows that `backward`'s token ids reached: every other row of the
+    embedding gradient holds 0. Clipping's scale and the SGD update then run over the `dense` part, the buffer
+    before the embedding, and those rows alone, which gives the bits of a pass over the whole buffer, as 0 * s = 0
+    and b - 0 = b; so an edit to a row not in rows does not reach SGD. Copies keep the rows.
     """
 
     def __init__(self, *args, **kwargs):
@@ -75,25 +80,31 @@ class Grads(dict):
 
     @classmethod
     def zeros_like(cls, params) -> "Grads":
-        """Zero gradients laid out like params, a cell or a model."""
+        """Zero gradients laid out like params, a cell or a model, on pages the kernel zeroed: no memset."""
         owner = _owner(params)
-        return cls._of(owner.on_buffer(np.zeros_like(owner.buffer)))
+        return cls._of(owner.on_buffer(np.zeros(owner.buffer.shape)))
 
     @classmethod
-    def _of(cls, owner) -> "Grads":
-        """The gradients that owner's tensors hold, under their paths."""
+    def _of(cls, owner, rows: np.ndarray | None = None) -> "Grads":
+        """The gradients that owner's tensors hold, under their paths, rows reached in its embedding."""
         g = dict.__new__(cls)  # past __init__, which refuses any other form
         g.update(owner.tensors)
-        g.owner, g.buffer = owner, owner.buffer
+        g.owner, g.buffer, g.rows = owner, owner.buffer, rows
         return g
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The part of the buffer that clipping and SGD run over whole: all of it, or with rows, what precedes
+        the embedding (the cells and the head)."""
+        return self.buffer if self.rows is None else self.buffer[:self.buffer.size - self["embedding"].size]
 
     def __reduce__(self):
         # numpy would copy each view on its own: copy the owner, which copies its one buffer, and name the copy's views
-        return Grads._of, (self.owner,)
+        return Grads._of, (self.owner, self.rows)
 
 
 def clip_global_norm(g: Grads, max_norm: float) -> Grads:
-    """Scale g's buffer by max_norm/||g|| when the global norm exceeds max_norm.
+    """Scale g by max_norm/||g|| when the global norm exceeds max_norm: its `dense` part and its embedding `rows`.
 
     This is the training step's one pass over the gradients, so it also
     checks them: a non-finite norm raises NumericError naming the first
@@ -110,7 +121,10 @@ def clip_global_norm(g: Grads, max_norm: float) -> Grads:
         where = f"non-finite gradient in {bad}" if bad is not None else "gradient norm overflows"
         raise NumericError(f"clip_global_norm: {where}")
     if norm > max_norm:
-        g.buffer *= max_norm / norm
+        scale, dense = max_norm / norm, g.dense
+        dense *= scale
+        if g.rows is not None:
+            g["embedding"][g.rows] *= scale
     return g
 
 
@@ -211,7 +225,7 @@ def backward_cell_sequence(
     if dh_steps is not None and len(dh_steps) != T:
         raise ContractError(f"backward_cell_sequence: {len(dh_steps)} per-step gradients for {T} steps")
     if grad is None:
-        grad = params.on_buffer(np.zeros_like(_owner(params).buffer))
+        grad = params.on_buffer(np.zeros(_owner(params).buffer.shape))
     elif type(grad) is not type(params) or (grad.input_size, grad.hidden_size) != (m, n):
         raise ContractError(f"backward_cell_sequence: a gradient {type(grad).__name__} for a {kind} cell of {(m, n)}")
     grad_groups = _owner(grad).groups
@@ -417,7 +431,8 @@ def backward(tape: Tape, dlogits) -> Grads:
     vocabulary-sized head the worker thread (see `_handoff`) takes a row
     half of dh = dlogits @ w_out, then the head's weight and bias
     gradients, which it computes beside the layers' BPTT; they are done
-    when backward returns or raises.
+    when backward returns or raises. With token ids, the result's `rows`
+    are the embedding rows they reach (see `Grads`).
     """
     model = tape.model
     if tape.version != model.version:
@@ -476,6 +491,7 @@ def _backward_stack(tape: Tape, grads: Grads, dh: np.ndarray) -> None:
         # ids go (T, B) step-major, the order of dx_steps
         ids = tape.token_ids.T.reshape(-1)
         np.add.at(grads["embedding"], ids, dx_steps.reshape(ids.shape[0], -1))
+        grads.rows = np.unique(ids)
 
 
 def fd_gradient(f: Callable, params, epsilon: float = 1e-5) -> dict[str, np.ndarray]:

@@ -314,14 +314,19 @@ def lm_forward(mdl: SequenceModel, tokens, h_init=None, train_mode: bool = False
 CE_BLOCK_BYTES = 1 << 20
 
 
-def cross_entropy(logits: np.ndarray, target, grad: bool = True):
+def cross_entropy(logits: np.ndarray, target, grad: bool = True, out: np.ndarray | None = None):
     """Softmax cross-entropy loss and its logit gradient.
 
     Single example: logits (k,), integer target -> (loss, dlogits).
     Batch: logits (B, k), targets (B,) -> mean loss and dlogits already
     scaled by 1/B, so backward() yields mean-loss gradients. With
     grad=False dlogits is None and no logit-sized array is built; the
-    loss is the same to the bit.
+    loss is the same to the bit. out, as in `linalg.softmax`, takes
+    dlogits in place of a new array and is returned: a C-contiguous
+    float64 array shaped like logits, which may be logits itself; each
+    row of logits is read before its row of out is written. An out of
+    another shape, dtype or layout, or one with grad=False, raises
+    ContractError.
     """
     logits = np.asarray(logits, dtype=np.float64)
     single = logits.ndim == 1
@@ -338,10 +343,14 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
         raise ContractError("cross_entropy: empty batch")
     if np.minimum.reduce(tg) < 0 or np.maximum.reduce(tg) >= k:
         raise ContractError("cross_entropy: target out of range")
+    if out is not None and (not grad or out.shape != logits.shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ContractError(f"cross_entropy: out must be a C-contiguous float64 array of logits' shape "
+                            f"{logits.shape} with grad, got {out.dtype} {out.shape} (grad={grad})")
     block = max(1, CE_BLOCK_BYTES // (8 * k))
     # with grad, each block lands in its rows of dlogits; without, each half of the rows (see
     # `autograd._in_halves`) reuses a block buffer of its own
-    buf = np.empty_like(lg) if grad else np.empty((2, min(block, B), k))
+    buf = (np.empty_like(lg) if out is None else out.reshape(lg.shape)) if grad else np.empty((2, min(block, B), k))
     nll = np.empty(B)
     autograd._in_halves(B, block, k * autograd.ELEMENT_FLOP, _cross_entropy_rows, lg, tg, buf, nll, block, grad)
     # a non-finite loss is the caller's to judge: numpy's overflow warning on the way there would only be noise
@@ -349,7 +358,7 @@ def cross_entropy(logits: np.ndarray, target, grad: bool = True):
         loss = float(np.add.reduce(nll) / B)  # np.mean's sum and division, without its wrapper
     if not grad:
         return loss, None
-    return loss, (buf[0] if single else buf)
+    return loss, (out if out is not None else buf[0] if single else buf)
 
 
 def _cross_entropy_rows(lg: np.ndarray, tg: np.ndarray, buf: np.ndarray, nll: np.ndarray, block: int, grad: bool,

@@ -90,6 +90,10 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, params, lr: float) -> OptimizerState:
+    """An optimizer of kind "sgd" or "adam" for params, a cell or a model; an lr that is negative (gradient ascent)
+    or not finite raises ContractError. An lr of 0 leaves the parameters as they are."""
+    if not 0.0 <= lr < math.inf:  # NaN fails it too
+        raise ContractError(f"make_optimizer: lr must be finite and >= 0, got {lr}")
     if kind == "sgd":
         return OptimizerState(kind="sgd", lr=lr)
     if kind == "adam":
@@ -103,8 +107,9 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
 
     It runs once over the one buffer of params, a cell or a model, so grads must be laid out like params
     (`Grads.zeros_like`), as the Adam moments are (`make_optimizer`); anything laid out otherwise raises
-    ContractError. It consumes grads: SGD scales their buffer by the learning rate
-    in place, as clip_global_norm scales it in place before it. It does not check the gradients: the
+    ContractError. SGD runs over the gradients' `dense` part, then their embedding `rows` (see `Grads`), with
+    the roundings of g *= lr; buf -= g; it consumes grads, scaling the dense part by the learning rate in place,
+    as clip_global_norm scales it before. Adam runs over the whole buffer. It does not check the gradients: the
     loops' clip_global_norm already has. It first bumps a model's version, staling its tapes
     (`autograd.Tape`); a bare cell has none.
     """
@@ -118,8 +123,11 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
         params.version += 1
     g = grads.buffer
     if opt.kind == "sgd":
-        # at a vocabulary-sized model the worker thread takes half of the buffer (see `autograd._in_halves`)
-        autograd._in_halves(2, 1, buf.size // 2 * autograd.ELEMENT_FLOP, _sgd, buf, g, opt.lr)
+        # at a vocabulary-sized model the worker thread takes half of the dense part (see `autograd._in_halves`)
+        dense = grads.dense
+        autograd._in_halves(2, 1, dense.size // 2 * autograd.ELEMENT_FLOP, _sgd, buf[:dense.size], dense, opt.lr)
+        if grads.rows is not None:
+            params.embedding[grads.rows] -= grads["embedding"][grads.rows] * opt.lr
         return
     opt.step += 1
     bc1, bc2 = 1.0 - ADAM_BETA1**opt.step, 1.0 - ADAM_BETA2**opt.step
@@ -132,7 +140,7 @@ def apply_update(opt: OptimizerState, params, grads: Grads) -> None:
 
 
 def _sgd(buf: np.ndarray, g: np.ndarray, lr: float, part: slice) -> None:
-    """g *= lr, then buf -= g, over part of (0, 1, 2): the first or second half of the buffer, or all of it.
+    """g *= lr, then buf -= g, over part of (0, 1, 2): the first or second half of buf, or all of it.
     Each element gets the same two roundings whichever part it falls in."""
     ends = (0, buf.size // 2, buf.size)
     buf, g = buf[ends[part.start]:ends[part.stop]], g[ends[part.start]:ends[part.stop]]
@@ -265,7 +273,8 @@ def _lm_window_loss(model, inputs, targets, states, train_mode, rng):
     B = logits.shape[1]
     flat = logits.reshape(T * B, -1)
     flat_targets = np.ascontiguousarray(targets.T).reshape(T * B)
-    loss, dflat = cross_entropy(flat, flat_targets, grad=train_mode)
+    # nothing reads a train window's logits after cross-entropy, so its gradient overwrites them
+    loss, dflat = cross_entropy(flat, flat_targets, grad=train_mode, out=flat if train_mode else None)
     dsteps = dflat.reshape(T, B, -1) if train_mode else None
     return loss, T * B, states, tape, dsteps
 

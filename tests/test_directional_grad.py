@@ -14,7 +14,8 @@ g does not turn the difference's rounding into a large relative error.
 
 A wrong block shows and a wrong entry may not: the negative controls scale
 one row of the head-weight gradient, or one row of the LM's embedding
-gradient that the batch's ids reach, by 1.01.
+gradient that the batch's ids reach, by 1.01, or leave a dropout mask out
+of the backward.
 """
 
 import numpy as np
@@ -29,7 +30,8 @@ EPS = 1e-5
 # Over every case here, handoffs off and on alike, the worst clean error was 5.4e-11 (the LM, LSTM). The
 # tolerance keeps a margin of 185x over it; the head-weight control reads 3.2e-6 or more along the head-weight
 # direction and 2.1e-6 or more along its worst whole-model direction, the embedding control 6.8e-7 or more along
-# the embedding direction and 4.3e-6 or more along its worst whole-model direction.
+# the embedding direction and 4.3e-6 or more along its worst whole-model direction, a dropout mask left out of the
+# backward 2.6e-7 or more along each tensor it reaches and 3.2e-3 or more along its worst whole-model direction.
 TOL = 1e-8
 KINDS = ("rau", "gru", "lstm")
 MASK_SEED = 42
@@ -98,9 +100,13 @@ def _errors(mdl, forward, grads, directions: dict) -> dict:
     return out
 
 
-def _check(model, kind, tamper=None) -> dict:
+def _check(model, kind, tamper=None, drop=None) -> dict:
+    """name -> error along each direction; tamper edits the gradients, and drop names dropout masks that the
+    tape loses before the backward, which then skips them where the forward applied them."""
     mdl, forward = MODELS[model](kind)
     _, dlogits, tape = forward(mdl)
+    if drop is not None:
+        setattr(tape, drop, None)
     grads = backward(tape, dlogits)
     if tamper is not None:
         tamper(grads)
@@ -139,3 +145,16 @@ def test_an_embedding_row_scaled_by_1_01_is_caught(kind):
     errors = _check("lm", kind, scale_row)
     assert errors["embedding"] > TOL and max(errors[f"whole{i}"] for i in range(3)) > TOL
     assert all(e <= TOL for name, e in errors.items() if name != "embedding" and not name.startswith("whole"))
+
+
+@pytest.mark.parametrize("model,mask", [("classifier", "out_masks"), ("lm", "out_masks"), ("lm", "in_masks")])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_dropout_mask_left_out_of_the_backward_is_caught(kind, model, mask):
+    # the head input's masks reach every gradient below the head; the cell inputs' masks reach the first layer's
+    # and the embedding's, and in the one-layer classifier, whose inputs are no parameters, none
+    errors = _check(model, kind, drop=mask)
+    paths = [name for name, _ in iter_tensors(MODELS[model](kind)[0])]
+    below = [name for name in paths if name not in ("w_out", "b_out")]
+    reached = below if mask == "out_masks" else [name for name in below if not name.startswith("cells.1.")]
+    assert [name for name in paths if errors[name] > TOL] == reached
+    assert max(errors[f"whole{i}"] for i in range(3)) > TOL

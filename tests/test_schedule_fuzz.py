@@ -6,10 +6,12 @@ a seeded random 0-2 ms before and after it runs, or, in other seeds,
 wraps the caller's side of `autograd._beside` the same way; the test
 also lowers the interpreter's switch interval, so the GIL changes hands
 often. Each path runs over SEEDS seeds (RAU_FUZZ_SEEDS, default 50; CI
-also runs this file at 500): the span flushes, the head GEMM,
-cross-entropy and SGD halves, the head's gradients, the forward
-wavefront, a RAU step's attention branch, an LSTM step's f and i gates
-and a classifier eval's pairs of batches. A run must give the inline
+also runs this file at 500): the span flushes, the head GEMM, the
+cross-entropy halves, the SGD halves over a whole buffer and over a
+gradient's dense part (its reached embedding rows follow in the caller),
+the head's gradients, the forward wavefront, a RAU step's attention
+branch, an LSTM step's f and i gates and a classifier eval's pairs of
+batches. A run must give the inline
 bits and leave no Future pending.
 In every fifth seed one handoff fails instead, on the worker's side, on
 the caller's, or with a KeyboardInterrupt in the caller's half; the
@@ -178,6 +180,22 @@ def test_sgd_halves(handoff, fuzz):
     start = build_language_model("gru", HV, HN, 1, 0.5, Rng(5))
     grads = Grads.zeros_like(start)
     grads.buffer[...] = Rng(grads.buffer.size).uniform(-1.0, 1.0, grads.buffer.shape)
+
+    def run():
+        mdl, g = copy.deepcopy((start, grads))
+        apply_update(make_optimizer("sgd", mdl, 0.7), mdl, g)
+        return dict(iter_tensors(mdl))
+
+    _shake(fuzz, run, _inline(handoff, run))
+
+
+def test_sgd_dense_halves_and_reached_rows(handoff, fuzz):
+    # a backward's gradient names its reached embedding rows: the halves cut the dense part before the
+    # embedding, and the caller updates those rows after them
+    start = build_language_model("gru", HV, HN, 1, 0.5, Rng(18))
+    logits, _, tape = lm_forward(start, Rng(19).integers(HV, size=(HB, HT)), train_mode=True)
+    grads = backward(tape, Rng(20).uniform(-1e-3, 1e-3, logits.shape))
+    assert grads.rows is not None
 
     def run():
         mdl, g = copy.deepcopy((start, grads))

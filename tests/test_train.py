@@ -77,6 +77,19 @@ class TestSgdStep:
             assert np.allclose(v, expect[k], atol=0, rtol=0)
 
 
+class TestMakeOptimizer:
+    @pytest.mark.parametrize("lr", [-1e-3, -np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_a_negative_or_non_finite_lr_raises(self, kind, lr):
+        # a negative lr ran gradient ascent, and a non-finite one turned every parameter to inf or NaN
+        with pytest.raises(ContractError, match="lr must be finite and >= 0"):
+            make_optimizer(kind, _tiny_model(), lr)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_a_zero_lr_is_allowed(self, kind):
+        assert make_optimizer(kind, _tiny_model(), 0.0).lr == 0.0
+
+
 class TestAdamStep:
     def test_zero_grad_unchanged_over_steps(self):
         mdl = _tiny_model()

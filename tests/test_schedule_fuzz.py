@@ -11,8 +11,7 @@ cross-entropy halves, the SGD halves over a whole buffer and over a
 gradient's dense part (its reached embedding rows follow in the caller),
 the head's gradients, the forward wavefront, a RAU step's attention
 branch, an LSTM step's f and i gates and a classifier eval's pairs of
-batches. A run must give the inline
-bits and leave no Future pending.
+batches. A run must give the inline bits and leave no Future pending.
 In every fifth seed one handoff fails instead, on the worker's side, on
 the caller's, or with a KeyboardInterrupt in the caller's half; the
 error must surface in the caller with nothing pending.
